@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BracketingError, ConfigurationError, SpectralPoleError
 from .reports import ResidualReport, timed_check
@@ -325,6 +324,8 @@ def coupled_eigenvalues(c_plus: float = 0.0, c_minus: float = 0.0, count: int = 
     poles are placed analytically and roots found by Brent's method.  For
     c₊ = c₋ = 0 the result is ((2j−1)π/2)², the part of the coupled spectrum
     visible off σ(A₀)."""
+    from scipy.optimize import brentq  # only caller; keeps scipy.optimize out of the CLI import
+
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
 

@@ -33,8 +33,6 @@ from .specfun import (
     modified_k_derivative,
 )
 
-EULER_GAMMA = 0.5772156649015329
-
 
 @dataclass(frozen=True)
 class BoundaryOperator:
@@ -111,7 +109,7 @@ def assemble_single_layer(curve: InterfaceCurve, grid: QuadratureGrid, z) -> Bou
         np.fill_diagonal(m1, -(1.0 / (4.0 * np.pi)) * speed)  # J_0(k·0) = 1, not J_0 at the masked r
         m2 = full - m1 * lsin
         np.fill_diagonal(
-            m2, (0.25j - EULER_GAMMA / (2 * np.pi) - np.log(k * speed / 2.0) / (2 * np.pi)) * speed
+            m2, (0.25j - np.euler_gamma / (2 * np.pi) - np.log(k * speed / 2.0) / (2 * np.pi)) * speed
         )
     mat = _kress_weights(n) * m1 + (2.0 * np.pi / n) * m2
     return BoundaryOperator("S", z, grid, mat)

@@ -1,26 +1,35 @@
 """Complex-argument Bessel/Hankel functions and Helmholtz fundamental solutions.
 
-Self-contained evaluation stack (no other package modules): power series and
-harmonic-number log series for |w| <= 12, Hankel asymptotic expansion and Miller
-downward recurrence beyond, three-term recurrences in the order.  Accuracy
-targets: relative 1e-12 for bessel_j (|w| <= 50, order <= 40) and 1e-10 for
-hankel1 (1e-3 <= |w| <= 50, order <= 40).  All functions accept scalars or
+The cylinder functions are thin, guarded wrappers over ``scipy.special``
+(``jv``, ``hankel1``, ``iv``, ``kv``, ``jn_zeros``), which deliver about
+machine-precision relative accuracy (a few 1e-16) on the whole range the
+package uses.  One branch is selected by the input: when every argument lies on
+the imaginary axis, w = iy, and the order is 0 or 1, J and H^(1) come from the
+real-argument routines I_0, I_1, K_0, K_1.  That is exactly the kernel argument
+sqrt(z)·r at real z < 0, and the real routines are several times faster than
+the complex-argument ones on the N² pair grids of the Nyström assembly.
+
+The guards stay ahead of scipy: a nonnegative integer order, |w| < 700 for J
+and I (the e^{|Im w|} growth must stay finite; NaN fails it too), Im w >= 0
+and w != 0 for H^(1), and Re w > 0 for K.  All functions accept scalars or
 numpy arrays in the argument and are pure (thread-safe).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special as sp
 
 from .errors import ArgumentRangeError, ConfigurationError, SingularityError, SpectralPoleError
 
-EULER_GAMMA = 0.5772156649015329
+_OVERFLOW_RADIUS = 700.0  # the e^{|Im w|} growth of J must stay finite
 
-_SERIES_RADIUS = 12.0
-_OVERFLOW_RADIUS = 700.0  # the e^{|Im w|} normalization factor must stay finite
+# order -> (real routine, factor) for w = iy: J_0 = I_0(y), J_1 = i I_1(y),
+# H_0 = -(2i/pi) K_0(y), H_1 = -(2/pi) K_1(y)
+_J_IMAGINARY_AXIS = ((sp.i0, 1.0 + 0j), (sp.i1, 1j))
+_H_IMAGINARY_AXIS = ((sp.k0, -2j / np.pi), (sp.k1, -2.0 / np.pi + 0j))
 
 
 @dataclass(frozen=True)
@@ -72,128 +81,27 @@ def _check_order(order) -> int:
     return int(order)
 
 
-def _j_power_series(order: int, w: np.ndarray) -> np.ndarray:
-    half = w / 2.0
-    h2 = half * half
-    term = half**order / math.factorial(order)
-    out = term.copy()
-    for k in range(1, 120):
-        term = term * (-h2) / (k * (order + k))
-        out += term
-        if np.all(np.abs(term) <= 1e-18 * np.abs(out) + 1e-300):
-            break
-    return out
+def _check_overflow(arr: np.ndarray) -> None:
+    if not np.all(np.abs(arr) < _OVERFLOW_RADIUS):
+        raise ArgumentRangeError(f"|w| must be finite and < {_OVERFLOW_RADIUS:g} (overflow guard)")
 
-def _j_miller(order: int, w: np.ndarray, start: int) -> np.ndarray:
-    """Downward recurrence seeded above the turning point, normalized against
-    e^{-iw} = J_0 + 2 sum (-i)^k J_k (upper half-plane; mirrored otherwise)."""
-    jk1 = np.zeros(w.shape, dtype=np.complex128)
-    jk = np.full(w.shape, 1e-280, dtype=np.complex128)
-    u = np.where(w.imag >= 0.0, -1j, 1j)  # growth direction of the normalizer
-    upow = u**start
-    norm = 2.0 * upow * jk
-    out = np.zeros_like(jk)
-    for k in range(start, 0, -1):
-        jm1 = (2.0 * k / w) * jk - jk1
-        jk1, jk = jk, jm1
-        upow = upow * np.conj(u)  # exact unit step down to u^{k-1}
-        norm = norm + (2.0 * upow * jk if k > 1 else jk)
-        if k - 1 == order:
-            out = jk.copy()
-        big = np.max(np.abs(jk))
-        if big > 1e250:
-            s = 1.0 / big
-            jk1 *= s
-            jk *= s
-            norm *= s
-            out *= s
-    return (out / norm) * np.exp(u * w)
+
+def _on_imaginary_axis(order: int, arr: np.ndarray) -> bool:
+    """Whether the real-argument I/K forms apply: order <= 1 and every w = iy."""
+    return order <= 1 and bool(np.all(arr.real == 0.0))
 
 
 def bessel_j(order, w):
     """Bessel function J_order(w) for complex w, |w| < 700."""
     order = _check_order(order)
     arr, scalar = _as_complex_array(w)
-    aw = np.abs(arr)
-    if np.any(aw >= _OVERFLOW_RADIUS):
-        raise ArgumentRangeError(f"|w| must be < {_OVERFLOW_RADIUS:g} (overflow guard)")
-    out = np.empty_like(arr)
-    small = aw <= _SERIES_RADIUS
-    if small.any():
-        out[small] = _j_power_series(order, arr[small])
-    if (~small).any():
-        idx = np.flatnonzero(~small)
-        lo = _SERIES_RADIUS
-        while lo < _OVERFLOW_RADIUS:  # octave buckets share a Miller start order
-            hi = 2.0 * lo
-            m = (aw[idx] > lo) & (aw[idx] <= hi)
-            if m.any():
-                sel = idx[m]
-                start = order + int(np.ceil(np.max(aw[sel]))) + 50
-                out[sel] = _j_miller(order, arr[sel], start)
-            lo = hi
+    _check_overflow(arr)
+    if _on_imaginary_axis(order, arr):
+        fn, factor = _J_IMAGINARY_AXIS[order]
+        out = factor * fn(arr.imag)
+    else:
+        out = sp.jv(order, arr)
     return complex(out[0]) if scalar else out
-
-
-def _y_series(n: int, w: np.ndarray, jn: np.ndarray) -> np.ndarray:
-    """Y_n for n in {0,1}, |w| <= ~14, via the limit formula with harmonic numbers."""
-    half = w / 2.0
-    h2 = half * half
-    fin = np.zeros_like(w)
-    for k in range(n):  # the (n-k-1)!/k! * (w/2)^{2k-n} finite part
-        fin = fin + (math.factorial(n - k - 1) / math.factorial(k)) * half ** (2 * k - n)
-    psi_a = -EULER_GAMMA  # psi(k+1)
-    psi_b = -EULER_GAMMA + sum(1.0 / j for j in range(1, n + 1))  # psi(n+k+1)
-    term = half**n / math.factorial(n)
-    total = (psi_a + psi_b) * term
-    for k in range(1, 120):
-        term = term * (-h2) / (k * (n + k))
-        psi_a += 1.0 / k
-        psi_b += 1.0 / (n + k)
-        total = total + (psi_a + psi_b) * term
-        if np.all(np.abs(term) * (abs(psi_a) + abs(psi_b)) <= 1e-18 * np.abs(total) + 1e-300):
-            break
-    return (2.0 / np.pi) * np.log(half) * jn - (fin + total) / np.pi
-
-
-def _hankel_asymptotic(n: int, w: np.ndarray) -> np.ndarray:
-    """Large-argument expansion of H^(1)_n, n in {0,1}; truncated at the smallest term."""
-    # prefactor via the principal log so arg(w) = pi (negative real axis,
-    # approached from above) lands on the correct continuation
-    pref = math.sqrt(2.0 / math.pi) * np.exp(-0.5 * np.log(w) + 1j * (w - n * np.pi / 2 - np.pi / 4))
-    total = np.ones_like(w)
-    term = np.ones_like(w)
-    live = np.ones(w.shape, dtype=bool)
-    for k in range(40):
-        step = 1j * (4.0 * n * n - (2 * k + 1) ** 2) / (8.0 * (k + 1) * w)
-        nxt = term * step
-        # keep summing only where the expansion is still converging
-        live &= np.abs(nxt) < np.abs(term)
-        if not live.any():
-            break
-        term = np.where(live, nxt, 0.0)
-        total = total + term
-        if np.all(np.abs(term) <= 1e-18 * np.abs(total)):
-            break
-    return pref * total
-
-
-def _h01_lens(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H_0, H_1 for Im(w) > 4, |w| < 12, via K_nu(-iw) cosh-integrals.
-
-    The J + iY route cancels catastrophically here (H ~ e^{-Im w} against
-    J, Y ~ e^{+Im w}); the integral has Re(-iw) = Im(w) > 4, so the integrand
-    decays doubly exponentially and a plain trapezoid rule converges fast.
-    """
-    zeta = -1j * w
-    t = 0.04 * np.arange(81)  # [0, 3.2]; cosh(3.2) ~ 12.3 kills the tail
-    ch = np.cosh(t)
-    wts = np.full(t.shape, 0.04)
-    wts[0] = 0.02
-    ex = np.exp(-zeta[:, None] * ch[None, :])
-    k0 = ex @ wts
-    k1 = (ex * ch[None, :]) @ wts
-    return (-2j / np.pi) * k0, (-2.0 / np.pi) * k1
 
 
 def _normalize_upper(arr: np.ndarray) -> np.ndarray:
@@ -212,33 +120,11 @@ def hankel1(order, w):
     if np.any(arr.imag < -1e-9 * (1.0 + np.abs(arr))):
         raise ArgumentRangeError("hankel1 requires Im(w) >= 0")
     arr = _normalize_upper(arr)
-    aw = np.abs(arr)
-    h0 = np.empty_like(arr)
-    h1 = np.empty_like(arr)
-    lens = (aw < _SERIES_RADIUS) & (arr.imag > 4.0)
-    small = (aw < _SERIES_RADIUS) & ~lens
-    if small.any():
-        ws = arr[small]
-        j0 = _j_power_series(0, ws)
-        j1 = _j_power_series(1, ws)
-        h0[small] = j0 + 1j * _y_series(0, ws, j0)
-        h1[small] = j1 + 1j * _y_series(1, ws, j1)
-    if lens.any():
-        h0[lens], h1[lens] = _h01_lens(arr[lens])
-    far = aw >= _SERIES_RADIUS
-    if far.any():
-        wl = arr[far]
-        h0[far] = _hankel_asymptotic(0, wl)
-        h1[far] = _hankel_asymptotic(1, wl)
-    if order == 0:
-        out = h0
-    elif order == 1:
-        out = h1
+    if _on_imaginary_axis(order, arr):
+        fn, factor = _H_IMAGINARY_AXIS[order]
+        out = factor * fn(arr.imag)
     else:
-        prev, cur = h0, h1
-        for k in range(1, order):
-            prev, cur = cur, (2.0 * k / arr) * cur - prev
-        out = cur
+        out = sp.hankel1(order, arr)
     return complex(out[0]) if scalar else out
 
 
@@ -259,10 +145,11 @@ def hankel1_derivative(order, w):
 
 
 def modified_i(order, w):
-    """Modified Bessel I_order(w) = i^{-order} J_order(iw)."""
+    """Modified Bessel I_order(w) = i^{-order} J_order(iw), |w| < 700."""
     order = _check_order(order)
     arr, scalar = _as_complex_array(w)
-    out = ((-1j) ** order) * bessel_j(order, 1j * arr)
+    _check_overflow(arr)
+    out = sp.iv(order, arr)
     return complex(out[0]) if scalar else out
 
 
@@ -272,7 +159,7 @@ def modified_k(order, w):
     arr, scalar = _as_complex_array(w)
     if np.any(arr.real <= 0):
         raise ArgumentRangeError("modified_k requires Re(w) > 0")
-    out = (np.pi / 2.0) * (1j ** (order + 1)) * hankel1(order, 1j * arr)
+    out = sp.kv(order, arr)
     return complex(out[0]) if scalar else out
 
 
@@ -291,22 +178,10 @@ def modified_k_derivative(order, w):
 
 
 def bessel_j_zero(k: int) -> float:
-    """k-th positive zero of J_0, by bisection on this module's own J_0."""
+    """k-th positive zero of J_0."""
     if not 1 <= k <= 15:
         raise ArgumentRangeError("bessel_j_zero supports 1 <= k <= 15")
-    guess = (k - 0.25) * math.pi  # McMahon estimate
-    a, b = guess - 0.9, guess + 0.9
-    fa = bessel_j(0, complex(a)).real
-    if fa * bessel_j(0, complex(b)).real > 0:
-        raise ArgumentRangeError(f"zero {k} not bracketed by ({a}, {b})")
-    for _ in range(90):
-        m = 0.5 * (a + b)
-        fm = bessel_j(0, complex(m)).real
-        if fa * fm <= 0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+    return float(sp.jn_zeros(0, k)[-1])
 
 
 def fundamental_solution(n: int, z, r):

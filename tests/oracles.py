@@ -68,3 +68,28 @@ DISK_MODES_ZM1 = {
 # exterior Steklov limit at kappa = 1e-3: mode 0 still carries the log, modes
 # m >= 1 approach -|m|
 EXT_STEKLOV_MODE0_K1EM3 = -0.1423747929
+
+# H^(1)_0 and H^(1)_1 in the band |w| ~ 10.5-12, Im w ~ 3-4, as (w, H_0(w), H_1(w)).
+# Computed offline with mpmath 1.3.0 at mp.dps = 40 (mpmath.hankel1) and rounded
+# to double; the route H_n(w) = (2/pi) i^{-(n+1)} K_n(-iw) through
+# mpmath.besselk gave the same doubles at every point.
+HANKEL1_BAND = (
+    ((10.9+4j),
+     (-0.0037400338235972588-0.002063511511414093j),
+     (-0.0022442868937660163+0.003715780407919312j)),
+    ((11.3+3.5j),
+     (-0.004174505188075496-0.0055953906213295915j),
+     (-0.005835421556748942+0.004006654990280979j)),
+    ((10.6+3.9j),
+     (-0.0046870009712377085-0.0009671674447591717j),
+     (-0.0011742010420933778+0.004722250996711141j)),
+    ((11.3+3.95j),
+     (-0.0027076694454170737-0.0034982966154784635j),
+     (-0.0036538928830715167+0.0026107369081012615j)),
+    ((11.4+3.65j),
+     (-0.0030994658614293008-0.005105896635771622j),
+     (-0.005295873564324516+0.0029406037520628347j)),
+    ((10.6+3.95j),
+     (-0.0044567086078986075-0.0009101682780400028j),
+     (-0.0011064245274932253+0.004491360988922181j)),
+)

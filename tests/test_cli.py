@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import subprocess
 import sys
 
@@ -189,6 +190,24 @@ def test_failed_check_sets_exit_one():
                                     "--tol-scale", "1e-12"])
     assert code == 1
     assert json.loads(stdout)["all_pass"] is False
+
+
+def test_dtn_on_ellipse_at_large_z():
+    # a benchmark job that crashed in bessel_j: |sqrt z| times the diameter exceeds 12
+    code, stdout, stderr = run_cli("dtn", "--side", "interior", "--curve", "ellipse:1.5,0.8",
+                                   "--z", "-24.8922,-1.78662", "--nodes", "256", "--omit-timing")
+    assert code == 0, stderr
+    doc = json.loads(stdout)
+    assert doc["checks"] and all(math.isfinite(row["residual"]) for row in doc["checks"])
+    assert doc["all_pass"] is True
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, green3.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- determinism

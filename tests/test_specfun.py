@@ -31,7 +31,7 @@ from green3.specfun import (
 
 
 def _random_upper_half(n, rng, lo=0.05, hi=45.0):
-    # covers series, lens, and asymptotic regimes including near-real arguments
+    # small, moderate and large |w|, including near-real arguments
     mag = rng.uniform(lo, hi, n)
     arg = rng.uniform(0.0, np.pi, n)
     return mag * np.exp(1j * arg)
@@ -69,11 +69,37 @@ def test_j_accuracy_sweep():
         assert rel.max() <= 1e-12
 
 
+def test_j_on_2d_grid_beyond_radius_12():
+    """A 2-D argument with |w| > 12, as in an N x N assembly, keeps its shape."""
+    w = np.full((4, 4), 13 + 0j)
+    got = bessel_j(0, w)
+    assert got.shape == (4, 4)
+    assert (np.abs(got - sp.jv(0, w)) / np.abs(sp.jv(0, w))).max() <= 1e-12
+
+
+def test_imaginary_axis_matches_complex_routines():
+    """w = iy (the kernels at real z < 0) agrees with jv/hankel1 off that branch."""
+    y = np.geomspace(1e-3, 50.0, 60)
+    for m in (0, 1):
+        for w in (1j * y, -1j * y):
+            rel = np.abs(bessel_j(m, w) - sp.jv(m, w)) / np.abs(sp.jv(m, w))
+            assert rel.max() <= 1e-13, (m, w[rel.argmax()])
+        ref = sp.hankel1(m, 1j * y)
+        rel = np.abs(hankel1(m, 1j * y) - ref) / np.abs(ref)
+        assert rel.max() <= 1e-13, (m, y[rel.argmax()])
+
+
 def test_j_overflow_guard():
     with pytest.raises(ArgumentRangeError):
         bessel_j(0, 700.0)
     with pytest.raises(ArgumentRangeError):
         bessel_j(0, 500 + 500j)
+
+
+def test_overflow_guard_rejects_nan():
+    for fn in (bessel_j, modified_i):
+        with pytest.raises(ArgumentRangeError):
+            fn(0, complex(np.nan, 0.0))
 
 
 def test_j_rejects_negative_order():
@@ -151,6 +177,13 @@ def test_hankel_accuracy_sweep():
         ref = sp.hankel1(m, w)
         rel = np.abs(hankel1(m, w) - ref) / np.abs(ref)
         assert rel.max() <= 1e-10, (m, w[rel.argmax()], rel.max())
+
+
+def test_hankel_accuracy_band_against_mpmath():
+    """|w| ~ 10.5-12, Im w ~ 3-4: relative error <= 1e-12 against frozen mpmath values."""
+    for w, h0, h1 in oracles.HANKEL1_BAND:
+        for m, ref in ((0, h0), (1, h1)):
+            assert abs(hankel1(m, w) - ref) <= 1e-12 * abs(ref), (m, w)
 
 
 def test_wronskian_on_random_grid():
