@@ -29,6 +29,14 @@ from .reports import ResidualReport, timed_check
 _BUMP_CENTERS = (0.3, 0.7, 1.0, 1.35, 1.8)
 _BUMP_WIDTH = 0.12
 
+# Between Dirichlet poles p < q of opposite sides, |d(m₊+m₋)/dz| ≥ 8·2p/(q−p)²
+# (each residue is 2(kπ)² ≈ 2p), so the best double-precision root has a
+# residual of about 8ε·(p/(q−p))², and rounding in m± adds a few times that
+# (≤ 4e-10 seen at the merge edge).  Pole pairs closer than _POLE_MERGE·q would
+# put that floor above _ROOT_RESIDUAL; they are treated as one coincident pole.
+_ROOT_RESIDUAL = 1e-10
+_POLE_MERGE = float(np.sqrt(8.0 * np.finfo(float).eps / _ROOT_RESIDUAL))
+
 
 def _omega(z, c) -> complex:
     return cmath.sqrt(complex(z) - c)
@@ -323,7 +331,12 @@ def coupled_eigenvalues(c_plus: float = 0.0, c_minus: float = 0.0, count: int = 
     poles {(kπ)²+c_±}, so each inter-pole interval brackets exactly one root;
     poles are placed analytically and roots found by Brent's method.  For
     c₊ = c₋ = 0 the result is ((2j−1)π/2)², the part of the coupled spectrum
-    visible off σ(A₀)."""
+    visible off σ(A₀).
+
+    Poles of the two sides closer than ``_POLE_MERGE`` (relative) are merged
+    as if c₊ = c₋: the root trapped between them lies within that gap of σ(A₀)
+    and cannot be located in double precision with |m₊+m₋| ≤ ``_ROOT_RESIDUAL``,
+    so it is left out like the coincident-pole eigenvalue."""
     from scipy.optimize import brentq  # only caller; keeps scipy.optimize out of the CLI import
 
     if count < 1:
@@ -338,7 +351,7 @@ def coupled_eigenvalues(c_plus: float = 0.0, c_minus: float = 0.0, count: int = 
     roots = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         gap = hi - lo
-        if gap <= 0.0:
+        if gap <= _POLE_MERGE * hi:
             continue
         a, b = lo + 1e-9 * max(1.0, gap), hi - 1e-9 * max(1.0, gap)
         fa, fb = f(a), f(b)

@@ -154,6 +154,16 @@ def test_coupled_eigenvalues_are_roots(c_plus, c_minus):
         assert abs(total) < 1e-9
 
 
+@pytest.mark.parametrize("c_minus", [1e-12, 0.00390625])
+def test_coupled_eigenvalues_near_coincident_shifts(c_minus):
+    # poles π² and π²+c₋ nearly coincide; the trapped root is merged away
+    roots = coupled_eigenvalues(0.0, c_minus, 3)
+    assert roots.shape == (3,)
+    assert np.all(np.abs(roots - np.pi**2) > 1.0)
+    for root in roots:
+        assert abs(scalar_weyl("+", root, 0.0) + scalar_weyl("-", root, c_minus)) < 1e-9
+
+
 def test_coupled_eigenvalues_rejects_bad_count():
     with pytest.raises(ConfigurationError):
         coupled_eigenvalues(0.0, 0.0, 0)
