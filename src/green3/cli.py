@@ -3,8 +3,9 @@
 Each subcommand assembles a list of independent check tasks, runs them on a
 small thread pool (capped by ``GREEN3_THREADS``), and emits a single report in
 JSON (versioned schema) or flat CSV.  Exit status is the verdict: 0 all pass,
-1 at least one residual above tolerance, 2 for unusable input.  Reports are
-deterministic for a fixed config and seed once timing fields are omitted.
+1 at least one residual above tolerance, 2 for unusable input or when no check
+ran.  Reports are deterministic for a fixed config and seed once timing fields
+are omitted.
 """
 
 from __future__ import annotations
@@ -213,11 +214,16 @@ def _krein_tasks(cfg: RunConfig) -> list:
 def _indicator_tasks(cfg: RunConfig) -> list:
     """Scan the coupled-eigenvalue indicator; a row fails where it collapses.
 
-    The indicator is the smallest singular value of the coupling pencil, so a
-    failing row marks a candidate eigenvalue rather than a broken identity."""
+    The indicator is σ_min(M₊+M₋) = 1/σ_max(S(z − c)), an identity of the
+    single-layer Weyl maps that needs the same shift c on both sides, so
+    ``--c-`` must equal ``--c+`` when given.  A failing row marks a value below
+    the floor rather than a broken identity."""
+    shift = cfg.c_plus if cfg.c_plus is not None else 0.0
+    if cfg.c_minus is not None and cfg.c_minus != shift:
+        raise ConfigurationError(
+            f"indicator needs equal side shifts; got --c+ {shift} and --c- {cfg.c_minus}")
     curve, grid = curve_from_spec(cfg.curve, cfg.nodes)
     floor = 1e-6 * cfg.tol_scale
-    shift = cfg.c_plus if cfg.c_plus is not None else 0.0
     zs = cfg.z_values()
     if cfg.zgrid is not None:
         re0, re1, count, imag = cfg.zgrid
@@ -308,9 +314,16 @@ _TASK_BUILDERS = {
 
 def _worker_count(n_tasks: int) -> int:
     cap = os.environ.get("GREEN3_THREADS")
-    if cap is not None:
-        return max(1, min(int(cap), max(1, n_tasks)))
-    return max(1, min(4, n_tasks))
+    if cap is None:
+        return max(1, min(4, n_tasks))
+    message = f"GREEN3_THREADS must be an integer >= 1, got {cap!r}"
+    try:
+        limit = int(cap)
+    except ValueError:
+        raise ConfigurationError(message) from None
+    if limit < 1:
+        raise ConfigurationError(message)
+    return min(limit, max(1, n_tasks))
 
 
 def run(config: RunConfig) -> int:
@@ -324,6 +337,9 @@ def run(config: RunConfig) -> int:
                 rows.extend(chunk)
     except _USAGE_ERRORS as exc:
         print(f"green3: {exc}", file=sys.stderr)
+        return 2
+    if not rows:
+        print("green3: no checks ran", file=sys.stderr)
         return 2
     report = ResidualReport(rows).sorted()
     if config.omit_timing:

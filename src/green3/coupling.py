@@ -18,12 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SpectralPoleError
 from .geometry import InterfaceCurve, QuadratureGrid, dirichlet_trace, make_curve, neumann_trace
-from .potentials import (
-    assemble_adjoint_double_layer,
-    assemble_single_layer,
-    eval_double_layer_field,
-    eval_single_layer_field,
-)
+from .potentials import _LayerOperators, eval_double_layer_field, eval_single_layer_field
 from .reports import ResidualReport, check_row, timed_check
 from .specfun import (
     as_spectral_point,
@@ -36,7 +31,7 @@ from .specfun import (
     modified_k,
     modified_k_derivative,
 )
-from .weyl import _normalize_side, dtn_map
+from .weyl import _guard_resonance, _normalize_side
 
 __all__ = [
     "JumpData",
@@ -318,12 +313,16 @@ def resolvent_difference_disk_mode(z, m: int, c: float = 1.0,
 # ------------------------------------------------------------- curve-level ops
 
 def eigenvalue_indicator(z, curve: InterfaceCurve, grid: QuadratureGrid, c: float = 0.0) -> float:
-    """σ_min of M₊(z)+M₋(z) for A = −Δ + c; bounded away from 0 ⟺ z is not an
-    eigenvalue (within discretization)."""
-    shifted = complex(z) - c
-    m_int = dtn_map("interior", curve, grid, shifted)
-    m_ext = dtn_map("exterior", curve, grid, shifted)
-    return float(np.linalg.svd(m_int.matrix + m_ext.matrix, compute_uv=False)[-1])
+    """σ_min of M₊(z−c)+M₋(z−c) for A = −Δ + c, the same shift c on both sides.
+
+    With the single-layer ansatz of both Weyl maps and equal side shifts the
+    sum is exactly M₊+M₋ = −(½I − K*)S⁻¹ − (½I + K*)S⁻¹ = −S⁻¹, for the
+    Nyström matrices as in the continuum, so the value is 1/σ_max(S(z−c)):
+    one assembly of S and one SVD.  Unequal shifts break the identity."""
+    ops = _LayerOperators(grid, complex(z) - c)
+    singular_values = ops.single_layer_singular_values
+    _guard_resonance(singular_values)
+    return float(1.0 / singular_values[0])
 
 
 def unique_continuation_check(side: str, z, curve: InterfaceCurve, grid: QuadratureGrid,
@@ -340,10 +339,8 @@ def unique_continuation_check(side: str, z, curve: InterfaceCurve, grid: Quadrat
     """
     side = _normalize_side(side)
     z = as_spectral_point(z)
-    s_op = assemble_single_layer(curve, grid, z)
-    ks_op = assemble_adjoint_double_layer(curve, grid, z)
-    half = 0.5 * np.eye(grid.n)
-    tau_n = half - ks_op.matrix if side == "interior" else half + ks_op.matrix
+    ops = _LayerOperators(grid, z)
+    tau_d, tau_n = ops.single_layer, ops.trace(f"single.neumann.{side}")
     d = np.sqrt(grid.arc_weights)
 
     radius = 0.5 if side == "interior" else 2.0
@@ -359,7 +356,7 @@ def unique_continuation_check(side: str, z, curve: InterfaceCurve, grid: Quadrat
         worst = 0.0
         for coef in coeffs:
             psi = coef @ harmonics
-            data_norm = float(np.linalg.norm(d * (s_op.matrix @ psi))
+            data_norm = float(np.linalg.norm(d * (tau_d @ psi))
                               + np.linalg.norm(d * (tau_n @ psi)))
             psi = psi * (eps / data_norm)
             values = eval_single_layer_field(curve, grid, z, psi, probes)

@@ -9,11 +9,16 @@ separation-of-variables oracle, not assumed):
   identity reads (½I + K)·1 = 1 inside the disk;
 * τ_D^± 𝒮φ = Sφ,  τ_N^± 𝒮φ = (½I ∓ K*)φ,  τ_D^± 𝒟φ = (±½I + K)φ,
   where "+" is the bounded side and n⁻ = −n⁺.
+
+S, K, K* and these traces come from one ``_LayerOperators`` bundle per
+(grid, z), which evaluates each kernel once; the ``assemble_*`` functions are
+thin wrappers around it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,32 +62,15 @@ class BoundaryOperator:
         return self.matrix @ density
 
 
-def _pairwise(grid: QuadratureGrid):
-    """Node differences, distances (diagonal masked to 1), and the Kress data."""
-    x = grid.points
-    diff = x[:, None, :] - x[None, :, :]
-    r = np.linalg.norm(diff, axis=2)
-    np.fill_diagonal(r, 1.0)
-    return diff, r
-
-
-def _log_sin_factor(grid: QuadratureGrid) -> np.ndarray:
-    t = grid.nodes
-    arg = 4.0 * np.sin((t[:, None] - t[None, :]) / 2.0) ** 2
-    np.fill_diagonal(arg, 1.0)
-    return np.log(arg)
-
-
 def _kress_weights(n: int) -> np.ndarray:
     """Circulant quadrature weights R_{ij} = r_{(i-j) mod N} for the kernel
-    ln(4 sin²((t−s)/2)); exact on trigonometric polynomials of degree < N/2."""
-    half = n // 2
+    ln(4 sin²((t−s)/2)), returned as r; exact on trigonometric polynomials of
+    degree < N/2.  r_d = r_{N−d}, so R is symmetric."""
     d = np.arange(n)
-    m = np.arange(1, half)
-    r = -(4.0 * np.pi / n) * (np.cos(2.0 * np.pi * np.outer(d, m) / n) / m).sum(axis=1)
-    r -= (4.0 * np.pi / n**2) * (-1.0) ** d
-    idx = (d[:, None] - d[None, :]) % n
-    return r[idx]
+    inverse = np.zeros(n)
+    inverse[1 : n // 2] = 1.0 / d[1 : n // 2]
+    # Σ_{0<m<N/2} cos(2πdm/N)/m is the real part of one DFT
+    return -(4.0 * np.pi / n) * np.fft.fft(inverse).real - (4.0 * np.pi / n**2) * (-1.0) ** d
 
 
 def _unnormalized_normal(grid: QuadratureGrid) -> np.ndarray:
@@ -90,69 +78,128 @@ def _unnormalized_normal(grid: QuadratureGrid) -> np.ndarray:
     return np.column_stack([v[:, 1], -v[:, 0]])  # n⁺ · |x'|
 
 
+# trace of a layer potential from one side as (operator, sign, multiple of I):
+# τ_D^± 𝒮 = S, τ_N^± 𝒮 = ½I ∓ K*, τ_D^± 𝒟 = ±½I + K, "interior" being "+"
+_TRACES = {
+    "single.dirichlet.interior": ("single_layer", 1.0, 0.0),
+    "single.dirichlet.exterior": ("single_layer", 1.0, 0.0),
+    "single.neumann.interior": ("adjoint_double_layer", -1.0, 0.5),
+    "single.neumann.exterior": ("adjoint_double_layer", 1.0, 0.5),
+    "double.dirichlet.interior": ("double_layer", 1.0, 0.5),
+    "double.dirichlet.exterior": ("double_layer", 1.0, -0.5),
+}
+
+
+class _LayerOperators:
+    """S, K, K* and their traces on one (grid, z), each kernel evaluated once.
+
+    The pair distance, the log-sin factor and the Kress weights are symmetric in
+    the two nodes, so they and the Bessel/Hankel kernels on them are computed on
+    the N(N−1)/2 pairs i < j only and mirrored into the dense matrices; only
+    the normal factor ⟨n_u[j], x_j − x_i⟩ of K is not symmetric.  Each operator
+    is built on first use.  Callers make a bundle per call and keep nothing.
+    """
+
+    def __init__(self, grid: QuadratureGrid, z):
+        self.grid = grid
+        self.z = as_spectral_point(z)
+        n = grid.n
+        self._upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        self._rows, self._cols = np.nonzero(self._upper)  # the pairs i < j, row by row
+        x, y = grid.points.T
+        self._dx = x[self._cols] - x[self._rows]  # x_j − x_i
+        self._dy = y[self._cols] - y[self._rows]
+        self._r = np.hypot(self._dx, self._dy)
+        # on the uniform grid both symmetric factors depend on j − i alone
+        offset = self._cols - self._rows
+        weights = _kress_weights(n)
+        self._kress_diagonal = weights[0]
+        self._kress = weights[offset]
+        self._lsin = np.log(4.0 * np.sin(grid.nodes[1:] / 2.0) ** 2)[offset - 1]
+
+    def _square(self, upper, lower, diagonal) -> np.ndarray:
+        out = np.empty((self.grid.n, self.grid.n), dtype=complex)
+        out[self._upper] = upper
+        out.T[self._upper] = lower
+        np.fill_diagonal(out, diagonal)
+        return out
+
+    @cached_property
+    def single_layer(self) -> np.ndarray:
+        """S(z), the weakly singular kernel split per Kress."""
+        n, z, r, speed = self.grid.n, self.z, self._r, self.grid.speed
+        if z.is_laplace:
+            smooth = -1.0 / (4.0 * np.pi)
+            split = -(np.log(r) - 0.5 * self._lsin) / (2.0 * np.pi)
+            split_diagonal = -np.log(speed) / (2.0 * np.pi)
+        else:
+            k = z.sqrt_z
+            smooth = -bessel_j(0, k * r) / (4.0 * np.pi)
+            split = 0.25j * hankel1(0, k * r) - smooth * self._lsin
+            split_diagonal = 0.25j - (np.euler_gamma + np.log(k * speed / 2.0)) / (2.0 * np.pi)
+        core = self._kress * smooth + (2.0 * np.pi / n) * split
+        # the smooth part is -J_0(k·0)/(4π) = -1/(4π) on the diagonal
+        diagonal = -self._kress_diagonal / (4.0 * np.pi) + (2.0 * np.pi / n) * split_diagonal
+        mat = self._square(core, core, diagonal)
+        mat *= speed
+        return mat
+
+    @cached_property
+    def double_layer(self) -> np.ndarray:
+        """K(z), principal value, with the curvature diagonal."""
+        n, z, r = self.grid.n, self.z, self._r
+        if z.is_laplace:
+            core = 1.0 / (n * r * r)
+        else:
+            k = z.sqrt_z
+            smooth = -(k / (4.0 * np.pi)) * bessel_j(1, k * r) / r
+            split = (0.25j * k) * hankel1(1, k * r) / r - smooth * self._lsin
+            core = self._kress * smooth + (2.0 * np.pi / n) * split
+        nu_x, nu_y = _unnormalized_normal(self.grid).T
+        rows, cols, dx, dy = self._rows, self._cols, self._dx, self._dy
+        upper = (nu_x[cols] * dx + nu_y[cols] * dy) * core    # ⟨n_u[j], x_j − x_i⟩
+        lower = -(nu_x[rows] * dx + nu_y[rows] * dy) * core  # ⟨n_u[i], x_i − x_j⟩
+        return self._square(upper, lower, self.grid.curvature * self.grid.speed / (2.0 * n))
+
+    @cached_property
+    def adjoint_double_layer(self) -> np.ndarray:
+        """K*, the quadrature adjoint of K: K*_ij = K_ji |x'(t_j)| / |x'(t_i)|."""
+        speed = self.grid.speed
+        return self.double_layer.T * (speed[None, :] / speed[:, None])
+
+    def trace(self, name: str) -> np.ndarray:
+        """One side's trace of a layer potential, named as in ``_TRACES``."""
+        attr, sign, half = _TRACES[name]
+        if not half:
+            return getattr(self, attr)
+        mat = sign * getattr(self, attr)
+        mat.flat[:: self.grid.n + 1] += half
+        return mat
+
+    @cached_property
+    def single_layer_singular_values(self) -> np.ndarray:
+        """Singular values of S, largest first.  S is real at every real z ≤ 0,
+        and the real SVD is about three times faster."""
+        mat = self.single_layer
+        return np.linalg.svd(mat if mat.imag.any() else mat.real, compute_uv=False)
+
+
 def assemble_single_layer(curve: InterfaceCurve, grid: QuadratureGrid, z) -> BoundaryOperator:
     """Boundary single-layer operator S(z), weakly singular kernel split per Kress."""
-    z = as_spectral_point(z)
-    _, r = _pairwise(grid)
-    speed = grid.speed
-    lsin = _log_sin_factor(grid)
-    n = grid.n
-    if z.is_laplace:
-        m1 = -(1.0 / (4.0 * np.pi)) * np.tile(speed, (n, 1)).astype(complex)
-        m2 = -(1.0 / (2.0 * np.pi)) * np.log(r / np.exp(0.5 * lsin)) * speed[None, :]
-        np.fill_diagonal(m2, -(1.0 / (2.0 * np.pi)) * np.log(speed) * speed)
-        m2 = m2.astype(complex)
-    else:
-        k = z.sqrt_z
-        full = 0.25j * hankel1(0, k * r) * speed[None, :]
-        m1 = -(1.0 / (4.0 * np.pi)) * bessel_j(0, k * r) * speed[None, :]
-        np.fill_diagonal(m1, -(1.0 / (4.0 * np.pi)) * speed)  # J_0(k·0) = 1, not J_0 at the masked r
-        m2 = full - m1 * lsin
-        np.fill_diagonal(
-            m2, (0.25j - np.euler_gamma / (2 * np.pi) - np.log(k * speed / 2.0) / (2 * np.pi)) * speed
-        )
-    mat = _kress_weights(n) * m1 + (2.0 * np.pi / n) * m2
-    return BoundaryOperator("S", z, grid, mat)
-
-
-def _double_layer_core(grid: QuadratureGrid, z: SpectralPoint, transposed: bool) -> np.ndarray:
-    """Shared assembly for K (transposed=False) and K* (True); the two differ by
-    which node carries the normal plus the quadrature-adjoint speed ratio."""
-    diff, r = _pairwise(grid)
-    nu = _unnormalized_normal(grid)
-    speed = grid.speed
-    n = grid.n
-    if transposed:
-        dot = -np.einsum("ik,ijk->ij", nu, diff)  # ⟨n_u[i], x_j − x_i⟩
-        geom = dot * (speed[None, :] / speed[:, None])
-    else:
-        geom = np.einsum("jk,ijk->ij", nu, -diff)  # ⟨n_u[j], x_j − x_i⟩
-    diag = grid.curvature * speed / (4.0 * np.pi)
-    if z.is_laplace:
-        sign = -1.0 if transposed else 1.0
-        mat = sign * geom / (2.0 * np.pi * r**2)
-        np.fill_diagonal(mat, diag)
-        return (2.0 * np.pi / n) * mat.astype(complex)
-    k = z.sqrt_z
-    sign = -1.0 if transposed else 1.0
-    full = sign * (0.25j * k) * hankel1(1, k * r) * geom / r
-    l1 = -sign * (k / (4.0 * np.pi)) * bessel_j(1, k * r) * geom / r
-    l2 = full - l1 * _log_sin_factor(grid)
-    np.fill_diagonal(l1, 0.0)
-    np.fill_diagonal(l2, diag)
-    return _kress_weights(n) * l1 + (2.0 * np.pi / n) * l2
+    ops = _LayerOperators(grid, z)
+    return BoundaryOperator("S", ops.z, grid, ops.single_layer)
 
 
 def assemble_double_layer(curve: InterfaceCurve, grid: QuadratureGrid, z) -> BoundaryOperator:
     """Principal-value double-layer operator K with the curvature diagonal."""
-    z = as_spectral_point(z)
-    return BoundaryOperator("K", z, grid, _double_layer_core(grid, z, transposed=False))
+    ops = _LayerOperators(grid, z)
+    return BoundaryOperator("K", ops.z, grid, ops.double_layer)
 
 
 def assemble_adjoint_double_layer(curve: InterfaceCurve, grid: QuadratureGrid, z) -> BoundaryOperator:
     """K*, the quadrature-adjoint of K (normal attached to the target node)."""
-    z = as_spectral_point(z)
-    return BoundaryOperator("Kstar", z, grid, _double_layer_core(grid, z, transposed=True))
+    ops = _LayerOperators(grid, z)
+    return BoundaryOperator("Kstar", ops.z, grid, ops.adjoint_double_layer)
 
 
 # ---------------------------------------------------------------- field evaluation
@@ -252,6 +299,8 @@ def jump_relation_residuals(curve: InterfaceCurve, grid: QuadratureGrid, z, mode
         raise ConfigurationError(f"method must be 'auto', 'trace' or 'self', got {method!r}")
     if method == "trace" and curve.shape != "disk":
         raise ConfigurationError("closed-form trace oracle exists only on the disk; use method='self'")
+    if modes < 0:
+        raise ConfigurationError(f"modes must be >= 0, got {modes}")
     if tolerance is None:
         tolerance = 1e-6 if method == "trace" else 1e-5
     mlist = range(-modes, modes + 1)
@@ -260,53 +309,24 @@ def jump_relation_residuals(curve: InterfaceCurve, grid: QuadratureGrid, z, mode
         "modes": modes, "method": method,
     }
 
-    half = 0.5 * np.eye(grid.n)
-    s_op = assemble_single_layer(curve, grid, z)
-    k_op = assemble_double_layer(curve, grid, z)
-    ks_op = assemble_adjoint_double_layer(curve, grid, z)
-    relations = {
-        "single.dirichlet.interior": s_op.matrix,
-        "single.dirichlet.exterior": s_op.matrix,
-        "single.neumann.interior": half - ks_op.matrix,
-        "single.neumann.exterior": half + ks_op.matrix,
-        "double.dirichlet.interior": half + k_op.matrix,
-        "double.dirichlet.exterior": -half + k_op.matrix,
-    }
-
     if method == "trace":
+        table = {m: disk_mode_multipliers(z, m) for m in range(modes + 1)}
+
         def reference(name):
-            table = {m: disk_mode_multipliers(z, m) for m in set(abs(m) for m in mlist)}
-            key = {
-                "single.dirichlet.interior": "single.dirichlet",
-                "single.dirichlet.exterior": "single.dirichlet",
-                "single.neumann.interior": "single.neumann.interior",
-                "single.neumann.exterior": "single.neumann.exterior",
-                "double.dirichlet.interior": "double.dirichlet.interior",
-                "double.dirichlet.exterior": "double.dirichlet.exterior",
-            }[name]
+            key = "single.dirichlet" if name.startswith("single.dirichlet") else name
             return lambda m: table[abs(m)][key] * _mode_density(grid, m)
     else:
         grid2 = QuadratureGrid(curve, 2 * grid.n)
-        s2 = assemble_single_layer(curve, grid2, z)
-        k2 = assemble_double_layer(curve, grid2, z)
-        ks2 = assemble_adjoint_double_layer(curve, grid2, z)
-        half2 = 0.5 * np.eye(grid2.n)
-        fine = {
-            "single.dirichlet.interior": s2.matrix,
-            "single.dirichlet.exterior": s2.matrix,
-            "single.neumann.interior": half2 - ks2.matrix,
-            "single.neumann.exterior": half2 + ks2.matrix,
-            "double.dirichlet.interior": half2 + k2.matrix,
-            "double.dirichlet.exterior": -half2 + k2.matrix,
-        }
+        fine = _LayerOperators(grid2, z)
 
         def reference(name):
-            mat = fine[name]
+            mat = fine.trace(name)
             return lambda m: (mat @ _mode_density(grid2, m))[::2]
 
+    ops = _LayerOperators(grid, z)
     rows = []
-    for name, mat in relations.items():
-        ref = reference(name)
+    for name in _TRACES:
+        mat, ref = ops.trace(name), reference(name)
 
         def run(mat=mat, ref=ref):
             worst, worst_m = -1.0, 0

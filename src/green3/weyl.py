@@ -17,11 +17,7 @@ import numpy as np
 
 from .errors import AnsatzResonanceError, ConfigurationError
 from .geometry import InterfaceCurve, QuadratureGrid
-from .potentials import (
-    assemble_adjoint_double_layer,
-    assemble_single_layer,
-    eval_single_layer_field,
-)
+from .potentials import _LayerOperators, eval_single_layer_field
 from .reports import ResidualReport, timed_check
 from .specfun import (
     SpectralPoint,
@@ -79,11 +75,10 @@ def gamma_field(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z, densi
                 enforce_accuracy_region: bool = True) -> SingleLayerField:
     """Solve (−Δ − z)f = 0 on the chosen side with τ_D f = density."""
     _normalize_side(side)  # the ansatz field is two-sided; side only validates intent
-    z = as_spectral_point(z)
-    s_op = assemble_single_layer(curve, grid, z)
-    _guard_resonance(np.linalg.svd(s_op.matrix, compute_uv=False))
-    psi = np.linalg.solve(s_op.matrix, np.asarray(density, dtype=complex))
-    return SingleLayerField(curve, grid, z, psi, enforce_accuracy_region)
+    ops = _LayerOperators(grid, z)
+    _guard_resonance(ops.single_layer_singular_values)
+    psi = np.linalg.solve(ops.single_layer, np.asarray(density, dtype=complex))
+    return SingleLayerField(curve, grid, ops.z, psi, enforce_accuracy_region)
 
 
 @dataclass(frozen=True)
@@ -100,17 +95,18 @@ class WeylMap:
         return self.matrix @ np.asarray(density, dtype=complex)
 
 
+def _weyl_matrix(ops: _LayerOperators, side: str) -> np.ndarray:
+    """M_side = −(½I ∓ K*) S⁻¹, by one solve with Sᵀ once S passes the resonance guard."""
+    _guard_resonance(ops.single_layer_singular_values)
+    trace_op = ops.trace(f"single.neumann.{side}")
+    return np.linalg.solve(ops.single_layer.T, -trace_op.T).T
+
+
 def dtn_map(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z) -> WeylMap:
     """Weyl map M_side(z) = −τ_N^side γ_side(z) as a dense boundary matrix."""
     side = _normalize_side(side)
-    z = as_spectral_point(z)
-    s_op = assemble_single_layer(curve, grid, z)
-    _guard_resonance(np.linalg.svd(s_op.matrix, compute_uv=False))
-    ks_op = assemble_adjoint_double_layer(curve, grid, z)
-    half = 0.5 * np.eye(grid.n)
-    trace_op = half - ks_op.matrix if side == "interior" else half + ks_op.matrix
-    mat = -trace_op @ np.linalg.inv(s_op.matrix)
-    return WeylMap(side, z, grid, mat)
+    ops = _LayerOperators(grid, z)
+    return WeylMap(side, ops.z, grid, _weyl_matrix(ops, side))
 
 
 def mode_eigenvalue(weyl: WeylMap, m: int) -> complex:
@@ -168,9 +164,9 @@ def herglotz_residuals(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z
             "the γ*γ identity check integrates over disk-adapted polar grids; "
             "only curve 'disk' is supported (positivity alone works on any curve)"
         )
-    weyl = dtn_map(side, curve, grid, z)
+    ops = _LayerOperators(grid, z)
     w = grid.arc_weights
-    wm = w[:, None] * weyl.matrix
+    wm = w[:, None] * _weyl_matrix(ops, side)
     skew = wm - wm.conj().T  # W M − M^H W, anti-Hermitian analytically
     params = {"side": side, "curve": curve.shape, "n": grid.n,
               "z": [z.z.real, z.z.imag], "modes": modes}
@@ -192,11 +188,10 @@ def herglotz_residuals(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z
 
     rows = [timed_check("herglotz.psd", params, tolerance, psd)]
 
-    s_op = assemble_single_layer(curve, grid, z)
     n = grid.n
     mlist = np.arange(-modes, modes + 1)
     phis = np.exp(1j * np.outer(mlist, grid.nodes)) / math.sqrt(2.0 * np.pi)
-    psis = np.linalg.solve(s_op.matrix, phis.T)  # densities, one column per mode
+    psis = np.linalg.solve(ops.single_layer, phis.T)  # densities, one column per mode
     coeffs = np.fft.fft(psis.T, axis=1) / n      # (modes, N) DFT of each density
     freqs = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
 

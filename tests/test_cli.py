@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from green3.cli import RunConfig, _parse_z, _parse_zgrid, main
+from green3.cli import RunConfig, _parse_z, _parse_zgrid, _worker_count, main
 from green3.errors import ConfigurationError
 
 
@@ -142,6 +142,30 @@ def test_indicator_floor_failure_sets_exit_one():
     assert doc["all_pass"] is False
 
 
+def test_indicator_rejects_unequal_side_shifts():
+    # σ_min(M₊+M₋) = 1/σ_max(S) needs c₊ = c₋; a different --c- must not be ignored
+    code, stdout, stderr = main_capture(["indicator", "--z", "-1,0", "--nodes", "32", "--c-", "5"])
+    assert code == 2
+    assert stdout == ""
+    assert "equal side shifts" in stderr
+    code, _, _ = main_capture(["indicator", "--z", "-1,0", "--nodes", "32",
+                               "--c+", "1", "--c-", "1"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("command, message", [
+    ("jumps", "green3: modes must be >= 0, got -1"),
+    ("dtn", "green3: no checks ran"),
+    ("krein", "green3: no checks ran"),
+])
+def test_negative_modes_are_usage_error(command, message):
+    # an empty mode range must not pass vacuously
+    code, stdout, stderr = main_capture([command, "--modes", "-1", "--nodes", "32"])
+    assert code == 2
+    assert stdout == ""
+    assert stderr == message + "\n"
+
+
 def test_rellich_subcommand():
     code, stdout, _ = main_capture(["rellich", "--k", "1", "--k", "2"])
     assert code == 0
@@ -203,11 +227,13 @@ def test_dtn_on_ellipse_at_large_z():
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.linalg too: loading it costs about a fifth of the CLI's import time
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, green3.cli; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", "import sys, green3.cli; "
+         "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 # ---------------------------------------------------------------- determinism
@@ -233,6 +259,17 @@ def test_thread_cap_does_not_change_output(monkeypatch):
         outputs.append(main_capture(args))
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-3", "1.5"])
+def test_invalid_thread_cap_is_usage_error(monkeypatch, cap):
+    monkeypatch.setenv("GREEN3_THREADS", cap)
+    with pytest.raises(ConfigurationError):
+        _worker_count(2)
+    code, stdout, stderr = main_capture(["rellich", "--k", "1"])
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"green3: GREEN3_THREADS must be an integer >= 1, got {cap!r}\n"
 
 
 # ------------------------------------------------------------------- helpers

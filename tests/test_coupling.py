@@ -83,6 +83,28 @@ def test_indicator_with_shift(disk256):
     assert abs(shifted - plain) <= 1e-12
 
 
+@pytest.mark.parametrize("c", [0.0, 1.0])
+@pytest.mark.parametrize("z", [-1.0, -1.0 + 0.5j])
+def test_indicator_is_sigma_min_of_the_weyl_pencil(z, c):
+    # the indicator takes 1/σ_max(S) for σ_min(M₊+M₋) and dtn_map solves with S
+    # in place of inverting it; both must agree with the plain formulas
+    from green3.potentials import assemble_adjoint_double_layer, assemble_single_layer
+    from green3.weyl import dtn_map
+
+    curve, grid = make_curve("kite", 128)
+    s_mat = assemble_single_layer(curve, grid, z - c).matrix
+    ks_mat = assemble_adjoint_double_layer(curve, grid, z - c).matrix
+    half = 0.5 * np.eye(grid.n)
+    pencil = 0
+    for side, trace in (("interior", half - ks_mat), ("exterior", half + ks_mat)):
+        weyl = dtn_map(side, curve, grid, z - c).matrix
+        reference = -trace @ np.linalg.inv(s_mat)
+        assert np.abs(weyl - reference).max() <= 1e-12 * np.abs(reference).max()
+        pencil = pencil + weyl
+    smin = np.linalg.svd(pencil, compute_uv=False)[-1]
+    assert abs(eigenvalue_indicator(z, curve, grid, c=c) - smin) <= 1e-12 * smin
+
+
 def test_coupling_pencil_solves_flux_data(disk256):
     # (M₊+M₋)ψ = Γ₁-trace data is solvable with a well-bounded ψ: the range
     # condition behind the coupled resolvent is non-vacuous at matrix level
