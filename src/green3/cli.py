@@ -1,26 +1,27 @@
 """Batch verification harness: every check suite behind one ``green3`` binary.
 
-Each subcommand assembles a list of independent check tasks, runs them on a
-small thread pool (capped by ``GREEN3_THREADS``), and emits a single report in
-JSON (versioned schema) or flat CSV.  Exit status is the verdict: 0 all pass,
-1 at least one residual above tolerance, 2 for unusable input or when no check
-ran.  Reports are deterministic for a fixed config and seed once timing fields
-are omitted.
+Each subcommand assembles a list of independent check tasks, runs them on the
+process-wide worker pool (``green3._pool``: at most ``GREEN3_THREADS``
+threads, the calling thread included, which runs the first task itself;
+workers the tasks leave idle evaluate Bessel/Hankel kernels in chunks), and
+emits a single report in JSON (versioned schema) or flat CSV.  Exit status is
+the verdict: 0 all pass, 1 at least one residual above tolerance, 2 for
+unusable input or when no check ran.  Reports are deterministic for a fixed
+config and seed once timing fields are omitted, whatever the thread cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import coupling, interval_model
+from ._pool import run_all, thread_cap
 from .errors import (
     AccuracyRegionError,
     AnsatzResonanceError,
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .geometry import curve_from_spec
 from .potentials import jump_relation_residuals
-from .reports import ResidualReport, timed_check
+from .reports import ResidualReport, timed_check, worst
 from .weyl import dtn_map, mode_eigenvalue
 
 _USAGE_ERRORS = (
@@ -146,7 +147,14 @@ def _dtn_tasks(cfg: RunConfig) -> list:
     """Mode-eigenvalue tables with a self-convergence residual per entry.
 
     The reference is the same map reassembled at 2N nodes, which is meaningful
-    on every supported curve; on the disk both agree to rounding."""
+    on every supported curve; on the disk both agree to rounding.  Modes at
+    or above N/2 alias on the N-node grid and are rejected before any
+    assembly; a negative ``--modes`` asks for no row and builds nothing."""
+    if 2 * cfg.modes >= cfg.nodes:
+        raise ConfigurationError(
+            f"dtn modes must be below nodes/2 = {cfg.nodes / 2:g}, got {cfg.modes}")
+    if cfg.modes < 0:
+        return []
     curve, grid = curve_from_spec(cfg.curve, cfg.nodes)
     _, grid_fine = curve_from_spec(cfg.curve, 2 * cfg.nodes)
     tol = 1e-6 * cfg.tol_scale
@@ -234,7 +242,7 @@ def _indicator_tasks(cfg: RunConfig) -> list:
     def one_z(z):
         def entry():
             value = coupling.eigenvalue_indicator(z, curve, grid, c=shift)
-            return max(0.0, floor - value), {"indicator": value, "floor": floor}
+            return worst((0.0, floor - value)), {"indicator": value, "floor": floor}
 
         return [timed_check(
             "coupling.indicator",
@@ -313,17 +321,8 @@ _TASK_BUILDERS = {
 
 
 def _worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("GREEN3_THREADS")
-    if cap is None:
-        return max(1, min(4, n_tasks))
-    message = f"GREEN3_THREADS must be an integer >= 1, got {cap!r}"
-    try:
-        limit = int(cap)
-    except ValueError:
-        raise ConfigurationError(message) from None
-    if limit < 1:
-        raise ConfigurationError(message)
-    return min(limit, max(1, n_tasks))
+    """Threads that run ``n_tasks`` check tasks at once, the caller included."""
+    return min(thread_cap(), max(1, n_tasks))
 
 
 def run(config: RunConfig) -> int:
@@ -331,10 +330,7 @@ def run(config: RunConfig) -> int:
     tic = time.perf_counter()
     try:
         tasks = _TASK_BUILDERS[config.subcommand](config)
-        rows = []
-        with ThreadPoolExecutor(max_workers=_worker_count(len(tasks))) as pool:
-            for chunk in pool.map(lambda task: task(), tasks):
-                rows.extend(chunk)
+        rows = [row for chunk in run_all(tasks) for row in chunk]
     except _USAGE_ERRORS as exc:
         print(f"green3: {exc}", file=sys.stderr)
         return 2

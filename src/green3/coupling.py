@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, SpectralPoleError
 from .geometry import InterfaceCurve, QuadratureGrid, dirichlet_trace, make_curve, neumann_trace
 from .potentials import _LayerOperators, eval_double_layer_field, eval_single_layer_field
-from .reports import ResidualReport, check_row, timed_check
+from .reports import ResidualReport, check_row, timed_check, worst
 from .specfun import (
     as_spectral_point,
     bessel_j,
@@ -255,7 +255,7 @@ def krein_resolvent_disk_mode(z, m: int, c: float = 1.0,
             f"M₊+M₋ vanishes in mode {m}: z is a coupled eigenvalue, the formula "
             "cannot be inverted there"
         )
-    worst = 0.0
+    defects = []
     for r, rp in _sample_pairs(interior_samples, exterior_samples):
         gamma_r = sc.profile_in(r) if r < 1.0 else sc.profile_out(r)
         gamma_rp = sc.profile_in(rp) if rp < 1.0 else sc.profile_out(rp)
@@ -266,8 +266,8 @@ def krein_resolvent_disk_mode(z, m: int, c: float = 1.0,
         else:
             block = 0.0
         rhs = block - gamma_r * gamma_rp / denom
-        worst = max(worst, abs(sc.free_kernel(r, rp) - rhs))
-    return worst
+        defects.append(abs(sc.free_kernel(r, rp) - rhs))
+    return worst(defects)
 
 
 def mixed_resolvent_disk_mode(z, m: int, c: float = 1.0,
@@ -282,7 +282,7 @@ def mixed_resolvent_disk_mode(z, m: int, c: float = 1.0,
     if abs(sc.m_minus) == 0.0:
         raise SpectralPoleError(f"exterior Weyl value vanishes in mode {m}")
     sigma = -np.linalg.inv(np.array([[sc.m_plus, 1.0], [1.0, -1.0 / sc.m_minus]]))
-    worst = 0.0
+    defects = []
     for r, rp in _sample_pairs(interior_samples, exterior_samples):
         left = (sc.profile_in(r), 0.0) if r < 1.0 else (0.0, sc.profile_out(r) / sc.m_minus)
         right = (sc.profile_in(rp), 0.0) if rp < 1.0 else (0.0, sc.profile_out(rp) / sc.m_minus)
@@ -293,21 +293,21 @@ def mixed_resolvent_disk_mode(z, m: int, c: float = 1.0,
         else:
             block = 0.0
         corr = np.array(left) @ sigma @ np.array(right)
-        worst = max(worst, abs(sc.free_kernel(r, rp) - (block + corr)))
-    return worst
+        defects.append(abs(sc.free_kernel(r, rp) - (block + corr)))
+    return worst(defects)
 
 
 def resolvent_difference_disk_mode(z, m: int, c: float = 1.0,
                                    exterior_samples=_EXTERIOR_SAMPLES) -> float:
     """Defect of (A₀₋−z)⁻¹ − (A₁₋−z)⁻¹ = γ₋ M₋⁻¹ γ₋* in exterior mode m."""
     sc = _ModeScalars(z, m, c)
-    worst = 0.0
+    defects = []
     for r in exterior_samples:
         for rp in exterior_samples:
             lhs = sc.dirichlet_exterior_kernel(r, rp) - sc.neumann_exterior_kernel(r, rp)
             rhs = sc.profile_out(r) * sc.profile_out(rp) / sc.m_minus
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+            defects.append(abs(lhs - rhs))
+    return worst(defects)
 
 
 # ------------------------------------------------------------- curve-level ops
@@ -353,21 +353,21 @@ def unique_continuation_check(side: str, z, curve: InterfaceCurve, grid: Quadrat
     params = {"side": side, "curve": curve.shape, "n": grid.n, "z": [z.z.real, z.z.imag]}
     rows, norms = [], []
     for eps in epsilons:
-        worst = 0.0
+        probe_norms = []
         for coef in coeffs:
             psi = coef @ harmonics
             data_norm = float(np.linalg.norm(d * (tau_d @ psi))
                               + np.linalg.norm(d * (tau_n @ psi)))
             psi = psi * (eps / data_norm)
             values = eval_single_layer_field(curve, grid, z, psi, probes)
-            worst = max(worst, float(np.abs(values).max()))
-        norms.append(worst)
+            probe_norms.append(np.abs(values).max())
+        norms.append(worst(probe_norms))
         rows.append(check_row("uc.constant", {**params, "epsilon": eps},
-                              residual=worst / eps, tolerance=100.0,
-                              details={"probe_norm": worst}))
+                              residual=norms[-1] / eps, tolerance=100.0,
+                              probe_norm=norms[-1]))
     slope = float(np.polyfit(np.log(np.asarray(epsilons)), np.log(np.asarray(norms)), 1)[0])
     rows.append(check_row("uc.slope", params, residual=abs(slope - 1.0), tolerance=0.1,
-                          details={"slope": slope}))
+                          slope=slope))
     return ResidualReport(rows).sorted()
 
 

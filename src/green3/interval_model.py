@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BracketingError, ConfigurationError, SpectralPoleError
-from .reports import ResidualReport, timed_check
+from .reports import ResidualReport, timed_check, worst
 
 _BUMP_CENTERS = (0.3, 0.7, 1.0, 1.35, 1.8)
 _BUMP_WIDTH = 0.12
@@ -259,7 +259,7 @@ def krein_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
                     + _integrate(lambda y: gam_minus(y) * phi_m(y), 1.0, 2.0, quad_n))
             rhs_p = apply_resolvent(g_plus, phi_p, xs_plus, quad_n) - gam_plus(xs_plus) * pair / denom
             rhs_m = apply_resolvent(g_minus, phi_m, xs_minus, quad_n) - gam_minus(xs_minus) * pair / denom
-            return float(max(np.abs(lhs_p - rhs_p).max(), np.abs(lhs_m - rhs_m).max()))
+            return worst((np.abs(lhs_p - rhs_p).max(), np.abs(lhs_m - rhs_m).max()))
 
         rows.append(timed_check(
             "interval.krein",
@@ -308,7 +308,7 @@ def mixed_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
             rhs_p = apply_resolvent(g_plus, phi_p, xs_plus, quad_n) + gam_plus(xs_plus) * corr[0]
             rhs_m = apply_resolvent(g1_minus, phi_m, xs_minus, quad_n) \
                 + (gam_minus(xs_minus) / mm) * corr[1]
-            return float(max(np.abs(lhs_p - rhs_p).max(), np.abs(lhs_m - rhs_m).max()))
+            return worst((np.abs(lhs_p - rhs_p).max(), np.abs(lhs_m - rhs_m).max()))
 
         rows.append(timed_check("interval.mixed", {**params, "basis": idx}, tolerance, residual))
 
@@ -485,7 +485,7 @@ def abstract_identity_suite(zs, c_plus: float = 0.0, c_minus: float = 0.0,
             coefs = rng.normal(size=(trials, 4))
 
             def gsgs():
-                worst = 0.0
+                defects = []
                 for ck in coefs:
                     def f(y):
                         y = np.asarray(y)
@@ -501,8 +501,8 @@ def abstract_identity_suite(zs, c_plus: float = 0.0, c_minus: float = 0.0,
                     coef = np.linalg.solve(np.vander(dists / scale, increasing=True), samples)
                     slope = coef[1] / scale  # du/d(dist), dist growing away from x=1
                     # Γ₁⁺ = −u'(1⁻) = +slope on the left; Γ₁⁻ = +u'(1⁺) = +slope on the right
-                    worst = max(worst, abs(pairing - slope))
-                return worst
+                    defects.append(abs(pairing - slope))
+                return worst(defects)
 
             rows.append(timed_check("interval.gsgs", params, tolerance, gsgs))
     return ResidualReport(rows).sorted()

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AccuracyRegionError, ConfigurationError
 from .geometry import InterfaceCurve, QuadratureGrid
-from .reports import ResidualReport, timed_check
+from .reports import ResidualReport, timed_check, worst
 from .specfun import (
     SpectralPoint,
     as_spectral_point,
@@ -329,12 +329,8 @@ def jump_relation_residuals(curve: InterfaceCurve, grid: QuadratureGrid, z, mode
         mat, ref = ops.trace(name), reference(name)
 
         def run(mat=mat, ref=ref):
-            worst, worst_m = -1.0, 0
-            for m in mlist:
-                err = np.abs(mat @ _mode_density(grid, m) - ref(m)).max()
-                if err > worst:
-                    worst, worst_m = err, m
-            return worst, {"worst_mode": worst_m}
+            errs = [np.abs(mat @ _mode_density(grid, m) - ref(m)).max() for m in mlist]
+            return worst(errs), {"worst_mode": mlist[int(np.argmax(errs))]}
 
         rows.append(timed_check(f"jump.{name}", params, tolerance, run))
     return ResidualReport(rows).sorted()

@@ -47,6 +47,15 @@ def check_row(check: str, params: dict, residual, tolerance, wall_time_s: float 
     )
 
 
+def worst(values) -> float:
+    """The largest of ``values``, NaN if any is NaN.
+
+    Every residual reduction goes through here: Python's ``max`` keeps its
+    running value against a NaN, so a NaN defect could reach ``check_row`` as a
+    small residual and pass."""
+    return float(np.max(np.fromiter(values, dtype=float)))
+
+
 def timed_check(check: str, params: dict, tolerance, fn) -> CheckResult:
     """Run ``fn() -> residual`` or ``fn() -> (residual, details)`` under a timer."""
     tic = time.perf_counter()
@@ -86,7 +95,7 @@ class ResidualReport:
 
     @property
     def max_residual(self) -> float:
-        return max((row.residual for row in self.checks), default=0.0)
+        return worst(row.residual for row in self.checks) if self.checks else 0.0
 
     def sorted(self) -> "ResidualReport":
         """Deterministic row order: by check name, then by the parameter echo."""

@@ -10,9 +10,15 @@ sqrt(z)·r at real z < 0, and the real routines are several times faster than
 the complex-argument ones on the N² pair grids of the Nyström assembly.
 
 The guards stay ahead of scipy: a nonnegative integer order, |w| < 700 for J
-and I (the e^{|Im w|} growth must stay finite; NaN fails it too), Im w >= 0
-and w != 0 for H^(1), and Re w > 0 for K.  All functions accept scalars or
-numpy arrays in the argument and are pure (thread-safe).
+and I (the e^{|Im w|} growth must stay finite; NaN fails it too), finite w,
+Im w >= 0 and w != 0 for H^(1), and Re w > 0 for K.  All functions accept
+scalars or numpy arrays in the argument and are pure (thread-safe).
+
+After the guards and the branch choice, ``bessel_j`` and ``hankel1`` hand
+large arrays to ``_pool.elementwise``, which splits the ``scipy.special`` call
+(it releases the GIL) into contiguous chunks on idle workers of the package's
+thread pool; each chunk runs the routine one call would, so the values are
+bit-identical for every ``GREEN3_THREADS``.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as sp
 
+from . import _pool
 from .errors import ArgumentRangeError, ConfigurationError, SingularityError, SpectralPoleError
 
 _OVERFLOW_RADIUS = 700.0  # the e^{|Im w|} growth of J must stay finite
@@ -98,9 +105,9 @@ def bessel_j(order, w):
     _check_overflow(arr)
     if _on_imaginary_axis(order, arr):
         fn, factor = _J_IMAGINARY_AXIS[order]
-        out = factor * fn(arr.imag)
+        out = factor * _pool.elementwise(fn, arr.imag)
     else:
-        out = sp.jv(order, arr)
+        out = _pool.elementwise(sp.jv, order, arr)
     return complex(out[0]) if scalar else out
 
 
@@ -115,6 +122,8 @@ def hankel1(order, w):
     """Hankel function of the first kind H^(1)_order(w), Im(w) >= 0, w != 0."""
     order = _check_order(order)
     arr, scalar = _as_complex_array(w)
+    if not np.all(np.isfinite(arr)):
+        raise ArgumentRangeError("hankel1 requires finite w")
     if np.any(arr == 0):
         raise SingularityError("H^(1) is singular at w = 0")
     if np.any(arr.imag < -1e-9 * (1.0 + np.abs(arr))):
@@ -122,9 +131,9 @@ def hankel1(order, w):
     arr = _normalize_upper(arr)
     if _on_imaginary_axis(order, arr):
         fn, factor = _H_IMAGINARY_AXIS[order]
-        out = factor * fn(arr.imag)
+        out = factor * _pool.elementwise(fn, arr.imag)
     else:
-        out = sp.hankel1(order, arr)
+        out = _pool.elementwise(sp.hankel1, order, arr)
     return complex(out[0]) if scalar else out
 
 

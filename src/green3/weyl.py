@@ -18,7 +18,7 @@ import numpy as np
 from .errors import AnsatzResonanceError, ConfigurationError
 from .geometry import InterfaceCurve, QuadratureGrid
 from .potentials import _LayerOperators, eval_single_layer_field
-from .reports import ResidualReport, timed_check
+from .reports import ResidualReport, timed_check, worst
 from .specfun import (
     SpectralPoint,
     as_spectral_point,
@@ -184,7 +184,7 @@ def herglotz_residuals(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z
         herm = 0.5 * (herm + herm.conj().T)
         scale = 1.0 / np.sqrt(w)
         lam_min = float(np.linalg.eigvalsh(scale[:, None] * herm * scale[None, :])[0])
-        return max(0.0, -lam_min), {"lambda_min": lam_min}
+        return worst((0.0, -lam_min)), {"lambda_min": lam_min}
 
     rows = [timed_check("herglotz.psd", params, tolerance, psd)]
 

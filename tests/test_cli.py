@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -166,6 +167,33 @@ def test_negative_modes_are_usage_error(command, message):
     assert stderr == message + "\n"
 
 
+@pytest.mark.parametrize("modes, message", [
+    ("-1", "green3: no checks ran"),
+    ("16", "green3: dtn modes must be below nodes/2 = 16, got 16"),
+])
+def test_dtn_without_usable_modes_assembles_nothing(monkeypatch, modes, message):
+    import green3.cli as cli_mod
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("dtn_map called")
+
+    monkeypatch.setattr(cli_mod, "dtn_map", no_assembly)
+    code, stdout, stderr = main_capture(["dtn", "--modes", modes, "--nodes", "32"])
+    assert code == 2
+    assert stdout == ""
+    assert stderr == message + "\n"
+
+
+def test_indicator_nan_fails_the_row(monkeypatch):
+    import green3.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.coupling, "eigenvalue_indicator", lambda *a, **k: math.nan)
+    code, stdout, _ = main_capture(["indicator", "--z", "-1,0", "--nodes", "32"])
+    assert code == 1
+    (row,) = json.loads(stdout)["checks"]
+    assert row["residual"] == "nan" and row["passed"] is False
+
+
 def test_rellich_subcommand():
     code, stdout, _ = main_capture(["rellich", "--k", "1", "--k", "2"])
     assert code == 0
@@ -226,6 +254,26 @@ def test_dtn_on_ellipse_at_large_z():
     assert doc["all_pass"] is True
 
 
+def test_cli_import_starts_no_thread():
+    # the worker pool is created on first use
+    proc = subprocess.run(
+        [sys.executable, "-c", "import threading, green3.cli; print(threading.active_count())"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("cap", ["2", "4"])
+def test_indicator_scan_with_kernel_chunks_finishes(cap):
+    # 192 nodes give 18 336 kernel pairs, enough to split onto idle workers
+    # while other scan points still hold the pool
+    proc = subprocess.run(
+        [sys.executable, "-m", "green3.cli", "indicator", "--zgrid", "-3:-1:6", "--nodes", "192"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "GREEN3_THREADS": cap})
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["checks"]) == 6
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.linalg too: loading it costs about a fifth of the CLI's import time
     proc = subprocess.run(
@@ -252,13 +300,19 @@ def test_repeat_runs_are_byte_identical_with_timing_omitted():
 def test_thread_cap_does_not_change_output(monkeypatch):
     import green3.cli as cli_mod
 
-    args = ["krein", "--z", "2,1", "--z", "-1,0", "--modes", "3", "--omit-timing"]
-    outputs = []
-    for cap in ("1", "8"):
-        monkeypatch.setenv("GREEN3_THREADS", cap)
-        outputs.append(main_capture(args))
-    assert outputs[0] == outputs[1]
-    assert outputs[0][0] == 0
+    jobs = [
+        ["krein", "--z", "2,1", "--z", "-1,0", "--modes", "3", "--omit-timing"],
+        # one task each: at cap 2 and 8 the kernels are split onto idle workers
+        ["dtn", "--curve", "kite", "--z", "-1,0.5", "--nodes", "160", "--omit-timing"],
+        ["jumps", "--curve", "kite", "--z", "2,1", "--nodes", "160", "--omit-timing"],
+    ]
+    for args in jobs:
+        outputs = []
+        for cap in ("1", "2", "8"):
+            monkeypatch.setenv("GREEN3_THREADS", cap)
+            outputs.append(main_capture(args))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0][0] == 0
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-3", "1.5"])

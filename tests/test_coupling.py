@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -302,3 +305,49 @@ def test_third_green_rejects_exterior_source(disk256):
                            source_minus=_bump_source(-1.0))
     with pytest.raises(ConfigurationError):
         third_green_identity_residual(tf, -1.0, curve, grid, (None, None))
+
+
+@pytest.mark.parametrize("formula", [krein_resolvent_disk_mode, mixed_resolvent_disk_mode,
+                                     resolvent_difference_disk_mode])
+def test_mode_formulas_propagate_nan(monkeypatch, formula):
+    # Python's max(worst, nan) keeps worst, so one NaN sample used to vanish
+    import green3.coupling as coupling
+
+    free_kernel = coupling._ModeScalars.free_kernel
+    monkeypatch.setattr(coupling._ModeScalars, "free_kernel", lambda self, r, rp: (
+        complex("nan") if r == rp == 2.5 else free_kernel(self, r, rp)))
+    assert math.isnan(formula(2 + 1j, 1, c=1.0))
+    code, stdout = _cli(["krein", "--z", "2,1", "--mode", "1"])
+    assert code == 1
+    assert not any(row["passed"] for row in json.loads(stdout)["checks"])
+
+
+def test_unique_continuation_fails_on_a_nan_probe(monkeypatch):
+    import green3.coupling as coupling
+
+    calls = []
+    field = coupling.eval_single_layer_field
+
+    def poisoned(*args):
+        calls.append(1)
+        return field(*args) * (np.nan if len(calls) == 2 else 1.0)
+
+    monkeypatch.setattr(coupling, "eval_single_layer_field", poisoned)
+    curve, grid = make_curve("disk", 64)
+    report = unique_continuation_check("interior", -1.0, curve, grid, trials=3)
+    (first,) = [r for r in report.checks if r.params.get("epsilon") == 1e-8]
+    assert math.isnan(first.residual) and not first.passed
+    assert math.isnan(first.details["probe_norm"])
+    assert not report.all_pass
+
+
+def _cli(argv):
+    import contextlib
+    import io
+
+    from green3.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()

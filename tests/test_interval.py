@@ -253,3 +253,34 @@ def test_jaok2_identity_random_z(re, imag):
     report = abstract_identity_suite([z], trials=1)
     jaok = [row for row in report.checks if row.check == "interval.jaok2"]
     assert all(row.residual <= 1e-9 for row in jaok)
+
+
+def test_gsgs_fails_on_a_nan_trial(monkeypatch):
+    # the first trial's NaN used to lose against the running maximum 0.0
+    import green3.interval_model as interval_model
+
+    calls = []
+    resolvent = interval_model.apply_resolvent
+
+    def poisoned(*args):
+        calls.append(1)
+        return resolvent(*args) * (np.nan if len(calls) == 1 else 1.0)
+
+    monkeypatch.setattr(interval_model, "apply_resolvent", poisoned)
+    report = abstract_identity_suite([1j], trials=2)
+    gsgs = [r for r in report.checks if r.check == "interval.gsgs"]
+    assert any(np.isnan(r.residual) and not r.passed for r in gsgs)
+    assert not report.all_pass
+
+
+@pytest.mark.parametrize("formula, check", [(krein_formula_check, "interval.krein"),
+                                            (mixed_formula_check, "interval.mixed")])
+def test_resolvent_formulas_fail_on_a_nan_side(monkeypatch, formula, check):
+    # NaN only on the (1, 2) side, the second argument of the old max()
+    import green3.interval_model as interval_model
+
+    resolvent = interval_model.apply_resolvent
+    monkeypatch.setattr(interval_model, "apply_resolvent", lambda kernel, phi, xs, *rest: (
+        resolvent(kernel, phi, xs, *rest) * (np.nan if np.min(xs) > 1.0 else 1.0)))
+    rows = [r for r in formula(1j, grid_n=50).checks if r.check == check]
+    assert rows and all(np.isnan(r.residual) and not r.passed for r in rows)

@@ -211,3 +211,19 @@ def test_jump_relation_guards():
         jump_relation_residuals(curve, grid, -1.0, method="trace")
     with pytest.raises(ConfigurationError):
         jump_relation_residuals(curve, grid, -1.0, method="bogus")
+
+
+def test_jump_relations_fail_on_a_nan_mode(monkeypatch):
+    # a NaN defect in one mode used to lose the running-max comparison
+    import green3.potentials as potentials
+
+    mode_density = potentials._mode_density
+    monkeypatch.setattr(potentials, "_mode_density",
+                        lambda grid, m: mode_density(grid, m) * (np.nan if m == 1 else 1.0))
+    curve, grid = make_curve("disk", 32)
+    report = jump_relation_residuals(curve, grid, -1.0, modes=2)
+    assert len(report.checks) == 6
+    for row in report.checks:
+        assert np.isnan(row.residual) and not row.passed
+        assert row.details["worst_mode"] == 1
+    assert np.isnan(report.max_residual)

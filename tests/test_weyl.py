@@ -237,3 +237,15 @@ def test_herglotz_identity_needs_disk():
     curve, grid = make_curve("ellipse", 64, a=2.0, b=1.0)
     with pytest.raises(ConfigurationError):
         herglotz_residuals("interior", curve, grid, 1j)
+
+
+def test_herglotz_positivity_fails_on_nan(monkeypatch):
+    # max(0.0, -nan) is 0.0: a NaN spectrum used to read as positive; the
+    # Gauss-Legendre nodes come from a real eigenproblem and stay intact
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: (
+        np.full(len(a), np.nan) if np.iscomplexobj(a) else eigvalsh(a)))
+    curve, grid = make_curve("disk", 64)
+    report = herglotz_residuals("interior", curve, grid, 1j, modes=2)
+    (row,) = [r for r in report.checks if r.check == "herglotz.psd"]
+    assert np.isnan(row.residual) and not row.passed
