@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -35,7 +36,7 @@ from .errors import (
 from .geometry import curve_from_spec
 from .potentials import jump_relation_residuals
 from .reports import ResidualReport, timed_check, worst
-from .weyl import dtn_map, mode_eigenvalue
+from .weyl import _mode_quotients
 
 _USAGE_ERRORS = (
     AccuracyRegionError, AnsatzResonanceError, ArgumentRangeError, BracketingError,
@@ -105,6 +106,15 @@ class RunConfig:
         object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
         if self.zgrid is not None:
             object.__setattr__(self, "zgrid", tuple(self.zgrid))
+        # a NaN or infinite number reaches no check it could fail: reject it here
+        if not (math.isfinite(self.tol_scale) and self.tol_scale > 0.0):
+            raise ConfigurationError(f"--tol-scale must be finite and > 0, got {self.tol_scale!r}")
+        for flag, value in (("--c+", self.c_plus), ("--c-", self.c_minus), ("--c", self.c_shift)):
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{flag} must be finite, got {value!r}")
+        numbers = [x for z in self.zs for x in z] + list(self.zgrid or ())
+        if not all(map(math.isfinite, numbers)):
+            raise ConfigurationError(f"--z and --zgrid values must be finite, got {numbers}")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -146,10 +156,12 @@ def _jump_tasks(cfg: RunConfig) -> list:
 def _dtn_tasks(cfg: RunConfig) -> list:
     """Mode-eigenvalue tables with a self-convergence residual per entry.
 
-    The reference is the same map reassembled at 2N nodes, which is meaningful
-    on every supported curve; on the disk both agree to rounding.  Modes at
-    or above N/2 alias on the N-node grid and are rejected before any
-    assembly; a negative ``--modes`` asks for no row and builds nothing."""
+    The reference is the same quotient at 2N nodes, which is meaningful on
+    every supported curve; on the disk both agree to rounding.  Only the
+    Fourier columns of the rows are pushed through the Weyl map, never the
+    dense map.  Modes at or above N/2 alias on the N-node grid and are
+    rejected before any assembly; a negative ``--modes`` asks for no row and
+    builds nothing."""
     if 2 * cfg.modes >= cfg.nodes:
         raise ConfigurationError(
             f"dtn modes must be below nodes/2 = {cfg.nodes / 2:g}, got {cfg.modes}")
@@ -160,13 +172,12 @@ def _dtn_tasks(cfg: RunConfig) -> list:
     tol = 1e-6 * cfg.tol_scale
 
     def one_z(z):
-        coarse = dtn_map(cfg.side, curve, grid, z)
-        fine = dtn_map(cfg.side, curve, grid_fine, z)
+        coarse = _mode_quotients(cfg.side, grid, z, cfg.modes)
+        fine = _mode_quotients(cfg.side, grid_fine, z, cfg.modes)
         rows = []
         for m in range(cfg.modes + 1):
             def entry(m=m):
-                lam = mode_eigenvalue(coarse, m)
-                ref = mode_eigenvalue(fine, m)
+                lam, ref = complex(coarse[m]), complex(fine[m])
                 return abs(lam - ref) / (1.0 + abs(ref)), {"eigenvalue": ref}
 
             rows.append(timed_check(
@@ -436,7 +447,12 @@ def _absorb_negative_values(argv) -> list:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     ns = build_parser().parse_args(_absorb_negative_values(argv))
-    return run(config_from_args(ns))
+    try:
+        config = config_from_args(ns)
+    except ConfigurationError as exc:
+        print(f"green3: {exc}", file=sys.stderr)
+        return 2
+    return run(config)
 
 
 if __name__ == "__main__":

@@ -156,9 +156,10 @@ def _check_finite(vals: np.ndarray, what: str) -> np.ndarray:
     return vals
 
 
-def _check_side(side: str) -> float:
+def _check_side(side: str, what: str = "side") -> float:
+    """The sign of a '+' (bounded) or '-' side; ``what`` names it in the error."""
     if side not in ("+", "-"):
-        raise ConfigurationError(f"side must be '+' or '-', got {side!r}")
+        raise ConfigurationError(f"{what} must be '+' or '-', got {side!r}")
     return 1.0 if side == "+" else -1.0
 
 

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BracketingError, ConfigurationError, SpectralPoleError
+from .geometry import _check_side
 from .reports import ResidualReport, timed_check, worst
 
 _BUMP_CENTERS = (0.3, 0.7, 1.0, 1.35, 1.8)
@@ -42,18 +43,12 @@ def _omega(z, c) -> complex:
     return cmath.sqrt(complex(z) - c)
 
 
-def _check_side(side: str) -> str:
-    if side not in ("+", "-"):
-        raise ConfigurationError(f"interval side must be '+' or '-', got {side!r}")
-    return side
-
-
 def scalar_weyl(side: str, z, c: float = 0.0) -> complex:
     """Closed-form Weyl value m(z) = −√(z−c)·cot√(z−c) of one side.
 
     Both sides share the formula (each is a unit interval with Dirichlet far
     end); ``side`` only selects which shift c belongs where in error text."""
-    _check_side(side)
+    _check_side(side, "interval side")
     w = _omega(z, c)
     if abs(w) < 1e-6:
         w2 = w * w
@@ -69,7 +64,7 @@ def scalar_weyl(side: str, z, c: float = 0.0) -> complex:
 def gamma_profile(side: str, z, c: float = 0.0) -> Callable:
     """γ-field of one side: the (−d²/dx²+c−z)-solution with boundary value 1
     at the junction and 0 at the far end."""
-    _check_side(side)
+    _check_side(side, "interval side")
     w = _omega(z, c)
     s = cmath.sin(w)
     if abs(s) < 1e-12 * (1.0 + abs(cmath.cos(w))):
@@ -97,7 +92,7 @@ class _Kernel:
 
 
 def dirichlet_kernel(side: str, z, c: float = 0.0) -> _Kernel:
-    _check_side(side)
+    _check_side(side, "interval side")
     w = _omega(z, c)
     s = cmath.sin(w)
     if abs(s) < 1e-12 * (1.0 + abs(cmath.cos(w))):

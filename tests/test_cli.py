@@ -172,16 +172,72 @@ def test_negative_modes_are_usage_error(command, message):
     ("16", "green3: dtn modes must be below nodes/2 = 16, got 16"),
 ])
 def test_dtn_without_usable_modes_assembles_nothing(monkeypatch, modes, message):
-    import green3.cli as cli_mod
+    from green3.potentials import _LayerOperators
 
     def no_assembly(*args, **kwargs):
-        raise AssertionError("dtn_map called")
+        raise AssertionError("layer operators built")
 
-    monkeypatch.setattr(cli_mod, "dtn_map", no_assembly)
+    # every S, K, K* the dtn path solves with comes from this bundle
+    monkeypatch.setattr(_LayerOperators, "__init__", no_assembly)
     code, stdout, stderr = main_capture(["dtn", "--modes", modes, "--nodes", "32"])
     assert code == 2
     assert stdout == ""
     assert stderr == message + "\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["krein", "--tol-scale", "nan"], "--tol-scale must be finite and > 0, got nan"),
+    (["dtn", "--tol-scale", "-1"], "--tol-scale must be finite and > 0, got -1.0"),
+    (["jumps", "--tol-scale", "inf"], "--tol-scale must be finite and > 0, got inf"),
+    (["rellich", "--tol-scale", "0"], "--tol-scale must be finite and > 0, got 0.0"),
+    (["interval", "--check", "krein", "--c+", "nan"], "--c+ must be finite, got nan"),
+    (["interval", "--check", "mixed", "--c-", "-inf"], "--c- must be finite, got -inf"),
+    (["krein", "--c", "inf"], "--c must be finite, got inf"),
+    (["jumps", "--z", "nan,0"], "--z and --zgrid values must be finite, got [nan, 0.0]"),
+    (["dtn", "--z", "-1,inf"], "--z and --zgrid values must be finite, got [-1.0, inf]"),
+    (["indicator", "--zgrid", "-3:nan:3"],
+     "--z and --zgrid values must be finite, got [-3.0, nan, 3, 0.0]"),
+])
+def test_non_finite_or_non_positive_numbers_are_usage_errors(tmp_path, argv, message):
+    # each used to exit 1 on a NaN residual, or 0 on a vacuous pass
+    out = tmp_path / "r.json"
+    code, stdout, stderr = main_capture([*argv, "--nodes", "32", "--out", str(out)])
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"green3: {message}\n"
+    assert not out.exists()
+
+
+def test_dtn_at_a_resonance_is_usage_error():
+    # S of the unit disk is singular at z = 0; the LU guard must stop the run
+    code, stdout, stderr = main_capture(["dtn", "--curve", "disk", "--z", "0,0", "--nodes", "64"])
+    assert code == 2
+    assert stdout == ""
+    assert "numerically singular (rcond₁" in stderr
+
+
+@pytest.mark.parametrize("spec", ["disk", "kite", "ellipse:1.5,0.8"])
+@pytest.mark.parametrize("side", ["interior", "exterior"])
+def test_dtn_quotients_equal_the_dense_map(spec, side):
+    # the CLI never forms the dense map; its quotients must be those of it
+    from green3.geometry import curve_from_spec
+    from green3.weyl import _mode_quotients, dtn_map, mode_eigenvalue
+
+    z = complex(-1.0, 0.5)
+    code, stdout, _ = main_capture(["dtn", "--curve", spec, "--side", side, "--z", "-1,0.5",
+                                    "--nodes", "128", "--modes", "6", "--omit-timing"])
+    assert code == 0
+    reported = {row["params"]["m"]: complex(row["details"]["eigenvalue"]["re"],
+                                            row["details"]["eigenvalue"]["im"])
+                for row in json.loads(stdout)["checks"]}
+    assert sorted(reported) == list(range(7))
+    for n in (128, 256):
+        curve, grid = curve_from_spec(spec, n)
+        weyl = dtn_map(side, curve, grid, z)
+        quotients = _mode_quotients(side, grid, z, 6) if n == 128 else reported
+        for m in range(7):
+            want = mode_eigenvalue(weyl, m)
+            assert abs(quotients[m] - want) <= 1e-13 * abs(want)
 
 
 def test_indicator_nan_fails_the_row(monkeypatch):

@@ -1,3 +1,6 @@
+import types
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -8,6 +11,7 @@ from green3.errors import AccuracyRegionError, AnsatzResonanceError, Configurati
 from green3.geometry import make_curve
 from green3.weyl import (
     _guard_resonance,
+    _single_layer_solve,
     dtn_map,
     gamma_field,
     herglotz_residuals,
@@ -119,6 +123,36 @@ def test_resonance_guard():
     _guard_resonance(np.array([1.0, 1e-11]))
     with pytest.raises(AnsatzResonanceError):
         _guard_resonance(np.array([1.0, 1e-13]))
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_lu_guard_catches_the_singular_disk_at_zero(n):
+    # log capacity 1: S of the unit disk is singular at z = 0, rcond₁ ~ 1e-17
+    curve, grid = make_curve("disk", n)
+    with pytest.raises(AnsatzResonanceError, match="rcond"):
+        dtn_map("interior", curve, grid, 0.0)
+    with pytest.raises(AnsatzResonanceError, match="rcond"):
+        gamma_field("exterior", curve, grid, 0.0, np.ones(grid.n))
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_lu_guard_passes_the_kite_at_zero(n):
+    # rcond₁ 2.6e-3 (N=128) and 6.4e-4 (N=512): far above the floor
+    curve, grid = make_curve("kite", n)
+    assert np.isfinite(dtn_map("interior", curve, grid, 0.0).matrix).all()
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (np.zeros((4, 4)), "pivot 1 of its LU is exactly zero"),
+    (np.full((4, 4), np.nan), "rcond₁ = nan"),
+])
+def test_lu_guard_fails_closed(matrix, message):
+    # an exactly zero pivot must raise, not warn; a NaN estimate must not pass
+    ops = types.SimpleNamespace(single_layer=matrix.astype(complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AnsatzResonanceError, match=message):
+            _single_layer_solve(ops, np.eye(4))
 
 
 # ------------------------------------------------------------------ γ-fields
