@@ -3,11 +3,12 @@
 Each subcommand assembles a list of independent check tasks, runs them on the
 process-wide worker pool (``green3._pool``: at most ``GREEN3_THREADS``
 threads, the calling thread included, which runs the first task itself;
-workers the tasks leave idle evaluate Bessel/Hankel kernels in chunks), and
+workers the tasks leave idle evaluate kernels in chunks), and
 emits a single report in JSON (versioned schema) or flat CSV.  Exit status is
 the verdict: 0 all pass, 1 at least one residual above tolerance, 2 for
-unusable input or when no check ran.  Reports are deterministic for a fixed
-config and seed once timing fields are omitted, whatever the thread cap.
+unusable input or when no check ran, 3 for an internal error.  Reports are
+deterministic for a fixed config and seed once timing fields are omitted,
+whatever the thread cap.
 """
 
 from __future__ import annotations
@@ -44,6 +45,23 @@ _USAGE_ERRORS = (
 )
 
 _SUBCOMMANDS = ("jumps", "dtn", "green-identity", "krein", "indicator", "rellich", "interval")
+
+# Dense work arrays of a run that assembles S, K, K*: about ten complex M×M
+# matrices (the operators, a trace or LU, the pair arrays and kernel
+# temporaries), M = 2N for the N-vs-2N self-convergence of jumps and dtn and
+# M = N for indicator; green-identity evaluates fields at probes and
+# assembles nothing.  A --nodes whose estimate exceeds the budget (N > 1294
+# for jumps and dtn, N > 2590 for indicator) is rejected before any work.
+_WORK_ARRAYS = 10
+_WORK_BUDGET_BYTES = 2**30
+_WORK_GRID = {"jumps": 2, "dtn": 2, "indicator": 1}
+
+
+def _work_bytes(subcommand: str, nodes: int) -> int:
+    """The dense-array estimate for ``--nodes``; 0 where the subcommand ignores it."""
+    if subcommand not in _WORK_GRID:
+        return 0
+    return _WORK_ARRAYS * 16 * (_WORK_GRID[subcommand] * nodes) ** 2
 
 
 def _parse_z(text: str):
@@ -115,6 +133,11 @@ class RunConfig:
         numbers = [x for z in self.zs for x in z] + list(self.zgrid or ())
         if not all(map(math.isfinite, numbers)):
             raise ConfigurationError(f"--z and --zgrid values must be finite, got {numbers}")
+        work = _work_bytes(self.subcommand, self.nodes)
+        if work > _WORK_BUDGET_BYTES:
+            raise ConfigurationError(
+                f"--nodes {self.nodes} needs about {work / 2**30:.2f} GiB of dense work arrays "
+                f"for {self.subcommand}, over the {_WORK_BUDGET_BYTES / 2**30:g} GiB budget")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -337,14 +360,25 @@ def _worker_count(n_tasks: int) -> int:
 
 
 def run(config: RunConfig) -> int:
-    """Execute the configured check suite and write its report; returns exit status."""
-    tic = time.perf_counter()
+    """Execute the configured check suite and write its report; returns exit status.
+
+    An exception outside ``_USAGE_ERRORS`` is a defect of the program, not a
+    failed identity: it becomes one stderr line and exit 3, with no report."""
     try:
-        tasks = _TASK_BUILDERS[config.subcommand](config)
-        rows = [row for chunk in run_all(tasks) for row in chunk]
+        return _run(config)
     except _USAGE_ERRORS as exc:
         print(f"green3: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = str(exc).replace("\n", " ")
+        print(f"green3: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
+
+
+def _run(config: RunConfig) -> int:
+    tic = time.perf_counter()
+    tasks = _TASK_BUILDERS[config.subcommand](config)
+    rows = [row for chunk in run_all(tasks) for row in chunk]
     if not rows:
         print("green3: no checks ran", file=sys.stderr)
         return 2

@@ -340,7 +340,7 @@ def unique_continuation_check(side: str, z, curve: InterfaceCurve, grid: Quadrat
     side = _normalize_side(side)
     z = as_spectral_point(z)
     ops = _LayerOperators(grid, z)
-    tau_d, tau_n = ops.single_layer, ops.trace(f"single.neumann.{side}")
+    tau_d, tau_n = ops.single_layer, f"single.neumann.{side}"
     d = np.sqrt(grid.arc_weights)
 
     radius = 0.5 if side == "interior" else 2.0
@@ -357,7 +357,7 @@ def unique_continuation_check(side: str, z, curve: InterfaceCurve, grid: Quadrat
         for coef in coeffs:
             psi = coef @ harmonics
             data_norm = float(np.linalg.norm(d * (tau_d @ psi))
-                              + np.linalg.norm(d * (tau_n @ psi)))
+                              + np.linalg.norm(d * ops.apply_trace(tau_n, psi)))
             psi = psi * (eps / data_norm)
             values = eval_single_layer_field(curve, grid, z, psi, probes)
             probe_norms.append(np.abs(values).max())

@@ -13,6 +13,31 @@ closed forms are exact, every residual here measures quadrature alone.
 Unlike the planar operators, z may be any complex number away from the
 relevant poles — the 1D spectra are discrete, so real z in spectral gaps is a
 legitimate (and tested) regime.
+
+Accuracy region.  The closed forms oscillate or grow like e^{|Im ω| x} in
+ω = √(z − c), and the 64-point Gauss–Legendre panels and the one-sided
+extrapolation resolve them only up to some |ω|.  Each check therefore rejects
+(``AccuracyRegionError``) a z whose largest |ω| over the two sides exceeds
+its ``_OMEGA_LIMIT``.  The limits come from a sweep over |ω| (36 geometric
+radii from 1 to 3000, refined near the first failure), 14 arguments of ω
+from 1e-9 to π/2 − 1e-6 (z from just above the positive real axis to just
+above the negative one) and (c₊, c₋) ∈ {(0, 0), (3, 3), (0, 3)}; for
+``green3`` (z = 0) the sweep is over c up to 1e7:
+
+* ``krein`` passes at every point up to |ω| = 189 and fails from 201
+  (1.7e-7 against 1e-8, next to the positive real axis); limit 150;
+* ``mixed`` passes up to 179 and fails from 189 (1.6e-8); limit 150;
+* ``suite`` passes up to 11.9 and fails from 12.4 (1.1e-9 against 1e-9);
+  limit 10;
+* ``green3`` passes up to √c = 316, returns NaN at 422 and overflows
+  (``OverflowError``) from 750; products of its kernels overflow with a
+  RuntimeWarning from √c ≈ 236; limit 200.
+
+At the limits the worst residual over the same sweep is 2.2e-6 of the
+tolerance for ``krein``, 4.4e-6 for ``mixed`` and 0.16 for ``suite``, with no
+floating-point warning.
+
+Every z with |Re z| ≤ 5 and c± ∈ [0, 3] has |ω| ≤ 2.93, far inside.
 """
 
 from __future__ import annotations
@@ -23,7 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BracketingError, ConfigurationError, SpectralPoleError
+from .errors import AccuracyRegionError, BracketingError, ConfigurationError, SpectralPoleError
 from .geometry import _check_side
 from .reports import ResidualReport, timed_check, worst
 
@@ -41,6 +66,19 @@ _POLE_MERGE = float(np.sqrt(8.0 * np.finfo(float).eps / _ROOT_RESIDUAL))
 
 def _omega(z, c) -> complex:
     return cmath.sqrt(complex(z) - c)
+
+
+# largest |√(z − c)| each check is trusted at (the sweep in the module docstring)
+_OMEGA_LIMIT = {"krein": 150.0, "mixed": 150.0, "suite": 10.0, "green3": 200.0}
+
+
+def _check_accuracy_region(check: str, z, *shifts) -> None:
+    """Reject z whose largest |√(z − c)| lies beyond the swept region of ``check``."""
+    omega = max(abs(_omega(z, c)) for c in shifts)
+    if not omega <= _OMEGA_LIMIT[check]:
+        raise AccuracyRegionError(
+            f"|√(z − c)| = {omega:.4g} at z = {complex(z)} exceeds {_OMEGA_LIMIT[check]:g}, "
+            f"the accuracy region of the interval {check} check")
 
 
 def scalar_weyl(side: str, z, c: float = 0.0) -> complex:
@@ -228,6 +266,7 @@ def krein_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
     Left side: coupled kernel on (0,2).  Right side: decoupled Dirichlet
     resolvents plus the rank-one correction −γ(z)(m₊+m₋)⁻¹[γ₊*, γ₋*] with the
     no-conjugation adjoints of a dual pairing."""
+    _check_accuracy_region("krein", z, c_plus, c_minus)
     basis = default_basis() if basis is None else list(basis)
     mp = scalar_weyl("+", z, c_plus)
     mm = scalar_weyl("-", z, c_minus)
@@ -270,6 +309,7 @@ def mixed_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
                         tolerance: float = 1e-8, quad_n: int = 64) -> ResidualReport:
     """Dirichlet ⊕ Neumann resolvent formula, plus the standalone kernel
     difference (A₀₋−z)⁻¹ − (A₁₋−z)⁻¹ = γ₋ m₋⁻¹ γ₋*."""
+    _check_accuracy_region("mixed", z, c_plus, c_minus)
     basis = default_basis() if basis is None else list(basis)
     mp = scalar_weyl("+", z, c_plus)
     mm = scalar_weyl("-", z, c_minus)
@@ -392,6 +432,7 @@ def third_green_identity_1d(field: IntervalField, c: float = 1.0, grid_n: int = 
     is pinned by the smooth-field oracle, for which both brackets vanish."""
     if c <= 0.0:
         raise ConfigurationError(f"the coupled operator needs c > 0 for invertibility, got {c}")
+    _check_accuracy_region("green3", 0.0, c)
     kernel = coupled_kernel(0.0, c, c)
     bracket0 = complex(np.asarray(field.plus(np.array([1.0])))[0]
                        - np.asarray(field.minus(np.array([1.0])))[0])
@@ -457,12 +498,14 @@ def abstract_identity_suite(zs, c_plus: float = 0.0, c_minus: float = 0.0,
     For each z: the pairing identity ∫γ(z)f = Γ₁(A₀−z)⁻¹f (evaluated by
     one-sided extrapolation of the resolvent toward the junction, so both
     routes are independent), and m(z) − m(z̄) = (z−z̄)∫|γ(z)|²."""
+    zs = [complex(z) for z in zs]
+    for z in zs:
+        if z.imag == 0.0:
+            raise ConfigurationError(f"abstract identity suite needs nonreal z, got {z}")
+        _check_accuracy_region("suite", z, c_plus, c_minus)
     rng = np.random.default_rng(seed)
     rows = []
     for z in zs:
-        z = complex(z)
-        if z.imag == 0.0:
-            raise ConfigurationError(f"abstract identity suite needs nonreal z, got {z}")
         for side, c in (("+", c_plus), ("-", c_minus)):
             a, b = (0.0, 1.0) if side == "+" else (1.0, 2.0)
             gam = gamma_profile(side, z, c)

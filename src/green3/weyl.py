@@ -84,7 +84,7 @@ def _single_layer_solve(ops: _LayerOperators, densities) -> np.ndarray:
 def _weyl_action(ops: _LayerOperators, side: str, densities: np.ndarray):
     """M_side Φ = −(½I ∓ K*) S⁻¹Φ for the columns Φ, with the densities S⁻¹Φ."""
     psi = _single_layer_solve(ops, densities)
-    return -(ops.trace(f"single.neumann.{side}") @ psi), psi
+    return -ops.apply_trace(f"single.neumann.{side}", psi), psi
 
 
 class SingleLayerField:

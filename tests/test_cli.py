@@ -216,6 +216,74 @@ def test_dtn_at_a_resonance_is_usage_error():
     assert "numerically singular (rcond₁" in stderr
 
 
+def test_unexpected_exception_is_one_line_and_exit_three(monkeypatch, tmp_path):
+    import green3.cli as cli_mod
+
+    def broken(cfg):
+        raise RuntimeError("kernel table lost\nits panels")
+
+    monkeypatch.setitem(cli_mod._TASK_BUILDERS, "jumps", broken)
+    out = tmp_path / "r.json"
+    code, stdout, stderr = main_capture(["jumps", "--nodes", "32", "--out", str(out)])
+    assert code == 3
+    assert stdout == ""
+    assert stderr == "green3: internal error: RuntimeError: kernel table lost its panels\n"
+    assert not out.exists()
+
+
+def test_a_task_that_raises_is_exit_three(monkeypatch, tmp_path):
+    import green3.cli as cli_mod
+
+    def raise_inside():
+        raise RuntimeError("inside a task")
+
+    monkeypatch.setitem(cli_mod._TASK_BUILDERS, "rellich", lambda cfg: [raise_inside])
+    out = tmp_path / "r.json"
+    code, stdout, stderr = main_capture(["rellich", "--out", str(out)])
+    assert (code, stdout) == (3, "")
+    assert stderr == "green3: internal error: RuntimeError: inside a task\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, gib", [
+    (["jumps", "--nodes", "1296"], "1.00"),
+    (["dtn", "--nodes", "2048"], "2.50"),
+    (["indicator", "--nodes", "2592"], "1.00"),
+])
+def test_node_count_over_the_memory_budget_is_usage_error(monkeypatch, tmp_path, argv, gib):
+    from green3.potentials import _LayerOperators
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("layer operators built")
+
+    # the estimate is arithmetic on --nodes: nothing may be allocated to reach it
+    monkeypatch.setattr(_LayerOperators, "__init__", no_assembly)
+    out = tmp_path / "r.json"
+    code, stdout, stderr = main_capture([*argv, "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert stderr == (f"green3: --nodes {argv[2]} needs about {gib} GiB of dense work arrays "
+                      f"for {argv[0]}, over the 1 GiB budget\n")
+    assert not out.exists()
+
+
+def test_node_budget_keeps_every_documented_job():
+    from green3.cli import _absorb_negative_values, _work_bytes, build_parser, config_from_args
+
+    # the largest accepted counts, and every subcommand at N = 512
+    assert _work_bytes("jumps", 1294) <= 2**30 < _work_bytes("jumps", 1296)
+    assert _work_bytes("indicator", 2590) <= 2**30 < _work_bytes("indicator", 2592)
+    for command in ("jumps", "dtn", "green-identity", "indicator", "krein", "rellich",
+                    "interval"):
+        assert RunConfig(subcommand=command, nodes=512).nodes == 512
+    assert RunConfig(subcommand="green-identity", nodes=10**5).nodes == 10**5
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        jobs = [line.split()[1:] for line in fh if line.startswith("green3 ")]
+    assert len(jobs) == 7
+    for argv in jobs:
+        config_from_args(build_parser().parse_args(_absorb_negative_values(argv)))
+
+
 @pytest.mark.parametrize("spec", ["disk", "kite", "ellipse:1.5,0.8"])
 @pytest.mark.parametrize("side", ["interior", "exterior"])
 def test_dtn_quotients_equal_the_dense_map(spec, side):
@@ -291,6 +359,25 @@ def test_interval_pole_z_is_usage_error():
 def test_interval_bad_shift_is_usage_error():
     code, _, _ = main_capture(["interval", "--check", "green3", "--c+", "-1.0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--check", "suite", "--z", "1e10,1"],
+    ["--check", "suite", "--z", "1e3,1"],
+    ["--check", "krein", "--z", "1e5,1"],
+    ["--check", "mixed", "--z", "1e5,1"],
+    ["--check", "krein", "--z", "-1e6,1"],
+    ["--check", "mixed", "--z", "-1e6,1"],
+    ["--check", "green3", "--c+", "1e6"],
+])
+def test_interval_beyond_its_accuracy_region_is_usage_error(tmp_path, argv):
+    # each exited 1, on a broken identity or with an OverflowError traceback
+    out = tmp_path / "r.json"
+    code, stdout, stderr = main_capture(["interval", *argv, "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("green3: |√(z − c)| = ")
+    assert stderr.endswith(f"the accuracy region of the interval {argv[1]} check\n")
+    assert stderr.count("\n") == 1 and not out.exists()
 
 
 def test_failed_check_sets_exit_one():

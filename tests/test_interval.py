@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from green3.errors import ConfigurationError, SpectralPoleError
+from green3.errors import AccuracyRegionError, ConfigurationError, SpectralPoleError
 from green3.interval_model import (
     IntervalField,
     abstract_identity_suite,
@@ -284,3 +286,49 @@ def test_resolvent_formulas_fail_on_a_nan_side(monkeypatch, formula, check):
         resolvent(kernel, phi, xs, *rest) * (np.nan if np.min(xs) > 1.0 else 1.0)))
     rows = [r for r in formula(1j, grid_n=50).checks if r.check == check]
     assert rows and all(np.isnan(r.residual) and not r.passed for r in rows)
+
+
+# -------------------------------------------------------------- accuracy region
+
+
+@pytest.mark.parametrize("check, run", [
+    ("krein", lambda z: krein_formula_check(z, 3.0, 3.0)),
+    ("mixed", lambda z: mixed_formula_check(z, 3.0, 3.0)),
+    ("suite", lambda z: abstract_identity_suite([z], 3.0, 3.0)),
+])
+def test_checks_pass_up_to_their_accuracy_limit(check, run):
+    from green3.interval_model import _OMEGA_LIMIT
+
+    limit = _OMEGA_LIMIT[check]
+    # next to the positive real axis, where the sweep failed first, and off it
+    for arg in (1e-6, 0.7):
+        direction = np.exp(1j * arg)
+        assert run(3.0 + (0.999 * limit * direction) ** 2).all_pass
+        with pytest.raises(AccuracyRegionError, match=f"interval {check} check"):
+            run(3.0 + (1.01 * limit * direction) ** 2)
+
+
+def test_green3_check_has_an_accuracy_limit():
+    from green3.interval_model import _OMEGA_LIMIT
+
+    field = IntervalField(*[_const(0.0)] * 6)
+    c = _OMEGA_LIMIT["green3"] ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no kernel product overflows inside the region
+        assert third_green_identity_1d(field, c=0.99 * c).all_pass
+    with pytest.raises(AccuracyRegionError, match="interval green3 check"):
+        third_green_identity_1d(field, c=1.01 * c)
+
+
+def test_accuracy_region_keeps_the_closed_form_range():
+    from green3.interval_model import _check_accuracy_region
+
+    # |Re z| <= 5, 0.5 <= |Im z| <= 3, c± in [0, 3]: the benchmark's closed_form jobs
+    for check in ("krein", "mixed", "suite"):
+        for re in (-5.0, 0.0, 5.0):
+            for im in (-3.0, -0.5, 0.5, 3.0):
+                for shifts in ((0.0, 0.0), (0.0, 3.0), (3.0, 3.0)):
+                    _check_accuracy_region(check, complex(re, im), *shifts)
+    assert krein_formula_check(-5.0 + 3.0j, 3.0, 0.0).all_pass
+    assert mixed_formula_check(5.0 - 0.5j, 0.0, 3.0).all_pass
+    assert abstract_identity_suite([-5.0 - 3.0j, 5.0 + 0.5j], 3.0, 0.0).all_pass

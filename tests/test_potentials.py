@@ -3,8 +3,9 @@ import pytest
 
 import oracles
 from green3.errors import AccuracyRegionError, ConfigurationError
-from green3.geometry import dirichlet_trace, make_curve, neumann_trace
+from green3.geometry import curve_from_spec, dirichlet_trace, make_curve, neumann_trace
 from green3.potentials import (
+    _LayerOperators,
     assemble_adjoint_double_layer,
     assemble_double_layer,
     assemble_single_layer,
@@ -227,3 +228,103 @@ def test_jump_relations_fail_on_a_nan_mode(monkeypatch):
         assert np.isnan(row.residual) and not row.passed
         assert row.details["worst_mode"] == 1
     assert np.isnan(report.max_residual)
+
+
+# ---------------------------------------------------------------- kernel tables
+
+_TABLE_ZS = (-31.0 + 0.65j, 4.11 + 26.6j, -19.2 - 1.75j, 1e4 + 1j, 2500.0 + 2500.0j,
+             1e-8 + 1e-8j, -1.0 + 0.5j)
+
+
+def _scipy_kernels(k, r):
+    from scipy import special as sp
+
+    w = k * r
+    return sp.jv(0, w), sp.hankel1(0, w), sp.jv(1, w) / w, sp.hankel1(1, w)
+
+
+@pytest.mark.parametrize("spec", ["disk", "kite", "ellipse:1.5,0.8"])
+@pytest.mark.parametrize("n", [64, 256, 512])
+def test_kernel_tables_match_scipy(spec, n):
+    """J_0, H_0, J_1/(kr), H_1 from the tables against scipy.special on the pairs."""
+    _, grid = curve_from_spec(spec, n)
+    for z in _TABLE_ZS:
+        ops = _LayerOperators(grid, z)
+        k = ops.z.sqrt_z
+        r = ops._r[::4] if n == 512 else ops._r  # scipy on all 130 816 pairs is slow
+        j0, h0 = ops._table(0, r)
+        j1, h1 = ops._table(1, r)
+        refs = _scipy_kernels(k, r)
+        bound = 1e-14 if abs(z) <= 32 else 1e-13
+        for got, ref in zip((j0, h0, j1, h1), refs):
+            assert np.abs(got - ref).max() <= bound * np.abs(ref).max()
+        if abs(k.imag) * ops._r.max() <= 20.0:
+            for got, ref in ((h0, refs[1]), (h1, refs[3])):
+                assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+
+def test_kernel_table_evaluates_each_guarded_routine_once_per_function(monkeypatch):
+    import green3.potentials as potentials
+
+    calls = []
+
+    def recorded(name, fn):
+        return lambda order, w: calls.append((name, order, np.abs(w).max())) or fn(order, w)
+
+    monkeypatch.setattr(potentials, "bessel_j", recorded("J", potentials.bessel_j))
+    monkeypatch.setattr(potentials, "hankel1", recorded("H", potentials.hankel1))
+    _, grid = curve_from_spec("kite", 256)
+    for z in (-1.0 + 0.5j, -31.0 + 0.65j, 4.11 + 26.6j, 0.7 + 3.1j):
+        calls.clear()
+        ops = _LayerOperators(grid, z)
+        ops.single_layer, ops.double_layer
+        assert [c[:2] for c in calls] == [("J", 0), ("H", 0), ("J", 1), ("H", 1)]
+        # r_max is a node (to rounding), so the |w| < 700 guard sees |k|·r_max
+        for call in calls:
+            assert call[2] == pytest.approx(abs(ops.z.sqrt_z) * ops._r.max(), rel=1e-15)
+
+
+def test_kernel_table_halves_a_coarse_layout_until_resolved(monkeypatch):
+    """The tail test, not the initial layout, decides the panels."""
+    import green3.potentials as potentials
+    from green3.errors import ArgumentRangeError
+
+    _, grid = curve_from_spec("kite", 128)
+    ops = _LayerOperators(grid, -19.2 - 1.75j)
+    k, r = ops.z.sqrt_z, ops._r
+    default = potentials._KernelTable(k, r.min(), r.max())
+    monkeypatch.setattr(potentials, "_TABLE_GRADING", 4.0)
+    monkeypatch.setattr(potentials, "_TABLE_RADIANS", 20.0)
+    halved = potentials._KernelTable(k, r.min(), r.max())
+    assert len(halved._mid) > 4  # the coarse layout has four panels
+    refs = _scipy_kernels(k, r)
+    for table in (default, halved):
+        for got, ref in zip((*table(0, r), *table(1, r)), refs):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    monkeypatch.setattr(potentials, "_TABLE_ROUNDS", 1)
+    with pytest.raises(ArgumentRangeError, match="not resolved after 1 halvings"):
+        potentials._KernelTable(k, r.min(), r.max())
+
+
+def test_real_negative_z_never_reaches_the_tables(monkeypatch):
+    import green3.potentials as potentials
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("kernel table built")
+
+    monkeypatch.setattr(potentials, "_KernelTable", no_table)
+    _, grid = curve_from_spec("kite", 64)
+    for z in (-2.5, -31.0, 0.0):
+        ops = _LayerOperators(grid, z)
+        ops.single_layer, ops.adjoint_double_layer
+    with pytest.raises(AssertionError, match="kernel table built"):
+        _LayerOperators(grid, -2.5 + 1e-3j).single_layer
+
+
+def test_overflow_guard_still_sees_the_largest_pair(capsys):
+    from green3.cli import main
+
+    assert main(["jumps", "--curve", "kite", "--z", "1e6,1", "--nodes", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "green3: |w| must be finite and < 700 (overflow guard)\n"
