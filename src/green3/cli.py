@@ -2,8 +2,7 @@
 
 Each subcommand assembles a list of independent check tasks, runs them on the
 process-wide worker pool (``green3._pool``: at most ``GREEN3_THREADS``
-threads, the calling thread included, which runs the first task itself;
-workers the tasks leave idle evaluate kernels in chunks), and
+threads, the calling thread included, which runs the first task itself), and
 emits a single report in JSON (versioned schema) or flat CSV.  Exit status is
 the verdict: 0 all pass, 1 at least one residual above tolerance, 2 for
 unusable input or when no check ran, 3 for an internal error.  Reports are
@@ -23,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import coupling, interval_model
-from ._pool import run_all, thread_cap
+from ._pool import run_all
 from .errors import (
     AccuracyRegionError,
     AnsatzResonanceError,
@@ -300,45 +299,52 @@ def _rellich_tasks(cfg: RunConfig) -> list:
     return [lambda k=k: one_k(k) for k in ks]
 
 
+# the default tolerance of each interval_model check, scaled by --tol-scale
+_INTERVAL_TOLERANCES = {"krein": 1e-8, "mixed": 1e-8, "green3": 1e-8, "suite": 1e-9}
+
+
 def _interval_tasks(cfg: RunConfig) -> list:
-    if cfg.check not in ("krein", "mixed", "green3", "suite"):
+    if cfg.check not in _INTERVAL_TOLERANCES:
         raise ConfigurationError(f"interval check must be krein|mixed|green3|suite, got {cfg.check!r}")
     cp = cfg.c_plus if cfg.c_plus is not None else (1.0 if cfg.check == "green3" else 0.0)
     cm = cfg.c_minus if cfg.c_minus is not None else cp
+    tol = _INTERVAL_TOLERANCES[cfg.check] * cfg.tol_scale
 
-    if cfg.check == "krein":
-        zs = cfg.z_values(default=(-1.0,))
-        return [lambda z=z: interval_model.krein_formula_check(z, cp, cm).checks for z in zs]
-    if cfg.check == "mixed":
-        zs = cfg.z_values(default=(-1.0,))
-        return [lambda z=z: interval_model.mixed_formula_check(z, cp, cm).checks for z in zs]
+    if cfg.check in ("krein", "mixed"):
+        formula = (interval_model.krein_formula_check if cfg.check == "krein"
+                   else interval_model.mixed_formula_check)
+        return [lambda z=z: formula(z, cp, cm, tolerance=tol).checks
+                for z in cfg.z_values(default=(-1.0,))]
     if cfg.check == "green3":
-        return [lambda: _interval_green3_rows(cp)]
+        return [lambda: _interval_green3_rows(cp, tol)]
     zs = cfg.z_values(default=(1j, 2j))
-    return [lambda: interval_model.abstract_identity_suite(zs, cp, cm, seed=cfg.seed).checks]
+    return [lambda: interval_model.abstract_identity_suite(
+        zs, cp, cm, seed=cfg.seed, tolerance=tol).checks]
 
 
-def _interval_green3_rows(c: float) -> list:
+def _interval_green3_rows(c: float, tolerance: float) -> list:
     """The three reference jump families for the 1D third Green identity."""
     arr = lambda v: (lambda x: np.full(np.asarray(x, dtype=float).shape, v, dtype=float))
-    smooth = interval_model.IntervalField(
-        lambda x: np.asarray(x) ** 2 * (2.0 - np.asarray(x)) ** 2,
-        lambda x: np.asarray(x) ** 2 * (2.0 - np.asarray(x)) ** 2,
-        lambda x: 2.0 * np.asarray(x) * (2.0 - np.asarray(x)) ** 2
-        - 2.0 * np.asarray(x) ** 2 * (2.0 - np.asarray(x)),
-        lambda x: 2.0 * np.asarray(x) * (2.0 - np.asarray(x)) ** 2
-        - 2.0 * np.asarray(x) ** 2 * (2.0 - np.asarray(x)),
-        lambda x: 2.0 * (2.0 - np.asarray(x)) ** 2 - 8.0 * np.asarray(x) * (2.0 - np.asarray(x))
-        + 2.0 * np.asarray(x) ** 2,
-        lambda x: 2.0 * (2.0 - np.asarray(x)) ** 2 - 8.0 * np.asarray(x) * (2.0 - np.asarray(x))
-        + 2.0 * np.asarray(x) ** 2,
-    )
+
+    def f(x):  # x²(2 − x)², the same on both sides of x = 1
+        x = np.asarray(x)
+        return x**2 * (2.0 - x) ** 2
+
+    def df(x):
+        x = np.asarray(x)
+        return 2.0 * x * (2.0 - x) ** 2 - 2.0 * x**2 * (2.0 - x)
+
+    def ddf(x):
+        x = np.asarray(x)
+        return 2.0 * (2.0 - x) ** 2 - 8.0 * x * (2.0 - x) + 2.0 * x**2
+
+    smooth = interval_model.IntervalField(f, f, df, df, ddf, ddf)
     jumpy = interval_model.IntervalField(
         lambda x: np.asarray(x, dtype=float), arr(0.0), arr(1.0), arr(0.0), arr(0.0), arr(0.0))
     zero = interval_model.IntervalField(arr(0.0), arr(0.0), arr(0.0), arr(0.0), arr(0.0), arr(0.0))
     rows = []
     for label, fld in (("smooth", smooth), ("jump", jumpy), ("zero", zero)):
-        for row in interval_model.third_green_identity_1d(fld, c=c).checks:
+        for row in interval_model.third_green_identity_1d(fld, c=c, tolerance=tolerance).checks:
             rows.append(replace(row, params={**row.params, "family": label}))
     return rows
 
@@ -352,11 +358,6 @@ _TASK_BUILDERS = {
     "rellich": _rellich_tasks,
     "interval": _interval_tasks,
 }
-
-
-def _worker_count(n_tasks: int) -> int:
-    """Threads that run ``n_tasks`` check tasks at once, the caller included."""
-    return min(thread_cap(), max(1, n_tasks))
 
 
 def run(config: RunConfig) -> int:

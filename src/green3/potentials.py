@@ -34,8 +34,10 @@ N = 64, 256 and 512 the tables agree to 4.4e-15 of each function's maximum
 for |z| ≤ 32 and to 3.2e-14 up to z = 1e4 + i and 2500 + 2500i, and H_0, H_1
 pointwise to 6.9e-15 for |z| ≤ 32 (|Im k|·r_max up to 16.7) and 7.8e-14 at
 z = 1e4 + i, where the rounding of k·r alone moves H by ε·|k|·r ≈ 3e-14.
-Real z < 0 (k on the imaginary axis) keeps the I/K route of ``specfun``, and
-z = 0 the logarithm; the off-curve field evaluators call ``specfun`` directly.
+Real z < 0 (k on the imaginary axis) keeps the I/K route of ``specfun``;
+``_LayerOperators._kernels`` hands either route's kernels to S and K, so each
+has one Helmholtz branch beside the logarithm at z = 0.  The off-curve field
+evaluators call ``specfun`` directly.
 """
 
 from __future__ import annotations
@@ -254,6 +256,17 @@ class _LayerOperators:
     def _table(self) -> _KernelTable:
         return _KernelTable(self.z.sqrt_z, self._r.min(), self._r.max())
 
+    def _kernels(self, order: int):
+        """(J_0(kr), H_0(kr)) for order 0 and (J_1(kr)/(kr), H_1(kr)) for order 1
+        on the pairs, k = √z ≠ 0: from the table, or at real z < 0, where k is
+        on the imaginary axis, from the I/K route of ``specfun``."""
+        k = self.z.sqrt_z
+        if k.real != 0.0:
+            return self._table(order, self._r)
+        w = k * self._r
+        j = bessel_j(order, w)
+        return (j / w if order else j), hankel1(order, w)
+
     def _square(self, upper, lower, diagonal) -> np.ndarray:
         out = np.empty((self.grid.n, self.grid.n), dtype=complex)
         out[self._upper] = upper
@@ -271,14 +284,10 @@ class _LayerOperators:
             split_diagonal = -np.log(speed) / (2.0 * np.pi)
         else:
             k = z.sqrt_z
-            if k.real == 0.0:  # real z < 0: the I_0/K_0 route of specfun
-                smooth = -bessel_j(0, k * r) / (4.0 * np.pi)
-                split = 0.25j * hankel1(0, k * r) - smooth * self._lsin
-            else:
-                smooth, split = self._table(0, r)  # J_0(kr), H_0(kr), scaled in place
-                smooth *= -1.0 / (4.0 * np.pi)
-                split *= 0.25j
-                split -= smooth * self._lsin
+            smooth, split = self._kernels(0)  # J_0(kr), H_0(kr), scaled in place
+            smooth *= -1.0 / (4.0 * np.pi)
+            split *= 0.25j
+            split -= smooth * self._lsin
             split_diagonal = 0.25j - (np.euler_gamma + np.log(k * speed / 2.0)) / (2.0 * np.pi)
         core = self._kress * smooth + (2.0 * np.pi / n) * split
         # the smooth part is -J_0(k·0)/(4π) = -1/(4π) on the diagonal
@@ -295,15 +304,11 @@ class _LayerOperators:
             core = 1.0 / (n * r * r)
         else:
             k = z.sqrt_z
-            if k.real == 0.0:  # real z < 0: the I_1/K_1 route of specfun
-                smooth = -(k / (4.0 * np.pi)) * bessel_j(1, k * r) / r
-                split = (0.25j * k) * hankel1(1, k * r) / r - smooth * self._lsin
-            else:
-                smooth, split = self._table(1, r)  # J_1(kr)/(kr), H_1(kr), scaled in place
-                smooth *= -k * k / (4.0 * np.pi)
-                split *= 0.25j * k
-                split /= r
-                split -= smooth * self._lsin
+            smooth, split = self._kernels(1)  # J_1(kr)/(kr), H_1(kr), scaled in place
+            smooth *= -k * k / (4.0 * np.pi)
+            split *= 0.25j * k
+            split /= r
+            split -= smooth * self._lsin
             core = self._kress * smooth + (2.0 * np.pi / n) * split
         nu_x, nu_y = _unnormalized_normal(self.grid).T
         rows, cols, dx, dy = self._rows, self._cols, self._dx, self._dy

@@ -13,12 +13,6 @@ The guards stay ahead of scipy: a nonnegative integer order, |w| < 700 for J
 and I (the e^{|Im w|} growth must stay finite; NaN fails it too), finite w,
 Im w >= 0 and w != 0 for H^(1), and Re w > 0 for K.  All functions accept
 scalars or numpy arrays in the argument and are pure (thread-safe).
-
-After the guards and the branch choice, ``bessel_j`` and ``hankel1`` hand
-large arrays to ``_pool.elementwise``, which splits the ``scipy.special`` call
-(it releases the GIL) into contiguous chunks on idle workers of the package's
-thread pool; each chunk runs the routine one call would, so the values are
-bit-identical for every ``GREEN3_THREADS``.
 """
 
 from __future__ import annotations
@@ -28,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as sp
 
-from . import _pool
 from .errors import ArgumentRangeError, ConfigurationError, SingularityError, SpectralPoleError
 
 _OVERFLOW_RADIUS = 700.0  # the e^{|Im w|} growth of J must stay finite
@@ -105,9 +98,9 @@ def bessel_j(order, w):
     _check_overflow(arr)
     if _on_imaginary_axis(order, arr):
         fn, factor = _J_IMAGINARY_AXIS[order]
-        out = factor * _pool.elementwise(fn, arr.imag)
+        out = factor * fn(arr.imag)
     else:
-        out = _pool.elementwise(sp.jv, order, arr)
+        out = sp.jv(order, arr)
     return complex(out[0]) if scalar else out
 
 
@@ -131,9 +124,9 @@ def hankel1(order, w):
     arr = _normalize_upper(arr)
     if _on_imaginary_axis(order, arr):
         fn, factor = _H_IMAGINARY_AXIS[order]
-        out = factor * _pool.elementwise(fn, arr.imag)
+        out = factor * fn(arr.imag)
     else:
-        out = _pool.elementwise(sp.hankel1, order, arr)
+        out = sp.hankel1(order, arr)
     return complex(out[0]) if scalar else out
 
 

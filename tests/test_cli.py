@@ -7,13 +7,22 @@ import sys
 
 import pytest
 
-from green3.cli import RunConfig, _parse_z, _parse_zgrid, _worker_count, main
+import green3
+from green3 import _pool
+from green3.cli import RunConfig, _parse_z, _parse_zgrid, main
 from green3.errors import ConfigurationError
+
+
+def child_env(**extra):
+    """The environment of a child interpreter that imports green3 as this one does."""
+    src = os.path.dirname(os.path.dirname(green3.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "green3.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -342,6 +351,17 @@ def test_interval_checks_pass(check):
     assert json.loads(stdout)["all_pass"] is True
 
 
+@pytest.mark.parametrize("check, default", [
+    ("krein", 1e-8), ("mixed", 1e-8), ("green3", 1e-8), ("suite", 1e-9)])
+def test_interval_checks_scale_their_tolerance(check, default):
+    code, stdout, _ = main_capture(["interval", "--check", check])
+    assert code == 0
+    assert {row["tolerance"] for row in json.loads(stdout)["checks"]} == {default}
+    code, stdout, _ = main_capture(["interval", "--check", check, "--tol-scale", "1e-30"])
+    assert code == 1
+    assert {row["tolerance"] for row in json.loads(stdout)["checks"]} == {default * 1e-30}
+
+
 def test_interval_green3_families_are_labelled():
     code, stdout, _ = main_capture(["interval", "--check", "green3"])
     assert code == 0
@@ -401,18 +421,19 @@ def test_cli_import_starts_no_thread():
     # the worker pool is created on first use
     proc = subprocess.run(
         [sys.executable, "-c", "import threading, green3.cli; print(threading.active_count())"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
 
 
 @pytest.mark.parametrize("cap", ["2", "4"])
 def test_indicator_scan_with_kernel_chunks_finishes(cap):
-    # 192 nodes give 18 336 kernel pairs, enough to split onto idle workers
-    # while other scan points still hold the pool
+    # off the real axis, 192 nodes give 18 336 kernel pairs, three table chunks
+    # each scan point hands to the pool while other scan points still hold it
     proc = subprocess.run(
-        [sys.executable, "-m", "green3.cli", "indicator", "--zgrid", "-3:-1:6", "--nodes", "192"],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "GREEN3_THREADS": cap})
+        [sys.executable, "-m", "green3.cli", "indicator", "--zgrid", "-3:-1:6:0.5",
+         "--nodes", "192"],
+        capture_output=True, text=True, timeout=120, env=child_env(GREEN3_THREADS=cap))
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(proc.stdout)["checks"]) == 6
 
@@ -422,7 +443,7 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, green3.cli; "
          "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False False"
 
@@ -445,7 +466,7 @@ def test_thread_cap_does_not_change_output(monkeypatch):
 
     jobs = [
         ["krein", "--z", "2,1", "--z", "-1,0", "--modes", "3", "--omit-timing"],
-        # one task each: at cap 2 and 8 the kernels are split onto idle workers
+        # one task each: at cap 2 and 8 it hands its kernel-table chunks to idle workers
         ["dtn", "--curve", "kite", "--z", "-1,0.5", "--nodes", "160", "--omit-timing"],
         ["jumps", "--curve", "kite", "--z", "2,1", "--nodes", "160", "--omit-timing"],
     ]
@@ -462,7 +483,7 @@ def test_thread_cap_does_not_change_output(monkeypatch):
 def test_invalid_thread_cap_is_usage_error(monkeypatch, cap):
     monkeypatch.setenv("GREEN3_THREADS", cap)
     with pytest.raises(ConfigurationError):
-        _worker_count(2)
+        _pool.thread_cap()
     code, stdout, stderr = main_capture(["rellich", "--k", "1"])
     assert code == 2
     assert stdout == ""

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 import oracles
-from green3 import _pool
 from green3.errors import (
     ArgumentRangeError,
     ConfigurationError,
@@ -379,30 +378,3 @@ def test_gradient_guards():
         fundamental_solution_gradient(2, -1.0, np.array([0.0, 0.0]))
     with pytest.raises(ConfigurationError):
         fundamental_solution_gradient(3, -1.0, np.array([1.0, 0.0]))
-
-
-# ----------------------------------------------------- chunked evaluation
-
-
-@pytest.mark.parametrize("size", [2 * _pool.CHUNK_POINTS - 1, 2 * _pool.CHUNK_POINTS,
-                                  16 * _pool.CHUNK_POINTS + 7])
-@pytest.mark.parametrize("shape", ["1d", "2d"])
-@pytest.mark.parametrize("axis", ["complex", "imaginary"])
-def test_chunked_evaluation_is_bit_identical(monkeypatch, size, shape, axis):
-    rng = np.random.default_rng(size)
-    y = rng.uniform(0.05, 40.0, size)
-    w = 1j * y if axis == "imaginary" else y * np.exp(1j * rng.uniform(0.0, np.pi, size))
-    if shape == "2d":
-        w = w[: size - size % 8].reshape(8, -1)
-    chunks = []
-    run_all = _pool.run_all
-    monkeypatch.setattr(_pool, "run_all", lambda fns: chunks.append(len(fns)) or run_all(fns))
-    values = {}
-    for cap in ("1", "2"):
-        monkeypatch.setenv("GREEN3_THREADS", cap)
-        values[cap] = [fn(order, w) for fn in (bessel_j, hankel1) for order in (0, 1)]
-    # one worker is idle at cap 2, so every large call is split in two
-    assert chunks == ([2] * 4 if w.size >= 2 * _pool.CHUNK_POINTS else [])
-    for serial, chunked in zip(values["1"], values["2"]):
-        assert chunked.shape == w.shape and chunked.flags.owndata
-        assert np.array_equal(serial, chunked)
