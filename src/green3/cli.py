@@ -13,6 +13,7 @@ whatever the thread cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -165,7 +166,15 @@ class RunConfig:
 # ------------------------------------------------------------------ subcommands
 
 
+def _reject_aliased_modes(cfg: RunConfig) -> None:
+    """Modes at or above N/2 alias on the N-node grid; reject them before any assembly."""
+    if 2 * cfg.modes >= cfg.nodes:
+        raise ConfigurationError(
+            f"{cfg.subcommand} modes must be below nodes/2 = {cfg.nodes / 2:g}, got {cfg.modes}")
+
+
 def _jump_tasks(cfg: RunConfig) -> list:
+    _reject_aliased_modes(cfg)
     curve, grid = curve_from_spec(cfg.curve, cfg.nodes)
     base = 1e-6 if curve.shape == "disk" else 1e-5
     tasks = []
@@ -184,9 +193,7 @@ def _dtn_tasks(cfg: RunConfig) -> list:
     dense map.  Modes at or above N/2 alias on the N-node grid and are
     rejected before any assembly; a negative ``--modes`` asks for no row and
     builds nothing."""
-    if 2 * cfg.modes >= cfg.nodes:
-        raise ConfigurationError(
-            f"dtn modes must be below nodes/2 = {cfg.nodes / 2:g}, got {cfg.modes}")
+    _reject_aliased_modes(cfg)
     if cfg.modes < 0:
         return []
     curve, grid = curve_from_spec(cfg.curve, cfg.nodes)
@@ -437,6 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` uses, built on its first call; parsing reads it
+    and never changes it, so no value carries over from one run to the next."""
+    return build_parser()
+
+
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
     return RunConfig(
         subcommand=ns.subcommand,
@@ -481,7 +495,7 @@ def _absorb_negative_values(argv) -> list:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    ns = build_parser().parse_args(_absorb_negative_values(argv))
+    ns = _parser().parse_args(_absorb_negative_values(argv))
     try:
         config = config_from_args(ns)
     except ConfigurationError as exc:

@@ -11,13 +11,22 @@ work through the assembled boundary operators instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, SpectralPoleError
-from .geometry import InterfaceCurve, QuadratureGrid, dirichlet_trace, make_curve, neumann_trace
+from .errors import ArgumentRangeError, ConfigurationError, SpectralPoleError
+from .geometry import (
+    InterfaceCurve,
+    QuadratureGrid,
+    _leggauss,
+    dirichlet_trace,
+    make_curve,
+    neumann_trace,
+)
 from .potentials import _LayerOperators, eval_double_layer_field, eval_single_layer_field
 from .reports import ResidualReport, check_row, timed_check, worst
 from .specfun import (
@@ -112,7 +121,7 @@ def probe_ring(radius: float, count: int, center=(0.0, 0.0)) -> np.ndarray:
 def _volume_potential(z, source, points, n_radial, n_angular):
     # tensor polar rule on the unit disk; exact enough for sources supported
     # away from both the probes and the rim
-    x, w = np.polynomial.legendre.leggauss(n_radial)
+    x, w = _leggauss(n_radial)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * w * r
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
@@ -173,8 +182,16 @@ _INTERIOR_SAMPLES = (0.25, 0.6, 0.9)
 _EXTERIOR_SAMPLES = (1.2, 1.8, 2.5)
 
 
+# the normal double range: I_m(κr) underflows and K_m(κr) overflows at the
+# sample radii once m is large
+_SMALLEST, _LARGEST = float(np.finfo(float).tiny), float(np.finfo(float).max)
+
+
 class _ModeScalars:
-    """All scalar factors of the mode-m radial problem for −Δ + c at z."""
+    """All scalar factors of the mode-m radial problem for −Δ + c at z.
+
+    A factor outside the normal double range raises ``ArgumentRangeError``
+    naming the mode, rather than yielding a NaN row or a false pole."""
 
     def __init__(self, z, m, c):
         if c < 0:
@@ -185,8 +202,8 @@ class _ModeScalars:
         self._values = {}  # the few sample radii recur across every kernel block
         self.i_at_1 = self._i(self.kappa)
         self.k_at_1 = self._k(self.kappa)
-        self.ip_at_1 = modified_i_derivative(m, self.kappa)
-        self.kp_at_1 = modified_k_derivative(m, self.kappa)
+        self.ip_at_1 = self._normal("I_m'(κ)", modified_i_derivative(m, self.kappa))
+        self.kp_at_1 = self._normal("K_m'(κ)", modified_k_derivative(m, self.kappa))
         # a zero of I_m/K_m sits within O(ulp) of one of its own derivative's
         # scale; comparing across the I/K families would misfire at large m
         if abs(self.i_at_1) < 1e-12 * abs(self.ip_at_1) \
@@ -197,17 +214,34 @@ class _ModeScalars:
         self.m_plus = -self.kappa * self.ip_at_1 / self.i_at_1
         self.m_minus = self.kappa * self.kp_at_1 / self.k_at_1
 
+    def _normal(self, name, value):
+        """``value`` if it is a normal finite double, else ArgumentRangeError."""
+        if not _SMALLEST <= math.hypot(value.real, value.imag) <= _LARGEST:
+            raise ArgumentRangeError(
+                f"mode {self.m} leaves the double-precision range at κ = {self.kappa:.6g}: "
+                f"{name} = {value:.3g} is outside {_SMALLEST:.3g} <= |x| <= {_LARGEST:.3g}; "
+                "use fewer modes")
+        return value
+
     def _i(self, w):
         key = ("i", w)
         if key not in self._values:
-            self._values[key] = modified_i(self.m, w)
+            self._values[key] = self._normal(f"I_m({w:.6g})", modified_i(self.m, w))
         return self._values[key]
 
     def _k(self, w):
         key = ("k", w)
         if key not in self._values:
-            self._values[key] = modified_k(self.m, w)
+            self._values[key] = self._normal(f"K_m({w:.6g})", modified_k(self.m, w))
         return self._values[key]
+
+    @cached_property
+    def _k_over_i(self):
+        return self._normal("K_m(κ)/I_m(κ)", self.k_at_1 / self.i_at_1)
+
+    @cached_property
+    def _i_over_k(self):
+        return self._normal("I_m(κ)/K_m(κ)", self.i_at_1 / self.k_at_1)
 
     def profile_in(self, r):
         return self._i(self.kappa * r) / self.i_at_1
@@ -220,17 +254,18 @@ class _ModeScalars:
         return self._i(self.kappa * lo) * self._k(self.kappa * hi)
 
     def dirichlet_interior_kernel(self, r, rp):
-        extra = (self.k_at_1 / self.i_at_1) * self._i(self.kappa * r) * self._i(self.kappa * rp)
+        extra = self._k_over_i * self._i(self.kappa * r) * self._i(self.kappa * rp)
         return self.free_kernel(r, rp) - extra
 
     def dirichlet_exterior_kernel(self, r, rp):
-        extra = (self.i_at_1 / self.k_at_1) * self._k(self.kappa * r) * self._k(self.kappa * rp)
+        extra = self._i_over_k * self._k(self.kappa * r) * self._k(self.kappa * rp)
         return self.free_kernel(r, rp) - extra
 
     def neumann_exterior_kernel(self, r, rp):
         if abs(self.kp_at_1) < 1e-12 * abs(self.k_at_1):
             raise SpectralPoleError(f"z sits at a Neumann pole of exterior mode {self.m}")
-        extra = (self.ip_at_1 / self.kp_at_1) * self._k(self.kappa * r) * self._k(self.kappa * rp)
+        ratio = self._normal("I_m'(κ)/K_m'(κ)", self.ip_at_1 / self.kp_at_1)
+        extra = ratio * self._k(self.kappa * r) * self._k(self.kappa * rp)
         return self.free_kernel(r, rp) - extra
 
 
@@ -381,7 +416,7 @@ def rellich_quotient(k: int, n_boundary: int = 256, n_radial: int = 400):
     du_dnu = -j0k * bessel_j(1, np.full(grid.n, j0k, dtype=complex)).real
     nu_weight = 2.0 * np.einsum("ij,ij->i", grid.points, grid.normals)
     boundary = float(np.sum(du_dnu**2 * nu_weight * grid.arc_weights))
-    x, w = np.polynomial.legendre.leggauss(n_radial)
+    x, w = _leggauss(n_radial)
     r = 0.5 * (x + 1.0)
     values = bessel_j(0, j0k * r.astype(complex)).real
     u_sq = 2.0 * np.pi * float(np.sum(0.5 * w * r * values**2))

@@ -10,7 +10,7 @@ periodic trapezoid rule, which is spectrally accurate for smooth integrands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -154,6 +154,16 @@ def _check_finite(vals: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise EvaluationError(f"{what} produced non-finite values")
     return vals
+
+
+@cache
+def _leggauss(n: int):
+    """The n-point Gauss–Legendre rule (nodes, weights) on [−1, 1], built once per
+    process; the arrays are read-only because every caller shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _check_side(side: str, what: str = "side") -> float:

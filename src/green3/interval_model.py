@@ -10,6 +10,14 @@ the boundary maps follow the outward-derivative convention
 so C¹ matching at the junction is exactly the coupling condition.  Because the
 closed forms are exact, every residual here measures quadrature alone.
 
+Each Green kernel lives for one check call and is applied to many densities φ
+at the same few point sets.  The first ``apply_resolvent`` at a point set
+builds the Gauss–Legendre panels and u₁/u₂ on them and at the points, and
+keeps them on the kernel; every later φ there evaluates only φ itself, once
+per panel set.  This changes no bit of any result: each integrand value is the
+same elementwise product u·φ on the same nodes, reduced by the same ``@ w``
+over the same (panels, quad_n) shape as when everything is evaluated afresh.
+
 Unlike the planar operators, z may be any complex number away from the
 relevant poles — the 1D spectra are discrete, so real z in spectral gaps is a
 legitimate (and tested) regime.
@@ -43,13 +51,13 @@ Every z with |Re z| ≤ 5 and c± ∈ [0, 3] has |ω| ≤ 2.93, far inside.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import AccuracyRegionError, BracketingError, ConfigurationError, SpectralPoleError
-from .geometry import _check_side
+from .geometry import _check_side, _leggauss
 from .reports import ResidualReport, timed_check, worst
 
 _BUMP_CENTERS = (0.3, 0.7, 1.0, 1.35, 1.8)
@@ -119,7 +127,8 @@ class _Kernel:
     """G(x,y) = −u₁(x_<)u₂(x_>)/W on (a,b), the standard Sturm–Liouville form.
 
     ``breaks`` lists interior points where u₁/u₂ lose smoothness (the coupled
-    kernel's junction); quadrature panels must not straddle them."""
+    kernel's junction); quadrature panels must not straddle them.
+    ``_factors`` keeps what ``apply_resolvent`` reuses per (xs, quad_n)."""
 
     a: float
     b: float
@@ -127,6 +136,7 @@ class _Kernel:
     u2: Callable
     wronskian: complex
     breaks: tuple = ()
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def dirichlet_kernel(side: str, z, c: float = 0.0) -> _Kernel:
@@ -182,22 +192,47 @@ def coupled_kernel(z, c_plus: float = 0.0, c_minus: float = 0.0) -> _Kernel:
     return _Kernel(0.0, 2.0, u1, u2, wron, breaks=(1.0,))
 
 
-_GL_CACHE: dict = {}
+class _Panels:
+    """One Gauss–Legendre panel per (starts[k], stops[k]): the rule (t, w) on
+    [0, 1] mapped there, nodes in rows and ``flat`` in row order."""
+
+    def __init__(self, starts, stops, t, w):
+        starts = np.asarray(starts, dtype=float)
+        stops = np.asarray(stops, dtype=float)
+        self.nodes = starts[:, None] + np.outer(stops - starts, t)
+        self.flat = self.nodes.ravel()
+        self.w = w
+        self.lengths = stops - starts
+
+    def integrate(self, vals) -> np.ndarray:
+        """The panel integrals of ``vals``, the integrand at ``flat``."""
+        return (vals.reshape(self.nodes.shape) @ self.w) * self.lengths
 
 
-def _gl(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+class _ResolventFactors:
+    """Everything ``apply_resolvent`` needs of one (kernel, xs, quad_n) but φ:
+    the panels between the edges, the partial panels to and from each x, and
+    u₁/u₂ on them and at xs."""
 
-
-def _partial_integrals(fn: Callable, starts, stops, t, w) -> np.ndarray:
-    """∫ fn over (starts[k], stops[k]) by one mapped Gauss–Legendre panel each."""
-    starts = np.asarray(starts, dtype=float)
-    stops = np.asarray(stops, dtype=float)
-    nodes = starts[:, None] + np.outer(stops - starts, t)
-    vals = np.asarray(fn(nodes.ravel())).reshape(nodes.shape)
-    return (vals @ w) * (stops - starts)
+    def __init__(self, kernel: _Kernel, xs: np.ndarray, quad_n: int):
+        t, w = _leggauss(quad_n)
+        t, w = 0.5 * (t + 1.0), 0.5 * w
+        edges = [kernel.a, *kernel.breaks, kernel.b]
+        self.full = _Panels(edges[:-1], edges[1:], t, w)
+        self.u1_full = kernel.u1(self.full.flat)
+        self.u2_full = kernel.u2(self.full.flat)
+        seg = np.searchsorted(np.asarray(edges[1:-1]), xs, side="right")
+        self.pieces = []  # (panel index, mask of xs, left panels, u₁ there, right panels, u₂ there)
+        for j in range(len(edges) - 1):
+            mask = seg == j
+            if not mask.any():
+                continue
+            xj = xs[mask]
+            left = _Panels(np.full_like(xj, edges[j]), xj, t, w)
+            right = _Panels(xj, np.full_like(xj, edges[j + 1]), t, w)
+            self.pieces.append((j, mask, left, kernel.u1(left.flat), right, kernel.u2(right.flat)))
+        self.u1_xs = kernel.u1(xs)
+        self.u2_xs = kernel.u2(xs)
 
 
 def apply_resolvent(kernel: _Kernel, phi: Callable, xs, quad_n: int = 64) -> np.ndarray:
@@ -205,31 +240,27 @@ def apply_resolvent(kernel: _Kernel, phi: Callable, xs, quad_n: int = 64) -> np.
 
     Integration is split at the kernel kink x and at every interior break, so
     each Gauss–Legendre panel sees an analytic integrand; φ must be an
-    evaluable callable (closed-form bases keep this exact)."""
+    evaluable callable (closed-form bases keep this exact).  The panels and
+    u₁/u₂ are built on the kernel's first call for (xs, quad_n) and reused
+    bit-identically for every later φ (see the module docstring)."""
     xs = np.asarray(xs, dtype=float)
-    t, w = _gl(quad_n)
-    t = 0.5 * (t + 1.0)
-    w = 0.5 * w
-    f1 = lambda y: kernel.u1(y) * np.asarray(phi(y))
-    f2 = lambda y: kernel.u2(y) * np.asarray(phi(y))
-    edges = [kernel.a, *kernel.breaks, kernel.b]
-    full1 = _partial_integrals(f1, edges[:-1], edges[1:], t, w)
-    full2 = _partial_integrals(f2, edges[:-1], edges[1:], t, w)
-    seg = np.searchsorted(np.asarray(edges[1:-1]), xs, side="right")
+    key = (quad_n, xs.shape, xs.tobytes())
+    fac = kernel._factors.get(key)
+    if fac is None:
+        fac = kernel._factors[key] = _ResolventFactors(kernel, xs, quad_n)
+    phi_full = np.asarray(phi(fac.full.flat))
+    full1 = fac.full.integrate(fac.u1_full * phi_full)
+    full2 = fac.full.integrate(fac.u2_full * phi_full)
     left = np.zeros(xs.shape, dtype=complex)
     right = np.zeros(xs.shape, dtype=complex)
-    for j in range(len(edges) - 1):
-        mask = seg == j
-        if not mask.any():
-            continue
-        xj = xs[mask]
-        left[mask] = full1[:j].sum() + _partial_integrals(f1, np.full_like(xj, edges[j]), xj, t, w)
-        right[mask] = full2[j + 1:].sum() + _partial_integrals(f2, xj, np.full_like(xj, edges[j + 1]), t, w)
-    return -(kernel.u2(xs) * left + kernel.u1(xs) * right) / kernel.wronskian
+    for j, mask, lp, u1_left, rp, u2_right in fac.pieces:
+        left[mask] = full1[:j].sum() + lp.integrate(u1_left * np.asarray(phi(lp.flat)))
+        right[mask] = full2[j + 1:].sum() + rp.integrate(u2_right * np.asarray(phi(rp.flat)))
+    return -(fac.u2_xs * left + fac.u1_xs * right) / kernel.wronskian
 
 
 def _integrate(fn: Callable, a: float, b: float, quad_n: int = 64) -> complex:
-    t, w = _gl(quad_n)
+    t, w = _leggauss(quad_n)
     nodes = 0.5 * (b - a) * (t + 1.0) + a
     return complex(0.5 * (b - a) * np.dot(np.asarray(fn(nodes)), w))
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnsatzResonanceError, ConfigurationError
-from .geometry import InterfaceCurve, QuadratureGrid
+from .geometry import InterfaceCurve, QuadratureGrid, _leggauss
 from .potentials import _LayerOperators, eval_single_layer_field
 from .reports import ResidualReport, timed_check, worst
 from .specfun import (
@@ -189,7 +189,7 @@ def _ring_profile_weights(z: SpectralPoint, freqs: np.ndarray, radii, radial_wei
 
 
 def _gauss_legendre(a: float, b: float, n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

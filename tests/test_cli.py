@@ -176,19 +176,24 @@ def test_negative_modes_are_usage_error(command, message):
     assert stderr == message + "\n"
 
 
-@pytest.mark.parametrize("modes, message", [
-    ("-1", "green3: no checks ran"),
-    ("16", "green3: dtn modes must be below nodes/2 = 16, got 16"),
+@pytest.mark.parametrize("command, modes, message", [
+    # the dtn cases keep the ids they had before jumps joined them
+    pytest.param("dtn", "-1", "green3: no checks ran", id="-1-green3: no checks ran"),
+    pytest.param("dtn", "16", "green3: dtn modes must be below nodes/2 = 16, got 16",
+                 id="16-green3: dtn modes must be below nodes/2 = 16, got 16"),
+    ("jumps", "-1", "green3: modes must be >= 0, got -1"),
+    ("jumps", "16", "green3: jumps modes must be below nodes/2 = 16, got 16"),
+    ("jumps", "40", "green3: jumps modes must be below nodes/2 = 16, got 40"),
 ])
-def test_dtn_without_usable_modes_assembles_nothing(monkeypatch, modes, message):
+def test_dtn_without_usable_modes_assembles_nothing(monkeypatch, command, modes, message):
     from green3.potentials import _LayerOperators
 
     def no_assembly(*args, **kwargs):
         raise AssertionError("layer operators built")
 
-    # every S, K, K* the dtn path solves with comes from this bundle
+    # every S, K, K* the dtn and jumps paths use comes from this bundle
     monkeypatch.setattr(_LayerOperators, "__init__", no_assembly)
-    code, stdout, stderr = main_capture(["dtn", "--modes", modes, "--nodes", "32"])
+    code, stdout, stderr = main_capture([command, "--modes", modes, "--nodes", "32"])
     assert code == 2
     assert stdout == ""
     assert stderr == message + "\n"
@@ -459,6 +464,39 @@ def test_repeat_runs_are_byte_identical_with_timing_omitted():
     doc = json.loads(first[1])
     assert doc["wall_time_s"] == 0.0
     assert all(row["wall_time_s"] == 0.0 for row in doc["checks"])
+
+
+def test_one_parser_serves_every_run_without_carry_over():
+    from green3 import cli
+
+    def zs(stdout):
+        return {tuple(row["params"]["z"]) for row in json.loads(stdout)["checks"]}
+
+    first = main_capture(["krein", "--z", "1,1", "--modes", "2", "--omit-timing"])
+    second = main_capture(["krein", "--modes", "2", "--omit-timing"])
+    assert first[0] == second[0] == 0
+    assert zs(first[1]) == {(1.0, 1.0)}
+    assert zs(second[1]) == {(-1.0, 0.0)}  # the default z, not the earlier --z list
+    code, stdout, stderr = main_capture(["krein", "--modes", "x"])
+    assert code == 2 and stdout == "" and "invalid int value" in stderr
+    assert main_capture(["krein", "--modes", "2", "--omit-timing"]) == second
+    assert cli._parser() is cli._parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ["krein", "--z", "0.5,-1.5", "--modes", "6", "--c", "2.5"],
+    ["interval", "--check", "krein", "--z", "-2,1", "--c+", "0.5", "--c-", "2"],
+    ["interval", "--check", "mixed", "--z", "3,-0.7", "--c+", "1.2", "--c-", "0"],
+    ["interval", "--check", "green3", "--c+", "1.5", "--c-", "0.3"],
+    ["interval", "--check", "suite", "--z", "1,2", "--z", "-3,-1", "--c+", "2", "--c-", "1"],
+    ["rellich", "--k", "3"],
+], ids=["krein", "interval-krein", "interval-mixed", "interval-green3", "interval-suite",
+        "rellich"])
+def test_closed_form_jobs_repeat_byte_identically_in_one_process(argv):
+    # the parser, the Gauss-Legendre rules and nothing else outlive a run
+    first = main_capture([*argv, "--omit-timing"])
+    assert first[0] == 0 and first[1]
+    assert main_capture([*argv, "--omit-timing"]) == first
 
 
 def test_thread_cap_does_not_change_output(monkeypatch):

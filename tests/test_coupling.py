@@ -18,7 +18,7 @@ from green3.coupling import (
     transmission_point_sources,
     unique_continuation_check,
 )
-from green3.errors import ConfigurationError, SpectralPoleError
+from green3.errors import ArgumentRangeError, ConfigurationError, SpectralPoleError
 from green3.geometry import make_curve
 from green3.specfun import as_spectral_point, fundamental_solution
 
@@ -57,6 +57,29 @@ def test_mode_formulas_reject_spectrum():
 def test_mode_formulas_reject_negative_shift():
     with pytest.raises(ConfigurationError):
         krein_resolvent_disk_mode(-1.0, 0, c=-0.5)
+
+
+@pytest.mark.parametrize("formula", [krein_resolvent_disk_mode, mixed_resolvent_disk_mode,
+                                     resolvent_difference_disk_mode])
+def test_mode_formulas_stop_where_the_bessel_factors_leave_the_double_range(formula):
+    # at z − c = −2, K_m(κ)/I_m(κ) overflows and I_m(κ)/K_m(κ) is subnormal from m = 92
+    assert formula(-1.0, 91, c=1.0) <= 1e-10
+    with pytest.raises(ArgumentRangeError, match="mode 92 leaves the double-precision range"):
+        formula(-1.0, 92, c=1.0)
+
+
+@pytest.mark.parametrize("argv, mode", [
+    (["--z", "-1,0", "--modes", "100"], 92),  # used to give NaN rows and exit 1
+    (["--z", "-1,0", "--modes", "400"], 92),  # used to report a Dirichlet pole of mode 158
+    (["--z", "0.2,0.5", "--c", "0", "--modes", "81"], 81),
+])
+def test_krein_modes_beyond_the_double_range_are_usage_errors(argv, mode):
+    code, stdout, stderr = _cli(["krein", *argv, "--omit-timing"])
+    assert code == 2 and stdout == ""
+    assert f"mode {mode} leaves the double-precision range" in stderr
+    assert "1.8e+308" in stderr and "pole" not in stderr
+    code, stdout, _ = _cli(["krein", *argv[:-1], str(mode - 1), "--omit-timing"])
+    assert code == 0 and json.loads(stdout)["all_pass"]
 
 
 # ----------------------------------------------------------- eigenvalue criterion
@@ -317,7 +340,7 @@ def test_mode_formulas_propagate_nan(monkeypatch, formula):
     monkeypatch.setattr(coupling._ModeScalars, "free_kernel", lambda self, r, rp: (
         complex("nan") if r == rp == 2.5 else free_kernel(self, r, rp)))
     assert math.isnan(formula(2 + 1j, 1, c=1.0))
-    code, stdout = _cli(["krein", "--z", "2,1", "--mode", "1"])
+    code, stdout, _ = _cli(["krein", "--z", "2,1", "--mode", "1"])
     assert code == 1
     assert not any(row["passed"] for row in json.loads(stdout)["checks"])
 
@@ -347,7 +370,7 @@ def _cli(argv):
 
     from green3.cli import main
 
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()

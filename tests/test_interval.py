@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from green3.interval_model import (
     abstract_identity_suite,
     apply_resolvent,
     coupled_eigenvalues,
+    coupled_kernel,
     default_basis,
     dirichlet_kernel,
     gamma_profile,
@@ -80,6 +82,49 @@ def test_dirichlet_resolvent_against_constant_load():
     u = apply_resolvent(dirichlet_kernel("+", -1.0), _const(1.0), xs)
     exact = 1.0 - np.cosh(xs - 0.5) / np.cosh(0.5)
     assert np.abs(u - exact).max() < 1e-13
+
+
+@pytest.mark.parametrize("make, xs", [
+    (lambda: coupled_kernel(0.5 + 1j, 0.0, 2.0), np.linspace(0.05, 1.95, 40)),
+    (lambda: dirichlet_kernel("-", 2j, 1.0), np.linspace(1.05, 1.95, 19)),
+], ids=["coupled-both-sides-of-the-break", "dirichlet"])
+def test_reused_resolvent_factors_change_no_bit(make, xs):
+    phi1, phi2 = default_basis()[2], default_basis()[4]
+    shared = make()
+    first = apply_resolvent(shared, phi1, xs)
+    second = apply_resolvent(shared, phi2, xs)
+    assert np.array_equal(first, apply_resolvent(make(), phi1, xs))
+    assert np.array_equal(second, apply_resolvent(make(), phi2, xs))
+
+
+@pytest.mark.parametrize("formula", [krein_formula_check, mixed_formula_check])
+def test_resolvent_formulas_evaluate_each_kernel_once_per_point_set(monkeypatch, formula):
+    # u₁/u₂ depend on the kernel and the points, never on the density
+    import green3.interval_model as interval_model
+
+    calls = []
+
+    def counted(u):
+        def wrapped(x):
+            calls.append(1)
+            return u(x)
+        return wrapped
+
+    def counting(make):
+        def build(*args, **kwargs):
+            kernel = make(*args, **kwargs)
+            return dataclasses.replace(kernel, u1=counted(kernel.u1), u2=counted(kernel.u2))
+        return build
+
+    for name in ("coupled_kernel", "dirichlet_kernel", "neumann_kernel_minus"):
+        monkeypatch.setattr(interval_model, name, counting(getattr(interval_model, name)))
+
+    def evaluations(bumps):
+        calls.clear()
+        formula(1j, grid_n=50, basis=default_basis()[:bumps])
+        return len(calls)
+
+    assert evaluations(1) == evaluations(5) > 0
 
 
 # ------------------------------------------------------------- resolvent formulas
