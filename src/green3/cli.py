@@ -407,40 +407,56 @@ def _run(config: RunConfig) -> int:
     return 0 if report.all_pass else 1
 
 
+def _flags(*specs) -> argparse.ArgumentParser:
+    """A parent parser holding the flags ``specs``, each (name, keyword arguments)."""
+    group = argparse.ArgumentParser(add_help=False)
+    for name, kwargs in specs:
+        group.add_argument(name, **kwargs)
+    return group
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--curve", default="disk", help="disk | ellipse:a,b | kite")
-    common.add_argument("--nodes", type=int, default=256)
-    common.add_argument("--z", action="append", type=_parse_z, default=None, metavar="RE,IM")
-    common.add_argument("--modes", type=int, default=8)
-    common.add_argument("--c+", dest="c_plus", type=float, default=None)
-    common.add_argument("--c-", dest="c_minus", type=float, default=None)
-    common.add_argument("--out", default=None)
-    common.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol-scale", type=float, default=1.0)
-    common.add_argument("--omit-timing", action="store_true",
-                        help="zero the wall-time fields for byte-identical reruns")
+    """Each subcommand takes only the flags its checks read, so a flag it would
+    ignore is a usage error (exit 2) that names the flag.  ``--nodes`` is
+    accepted everywhere; ``krein``, ``rellich`` and ``interval`` ignore it."""
+    shared = _flags(
+        ("--nodes", dict(type=int, default=256)),
+        ("--out", dict(default=None)),
+        ("--format", dict(dest="fmt", choices=("json", "csv"), default="json")),
+        ("--tol-scale", dict(type=float, default=1.0)),
+        ("--omit-timing", dict(action="store_true",
+                               help="zero the wall-time fields for byte-identical reruns")))
+    curve = _flags(("--curve", dict(default="disk", help="disk | ellipse:a,b | kite")))
+    zs = _flags(("--z", dict(action="append", type=_parse_z, dest="zs", default=None,
+                             metavar="RE,IM")))
+    modes = _flags(("--modes", dict(type=int, default=8)))
+    shifts = _flags(("--c+", dict(dest="c_plus", type=float, default=None)),
+                    ("--c-", dict(dest="c_minus", type=float, default=None)))
+    planar = [curve, zs, shared]
 
     parser = argparse.ArgumentParser(
         prog="green3", description="Residual checks for coupled Helmholtz boundary triples.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    sub.add_parser("jumps", parents=[common], help="layer-potential trace/jump relations")
-    dtn = sub.add_parser("dtn", parents=[common], help="Dirichlet-to-Neumann eigenvalue tables")
+    sub.add_parser("jumps", parents=[*planar, modes], help="layer-potential trace/jump relations")
+    dtn = sub.add_parser("dtn", parents=[*planar, modes],
+                         help="Dirichlet-to-Neumann eigenvalue tables")
     dtn.add_argument("--side", choices=("interior", "exterior"), default="interior")
-    sub.add_parser("green-identity", parents=[common],
+    sub.add_parser("green-identity", parents=planar,
                    help="transmission third Green identity at point-source fields")
-    krein = sub.add_parser("krein", parents=[common], help="per-mode resolvent formulas on the disk")
+    krein = sub.add_parser("krein", parents=[zs, modes, shared],
+                           help="per-mode resolvent formulas on the disk")
     krein.add_argument("--mode", action="append", type=int, default=None, dest="mode_list")
     krein.add_argument("--c", dest="c_shift", type=float, default=1.0)
-    indicator = sub.add_parser("indicator", parents=[common],
+    indicator = sub.add_parser("indicator", parents=[*planar, shifts],
                                help="coupled-eigenvalue indicator scan")
     indicator.add_argument("--zgrid", type=_parse_zgrid, default=None, metavar="RE0:RE1:COUNT[:IM]")
-    rellich = sub.add_parser("rellich", parents=[common], help="Rellich eigenvalue quotients")
-    rellich.add_argument("--k", action="append", type=int, default=None)
-    interval = sub.add_parser("interval", parents=[common], help="closed-form 1D model checks")
+    rellich = sub.add_parser("rellich", parents=[shared], help="Rellich eigenvalue quotients")
+    rellich.add_argument("--k", action="append", type=int, dest="ks", default=None)
+    interval = sub.add_parser("interval", parents=[zs, shifts, shared],
+                              help="closed-form 1D model checks")
     interval.add_argument("--check", choices=("krein", "mixed", "green3", "suite"),
                           default="suite")
+    interval.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -452,26 +468,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=ns.subcommand,
-        curve=ns.curve,
-        nodes=ns.nodes,
-        zs=tuple(ns.z) if ns.z else (),
-        modes=ns.modes,
-        mode_list=tuple(ns.mode_list) if getattr(ns, "mode_list", None) else (),
-        side=getattr(ns, "side", "interior"),
-        check=getattr(ns, "check", "suite"),
-        ks=tuple(ns.k) if getattr(ns, "k", None) else (),
-        zgrid=getattr(ns, "zgrid", None),
-        c_plus=ns.c_plus,
-        c_minus=ns.c_minus,
-        c_shift=getattr(ns, "c_shift", 1.0),
-        out=ns.out,
-        fmt=ns.fmt,
-        seed=ns.seed,
-        tol_scale=ns.tol_scale,
-        omit_timing=ns.omit_timing,
-    )
+    """The parsed flags, named as the ``RunConfig`` fields; a flag left unset or
+    absent from the subcommand keeps the field's default."""
+    return RunConfig(**{key: value for key, value in vars(ns).items() if value is not None})
 
 
 _NEGATIVE_VALUE_FLAGS = ("--z", "--c+", "--c-", "--zgrid")

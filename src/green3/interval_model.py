@@ -174,17 +174,23 @@ def coupled_kernel(z, c_plus: float = 0.0, c_minus: float = 0.0) -> _Kernel:
 
     def u1(x):
         x = np.asarray(x, dtype=float)
-        left = np.sin(wp * x)
-        right = cmath.sin(wp) * np.cos(wm * (x - 1.0)) \
-            + (wp / wm) * cmath.cos(wp) * np.sin(wm * (x - 1.0))
-        return np.where(x <= 1.0, left, right)
+        out = np.empty(x.shape, dtype=complex)
+        left = x <= 1.0
+        out[left] = np.sin(wp * x[left])
+        xr = x[~left]
+        out[~left] = cmath.sin(wp) * np.cos(wm * (xr - 1.0)) \
+            + (wp / wm) * cmath.cos(wp) * np.sin(wm * (xr - 1.0))
+        return out
 
     def u2(x):
         x = np.asarray(x, dtype=float)
-        right = np.sin(wm * (2.0 - x))
-        left = cmath.sin(wm) * np.cos(wp * (1.0 - x)) \
-            + (wm / wp) * cmath.cos(wm) * np.sin(wp * (1.0 - x))
-        return np.where(x >= 1.0, right, left)
+        out = np.empty(x.shape, dtype=complex)
+        right = x >= 1.0
+        out[right] = np.sin(wm * (2.0 - x[right]))
+        xl = x[~right]
+        out[~right] = cmath.sin(wm) * np.cos(wp * (1.0 - xl)) \
+            + (wm / wp) * cmath.cos(wm) * np.sin(wp * (1.0 - xl))
+        return out
 
     wron = -cmath.sin(wp) * wm * cmath.cos(wm) - wp * cmath.cos(wp) * cmath.sin(wm)
     if abs(wron) < 1e-10 * (1.0 + abs(wp) + abs(wm)):
@@ -363,26 +369,27 @@ def mixed_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
         phi_p = _restrict(phi, 0.0, 1.0)
         phi_m = _restrict(phi, 1.0, 2.0)
 
+        # (A₁₋−z)⁻¹φ₋ and the γ₋ pairing enter both rows of the bump
+        neumann_m = apply_resolvent(g1_minus, phi_m, xs_minus, quad_n)
+        pairing_m = _integrate(lambda y: gam_minus(y) * phi_m(y), 1.0, 2.0, quad_n)
+
         def residual():
             lhs_p = apply_resolvent(coupled, phi, xs_plus, quad_n)
             lhs_m = apply_resolvent(coupled, phi, xs_minus, quad_n)
             hat = np.array([
                 _integrate(lambda y: gam_plus(y) * phi_p(y), 0.0, 1.0, quad_n),
-                _integrate(lambda y: gam_minus(y) * phi_m(y), 1.0, 2.0, quad_n) / mm,
+                pairing_m / mm,
             ])
             corr = sigma @ hat
             rhs_p = apply_resolvent(g_plus, phi_p, xs_plus, quad_n) + gam_plus(xs_plus) * corr[0]
-            rhs_m = apply_resolvent(g1_minus, phi_m, xs_minus, quad_n) \
-                + (gam_minus(xs_minus) / mm) * corr[1]
+            rhs_m = neumann_m + (gam_minus(xs_minus) / mm) * corr[1]
             return worst((np.abs(lhs_p - rhs_p).max(), np.abs(lhs_m - rhs_m).max()))
 
         rows.append(timed_check("interval.mixed", {**params, "basis": idx}, tolerance, residual))
 
         def res01():
-            direct = apply_resolvent(g_minus, phi_m, xs_minus, quad_n) \
-                - apply_resolvent(g1_minus, phi_m, xs_minus, quad_n)
-            pairing = _integrate(lambda y: gam_minus(y) * phi_m(y), 1.0, 2.0, quad_n)
-            return float(np.abs(direct - gam_minus(xs_minus) * pairing / mm).max())
+            direct = apply_resolvent(g_minus, phi_m, xs_minus, quad_n) - neumann_m
+            return float(np.abs(direct - gam_minus(xs_minus) * pairing_m / mm).max())
 
         rows.append(timed_check("interval.res01", {**params, "basis": idx}, tolerance, res01))
     return ResidualReport(rows).sorted()

@@ -35,9 +35,24 @@ for |z| ≤ 32 and to 3.2e-14 up to z = 1e4 + i and 2500 + 2500i, and H_0, H_1
 pointwise to 6.9e-15 for |z| ≤ 32 (|Im k|·r_max up to 16.7) and 7.8e-14 at
 z = 1e4 + i, where the rounding of k·r alone moves H by ε·|k|·r ≈ 3e-14.
 Real z < 0 (k on the imaginary axis) keeps the I/K route of ``specfun``;
-``_LayerOperators._kernels`` hands either route's kernels to S and K, so each
-has one Helmholtz branch beside the logarithm at z = 0.  The off-curve field
-evaluators call ``specfun`` directly.
+``_LayerOperators._over_pairs`` hands either route's kernels to S and K, so
+each has one Helmholtz branch beside the logarithm at z = 0.  The off-curve
+field evaluators call ``specfun`` directly.
+
+The pair pass.  At complex z a bundle streams its pairs through the worker
+pool in chunks of ``_TABLE_CHUNK`` pairs.  One task looks its chunk up in the
+table, does all of the Kress-split arithmetic there and writes the S core, or
+the two K values of each pair, straight into the bundle's pair arrays: the
+temporaries of a chunk stay in cache, and no kernel array over all pairs is
+made.  Each element goes through the same operations in the same order as in
+one pass over all pairs, so S, K and K* are the same to the bit for every
+chunk size and thread cap.  Real z < 0 and z = 0 keep one pass over all
+pairs: a variant that chunked the I/K route too raised the peak RSS of the
+benchmark's real-z indicator scans (N = 256 and 512) from 90 to 122 MB in
+three runs, and to 117 MB with a single malloc arena, while its throughput
+moved by 2% at most.  K* is scattered from the pair values of K,
+K*_ij = K_ji·(s_j/s_i) with s the node speed, which equals K.T·(s_j/s_i) bit
+for bit; the DtN path reads only S and K* and never forms K.
 """
 
 from __future__ import annotations
@@ -125,7 +140,7 @@ _TABLE_RADIANS = 0.25  # widest panel, in radians of |k|·r
 _TABLE_TAIL = 1e-15    # last two coefficients against the function's table maximum
 _TABLE_SHRINK = 16     # a truncation tail shrinks far more than this when its panel is halved
 _TABLE_ROUNDS = 8      # halvings a panel may need before the table gives up
-_TABLE_CHUNK = 8192    # pairs per evaluation task on the pool
+_TABLE_CHUNK = 8192    # pairs per pool task of a bundle's pair pass at complex z
 
 
 @cache
@@ -157,7 +172,13 @@ class _KernelTable:
     panels the Chebyshev coefficients fall from O(1) to 1e-15 within ten
     degrees, far faster than the (1 + √2)^k size of the monomial coefficients
     of T_k, so the monomial form stays within 3.3e-16 of Clenshaw's recurrence
-    and needs one operation fewer per step.
+    and needs one operation fewer per step.  Each step multiplies the (pairs, 4)
+    accumulator by t repeated to the same shape, made once per call: on 8192
+    pairs that takes 10 µs a step against 36 µs for a multiply that broadcasts
+    a (pairs, 1) column, with the same products.  The gathers of the
+    coefficients use ``mode="clip"``: every index is in range, and the default
+    mode copies through a buffer when ``out`` is given (12 against 31 µs a
+    gather; numpy 2.4 on a 2-vCPU x86 host).
     """
 
     def __init__(self, k: complex, r_lo: float, r_hi: float):
@@ -203,26 +224,18 @@ class _KernelTable:
 
     def __call__(self, order: int, r: np.ndarray):
         """(J_0(kr), H_0(kr)) for order 0 and (J_1(kr)/(kr), H_1(kr)) for order 1,
-        evaluated in chunks of ``_TABLE_CHUNK`` pairs on the worker pool."""
-        j, h = np.empty(r.size, dtype=complex), np.empty(r.size, dtype=complex)
-        j_parts, h_parts = j.view(float).reshape(-1, 2), h.view(float).reshape(-1, 2)
-        chunks = [slice(a, a + _TABLE_CHUNK) for a in range(0, r.size, _TABLE_CHUNK)]
-        _pool.run_all([lambda s=s: self._horner(order, r[s], j_parts[s], h_parts[s])
-                       for s in chunks])
-        return j, h
-
-    def _horner(self, order: int, r: np.ndarray, j_parts: np.ndarray, h_parts: np.ndarray):
+        in one pass over r; a bundle hands it one chunk of pairs at a time."""
         coef = self._coef[order]
         panel = np.searchsorted(self._edges, r, side="right") - 1
         np.minimum(panel, len(self._mid) - 1, out=panel)  # r = r_hi
-        t = ((r - self._mid[panel]) * self._inv_half[panel])[:, None]
-        acc = coef[-1].take(panel, axis=0)
+        acc = coef[-1].take(panel, axis=0, mode="clip")
+        t = np.repeat((r - self._mid[panel]) * self._inv_half[panel], 4).reshape(acc.shape)
         gathered = np.empty_like(acc)
         for c in coef[-2::-1]:
             acc *= t
-            acc += c.take(panel, axis=0, out=gathered)
-        j_parts[...] = acc[:, :2]
-        h_parts[...] = acc[:, 2:]
+            acc += c.take(panel, axis=0, out=gathered, mode="clip")
+        j, h = np.ascontiguousarray(acc.view(complex).T)  # columns [J, H]
+        return j, h
 
 
 class _LayerOperators:
@@ -256,16 +269,22 @@ class _LayerOperators:
     def _table(self) -> _KernelTable:
         return _KernelTable(self.z.sqrt_z, self._r.min(), self._r.max())
 
-    def _kernels(self, order: int):
-        """(J_0(kr), H_0(kr)) for order 0 and (J_1(kr)/(kr), H_1(kr)) for order 1
-        on the pairs, k = √z ≠ 0: from the table, or at real z < 0, where k is
-        on the imaginary axis, from the I/K route of ``specfun``."""
+    def _over_pairs(self, order: int, assemble) -> None:
+        """``assemble(s, smooth, split)`` for slices s covering the pairs, with
+        (J_0(kr), H_0(kr)) for order 0 and (J_1(kr)/(kr), H_1(kr)) for order 1
+        on them, k = √z ≠ 0.  At complex z the table gives them a chunk of
+        ``_TABLE_CHUNK`` pairs at a time, one pool task per chunk; at real
+        z < 0, where k is on the imaginary axis, the I/K route of ``specfun``
+        gives them on all pairs in one pass."""
         k = self.z.sqrt_z
         if k.real != 0.0:
-            return self._table(order, self._r)
+            table, r = self._table, self._r
+            chunks = [slice(a, a + _TABLE_CHUNK) for a in range(0, r.size, _TABLE_CHUNK)]
+            _pool.run_all([lambda s=s: assemble(s, *table(order, r[s])) for s in chunks])
+            return
         w = k * self._r
         j = bessel_j(order, w)
-        return (j / w if order else j), hankel1(order, w)
+        assemble(slice(None), (j / w if order else j), hankel1(order, w))
 
     def _square(self, upper, lower, diagonal) -> np.ndarray:
         out = np.empty((self.grid.n, self.grid.n), dtype=complex)
@@ -282,14 +301,19 @@ class _LayerOperators:
             smooth = -1.0 / (4.0 * np.pi)
             split = -(np.log(r) - 0.5 * self._lsin) / (2.0 * np.pi)
             split_diagonal = -np.log(speed) / (2.0 * np.pi)
+            core = self._kress * smooth + (2.0 * np.pi / n) * split
         else:
             k = z.sqrt_z
-            smooth, split = self._kernels(0)  # J_0(kr), H_0(kr), scaled in place
-            smooth *= -1.0 / (4.0 * np.pi)
-            split *= 0.25j
-            split -= smooth * self._lsin
+            core = np.empty(r.size, dtype=complex)
+
+            def assemble(s, smooth, split):  # J_0(kr), H_0(kr), scaled in place
+                smooth *= -1.0 / (4.0 * np.pi)
+                split *= 0.25j
+                split -= smooth * self._lsin[s]
+                np.add(self._kress[s] * smooth, (2.0 * np.pi / n) * split, out=core[s])
+
+            self._over_pairs(0, assemble)
             split_diagonal = 0.25j - (np.euler_gamma + np.log(k * speed / 2.0)) / (2.0 * np.pi)
-        core = self._kress * smooth + (2.0 * np.pi / n) * split
         # the smooth part is -J_0(k·0)/(4π) = -1/(4π) on the diagonal
         diagonal = -self._kress_diagonal / (4.0 * np.pi) + (2.0 * np.pi / n) * split_diagonal
         mat = self._square(core, core, diagonal)
@@ -297,30 +321,49 @@ class _LayerOperators:
         return mat
 
     @cached_property
-    def double_layer(self) -> np.ndarray:
-        """K(z), principal value, with the curvature diagonal."""
+    def _double_layer_pairs(self):
+        """K on the pairs i < j, as (K_ij, K_ji), and its curvature diagonal."""
         n, z, r = self.grid.n, self.z, self._r
-        if z.is_laplace:
-            core = 1.0 / (n * r * r)
-        else:
-            k = z.sqrt_z
-            smooth, split = self._kernels(1)  # J_1(kr)/(kr), H_1(kr), scaled in place
-            smooth *= -k * k / (4.0 * np.pi)
-            split *= 0.25j * k
-            split /= r
-            split -= smooth * self._lsin
-            core = self._kress * smooth + (2.0 * np.pi / n) * split
         nu_x, nu_y = _unnormalized_normal(self.grid).T
         rows, cols, dx, dy = self._rows, self._cols, self._dx, self._dy
-        upper = (nu_x[cols] * dx + nu_y[cols] * dy) * core    # ⟨n_u[j], x_j − x_i⟩
-        lower = -(nu_x[rows] * dx + nu_y[rows] * dy) * core  # ⟨n_u[i], x_i − x_j⟩
-        return self._square(upper, lower, self.grid.curvature * self.grid.speed / (2.0 * n))
+        upper = np.empty(r.size, dtype=complex)
+        lower = np.empty(r.size, dtype=complex)
+
+        def write_pairs(s, core):  # core times ⟨n_u[j], x_j − x_i⟩ and ⟨n_u[i], x_i − x_j⟩
+            rs, cs, dxs, dys = rows[s], cols[s], dx[s], dy[s]
+            np.multiply(nu_x[cs] * dxs + nu_y[cs] * dys, core, out=upper[s])
+            np.multiply(-(nu_x[rs] * dxs + nu_y[rs] * dys), core, out=lower[s])
+
+        if z.is_laplace:
+            write_pairs(slice(None), 1.0 / (n * r * r))
+        else:
+            k = z.sqrt_z
+            smooth_scale, split_scale = -k * k / (4.0 * np.pi), 0.25j * k
+
+            def assemble(s, smooth, split):  # J_1(kr)/(kr), H_1(kr), scaled in place
+                smooth *= smooth_scale
+                split *= split_scale
+                split /= r[s]
+                split -= smooth * self._lsin[s]
+                write_pairs(s, self._kress[s] * smooth + (2.0 * np.pi / n) * split)
+
+            self._over_pairs(1, assemble)
+        return upper, lower, self.grid.curvature * self.grid.speed / (2.0 * n)
+
+    @cached_property
+    def double_layer(self) -> np.ndarray:
+        """K(z), principal value, with the curvature diagonal."""
+        return self._square(*self._double_layer_pairs)
 
     @cached_property
     def adjoint_double_layer(self) -> np.ndarray:
-        """K*, the quadrature adjoint of K: K*_ij = K_ji |x'(t_j)| / |x'(t_i)|."""
+        """K*, the quadrature adjoint of K: K*_ij = K_ji |x'(t_j)| / |x'(t_i)|,
+        scattered from the pair values of K without forming K."""
         speed = self.grid.speed
-        return self.double_layer.T * (speed[None, :] / speed[:, None])
+        upper, lower, diagonal = self._double_layer_pairs
+        s_rows, s_cols = speed[self._rows], speed[self._cols]
+        # the ratio is 1 on the diagonal, so K*_ii = K_ii
+        return self._square(lower * (s_cols / s_rows), upper * (s_rows / s_cols), diagonal)
 
     def apply_trace(self, name: str, densities) -> np.ndarray:
         """One side's trace of a layer potential, named as in ``_TRACES``,

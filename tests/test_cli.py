@@ -222,6 +222,24 @@ def test_non_finite_or_non_positive_numbers_are_usage_errors(tmp_path, argv, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["jumps", "--c+", "5", "--seed", "9"], ("--c+", "--seed")),
+    (["indicator", "--modes", "5"], ("--modes",)),
+    (["rellich", "--curve", "kite", "--nodes", "8"], ("--curve",)),
+    (["dtn", "--c+", "2"], ("--c+",)),
+    (["krein", "--curve", "kite"], ("--curve",)),
+])
+def test_a_flag_the_subcommand_ignores_is_usage_error(tmp_path, argv, flags):
+    # each used to run and exit 0 as if the flag had been read
+    out = tmp_path / "r.json"
+    code, stdout, stderr = main_capture([*argv, "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert "unrecognized arguments" in stderr
+    for flag in flags:
+        assert flag in stderr
+    assert not out.exists()
+
+
 def test_dtn_at_a_resonance_is_usage_error():
     # S of the unit disk is singular at z = 0; the LU guard must stop the run
     code, stdout, stderr = main_capture(["dtn", "--curve", "disk", "--z", "0,0", "--nodes", "64"])
@@ -433,7 +451,7 @@ def test_cli_import_starts_no_thread():
 
 @pytest.mark.parametrize("cap", ["2", "4"])
 def test_indicator_scan_with_kernel_chunks_finishes(cap):
-    # off the real axis, 192 nodes give 18 336 kernel pairs, three table chunks
+    # off the real axis, 192 nodes give 18 336 kernel pairs, three pair chunks
     # each scan point hands to the pool while other scan points still hold it
     proc = subprocess.run(
         [sys.executable, "-m", "green3.cli", "indicator", "--zgrid", "-3:-1:6:0.5",
@@ -504,7 +522,7 @@ def test_thread_cap_does_not_change_output(monkeypatch):
 
     jobs = [
         ["krein", "--z", "2,1", "--z", "-1,0", "--modes", "3", "--omit-timing"],
-        # one task each: at cap 2 and 8 it hands its kernel-table chunks to idle workers
+        # one task each: at cap 2 and 8 it hands its pair chunks to idle workers
         ["dtn", "--curve", "kite", "--z", "-1,0.5", "--nodes", "160", "--omit-timing"],
         ["jumps", "--curve", "kite", "--z", "2,1", "--nodes", "160", "--omit-timing"],
     ]

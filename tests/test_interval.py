@@ -97,6 +97,29 @@ def test_reused_resolvent_factors_change_no_bit(make, xs):
     assert np.array_equal(second, apply_resolvent(make(), phi2, xs))
 
 
+@pytest.mark.parametrize("z, c_plus, c_minus", [(1j, 0.0, 0.0), (-2.0 + 1.0j, 0.5, 2.0),
+                                             (3.0 - 0.7j, 1.2, 0.0)])
+def test_coupled_kernel_branches_match_the_where_form(z, c_plus, c_minus):
+    # each branch is evaluated on its own side of x = 1 only, to the same bits
+    import cmath
+
+    wp, wm = cmath.sqrt(z - c_plus), cmath.sqrt(z - c_minus)
+    kernel = coupled_kernel(z, c_plus, c_minus)
+    xs = np.concatenate([np.linspace(0.0, 2.0, 41), [1.0, np.nextafter(1.0, 0.0),
+                                                    np.nextafter(1.0, 2.0)]])
+    u1 = np.where(xs <= 1.0, np.sin(wp * xs),
+                  cmath.sin(wp) * np.cos(wm * (xs - 1.0))
+                  + (wp / wm) * cmath.cos(wp) * np.sin(wm * (xs - 1.0)))
+    u2 = np.where(xs >= 1.0, np.sin(wm * (2.0 - xs)),
+                  cmath.sin(wm) * np.cos(wp * (1.0 - xs))
+                  + (wm / wp) * cmath.cos(wm) * np.sin(wp * (1.0 - xs)))
+    assert np.array_equal(kernel.u1(xs), u1)
+    assert np.array_equal(kernel.u2(xs), u2)
+    for i, x in enumerate(xs):  # a scalar gives a 0-d array, as np.where did
+        assert kernel.u1(x).shape == kernel.u2(x).shape == ()
+        assert kernel.u1(x) == u1[i] and kernel.u2(float(x)) == u2[i]
+
+
 @pytest.mark.parametrize("formula", [krein_formula_check, mixed_formula_check])
 def test_resolvent_formulas_evaluate_each_kernel_once_per_point_set(monkeypatch, formula):
     # u₁/u₂ depend on the kernel and the points, never on the density

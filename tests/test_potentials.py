@@ -336,3 +336,80 @@ def test_overflow_guard_still_sees_the_largest_pair(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "green3: |w| must be finite and < 700 (overflow guard)\n"
+
+
+# ---------------------------------------------------------------- chunked pair pass
+
+def _whole_array_operators(ops):
+    """S, K, K* from the table on all pairs at once, by the same per-element
+    operations as the bundle, scattered into dense matrices here."""
+    n, k, r = ops.grid.n, ops.z.sqrt_z, ops._r
+    speed, rows, cols = ops.grid.speed, ops._rows, ops._cols
+
+    def dense(upper, lower, diagonal):
+        mat = np.empty((n, n), dtype=complex)
+        mat[rows, cols], mat[cols, rows] = upper, lower
+        mat[np.arange(n), np.arange(n)] = diagonal
+        return mat
+
+    smooth, split = ops._table(0, r)
+    smooth *= -1.0 / (4.0 * np.pi)
+    split *= 0.25j
+    split -= smooth * ops._lsin
+    core = ops._kress * smooth + (2.0 * np.pi / n) * split
+    split_diagonal = 0.25j - (np.euler_gamma + np.log(k * speed / 2.0)) / (2.0 * np.pi)
+    diagonal = -ops._kress_diagonal / (4.0 * np.pi) + (2.0 * np.pi / n) * split_diagonal
+    single = dense(core, core, diagonal)
+    single *= speed
+
+    smooth, split = ops._table(1, r)
+    smooth *= -k * k / (4.0 * np.pi)
+    split *= 0.25j * k
+    split /= r
+    split -= smooth * ops._lsin
+    core = ops._kress * smooth + (2.0 * np.pi / n) * split
+    v = ops.grid.velocity
+    nu_x, nu_y = v[:, 1], -v[:, 0]
+    upper = (nu_x[cols] * ops._dx + nu_y[cols] * ops._dy) * core
+    lower = -(nu_x[rows] * ops._dx + nu_y[rows] * ops._dy) * core
+    double = dense(upper, lower, ops.grid.curvature * speed / (2.0 * n))
+    return single, double, double.T * (speed[None, :] / speed[:, None])
+
+
+@pytest.mark.parametrize("spec", ["disk", "kite", "ellipse:1.5,0.8"])
+@pytest.mark.parametrize("n", [64, 256])
+def test_chunked_pair_pass_changes_no_bit(monkeypatch, spec, n):
+    """S, K, K* whatever the thread cap and chunk size, equal to whole-array assembly."""
+    import sys
+
+    import green3.potentials as potentials
+
+    _, grid = curve_from_spec(spec, n)
+    pairs = n * (n - 1) // 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # many thread switches inside each chunk task
+    try:
+        for z in (-1.0 + 0.5j, -24.9 - 1.8j, 4.11 + 26.6j):
+            reference = _whole_array_operators(_LayerOperators(grid, z))
+            for cap in ("1", "2", "8"):
+                # the default, a ragged last chunk, and one chunk for all pairs
+                for chunk in (potentials._TABLE_CHUNK, 1000, pairs):
+                    monkeypatch.setenv("GREEN3_THREADS", cap)
+                    monkeypatch.setattr(potentials, "_TABLE_CHUNK", chunk)
+                    ops = _LayerOperators(grid, z)
+                    got = (ops.single_layer, ops.double_layer, ops.adjoint_double_layer)
+                    for mat, ref in zip(got, reference):
+                        assert np.array_equal(mat, ref), (z, cap, chunk)
+                    monkeypatch.undo()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("z", [-1.0 + 0.5j, -2.5, 0.0])
+def test_adjoint_double_layer_never_forms_k(z):
+    _, grid = curve_from_spec("kite", 96)
+    ops = _LayerOperators(grid, z)
+    adjoint = ops.adjoint_double_layer
+    assert "double_layer" not in ops.__dict__
+    speed = grid.speed
+    assert np.array_equal(adjoint, ops.double_layer.T * (speed[None, :] / speed[:, None]))
