@@ -140,23 +140,14 @@ class RunConfig:
                 f"for {self.subcommand}, over the {_WORK_BUDGET_BYTES / 2**30:g} GiB budget")
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["zs"] = [list(z) for z in self.zs]
-        doc["mode_list"] = list(self.mode_list)
-        doc["ks"] = list(self.ks)
-        doc["zgrid"] = list(self.zgrid) if self.zgrid is not None else None
-        return doc
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
-        return cls(**doc)
-
-    @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_dict(json.loads(text))
+        return cls(**json.loads(text))
 
     def z_values(self, default=()):
         pairs = self.zs if self.zs else tuple((complex(z).real, complex(z).imag) for z in default)
@@ -330,27 +321,9 @@ def _interval_tasks(cfg: RunConfig) -> list:
 
 
 def _interval_green3_rows(c: float, tolerance: float) -> list:
-    """The three reference jump families for the 1D third Green identity."""
-    arr = lambda v: (lambda x: np.full(np.asarray(x, dtype=float).shape, v, dtype=float))
-
-    def f(x):  # x²(2 − x)², the same on both sides of x = 1
-        x = np.asarray(x)
-        return x**2 * (2.0 - x) ** 2
-
-    def df(x):
-        x = np.asarray(x)
-        return 2.0 * x * (2.0 - x) ** 2 - 2.0 * x**2 * (2.0 - x)
-
-    def ddf(x):
-        x = np.asarray(x)
-        return 2.0 * (2.0 - x) ** 2 - 8.0 * x * (2.0 - x) + 2.0 * x**2
-
-    smooth = interval_model.IntervalField(f, f, df, df, ddf, ddf)
-    jumpy = interval_model.IntervalField(
-        lambda x: np.asarray(x, dtype=float), arr(0.0), arr(1.0), arr(0.0), arr(0.0), arr(0.0))
-    zero = interval_model.IntervalField(arr(0.0), arr(0.0), arr(0.0), arr(0.0), arr(0.0), arr(0.0))
+    """The 1D third Green identity on each reference family, labelled by family."""
     rows = []
-    for label, fld in (("smooth", smooth), ("jump", jumpy), ("zero", zero)):
+    for label, fld in interval_model.GREEN3_FAMILIES.items():
         for row in interval_model.third_green_identity_1d(fld, c=c, tolerance=tolerance).checks:
             rows.append(replace(row, params={**row.params, "family": label}))
     return rows
@@ -408,8 +381,9 @@ def _run(config: RunConfig) -> int:
 
 
 def _flags(*specs) -> argparse.ArgumentParser:
-    """A parent parser holding the flags ``specs``, each (name, keyword arguments)."""
-    group = argparse.ArgumentParser(add_help=False)
+    """A parent parser holding the flags ``specs``, each (name, keyword arguments);
+    a flag left out of the command line stays out of the namespace."""
+    group = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     for name, kwargs in specs:
         group.add_argument(name, **kwargs)
     return group
@@ -417,46 +391,45 @@ def _flags(*specs) -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     """Each subcommand takes only the flags its checks read, so a flag it would
-    ignore is a usage error (exit 2) that names the flag.  ``--nodes`` is
-    accepted everywhere; ``krein``, ``rellich`` and ``interval`` ignore it."""
+    ignore is a usage error (exit 2) that names the flag, as is ``krein --modes``
+    with ``--mode``.  Defaults live only in ``RunConfig``."""
     shared = _flags(
-        ("--nodes", dict(type=int, default=256)),
-        ("--out", dict(default=None)),
-        ("--format", dict(dest="fmt", choices=("json", "csv"), default="json")),
-        ("--tol-scale", dict(type=float, default=1.0)),
+        ("--out", {}),
+        ("--format", dict(dest="fmt", choices=("json", "csv"))),
+        ("--tol-scale", dict(type=float)),
         ("--omit-timing", dict(action="store_true",
                                help="zero the wall-time fields for byte-identical reruns")))
-    curve = _flags(("--curve", dict(default="disk", help="disk | ellipse:a,b | kite")))
-    zs = _flags(("--z", dict(action="append", type=_parse_z, dest="zs", default=None,
-                             metavar="RE,IM")))
-    modes = _flags(("--modes", dict(type=int, default=8)))
-    shifts = _flags(("--c+", dict(dest="c_plus", type=float, default=None)),
-                    ("--c-", dict(dest="c_minus", type=float, default=None)))
-    planar = [curve, zs, shared]
+    curve = _flags(("--curve", dict(help="disk | ellipse:a,b | kite")))
+    nodes = _flags(("--nodes", dict(type=int)))
+    zs = _flags(("--z", dict(action="append", type=_parse_z, dest="zs", metavar="RE,IM")))
+    modes = _flags(("--modes", dict(type=int)))
+    shifts = _flags(("--c+", dict(dest="c_plus", type=float)),
+                    ("--c-", dict(dest="c_minus", type=float)))
+    planar = [curve, nodes, zs, shared]
 
     parser = argparse.ArgumentParser(
         prog="green3", description="Residual checks for coupled Helmholtz boundary triples.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    sub.add_parser("jumps", parents=[*planar, modes], help="layer-potential trace/jump relations")
-    dtn = sub.add_parser("dtn", parents=[*planar, modes],
-                         help="Dirichlet-to-Neumann eigenvalue tables")
-    dtn.add_argument("--side", choices=("interior", "exterior"), default="interior")
-    sub.add_parser("green-identity", parents=planar,
-                   help="transmission third Green identity at point-source fields")
-    krein = sub.add_parser("krein", parents=[zs, modes, shared],
-                           help="per-mode resolvent formulas on the disk")
-    krein.add_argument("--mode", action="append", type=int, default=None, dest="mode_list")
-    krein.add_argument("--c", dest="c_shift", type=float, default=1.0)
-    indicator = sub.add_parser("indicator", parents=[*planar, shifts],
-                               help="coupled-eigenvalue indicator scan")
-    indicator.add_argument("--zgrid", type=_parse_zgrid, default=None, metavar="RE0:RE1:COUNT[:IM]")
-    rellich = sub.add_parser("rellich", parents=[shared], help="Rellich eigenvalue quotients")
-    rellich.add_argument("--k", action="append", type=int, dest="ks", default=None)
-    interval = sub.add_parser("interval", parents=[zs, shifts, shared],
-                              help="closed-form 1D model checks")
-    interval.add_argument("--check", choices=("krein", "mixed", "green3", "suite"),
-                          default="suite")
-    interval.add_argument("--seed", type=int, default=0)
+    subcommand = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
+    subcommand("jumps", parents=[*planar, modes], help="layer-potential trace/jump relations")
+    dtn = subcommand("dtn", parents=[*planar, modes], help="Dirichlet-to-Neumann eigenvalue tables")
+    dtn.add_argument("--side", choices=("interior", "exterior"))
+    subcommand("green-identity", parents=planar,
+               help="transmission third Green identity at point-source fields")
+    krein = subcommand("krein", parents=[zs, shared], help="per-mode resolvent formulas on the disk")
+    which = krein.add_mutually_exclusive_group()
+    which.add_argument("--modes", type=int)
+    which.add_argument("--mode", action="append", type=int, dest="mode_list")
+    krein.add_argument("--c", dest="c_shift", type=float)
+    indicator = subcommand("indicator", parents=[*planar, shifts],
+                           help="coupled-eigenvalue indicator scan")
+    indicator.add_argument("--zgrid", type=_parse_zgrid, metavar="RE0:RE1:COUNT[:IM]")
+    rellich = subcommand("rellich", parents=[shared], help="Rellich eigenvalue quotients")
+    rellich.add_argument("--k", action="append", type=int, dest="ks")
+    interval = subcommand("interval", parents=[zs, shifts, shared],
+                          help="closed-form 1D model checks")
+    interval.add_argument("--check", choices=("krein", "mixed", "green3", "suite"))
+    interval.add_argument("--seed", type=int)
     return parser
 
 
@@ -468,9 +441,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    """The parsed flags, named as the ``RunConfig`` fields; a flag left unset or
-    absent from the subcommand keeps the field's default."""
-    return RunConfig(**{key: value for key, value in vars(ns).items() if value is not None})
+    """The parsed flags, named as the ``RunConfig`` fields; a flag left out keeps
+    the field's default."""
+    return RunConfig(**vars(ns))
 
 
 _NEGATIVE_VALUE_FLAGS = ("--z", "--c+", "--c-", "--zgrid")

@@ -113,15 +113,16 @@ def jump_brackets(field: TransmissionField, curve: InterfaceCurve, grid: Quadrat
     return JumpData(np.asarray(b0, dtype=complex), -(tn_plus + tn_minus))
 
 
-def probe_ring(radius: float, count: int, center=(0.0, 0.0)) -> np.ndarray:
+def probe_ring(radius: float, count: int) -> np.ndarray:
     t = 2.0 * np.pi * (np.arange(count) + 0.5) / count
-    return np.asarray(center, dtype=float) + radius * np.stack([np.cos(t), np.sin(t)], axis=1)
+    return radius * np.stack([np.cos(t), np.sin(t)], axis=1)
 
 
-def _volume_potential(z, source, points, n_radial, n_angular):
+def _volume_potential(z, source, points):
     # tensor polar rule on the unit disk; exact enough for sources supported
     # away from both the probes and the rim
-    x, w = _leggauss(n_radial)
+    n_angular = 192
+    x, w = _leggauss(96)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * w * r
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
@@ -136,8 +137,7 @@ def _volume_potential(z, source, points, n_radial, n_angular):
 
 def third_green_identity_residual(field: TransmissionField, z, curve: InterfaceCurve,
                                   grid: QuadratureGrid, probes, tolerance: float = None,
-                                  enforce_accuracy_region: bool = True,
-                                  radial_nodes: int = 96, angular_nodes: int = 192) -> ResidualReport:
+                                  enforce_accuracy_region: bool = True) -> ResidualReport:
     """Residual of f = 𝒢_z(−Δ−z)f + 𝒟_z[Γ₀f] − 𝒮_z[Γ₁f] at probe points.
 
     ``probes`` is a pair (interior_points, exterior_points); either entry may be
@@ -161,7 +161,7 @@ def third_green_identity_residual(field: TransmissionField, z, curve: InterfaceC
         rhs = rhs - eval_single_layer_field(curve, grid, z, jumps.bracket1, pts,
                                             enforce_accuracy_region=enforce_accuracy_region)
         if field.source_plus is not None:
-            rhs = rhs + _volume_potential(z, field.source_plus, pts, radial_nodes, angular_nodes)
+            rhs = rhs + _volume_potential(z, field.source_plus, pts)
         return float(np.abs(np.asarray(side_field(pts), dtype=complex) - rhs).max())
 
     params = {"curve": curve.shape, "n": grid.n, "z": [z.z.real, z.z.imag],
@@ -269,14 +269,11 @@ class _ModeScalars:
         return self.free_kernel(r, rp) - extra
 
 
-def _sample_pairs(interior, exterior):
-    radii = list(interior) + list(exterior)
-    return [(r, rp) for r in radii for rp in radii]
+_SAMPLE_PAIRS = [(r, rp) for r in _INTERIOR_SAMPLES + _EXTERIOR_SAMPLES
+                 for rp in _INTERIOR_SAMPLES + _EXTERIOR_SAMPLES]
 
 
-def krein_resolvent_disk_mode(z, m: int, c: float = 1.0,
-                              interior_samples=_INTERIOR_SAMPLES,
-                              exterior_samples=_EXTERIOR_SAMPLES) -> float:
+def krein_resolvent_disk_mode(z, m: int, c: float = 1.0) -> float:
     """Worst pointwise defect of the Krein formula for (−Δ+c−z)⁻¹ in mode m.
 
     Left side: the free radial kernel I_m(κr_<)K_m(κr_>).  Right side: the
@@ -291,7 +288,7 @@ def krein_resolvent_disk_mode(z, m: int, c: float = 1.0,
             "cannot be inverted there"
         )
     defects = []
-    for r, rp in _sample_pairs(interior_samples, exterior_samples):
+    for r, rp in _SAMPLE_PAIRS:
         gamma_r = sc.profile_in(r) if r < 1.0 else sc.profile_out(r)
         gamma_rp = sc.profile_in(rp) if rp < 1.0 else sc.profile_out(rp)
         if r < 1.0 and rp < 1.0:
@@ -305,9 +302,7 @@ def krein_resolvent_disk_mode(z, m: int, c: float = 1.0,
     return worst(defects)
 
 
-def mixed_resolvent_disk_mode(z, m: int, c: float = 1.0,
-                              interior_samples=_INTERIOR_SAMPLES,
-                              exterior_samples=_EXTERIOR_SAMPLES) -> float:
+def mixed_resolvent_disk_mode(z, m: int, c: float = 1.0) -> float:
     """Worst pointwise defect of the Dirichlet ⊕ Neumann resolvent formula.
 
     The decoupled block is Dirichlet on the interior but Neumann on the
@@ -318,7 +313,7 @@ def mixed_resolvent_disk_mode(z, m: int, c: float = 1.0,
         raise SpectralPoleError(f"exterior Weyl value vanishes in mode {m}")
     sigma = -np.linalg.inv(np.array([[sc.m_plus, 1.0], [1.0, -1.0 / sc.m_minus]]))
     defects = []
-    for r, rp in _sample_pairs(interior_samples, exterior_samples):
+    for r, rp in _SAMPLE_PAIRS:
         left = (sc.profile_in(r), 0.0) if r < 1.0 else (0.0, sc.profile_out(r) / sc.m_minus)
         right = (sc.profile_in(rp), 0.0) if rp < 1.0 else (0.0, sc.profile_out(rp) / sc.m_minus)
         if r < 1.0 and rp < 1.0:
@@ -332,13 +327,12 @@ def mixed_resolvent_disk_mode(z, m: int, c: float = 1.0,
     return worst(defects)
 
 
-def resolvent_difference_disk_mode(z, m: int, c: float = 1.0,
-                                   exterior_samples=_EXTERIOR_SAMPLES) -> float:
+def resolvent_difference_disk_mode(z, m: int, c: float = 1.0) -> float:
     """Defect of (A₀₋−z)⁻¹ − (A₁₋−z)⁻¹ = γ₋ M₋⁻¹ γ₋* in exterior mode m."""
     sc = _ModeScalars(z, m, c)
     defects = []
-    for r in exterior_samples:
-        for rp in exterior_samples:
+    for r in _EXTERIOR_SAMPLES:
+        for rp in _EXTERIOR_SAMPLES:
             lhs = sc.dirichlet_exterior_kernel(r, rp) - sc.neumann_exterior_kernel(r, rp)
             rhs = sc.profile_out(r) * sc.profile_out(rp) / sc.m_minus
             defects.append(abs(lhs - rhs))
@@ -361,9 +355,7 @@ def eigenvalue_indicator(z, curve: InterfaceCurve, grid: QuadratureGrid, c: floa
 
 
 def unique_continuation_check(side: str, z, curve: InterfaceCurve, grid: QuadratureGrid,
-                              trials: int = 8, epsilons=(1e-8, 1e-6, 1e-4),
-                              probe_count: int = 20, seed: int = 0,
-                              bandwidth: int = 16) -> ResidualReport:
+                              trials: int = 8) -> ResidualReport:
     """Quantitative surrogate for unique continuation from Cauchy data.
 
     Random band-limited layer densities generate solution fields; each is
@@ -379,14 +371,15 @@ def unique_continuation_check(side: str, z, curve: InterfaceCurve, grid: Quadrat
     d = np.sqrt(grid.arc_weights)
 
     radius = 0.5 if side == "interior" else 2.0
-    probes = probe_ring(radius, probe_count)
-    rng = np.random.default_rng(seed)
-    modes = np.arange(-bandwidth, bandwidth + 1)
+    probes = probe_ring(radius, 20)
+    rng = np.random.default_rng(0)
+    modes = np.arange(-16, 17)
     harmonics = np.exp(1j * np.outer(modes, grid.nodes))
     coeffs = rng.normal(size=(trials, modes.size)) + 1j * rng.normal(size=(trials, modes.size))
 
     params = {"side": side, "curve": curve.shape, "n": grid.n, "z": [z.z.real, z.z.imag]}
     rows, norms = [], []
+    epsilons = (1e-8, 1e-6, 1e-4)
     for eps in epsilons:
         probe_norms = []
         for coef in coeffs:
@@ -406,17 +399,17 @@ def unique_continuation_check(side: str, z, curve: InterfaceCurve, grid: Quadrat
     return ResidualReport(rows).sorted()
 
 
-def rellich_quotient(k: int, n_boundary: int = 256, n_radial: int = 400):
+def rellich_quotient(k: int):
     """Dirichlet eigenvalue of the unit disk from the boundary Rellich identity.
 
     For u = J₀(j_{0,k} r): λ = (1/4‖u‖²) ∮ (∂u/∂ν)² ∂|x|²/∂ν dω, compared to
     the reference j_{0,k}².  Returns (λ_computed, λ_reference)."""
     j0k = bessel_j_zero(k)
-    _, grid = make_curve("disk", n_boundary)
+    _, grid = make_curve("disk", 256)
     du_dnu = -j0k * bessel_j(1, np.full(grid.n, j0k, dtype=complex)).real
     nu_weight = 2.0 * np.einsum("ij,ij->i", grid.points, grid.normals)
     boundary = float(np.sum(du_dnu**2 * nu_weight * grid.arc_weights))
-    x, w = _leggauss(n_radial)
+    x, w = _leggauss(400)
     r = 0.5 * (x + 1.0)
     values = bessel_j(0, j0k * r.astype(complex)).real
     u_sq = 2.0 * np.pi * float(np.sum(0.5 * w * r * values**2))

@@ -16,7 +16,7 @@ builds the Gauss–Legendre panels and u₁/u₂ on them and at the points, and
 keeps them on the kernel; every later φ there evaluates only φ itself, once
 per panel set.  This changes no bit of any result: each integrand value is the
 same elementwise product u·φ on the same nodes, reduced by the same ``@ w``
-over the same (panels, quad_n) shape as when everything is evaluated afresh.
+over the same (panels, ``_QUAD_N``) shape as when everything is evaluated afresh.
 
 Unlike the planar operators, z may be any complex number away from the
 relevant poles — the 1D spectra are discrete, so real z in spectral gaps is a
@@ -57,11 +57,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AccuracyRegionError, BracketingError, ConfigurationError, SpectralPoleError
-from .geometry import _check_side, _leggauss
+from .geometry import _check_side, _interp_at_zero, _leggauss
 from .reports import ResidualReport, timed_check, worst
 
 _BUMP_CENTERS = (0.3, 0.7, 1.0, 1.35, 1.8)
 _BUMP_WIDTH = 0.12
+
+# Gauss–Legendre nodes per panel of every 1D integral
+_QUAD_N = 64
 
 # Between Dirichlet poles p < q of opposite sides, |d(m₊+m₋)/dz| ≥ 8·2p/(q−p)²
 # (each residue is 2(kπ)² ≈ 2p), so the best double-precision root has a
@@ -128,7 +131,7 @@ class _Kernel:
 
     ``breaks`` lists interior points where u₁/u₂ lose smoothness (the coupled
     kernel's junction); quadrature panels must not straddle them.
-    ``_factors`` keeps what ``apply_resolvent`` reuses per (xs, quad_n)."""
+    ``_factors`` keeps what ``apply_resolvent`` reuses per point set xs."""
 
     a: float
     b: float
@@ -216,12 +219,12 @@ class _Panels:
 
 
 class _ResolventFactors:
-    """Everything ``apply_resolvent`` needs of one (kernel, xs, quad_n) but φ:
+    """Everything ``apply_resolvent`` needs of one (kernel, xs) but φ:
     the panels between the edges, the partial panels to and from each x, and
     u₁/u₂ on them and at xs."""
 
-    def __init__(self, kernel: _Kernel, xs: np.ndarray, quad_n: int):
-        t, w = _leggauss(quad_n)
+    def __init__(self, kernel: _Kernel, xs: np.ndarray):
+        t, w = _leggauss(_QUAD_N)
         t, w = 0.5 * (t + 1.0), 0.5 * w
         edges = [kernel.a, *kernel.breaks, kernel.b]
         self.full = _Panels(edges[:-1], edges[1:], t, w)
@@ -241,19 +244,19 @@ class _ResolventFactors:
         self.u2_xs = kernel.u2(xs)
 
 
-def apply_resolvent(kernel: _Kernel, phi: Callable, xs, quad_n: int = 64) -> np.ndarray:
+def apply_resolvent(kernel: _Kernel, phi: Callable, xs) -> np.ndarray:
     """(A−z)⁻¹φ at points xs: u(x) = −[u₂(x)∫_a^x u₁φ + u₁(x)∫_x^b u₂φ]/W.
 
     Integration is split at the kernel kink x and at every interior break, so
     each Gauss–Legendre panel sees an analytic integrand; φ must be an
     evaluable callable (closed-form bases keep this exact).  The panels and
-    u₁/u₂ are built on the kernel's first call for (xs, quad_n) and reused
+    u₁/u₂ are built on the kernel's first call at xs and reused
     bit-identically for every later φ (see the module docstring)."""
     xs = np.asarray(xs, dtype=float)
-    key = (quad_n, xs.shape, xs.tobytes())
+    key = (xs.shape, xs.tobytes())
     fac = kernel._factors.get(key)
     if fac is None:
-        fac = kernel._factors[key] = _ResolventFactors(kernel, xs, quad_n)
+        fac = kernel._factors[key] = _ResolventFactors(kernel, xs)
     phi_full = np.asarray(phi(fac.full.flat))
     full1 = fac.full.integrate(fac.u1_full * phi_full)
     full2 = fac.full.integrate(fac.u2_full * phi_full)
@@ -265,8 +268,8 @@ def apply_resolvent(kernel: _Kernel, phi: Callable, xs, quad_n: int = 64) -> np.
     return -(fac.u2_xs * left + fac.u1_xs * right) / kernel.wronskian
 
 
-def _integrate(fn: Callable, a: float, b: float, quad_n: int = 64) -> complex:
-    t, w = _leggauss(quad_n)
+def _integrate(fn: Callable, a: float, b: float) -> complex:
+    t, w = _leggauss(_QUAD_N)
     nodes = 0.5 * (b - a) * (t + 1.0) + a
     return complex(0.5 * (b - a) * np.dot(np.asarray(fn(nodes)), w))
 
@@ -297,7 +300,7 @@ def _eval_points(a: float, b: float, n: int) -> np.ndarray:
 
 def krein_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
                         grid_n: int = 200, basis: Sequence[Callable] = None,
-                        tolerance: float = 1e-8, quad_n: int = 64) -> ResidualReport:
+                        tolerance: float = 1e-8) -> ResidualReport:
     """Krein formula against the coupled closed-form resolvent, bump by bump.
 
     Left side: coupled kernel on (0,2).  Right side: decoupled Dirichlet
@@ -324,12 +327,12 @@ def krein_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
         phi_m = _restrict(phi, 1.0, 2.0)
 
         def residual():
-            lhs_p = apply_resolvent(coupled, phi, xs_plus, quad_n)
-            lhs_m = apply_resolvent(coupled, phi, xs_minus, quad_n)
-            pair = (_integrate(lambda y: gam_plus(y) * phi_p(y), 0.0, 1.0, quad_n)
-                    + _integrate(lambda y: gam_minus(y) * phi_m(y), 1.0, 2.0, quad_n))
-            rhs_p = apply_resolvent(g_plus, phi_p, xs_plus, quad_n) - gam_plus(xs_plus) * pair / denom
-            rhs_m = apply_resolvent(g_minus, phi_m, xs_minus, quad_n) - gam_minus(xs_minus) * pair / denom
+            lhs_p = apply_resolvent(coupled, phi, xs_plus)
+            lhs_m = apply_resolvent(coupled, phi, xs_minus)
+            pair = (_integrate(lambda y: gam_plus(y) * phi_p(y), 0.0, 1.0)
+                    + _integrate(lambda y: gam_minus(y) * phi_m(y), 1.0, 2.0))
+            rhs_p = apply_resolvent(g_plus, phi_p, xs_plus) - gam_plus(xs_plus) * pair / denom
+            rhs_m = apply_resolvent(g_minus, phi_m, xs_minus) - gam_minus(xs_minus) * pair / denom
             return worst((np.abs(lhs_p - rhs_p).max(), np.abs(lhs_m - rhs_m).max()))
 
         rows.append(timed_check(
@@ -343,7 +346,7 @@ def krein_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
 
 def mixed_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
                         grid_n: int = 200, basis: Sequence[Callable] = None,
-                        tolerance: float = 1e-8, quad_n: int = 64) -> ResidualReport:
+                        tolerance: float = 1e-8) -> ResidualReport:
     """Dirichlet ⊕ Neumann resolvent formula, plus the standalone kernel
     difference (A₀₋−z)⁻¹ − (A₁₋−z)⁻¹ = γ₋ m₋⁻¹ γ₋*."""
     _check_accuracy_region("mixed", z, c_plus, c_minus)
@@ -370,25 +373,25 @@ def mixed_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
         phi_m = _restrict(phi, 1.0, 2.0)
 
         # (A₁₋−z)⁻¹φ₋ and the γ₋ pairing enter both rows of the bump
-        neumann_m = apply_resolvent(g1_minus, phi_m, xs_minus, quad_n)
-        pairing_m = _integrate(lambda y: gam_minus(y) * phi_m(y), 1.0, 2.0, quad_n)
+        neumann_m = apply_resolvent(g1_minus, phi_m, xs_minus)
+        pairing_m = _integrate(lambda y: gam_minus(y) * phi_m(y), 1.0, 2.0)
 
         def residual():
-            lhs_p = apply_resolvent(coupled, phi, xs_plus, quad_n)
-            lhs_m = apply_resolvent(coupled, phi, xs_minus, quad_n)
+            lhs_p = apply_resolvent(coupled, phi, xs_plus)
+            lhs_m = apply_resolvent(coupled, phi, xs_minus)
             hat = np.array([
-                _integrate(lambda y: gam_plus(y) * phi_p(y), 0.0, 1.0, quad_n),
+                _integrate(lambda y: gam_plus(y) * phi_p(y), 0.0, 1.0),
                 pairing_m / mm,
             ])
             corr = sigma @ hat
-            rhs_p = apply_resolvent(g_plus, phi_p, xs_plus, quad_n) + gam_plus(xs_plus) * corr[0]
+            rhs_p = apply_resolvent(g_plus, phi_p, xs_plus) + gam_plus(xs_plus) * corr[0]
             rhs_m = neumann_m + (gam_minus(xs_minus) / mm) * corr[1]
             return worst((np.abs(lhs_p - rhs_p).max(), np.abs(lhs_m - rhs_m).max()))
 
         rows.append(timed_check("interval.mixed", {**params, "basis": idx}, tolerance, residual))
 
         def res01():
-            direct = apply_resolvent(g_minus, phi_m, xs_minus, quad_n) - neumann_m
+            direct = apply_resolvent(g_minus, phi_m, xs_minus) - neumann_m
             return float(np.abs(direct - gam_minus(xs_minus) * pairing_m / mm).max())
 
         rows.append(timed_check("interval.res01", {**params, "basis": idx}, tolerance, res01))
@@ -461,8 +464,39 @@ class IntervalField:
     dd_minus: Callable
 
 
+def _constant(value: float) -> Callable:
+    return lambda x: np.full(np.asarray(x, dtype=float).shape, value, dtype=float)
+
+
+def _quartic(x):  # x²(2 − x)², the same on both sides of x = 1
+    x = np.asarray(x)
+    return x**2 * (2.0 - x) ** 2
+
+
+def _d_quartic(x):
+    x = np.asarray(x)
+    return 2.0 * x * (2.0 - x) ** 2 - 2.0 * x**2 * (2.0 - x)
+
+
+def _dd_quartic(x):
+    x = np.asarray(x)
+    return 2.0 * (2.0 - x) ** 2 - 8.0 * x * (2.0 - x) + 2.0 * x**2
+
+
+_ZERO = _constant(0.0)
+
+# The reference fields of the 1D third Green identity, by label, with the
+# brackets ([Γ₀f], [Γ₁f]) they have: smooth (0, 0), jump (1, −1), zero (0, 0).
+GREEN3_FAMILIES = {
+    "smooth": IntervalField(_quartic, _quartic, _d_quartic, _d_quartic, _dd_quartic, _dd_quartic),
+    "jump": IntervalField(lambda x: np.asarray(x, dtype=float), _ZERO,
+                          _constant(1.0), _ZERO, _ZERO, _ZERO),
+    "zero": IntervalField(_ZERO, _ZERO, _ZERO, _ZERO, _ZERO, _ZERO),
+}
+
+
 def third_green_identity_1d(field: IntervalField, c: float = 1.0, grid_n: int = 100,
-                            tolerance: float = 1e-8, quad_n: int = 64) -> ResidualReport:
+                            tolerance: float = 1e-8) -> ResidualReport:
     """Residual of f = 𝒢Tf + 𝒟[Γ₀f] − 𝒮[Γ₁f] on both intervals.
 
     𝒢 is the closed-form inverse of the coupled A = −d²/dx² + c (invertible
@@ -510,7 +544,7 @@ def third_green_identity_1d(field: IntervalField, c: float = 1.0, grid_n: int = 
         return np.where(x <= 1.0, t_plus(x), t_minus(x))
 
     def side_residual(xs, f_side):
-        rhs = apply_resolvent(kernel, total_source, xs, quad_n) \
+        rhs = apply_resolvent(kernel, total_source, xs) \
             + double_layer(xs) * bracket0 - single_layer(xs) * bracket1
         return float(np.abs(np.asarray(f_side(xs)) - rhs).max())
 
@@ -528,9 +562,8 @@ def third_green_identity_1d(field: IntervalField, c: float = 1.0, grid_n: int = 
 
 # ------------------------------------------------------------ abstract identities
 
-def abstract_identity_suite(zs, c_plus: float = 0.0, c_minus: float = 0.0,
-                            trials: int = 5, seed: int = 7, tolerance: float = 1e-9,
-                            quad_n: int = 64) -> ResidualReport:
+def abstract_identity_suite(zs, c_plus: float = 0.0, c_minus: float = 0.0, trials: int = 5,
+                            seed: int = 7, tolerance: float = 1e-9) -> ResidualReport:
     """Direct checks of the γ*/Weyl calculus at nonreal z, side by side.
 
     For each z: the pairing identity ∫γ(z)f = Γ₁(A₀−z)⁻¹f (evaluated by
@@ -552,7 +585,7 @@ def abstract_identity_suite(zs, c_plus: float = 0.0, c_minus: float = 0.0,
             params = {"z": [z.real, z.imag], "side": side, "c": c}
 
             def jaok2():
-                gram = _integrate(lambda y: np.abs(gam(y)) ** 2, a, b, quad_n)
+                gram = _integrate(lambda y: np.abs(gam(y)) ** 2, a, b)
                 return abs((m_z - m_zbar) - (z - z.conjugate()) * gram)
 
             rows.append(timed_check("interval.jaok2", params, tolerance, jaok2))
@@ -568,14 +601,12 @@ def abstract_identity_suite(zs, c_plus: float = 0.0, c_minus: float = 0.0,
                         return (ck[0] + ck[1] * y + ck[2] * np.sin(2.0 * y)
                                 + ck[3] * np.cos(3.0 * y))
 
-                    pairing = _integrate(lambda y: gam(y) * f(y), a, b, quad_n)
+                    pairing = _integrate(lambda y: gam(y) * f(y), a, b)
                     # Γ₁ of u = (A₀−z)⁻¹f by one-sided polynomial extrapolation
                     dists = 0.002 * np.arange(1, 8)
                     pts = 1.0 + dists if side == "-" else 1.0 - dists
-                    samples = apply_resolvent(kern, f, pts, quad_n)
-                    scale = dists.max()
-                    coef = np.linalg.solve(np.vander(dists / scale, increasing=True), samples)
-                    slope = coef[1] / scale  # du/d(dist), dist growing away from x=1
+                    # du/d(dist), dist growing away from x=1
+                    _, slope = _interp_at_zero(dists, apply_resolvent(kern, f, pts))
                     # Γ₁⁺ = −u'(1⁻) = +slope on the left; Γ₁⁻ = +u'(1⁺) = +slope on the right
                     defects.append(abs(pairing - slope))
                 return worst(defects)

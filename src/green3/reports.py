@@ -134,10 +134,6 @@ class ResidualReport:
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_json_dict(**kwargs), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
-    def write_json(self, path, **kwargs) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json(**kwargs))
-
     def to_csv(self) -> str:
         """Flat projection of the rows; params/details stay JSON-encoded cells."""
         buf = io.StringIO()
@@ -156,7 +152,3 @@ class ResidualReport:
                 ]
             )
         return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())

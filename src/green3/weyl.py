@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import AnsatzResonanceError, ConfigurationError
 from .geometry import InterfaceCurve, QuadratureGrid, _leggauss
-from .potentials import _LayerOperators, eval_single_layer_field
+from .potentials import _LayerOperators, _clearance_check, eval_single_layer_field
 from .reports import ResidualReport, timed_check, worst
 from .specfun import (
     SpectralPoint,
@@ -91,35 +91,32 @@ class SingleLayerField:
     """Off-boundary field 𝒮_z ψ with an analytic gradient; callable on (k, 2) points."""
 
     def __init__(self, curve: InterfaceCurve, grid: QuadratureGrid, z: SpectralPoint,
-                 density: np.ndarray, enforce_accuracy_region: bool = True):
+                 density: np.ndarray):
         self.curve, self.grid, self.z = curve, grid, z
         self.density = np.asarray(density, dtype=complex)
-        self.enforce_accuracy_region = enforce_accuracy_region
         self._weights = self.density * grid.arc_weights
 
     def __call__(self, points) -> np.ndarray:
-        return eval_single_layer_field(
-            self.curve, self.grid, self.z, self.density, points,
-            enforce_accuracy_region=self.enforce_accuracy_region,
-        )
+        return eval_single_layer_field(self.curve, self.grid, self.z, self.density, points)
 
     def gradient(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         squeeze = pts.ndim == 1
         pts = np.atleast_2d(pts)
+        _clearance_check(self.grid, pts, True)
         diff = pts[:, None, :] - self.grid.points[None, :, :]
         grads = fundamental_solution_gradient(2, self.z, diff.reshape(-1, 2)).reshape(diff.shape)
         out = np.einsum("j,ijk->ik", self._weights, grads)
         return out[0] if squeeze else out
 
 
-def gamma_field(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z, density,
-                enforce_accuracy_region: bool = True) -> SingleLayerField:
+def gamma_field(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z,
+                density) -> SingleLayerField:
     """Solve (−Δ − z)f = 0 on the chosen side with τ_D f = density."""
     _normalize_side(side)  # the ansatz field is two-sided; side only validates intent
     ops = _LayerOperators(grid, z)
     psi = _single_layer_solve(ops, density)
-    return SingleLayerField(curve, grid, ops.z, psi, enforce_accuracy_region)
+    return SingleLayerField(curve, grid, ops.z, psi)
 
 
 @dataclass(frozen=True)
@@ -193,15 +190,17 @@ def _gauss_legendre(a: float, b: float, n: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
+_OUTER_RADIUS = 8.0
+
+
 def herglotz_residuals(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z,
-                       modes: int = 12, tolerance: float = 1e-6,
-                       outer_radius: float = 8.0) -> ResidualReport:
+                       modes: int = 12, tolerance: float = 1e-6) -> ResidualReport:
     """Positivity and the γ*γ identity for the Weyl map at nonreal z.
 
     Real z degenerates to self-adjointness (M = M*), reported as a single row.
     The identity row exists only on the disk, where the domain integral
     ∫ conj(γφ_a)(γφ_b) can be done by radial Gauss–Legendre × per-ring FFT;
-    the exterior version truncates at ``outer_radius`` and reports the decay
+    the exterior version truncates at ``_OUTER_RADIUS`` and reports the decay
     tail as its own row.
     """
     side = _normalize_side(side)
@@ -245,7 +244,7 @@ def herglotz_residuals(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z
     if side == "interior":
         radii, rad_w = _gauss_legendre(0.0, 1.0, 64)
     else:
-        radii, rad_w = _gauss_legendre(1.0, outer_radius, 96)
+        radii, rad_w = _gauss_legendre(1.0, _OUTER_RADIUS, 96)
     rho, g_outer = _ring_profile_weights(z, freqs, radii, rad_w)
     gram = (coeffs.conj() * rho[None, :]) @ coeffs.T
 
@@ -263,11 +262,11 @@ def herglotz_residuals(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z
             # beyond R every profile decays at least like e^{−α(r−R)}; bound the
             # missing ∫_R^∞ |g|² r dr ring by ring and push through the mode sums
             tail_k = 2.0 * np.pi * np.abs(g_outer) ** 2 * (
-                outer_radius / (2 * alpha) + 1.0 / (4 * alpha * alpha)
+                _OUTER_RADIUS / (2 * alpha) + 1.0 / (4 * alpha * alpha)
             )
             amp = np.abs(coeffs)
             bound = float(((amp * tail_k[None, :]) @ amp.T).max() * abs(z.z - z.z.conjugate()))
-            return bound, {"outer_radius": outer_radius, "decay_rate": alpha}
+            return bound, {"outer_radius": _OUTER_RADIUS, "decay_rate": alpha}
 
         rows.append(timed_check("herglotz.tail", params, tolerance, tail))
     return ResidualReport(rows).sorted()

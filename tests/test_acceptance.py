@@ -21,7 +21,7 @@ from green3.coupling import (
 )
 from green3.geometry import make_curve
 from green3.interval_model import (
-    IntervalField,
+    GREEN3_FAMILIES,
     coupled_eigenvalues,
     krein_formula_check,
     mixed_formula_check,
@@ -39,21 +39,6 @@ from green3.weyl import dtn_map, herglotz_residuals, mode_eigenvalue
 
 Z_SWEEP = (-1.0, 2j, 1 + 1j)
 SHIFT_SWEEP = ((0.0, 0.0), (0.0, 5.0))
-
-
-def _families():
-    arr = lambda v: (lambda x: np.full(np.asarray(x, dtype=float).shape, v, dtype=float))
-    f = lambda x: np.asarray(x) ** 2 * (2.0 - np.asarray(x)) ** 2
-    df = lambda x: 2.0 * np.asarray(x) * (2.0 - np.asarray(x)) ** 2 \
-        - 2.0 * np.asarray(x) ** 2 * (2.0 - np.asarray(x))
-    ddf = lambda x: 2.0 * (2.0 - np.asarray(x)) ** 2 \
-        - 8.0 * np.asarray(x) * (2.0 - np.asarray(x)) + 2.0 * np.asarray(x) ** 2
-    return (
-        IntervalField(f, f, df, df, ddf, ddf),
-        IntervalField(lambda x: np.asarray(x, dtype=float), arr(0.0),
-                      arr(1.0), arr(0.0), arr(0.0), arr(0.0)),
-        IntervalField(arr(0.0), arr(0.0), arr(0.0), arr(0.0), arr(0.0), arr(0.0)),
-    )
 
 
 def test_A01_interval_krein_formula():
@@ -92,7 +77,7 @@ def test_A03_coupled_eigenvalue_criterion():
 
 def test_A04_third_green_identity_1d():
     tic = time.perf_counter()
-    for field in _families():
+    for field in GREEN3_FAMILIES.values():
         report = third_green_identity_1d(field, c=1.0, grid_n=100)
         assert report.max_residual <= 1e-8
     assert time.perf_counter() - tic < 2.0

@@ -170,7 +170,8 @@ def test_indicator_rejects_unequal_side_shifts():
 ])
 def test_negative_modes_are_usage_error(command, message):
     # an empty mode range must not pass vacuously
-    code, stdout, stderr = main_capture([command, "--modes", "-1", "--nodes", "32"])
+    nodes = ["--nodes", "32"] if command != "krein" else []
+    code, stdout, stderr = main_capture([command, "--modes", "-1", *nodes])
     assert code == 2
     assert stdout == ""
     assert stderr == message + "\n"
@@ -215,7 +216,8 @@ def test_dtn_without_usable_modes_assembles_nothing(monkeypatch, command, modes,
 def test_non_finite_or_non_positive_numbers_are_usage_errors(tmp_path, argv, message):
     # each used to exit 1 on a NaN residual, or 0 on a vacuous pass
     out = tmp_path / "r.json"
-    code, stdout, stderr = main_capture([*argv, "--nodes", "32", "--out", str(out)])
+    nodes = ["--nodes", "32"] if argv[0] in ("jumps", "dtn", "indicator") else []
+    code, stdout, stderr = main_capture([*argv, *nodes, "--out", str(out)])
     assert code == 2
     assert stdout == ""
     assert stderr == f"green3: {message}\n"
@@ -228,6 +230,9 @@ def test_non_finite_or_non_positive_numbers_are_usage_errors(tmp_path, argv, mes
     (["rellich", "--curve", "kite", "--nodes", "8"], ("--curve",)),
     (["dtn", "--c+", "2"], ("--c+",)),
     (["krein", "--curve", "kite"], ("--curve",)),
+    (["krein", "--nodes", "32"], ("--nodes",)),
+    (["rellich", "--nodes", "8"], ("--nodes",)),
+    (["interval", "--check", "suite", "--nodes", "32"], ("--nodes",)),
 ])
 def test_a_flag_the_subcommand_ignores_is_usage_error(tmp_path, argv, flags):
     # each used to run and exit 0 as if the flag had been read
@@ -238,6 +243,25 @@ def test_a_flag_the_subcommand_ignores_is_usage_error(tmp_path, argv, flags):
     for flag in flags:
         assert flag in stderr
     assert not out.exists()
+
+
+def test_krein_modes_and_mode_exclude_each_other(tmp_path):
+    # --mode used to override --modes silently and exit 0
+    out = tmp_path / "r.json"
+    code, stdout, stderr = main_capture(["krein", "--modes", "4", "--mode", "3", "--z", "2,1",
+                                         "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert stderr.splitlines()[-1] == (
+        "green3 krein: error: argument --mode: not allowed with argument --modes")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["jumps", "dtn", "green-identity", "krein", "indicator",
+                                     "rellich", "interval"])
+def test_a_bare_run_echoes_the_run_config_defaults(command):
+    code, stdout, _ = main_capture([command])
+    assert code == 0
+    assert json.loads(stdout)["config"] == json.loads(RunConfig(subcommand=command).to_json())
 
 
 def test_dtn_at_a_resonance_is_usage_error():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from green3.errors import AccuracyRegionError, ConfigurationError, SpectralPoleError
 from green3.interval_model import (
+    GREEN3_FAMILIES,
     IntervalField,
     abstract_identity_suite,
     apply_resolvent,
@@ -244,13 +245,7 @@ def test_coupled_eigenvalues_rejects_bad_count():
 
 def test_third_green_identity_smooth_field():
     # globally C² with f(0)=f(2)=0: both brackets vanish and f = 𝒢(Af)
-    f = lambda x: np.asarray(x) ** 2 * (2.0 - np.asarray(x)) ** 2
-    df = lambda x: 2.0 * np.asarray(x) * (2.0 - np.asarray(x)) ** 2 \
-        - 2.0 * np.asarray(x) ** 2 * (2.0 - np.asarray(x))
-    ddf = lambda x: 2.0 * (2.0 - np.asarray(x)) ** 2 \
-        - 8.0 * np.asarray(x) * (2.0 - np.asarray(x)) + 2.0 * np.asarray(x) ** 2
-    field = IntervalField(f, f, df, df, ddf, ddf)
-    report = third_green_identity_1d(field, c=1.0, grid_n=100)
+    report = third_green_identity_1d(GREEN3_FAMILIES["smooth"], c=1.0, grid_n=100)
     assert report.all_pass and report.max_residual <= 1e-9
     row = report.checks[0]
     assert row.params["bracket0"] == [0.0, 0.0] and row.params["bracket1"] == [0.0, 0.0]
@@ -258,11 +253,7 @@ def test_third_green_identity_smooth_field():
 
 def test_third_green_identity_jump_field():
     # f₊ = x, f₋ = 0 jumps by 1 in the trace and −1 in the flux bracket
-    field = IntervalField(
-        lambda x: np.asarray(x, dtype=float), _const(0.0),
-        _const(1.0), _const(0.0), _const(0.0), _const(0.0),
-    )
-    report = third_green_identity_1d(field, c=1.0, grid_n=100)
+    report = third_green_identity_1d(GREEN3_FAMILIES["jump"], c=1.0, grid_n=100)
     assert report.all_pass and report.max_residual <= 1e-8
     row = report.checks[0]
     assert row.params["bracket0"] == [1.0, 0.0] and row.params["bracket1"] == [-1.0, 0.0]
@@ -270,10 +261,17 @@ def test_third_green_identity_jump_field():
 
 
 def test_third_green_identity_zero_field():
-    zero = _const(0.0)
-    field = IntervalField(zero, zero, zero, zero, zero, zero)
-    report = third_green_identity_1d(field, c=1.0)
+    report = third_green_identity_1d(GREEN3_FAMILIES["zero"], c=1.0)
     assert report.max_residual == 0.0
+
+
+@pytest.mark.parametrize("label, bracket0, bracket1", [
+    ("smooth", 0.0, 0.0), ("jump", 1.0, -1.0), ("zero", 0.0, 0.0)])
+def test_green3_families_keep_their_brackets(label, bracket0, bracket1):
+    # a family whose brackets change would still pass the identity, untested
+    for row in third_green_identity_1d(GREEN3_FAMILIES[label], c=1.0).checks:
+        assert row.params["bracket0"] == [bracket0, 0.0]
+        assert row.params["bracket1"] == [bracket1, 0.0]
 
 
 def test_third_green_identity_requires_positive_shift():

@@ -202,6 +202,8 @@ def test_gamma_near_boundary_guard(disk128):
     field = gamma_field("interior", curve, grid, -1.0, np.ones(grid.n))
     with pytest.raises(AccuracyRegionError):
         field(np.array([[0.9999, 0.0]]))
+    with pytest.raises(AccuracyRegionError):
+        field.gradient(np.array([0.9999, 0.0]))
 
 
 # ------------------------------------------------------------- Herglotz suite
