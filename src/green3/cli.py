@@ -297,16 +297,12 @@ def _rellich_tasks(cfg: RunConfig) -> list:
     return [lambda k=k: one_k(k) for k in ks]
 
 
-# the default tolerance of each interval_model check, scaled by --tol-scale
-_INTERVAL_TOLERANCES = {"krein": 1e-8, "mixed": 1e-8, "green3": 1e-8, "suite": 1e-9}
-
-
 def _interval_tasks(cfg: RunConfig) -> list:
-    if cfg.check not in _INTERVAL_TOLERANCES:
+    if cfg.check not in interval_model._TOLERANCE:
         raise ConfigurationError(f"interval check must be krein|mixed|green3|suite, got {cfg.check!r}")
     cp = cfg.c_plus if cfg.c_plus is not None else (1.0 if cfg.check == "green3" else 0.0)
     cm = cfg.c_minus if cfg.c_minus is not None else cp
-    tol = _INTERVAL_TOLERANCES[cfg.check] * cfg.tol_scale
+    tol = interval_model._TOLERANCE[cfg.check] * cfg.tol_scale
 
     if cfg.check in ("krein", "mixed"):
         formula = (interval_model.krein_formula_check if cfg.check == "krein"

@@ -11,14 +11,12 @@ work through the assembled boundary operators instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ArgumentRangeError, ConfigurationError, SpectralPoleError
+from .errors import ConfigurationError, SpectralPoleError
 from .geometry import (
     InterfaceCurve,
     QuadratureGrid,
@@ -27,7 +25,12 @@ from .geometry import (
     make_curve,
     neumann_trace,
 )
-from .potentials import _LayerOperators, eval_double_layer_field, eval_single_layer_field
+from .potentials import (
+    _DiskMode,
+    _LayerOperators,
+    eval_double_layer_field,
+    eval_single_layer_field,
+)
 from .reports import ResidualReport, check_row, timed_check, worst
 from .specfun import (
     as_spectral_point,
@@ -35,10 +38,6 @@ from .specfun import (
     bessel_j_zero,
     fundamental_solution,
     fundamental_solution_gradient,
-    modified_i,
-    modified_i_derivative,
-    modified_k,
-    modified_k_derivative,
 )
 from .weyl import _guard_resonance, _normalize_side
 
@@ -178,99 +177,54 @@ def third_green_identity_residual(field: TransmissionField, z, curve: InterfaceC
 
 # ------------------------------------------------------- per-mode resolvents
 
-_INTERIOR_SAMPLES = (0.25, 0.6, 0.9)
-_EXTERIOR_SAMPLES = (1.2, 1.8, 2.5)
+# three sample radii inside the unit circle, then three outside
+_SAMPLES = np.array([0.25, 0.6, 0.9, 1.2, 1.8, 2.5])
+_IN, _OUT = slice(0, 3), slice(3, 6)
+_SIDE = np.repeat([0, 1], 3)  # 0 interior, 1 exterior, per sample radius
 
 
-# the normal double range: I_m(κr) underflows and K_m(κr) overflows at the
-# sample radii once m is large
-_SMALLEST, _LARGEST = float(np.finfo(float).tiny), float(np.finfo(float).max)
-
-
-class _ModeScalars:
-    """All scalar factors of the mode-m radial problem for −Δ + c at z.
-
-    A factor outside the normal double range raises ``ArgumentRangeError``
-    naming the mode, rather than yielding a NaN row or a false pole."""
+class _ModeScalars(_DiskMode):
+    """Mode m of −Δ + c at z: the disk-mode factors at z − c, the Weyl values
+    M± and the free radial kernel I_m(κr_<)K_m(κr_>) as one 6×6 array over
+    the sample radii.  The decoupled kernels are built on the block of pairs
+    they live on, and only by the formulas that read them."""
 
     def __init__(self, z, m, c):
         if c < 0:
             raise ConfigurationError(f"coupling shift c must be >= 0, got {c}")
-        point = as_spectral_point(complex(z) - c)  # raises on [0,∞), i.e. z on [c,∞)
-        self.kappa = -1j * point.sqrt_z  # Re > 0: decaying K_m branch
-        self.m = m
-        self._values = {}  # the few sample radii recur across every kernel block
-        self.i_at_1 = self._i(self.kappa)
-        self.k_at_1 = self._k(self.kappa)
-        self.ip_at_1 = self._normal("I_m'(κ)", modified_i_derivative(m, self.kappa))
-        self.kp_at_1 = self._normal("K_m'(κ)", modified_k_derivative(m, self.kappa))
+        shifted = complex(z) - c
+        if shifted.imag == 0.0 and shifted.real >= 0.0:
+            raise SpectralPoleError(
+                f"z - c = {abs(shifted.real):g} lies on [0, ∞), the spectrum of −Δ + c")
+        super().__init__(shifted, m)
         # a zero of I_m/K_m sits within O(ulp) of one of its own derivative's
         # scale; comparing across the I/K families would misfire at large m
-        if abs(self.i_at_1) < 1e-12 * abs(self.ip_at_1) \
-                or abs(self.k_at_1) < 1e-12 * abs(self.kp_at_1):
-            raise SpectralPoleError(
-                f"z - c = {point.z} sits at a Dirichlet pole of mode {m}"
-            )
-        self.m_plus = -self.kappa * self.ip_at_1 / self.i_at_1
-        self.m_minus = self.kappa * self.kp_at_1 / self.k_at_1
+        if abs(self.i_m) < 1e-12 * abs(self.di_m) or abs(self.k_m) < 1e-12 * abs(self.dk_m):
+            raise SpectralPoleError(f"z - c = {shifted} sits at a Dirichlet pole of mode {m}")
+        self.m_plus = -self.kappa * self.di_m / self.i_m
+        self.m_minus = self.kappa * self.dk_m / self.k_m
+        i_r, k_r = self.i_at(_SAMPLES), self.k_at(_SAMPLES)
+        self._i_in, self._k_out = i_r[_IN], k_r[_OUT]
+        self.gamma = np.concatenate([self._i_in / self.i_m, self._k_out / self.k_m])
+        rows, cols = np.triu_indices(_SAMPLES.size)  # the pairs r <= r′
+        self.free = np.empty((_SAMPLES.size, _SAMPLES.size), dtype=complex)
+        self.free[rows, cols] = self.free[cols, rows] = i_r[rows] * k_r[cols]
 
-    def _normal(self, name, value):
-        """``value`` if it is a normal finite double, else ArgumentRangeError."""
-        if not _SMALLEST <= math.hypot(value.real, value.imag) <= _LARGEST:
-            raise ArgumentRangeError(
-                f"mode {self.m} leaves the double-precision range at κ = {self.kappa:.6g}: "
-                f"{name} = {value:.3g} is outside {_SMALLEST:.3g} <= |x| <= {_LARGEST:.3g}; "
-                "use fewer modes")
-        return value
+    def _decoupled(self, block, name, ratio, values):
+        """The free kernel on the ``block`` pairs minus ratio·v(r)v(r′)."""
+        ratio = self._normal(name, ratio)
+        return self.free[block, block] - (ratio * values)[:, None] * values
 
-    def _i(self, w):
-        key = ("i", w)
-        if key not in self._values:
-            self._values[key] = self._normal(f"I_m({w:.6g})", modified_i(self.m, w))
-        return self._values[key]
+    def dirichlet_interior(self):
+        return self._decoupled(_IN, "K_m(κ)/I_m(κ)", self.k_m / self.i_m, self._i_in)
 
-    def _k(self, w):
-        key = ("k", w)
-        if key not in self._values:
-            self._values[key] = self._normal(f"K_m({w:.6g})", modified_k(self.m, w))
-        return self._values[key]
+    def dirichlet_exterior(self):
+        return self._decoupled(_OUT, "I_m(κ)/K_m(κ)", self.i_m / self.k_m, self._k_out)
 
-    @cached_property
-    def _k_over_i(self):
-        return self._normal("K_m(κ)/I_m(κ)", self.k_at_1 / self.i_at_1)
-
-    @cached_property
-    def _i_over_k(self):
-        return self._normal("I_m(κ)/K_m(κ)", self.i_at_1 / self.k_at_1)
-
-    def profile_in(self, r):
-        return self._i(self.kappa * r) / self.i_at_1
-
-    def profile_out(self, r):
-        return self._k(self.kappa * r) / self.k_at_1
-
-    def free_kernel(self, r, rp):
-        lo, hi = min(r, rp), max(r, rp)
-        return self._i(self.kappa * lo) * self._k(self.kappa * hi)
-
-    def dirichlet_interior_kernel(self, r, rp):
-        extra = self._k_over_i * self._i(self.kappa * r) * self._i(self.kappa * rp)
-        return self.free_kernel(r, rp) - extra
-
-    def dirichlet_exterior_kernel(self, r, rp):
-        extra = self._i_over_k * self._k(self.kappa * r) * self._k(self.kappa * rp)
-        return self.free_kernel(r, rp) - extra
-
-    def neumann_exterior_kernel(self, r, rp):
-        if abs(self.kp_at_1) < 1e-12 * abs(self.k_at_1):
+    def neumann_exterior(self):
+        if abs(self.dk_m) < 1e-12 * abs(self.k_m):
             raise SpectralPoleError(f"z sits at a Neumann pole of exterior mode {self.m}")
-        ratio = self._normal("I_m'(κ)/K_m'(κ)", self.ip_at_1 / self.kp_at_1)
-        extra = ratio * self._k(self.kappa * r) * self._k(self.kappa * rp)
-        return self.free_kernel(r, rp) - extra
-
-
-_SAMPLE_PAIRS = [(r, rp) for r in _INTERIOR_SAMPLES + _EXTERIOR_SAMPLES
-                 for rp in _INTERIOR_SAMPLES + _EXTERIOR_SAMPLES]
+        return self._decoupled(_OUT, "I_m'(κ)/K_m'(κ)", self.di_m / self.dk_m, self._k_out)
 
 
 def krein_resolvent_disk_mode(z, m: int, c: float = 1.0) -> float:
@@ -280,26 +234,17 @@ def krein_resolvent_disk_mode(z, m: int, c: float = 1.0) -> float:
     decoupled Dirichlet kernels plus the rank-one correction
     −γ(r)(M₊+M₋)⁻¹γ(r′), all of whose factors are scalars in mode m.
     """
-    sc = _ModeScalars(z, m, c)
-    denom = sc.m_plus + sc.m_minus
-    if abs(denom) < 1e-12 * (abs(sc.m_plus) + abs(sc.m_minus)):
+    mode = _ModeScalars(z, m, c)
+    denom = mode.m_plus + mode.m_minus
+    if abs(denom) < 1e-12 * (abs(mode.m_plus) + abs(mode.m_minus)):
         raise SpectralPoleError(
             f"M₊+M₋ vanishes in mode {m}: z is a coupled eigenvalue, the formula "
             "cannot be inverted there"
         )
-    defects = []
-    for r, rp in _SAMPLE_PAIRS:
-        gamma_r = sc.profile_in(r) if r < 1.0 else sc.profile_out(r)
-        gamma_rp = sc.profile_in(rp) if rp < 1.0 else sc.profile_out(rp)
-        if r < 1.0 and rp < 1.0:
-            block = sc.dirichlet_interior_kernel(r, rp)
-        elif r > 1.0 and rp > 1.0:
-            block = sc.dirichlet_exterior_kernel(r, rp)
-        else:
-            block = 0.0
-        rhs = block - gamma_r * gamma_rp / denom
-        defects.append(abs(sc.free_kernel(r, rp) - rhs))
-    return worst(defects)
+    rhs = -(mode.gamma[:, None] * mode.gamma / denom)
+    rhs[_IN, _IN] += mode.dirichlet_interior()
+    rhs[_OUT, _OUT] += mode.dirichlet_exterior()
+    return worst(np.abs(mode.free - rhs).flat)
 
 
 def mixed_resolvent_disk_mode(z, m: int, c: float = 1.0) -> float:
@@ -308,35 +253,23 @@ def mixed_resolvent_disk_mode(z, m: int, c: float = 1.0) -> float:
     The decoupled block is Dirichlet on the interior but Neumann on the
     exterior; the correction uses γ̂ = diag(γ₊, γ₋M₋⁻¹) and the 2×2 matrix
     Σ = −[[M₊, 1], [1, −M₋⁻¹]]⁻¹."""
-    sc = _ModeScalars(z, m, c)
-    if abs(sc.m_minus) == 0.0:
+    mode = _ModeScalars(z, m, c)
+    if abs(mode.m_minus) == 0.0:
         raise SpectralPoleError(f"exterior Weyl value vanishes in mode {m}")
-    sigma = -np.linalg.inv(np.array([[sc.m_plus, 1.0], [1.0, -1.0 / sc.m_minus]]))
-    defects = []
-    for r, rp in _SAMPLE_PAIRS:
-        left = (sc.profile_in(r), 0.0) if r < 1.0 else (0.0, sc.profile_out(r) / sc.m_minus)
-        right = (sc.profile_in(rp), 0.0) if rp < 1.0 else (0.0, sc.profile_out(rp) / sc.m_minus)
-        if r < 1.0 and rp < 1.0:
-            block = sc.dirichlet_interior_kernel(r, rp)
-        elif r > 1.0 and rp > 1.0:
-            block = sc.neumann_exterior_kernel(r, rp)
-        else:
-            block = 0.0
-        corr = np.array(left) @ sigma @ np.array(right)
-        defects.append(abs(sc.free_kernel(r, rp) - (block + corr)))
-    return worst(defects)
+    sigma = -np.linalg.inv(np.array([[mode.m_plus, 1.0], [1.0, -1.0 / mode.m_minus]]))
+    hat = np.concatenate([mode.gamma[_IN], mode.gamma[_OUT] / mode.m_minus])
+    rhs = hat[:, None] * sigma[np.ix_(_SIDE, _SIDE)] * hat
+    rhs[_IN, _IN] += mode.dirichlet_interior()
+    rhs[_OUT, _OUT] += mode.neumann_exterior()
+    return worst(np.abs(mode.free - rhs).flat)
 
 
 def resolvent_difference_disk_mode(z, m: int, c: float = 1.0) -> float:
     """Defect of (A₀₋−z)⁻¹ − (A₁₋−z)⁻¹ = γ₋ M₋⁻¹ γ₋* in exterior mode m."""
-    sc = _ModeScalars(z, m, c)
-    defects = []
-    for r in _EXTERIOR_SAMPLES:
-        for rp in _EXTERIOR_SAMPLES:
-            lhs = sc.dirichlet_exterior_kernel(r, rp) - sc.neumann_exterior_kernel(r, rp)
-            rhs = sc.profile_out(r) * sc.profile_out(rp) / sc.m_minus
-            defects.append(abs(lhs - rhs))
-    return worst(defects)
+    mode = _ModeScalars(z, m, c)
+    gamma = mode.gamma[_OUT]
+    rhs = gamma[:, None] * gamma / mode.m_minus
+    return worst(np.abs(mode.dirichlet_exterior() - mode.neumann_exterior() - rhs).flat)
 
 
 # ------------------------------------------------------------- curve-level ops

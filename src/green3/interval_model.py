@@ -79,6 +79,9 @@ def _omega(z, c) -> complex:
     return cmath.sqrt(complex(z) - c)
 
 
+# the default tolerance of each check; the CLI scales it by --tol-scale
+_TOLERANCE = {"krein": 1e-8, "mixed": 1e-8, "green3": 1e-8, "suite": 1e-9}
+
 # largest |√(z − c)| each check is trusted at (the sweep in the module docstring)
 _OMEGA_LIMIT = {"krein": 150.0, "mixed": 150.0, "suite": 10.0, "green3": 200.0}
 
@@ -300,7 +303,7 @@ def _eval_points(a: float, b: float, n: int) -> np.ndarray:
 
 def krein_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
                         grid_n: int = 200, basis: Sequence[Callable] = None,
-                        tolerance: float = 1e-8) -> ResidualReport:
+                        tolerance: float = _TOLERANCE["krein"]) -> ResidualReport:
     """Krein formula against the coupled closed-form resolvent, bump by bump.
 
     Left side: coupled kernel on (0,2).  Right side: decoupled Dirichlet
@@ -346,7 +349,7 @@ def krein_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
 
 def mixed_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
                         grid_n: int = 200, basis: Sequence[Callable] = None,
-                        tolerance: float = 1e-8) -> ResidualReport:
+                        tolerance: float = _TOLERANCE["mixed"]) -> ResidualReport:
     """Dirichlet ⊕ Neumann resolvent formula, plus the standalone kernel
     difference (A₀₋−z)⁻¹ − (A₁₋−z)⁻¹ = γ₋ m₋⁻¹ γ₋*."""
     _check_accuracy_region("mixed", z, c_plus, c_minus)
@@ -496,7 +499,7 @@ GREEN3_FAMILIES = {
 
 
 def third_green_identity_1d(field: IntervalField, c: float = 1.0, grid_n: int = 100,
-                            tolerance: float = 1e-8) -> ResidualReport:
+                            tolerance: float = _TOLERANCE["green3"]) -> ResidualReport:
     """Residual of f = 𝒢Tf + 𝒟[Γ₀f] − 𝒮[Γ₁f] on both intervals.
 
     𝒢 is the closed-form inverse of the coupled A = −d²/dx² + c (invertible
@@ -563,7 +566,7 @@ def third_green_identity_1d(field: IntervalField, c: float = 1.0, grid_n: int = 
 # ------------------------------------------------------------ abstract identities
 
 def abstract_identity_suite(zs, c_plus: float = 0.0, c_minus: float = 0.0, trials: int = 5,
-                            seed: int = 7, tolerance: float = 1e-9) -> ResidualReport:
+                            seed: int = 7, tolerance: float = _TOLERANCE["suite"]) -> ResidualReport:
     """Direct checks of the γ*/Weyl calculus at nonreal z, side by side.
 
     For each z: the pairing identity ∫γ(z)f = Γ₁(A₀−z)⁻¹f (evaluated by

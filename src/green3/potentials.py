@@ -399,14 +399,20 @@ def assemble_adjoint_double_layer(curve: InterfaceCurve, grid: QuadratureGrid, z
 
 # ---------------------------------------------------------------- field evaluation
 
-def _clearance_check(grid: QuadratureGrid, points: np.ndarray, enforce: bool) -> None:
-    dist = np.linalg.norm(points[:, None, :] - grid.points[None, :, :], axis=2).min(axis=1)
+def _clearance_check(grid: QuadratureGrid, points: np.ndarray, enforce: bool):
+    """The (M, N, 2) offsets x − y from the points x to the nodes y and their
+    (M, N) distances; with ``enforce``, a point nearer the curve than the
+    trapezoid rule is trusted raises ``AccuracyRegionError``."""
+    diff = points[:, None, :] - grid.points[None, :, :]
+    dists = np.linalg.norm(diff, axis=2)
+    nearest = dists.min(axis=1)
     floor = 5.0 * 2.0 * np.pi / grid.n
-    if enforce and np.any(dist < floor):
+    if enforce and np.any(nearest < floor):
         raise AccuracyRegionError(
-            f"evaluation point within {dist.min():.3g} of the curve; the plain "
+            f"evaluation point within {nearest.min():.3g} of the curve; the plain "
             f"trapezoid rule is only trusted beyond {floor:.3g} at N={grid.n}"
         )
+    return diff, dists
 
 
 def _as_points(points) -> np.ndarray:
@@ -419,8 +425,7 @@ def eval_single_layer_field(curve: InterfaceCurve, grid: QuadratureGrid, z, dens
     """𝒮_z φ at off-boundary points by the plain trapezoid rule."""
     z = as_spectral_point(z)
     pts = _as_points(points)
-    _clearance_check(grid, pts, enforce_accuracy_region)
-    dists = np.linalg.norm(pts[:, None, :] - grid.points[None, :, :], axis=2)
+    _, dists = _clearance_check(grid, pts, enforce_accuracy_region)
     kernel = fundamental_solution(2, z, dists.ravel()).reshape(dists.shape)
     return kernel @ (np.asarray(density) * grid.arc_weights)
 
@@ -430,8 +435,7 @@ def eval_double_layer_field(curve: InterfaceCurve, grid: QuadratureGrid, z, dens
     """𝒟_z φ at off-boundary points by the plain trapezoid rule."""
     z = as_spectral_point(z)
     pts = _as_points(points)
-    _clearance_check(grid, pts, enforce_accuracy_region)
-    diff = pts[:, None, :] - grid.points[None, :, :]
+    diff, _ = _clearance_check(grid, pts, enforce_accuracy_region)
     grads = fundamental_solution_gradient(2, z, diff.reshape(-1, 2)).reshape(diff.shape)
     kernel = np.einsum("jk,ijk->ij", _unnormalized_normal(grid), grads)
     return (2.0 * np.pi / grid.n) * (kernel @ np.asarray(density))
@@ -439,21 +443,72 @@ def eval_double_layer_field(curve: InterfaceCurve, grid: QuadratureGrid, z, dens
 
 # ---------------------------------------------------------------- disk oracle
 
+# the normal double range: I_m underflows and K_m overflows once m is large
+_SMALLEST, _LARGEST = float(np.finfo(float).tiny), float(np.finfo(float).max)
+
+
+class _DiskMode:
+    """Fourier mode m of the unit disk at z: κ = −i√z (Re κ > 0) and the
+    modified Bessel factors I_m, K_m, I_m′, K_m′ at κ.
+
+    Every factor, here and in the γ-profiles, must be a normal finite double:
+    the first that is not raises ``ArgumentRangeError`` naming the mode, where
+    it would otherwise become a NaN, a division by zero or a false pole."""
+
+    def __init__(self, z, m: int):
+        self.m = m
+        self.kappa = -1j * as_spectral_point(z).sqrt_z
+        self.i_m = self._normal("I_m(κ)", modified_i(m, self.kappa))
+        self.k_m = self._normal("K_m(κ)", modified_k(m, self.kappa))
+        self.di_m = self._normal("I_m'(κ)", modified_i_derivative(m, self.kappa))
+        self.dk_m = self._normal("K_m'(κ)", modified_k_derivative(m, self.kappa))
+
+    def _normal(self, name, value, radii=None):
+        """``value`` if each of its entries is a normal finite double, else
+        ArgumentRangeError; ``radii`` names the radius of an array entry."""
+        size = np.abs(value)
+        bad = np.flatnonzero(~((size >= _SMALLEST) & (size <= _LARGEST)))  # NaN fails too
+        if bad.size:
+            first = bad[0]
+            at = "" if radii is None else f" at r = {np.ravel(radii)[first]:g}"
+            raise ArgumentRangeError(
+                f"mode {self.m} leaves the double-precision range at κ = {self.kappa:.6g}: "
+                f"{name}{at} = {np.ravel(value)[first]:.3g} is outside "
+                f"{_SMALLEST:.3g} <= |x| <= {_LARGEST:.3g}; use fewer modes")
+        return value
+
+    def i_at(self, r):
+        """I_m(κr) at a radius or an array of radii, in one guarded call."""
+        return self._normal("I_m(κr)", modified_i(self.m, self.kappa * r), r)
+
+    def k_at(self, r):
+        """K_m(κr) at a radius or an array of radii, in one guarded call."""
+        return self._normal("K_m(κr)", modified_k(self.m, self.kappa * r), r)
+
+    def gamma_interior(self, r):
+        """The interior γ-profile I_m(κr)/I_m(κ)."""
+        return self.i_at(r) / self.i_m
+
+    def gamma_exterior(self, r):
+        """The exterior γ-profile K_m(κr)/K_m(κ)."""
+        return self.k_at(r) / self.k_m
+
+
 def disk_mode_multipliers(z, m: int) -> dict:
     """Separation-of-variables multipliers on the unit circle for density e^{imθ}.
 
-    Everything reduces to modified Bessel functions at κ = −i√z (Re κ > 0):
-    the returned dict maps trace names to the scalar each boundary operator
-    multiplies the mode by.  This is the closed-form reference the planar
-    Nyström operators are checked against; it never touches the matrices.
+    Everything reduces to the modified Bessel factors of ``_DiskMode`` at
+    κ = −i√z: the returned dict maps trace names to the scalar each boundary
+    operator multiplies the mode by.  This is the closed-form reference the
+    planar Nyström operators are checked against; it never touches the
+    matrices.  A factor outside the normal double range raises
+    ``ArgumentRangeError`` naming the mode.
     """
     z = as_spectral_point(z)
     if z.is_laplace:
         raise ConfigurationError("mode multipliers need z off [0, ∞); use small negative z instead")
-    m = abs(int(m))
-    kappa = -1j * z.sqrt_z
-    i_m, k_m = modified_i(m, kappa), modified_k(m, kappa)
-    di_m, dk_m = modified_i_derivative(m, kappa), modified_k_derivative(m, kappa)
+    mode = _DiskMode(z, abs(int(m)))
+    kappa, i_m, k_m, di_m, dk_m = mode.kappa, mode.i_m, mode.k_m, mode.di_m, mode.dk_m
     s = i_m * k_m
     a_plus = kappa * di_m * k_m           # τ_N⁺ 𝒮
     a_minus = -kappa * i_m * dk_m         # τ_N⁻ 𝒮
@@ -467,8 +522,8 @@ def disk_mode_multipliers(z, m: int) -> dict:
         "Kstar": 0.5 - a_plus,            # equals K on the disk (Wronskian)
         "M.interior": -a_plus / s,        # −κ I'_m/I_m
         "M.exterior": -a_minus / s,       # κ K'_m/K_m
-        "gamma.interior": lambda r, _i=i_m, _k=kappa, _m=m: modified_i(_m, _k * r) / _i,
-        "gamma.exterior": lambda r, _km=k_m, _k=kappa, _m=m: modified_k(_m, _k * r) / _km,
+        "gamma.interior": mode.gamma_interior,
+        "gamma.exterior": mode.gamma_exterior,
     }
 
 

@@ -103,8 +103,7 @@ class SingleLayerField:
         pts = np.asarray(points, dtype=float)
         squeeze = pts.ndim == 1
         pts = np.atleast_2d(pts)
-        _clearance_check(self.grid, pts, True)
-        diff = pts[:, None, :] - self.grid.points[None, :, :]
+        diff, _ = _clearance_check(self.grid, pts, True)
         grads = fundamental_solution_gradient(2, self.z, diff.reshape(-1, 2)).reshape(diff.shape)
         out = np.einsum("j,ijk->ik", self._weights, grads)
         return out[0] if squeeze else out

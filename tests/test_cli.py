@@ -272,6 +272,26 @@ def test_dtn_at_a_resonance_is_usage_error():
     assert "numerically singular (rcond₁" in stderr
 
 
+@pytest.mark.parametrize("nodes, z, modes, first_bad", [
+    ("64", "0,1e-20", "31", 26),    # used to exit 3 with ZeroDivisionError
+    ("300", "-1,0", "149", 149),    # used to exit 3 with ZeroDivisionError
+    ("64", "-1e-30,0", "20", 18),   # used to exit 1 with max_residual NaN
+])
+def test_disk_jumps_beyond_the_double_range_are_usage_errors(nodes, z, modes, first_bad):
+    from green3.potentials import disk_mode_multipliers
+
+    code, stdout, stderr = main_capture(["jumps", "--curve", "disk", "--nodes", nodes, "--z", z,
+                                         "--modes", modes, "--omit-timing"])
+    assert (code, stdout) == (2, "")
+    assert f"green3: mode {first_bad} leaves the double-precision range" in stderr
+    assert "internal error" not in stderr
+    # the mode before it still has a closed form
+    re, im = map(float, z.split(","))
+    assert all(math.isfinite(abs(value)) for value in
+               disk_mode_multipliers(complex(re, im), first_bad - 1).values()
+               if not callable(value))
+
+
 def test_unexpected_exception_is_one_line_and_exit_three(monkeypatch, tmp_path):
     import green3.cli as cli_mod
 

@@ -82,6 +82,13 @@ def test_krein_modes_beyond_the_double_range_are_usage_errors(argv, mode):
     assert code == 0 and json.loads(stdout)["all_pass"]
 
 
+def test_krein_at_the_bottom_of_the_spectrum_is_a_usage_error():
+    # z − c = 0 used to be reported as I_m(0) leaving the double range
+    code, stdout, stderr = _cli(["krein", "--mode", "3", "--c", "2", "--z", "2,0"])
+    assert (code, stdout) == (2, "")
+    assert stderr == "green3: z - c = 0 lies on [0, ∞), the spectrum of −Δ + c\n"
+
+
 # ----------------------------------------------------------- eigenvalue criterion
 
 
@@ -336,9 +343,13 @@ def test_mode_formulas_propagate_nan(monkeypatch, formula):
     # Python's max(worst, nan) keeps worst, so one NaN sample used to vanish
     import green3.coupling as coupling
 
-    free_kernel = coupling._ModeScalars.free_kernel
-    monkeypatch.setattr(coupling._ModeScalars, "free_kernel", lambda self, r, rp: (
-        complex("nan") if r == rp == 2.5 else free_kernel(self, r, rp)))
+    init = coupling._ModeScalars.__init__
+
+    def poisoned(self, *args):  # the free kernel at r = r′ = 2.5
+        init(self, *args)
+        self.free[-1, -1] = complex("nan")
+
+    monkeypatch.setattr(coupling._ModeScalars, "__init__", poisoned)
     assert math.isnan(formula(2 + 1j, 1, c=1.0))
     code, stdout, _ = _cli(["krein", "--z", "2,1", "--mode", "1"])
     assert code == 1
