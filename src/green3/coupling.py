@@ -227,14 +227,15 @@ class _ModeScalars(_DiskMode):
         return self._decoupled(_OUT, "I_m'(κ)/K_m'(κ)", self.di_m / self.dk_m, self._k_out)
 
 
-def krein_resolvent_disk_mode(z, m: int, c: float = 1.0) -> float:
+def krein_resolvent_disk_mode(z, m: int, c: float = 1.0, mode: _ModeScalars | None = None) -> float:
     """Worst pointwise defect of the Krein formula for (−Δ+c−z)⁻¹ in mode m.
 
     Left side: the free radial kernel I_m(κr_<)K_m(κr_>).  Right side: the
     decoupled Dirichlet kernels plus the rank-one correction
-    −γ(r)(M₊+M₋)⁻¹γ(r′), all of whose factors are scalars in mode m.
+    −γ(r)(M₊+M₋)⁻¹γ(r′), all of whose factors are scalars in mode m.  A
+    caller that already holds ``_ModeScalars(z, m, c)`` passes it as ``mode``.
     """
-    mode = _ModeScalars(z, m, c)
+    mode = _ModeScalars(z, m, c) if mode is None else mode
     denom = mode.m_plus + mode.m_minus
     if abs(denom) < 1e-12 * (abs(mode.m_plus) + abs(mode.m_minus)):
         raise SpectralPoleError(
@@ -247,13 +248,14 @@ def krein_resolvent_disk_mode(z, m: int, c: float = 1.0) -> float:
     return worst(np.abs(mode.free - rhs).flat)
 
 
-def mixed_resolvent_disk_mode(z, m: int, c: float = 1.0) -> float:
+def mixed_resolvent_disk_mode(z, m: int, c: float = 1.0, mode: _ModeScalars | None = None) -> float:
     """Worst pointwise defect of the Dirichlet ⊕ Neumann resolvent formula.
 
     The decoupled block is Dirichlet on the interior but Neumann on the
     exterior; the correction uses γ̂ = diag(γ₊, γ₋M₋⁻¹) and the 2×2 matrix
-    Σ = −[[M₊, 1], [1, −M₋⁻¹]]⁻¹."""
-    mode = _ModeScalars(z, m, c)
+    Σ = −[[M₊, 1], [1, −M₋⁻¹]]⁻¹.  ``mode`` is as in
+    ``krein_resolvent_disk_mode``."""
+    mode = _ModeScalars(z, m, c) if mode is None else mode
     if abs(mode.m_minus) == 0.0:
         raise SpectralPoleError(f"exterior Weyl value vanishes in mode {m}")
     sigma = -np.linalg.inv(np.array([[mode.m_plus, 1.0], [1.0, -1.0 / mode.m_minus]]))

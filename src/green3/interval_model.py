@@ -11,20 +11,25 @@ so C¹ matching at the junction is exactly the coupling condition.  Because the
 closed forms are exact, every residual here measures quadrature alone.
 
 Each Green kernel lives for one check call and is applied to many densities φ
-at the same few point sets.  The first ``apply_resolvent`` at a point set
-builds the Gauss–Legendre panels and u₁/u₂ on them and at the points, and
-keeps them on the kernel; every later φ there evaluates only φ itself, once
-per panel set.  This changes no bit of any result: each integrand value is the
-same elementwise product u·φ on the same nodes, reduced by the same ``@ w``
-over the same (panels, ``_QUAD_N``) shape as when everything is evaluated afresh.
+at the same few point sets.  ``apply_resolvent`` evaluates the Green's-function
+representation by running sums (Greengard & Rokhlin, CPAM 44, 1991): the
+evaluation points, the ends and the kernel's breaks cut (a, b) into gaps, each
+gap into pieces no longer than ``_PIECE_LENGTH`` with one ``_PIECE_N``-point
+Gauss–Legendre rule each, and ∫_a^x and ∫_x^b are forward and backward sums
+of the piece integrals, so every node is visited once for all points.  The
+first call at a point set builds the nodes, u₁·w and u₂·w there and u₁/u₂ at
+the points, and keeps them on the kernel; every later φ there evaluates only
+φ itself, once on all nodes.  This changes no bit of any result: each piece
+sum is the same elementwise product on the same nodes, reduced in the same
+order, as when everything is evaluated afresh.
 
 Unlike the planar operators, z may be any complex number away from the
 relevant poles — the 1D spectra are discrete, so real z in spectral gaps is a
 legitimate (and tested) regime.
 
 Accuracy region.  The closed forms oscillate or grow like e^{|Im ω| x} in
-ω = √(z − c), and the 64-point Gauss–Legendre panels and the one-sided
-extrapolation resolve them only up to some |ω|.  Each check therefore rejects
+ω = √(z − c), and the Gauss–Legendre rules and the one-sided extrapolation
+resolve them only up to some |ω|.  Each check therefore rejects
 (``AccuracyRegionError``) a z whose largest |ω| over the two sides exceeds
 its ``_OMEGA_LIMIT``.  The limits come from a sweep over |ω| (36 geometric
 radii from 1 to 3000, refined near the first failure), 14 arguments of ω
@@ -32,18 +37,18 @@ from 1e-9 to π/2 − 1e-6 (z from just above the positive real axis to just
 above the negative one) and (c₊, c₋) ∈ {(0, 0), (3, 3), (0, 3)}; for
 ``green3`` (z = 0) the sweep is over c up to 1e7:
 
-* ``krein`` passes at every point up to |ω| = 189 and fails from 201
-  (1.7e-7 against 1e-8, next to the positive real axis); limit 150;
-* ``mixed`` passes up to 179 and fails from 189 (1.6e-8); limit 150;
-* ``suite`` passes up to 11.9 and fails from 12.4 (1.1e-9 against 1e-9);
+* ``krein`` passes at every point up to |ω| = 186 and fails from 190
+  (7.3e-8 against 1e-8, next to the positive real axis); limit 150;
+* ``mixed`` passes up to 186 and fails from 190 (1.5e-7); limit 150;
+* ``suite`` passes up to 12.3 and fails from 12.4 (1.1e-9 against 1e-9);
   limit 10;
-* ``green3`` passes up to √c = 316, returns NaN at 422 and overflows
-  (``OverflowError``) from 750; products of its kernels overflow with a
-  RuntimeWarning from √c ≈ 236; limit 200.
+* ``green3`` passes up to √c = 347, returns NaN from 355 and overflows
+  (``OverflowError``) from 760; products of its kernels overflow with a
+  RuntimeWarning from √c ≈ 237; limit 200.
 
-At the limits the worst residual over the same sweep is 2.2e-6 of the
-tolerance for ``krein``, 4.4e-6 for ``mixed`` and 0.16 for ``suite``, with no
-floating-point warning.
+At the limits the worst residual over the same sweep is 2.0e-6 of the
+tolerance for ``krein``, 3.9e-6 for ``mixed``, 0.16 for ``suite`` and 8.6e-7
+for ``green3``, with no floating-point warning.
 
 Every z with |Re z| ≤ 5 and c± ∈ [0, 3] has |ω| ≤ 2.93, far inside.
 """
@@ -63,8 +68,12 @@ from .reports import ResidualReport, timed_check, worst
 _BUMP_CENTERS = (0.3, 0.7, 1.0, 1.35, 1.8)
 _BUMP_WIDTH = 0.12
 
-# Gauss–Legendre nodes per panel of every 1D integral
+# Gauss–Legendre nodes of each ``_integrate`` panel
 _QUAD_N = 64
+
+# ``apply_resolvent`` pieces: at most this long, with this many nodes each
+_PIECE_LENGTH = 1.0 / 16.0
+_PIECE_N = 16
 
 # Between Dirichlet poles p < q of opposite sides, |d(m₊+m₋)/dz| ≥ 8·2p/(q−p)²
 # (each residue is 2(kπ)² ≈ 2p), so the best double-precision root has a
@@ -133,7 +142,7 @@ class _Kernel:
     """G(x,y) = −u₁(x_<)u₂(x_>)/W on (a,b), the standard Sturm–Liouville form.
 
     ``breaks`` lists interior points where u₁/u₂ lose smoothness (the coupled
-    kernel's junction); quadrature panels must not straddle them.
+    kernel's junction); no quadrature piece may straddle them.
     ``_factors`` keeps what ``apply_resolvent`` reuses per point set xs."""
 
     a: float
@@ -204,71 +213,49 @@ def coupled_kernel(z, c_plus: float = 0.0, c_minus: float = 0.0) -> _Kernel:
     return _Kernel(0.0, 2.0, u1, u2, wron, breaks=(1.0,))
 
 
-class _Panels:
-    """One Gauss–Legendre panel per (starts[k], stops[k]): the rule (t, w) on
-    [0, 1] mapped there, nodes in rows and ``flat`` in row order."""
-
-    def __init__(self, starts, stops, t, w):
-        starts = np.asarray(starts, dtype=float)
-        stops = np.asarray(stops, dtype=float)
-        self.nodes = starts[:, None] + np.outer(stops - starts, t)
-        self.flat = self.nodes.ravel()
-        self.w = w
-        self.lengths = stops - starts
-
-    def integrate(self, vals) -> np.ndarray:
-        """The panel integrals of ``vals``, the integrand at ``flat``."""
-        return (vals.reshape(self.nodes.shape) @ self.w) * self.lengths
-
-
 class _ResolventFactors:
-    """Everything ``apply_resolvent`` needs of one (kernel, xs) but φ:
-    the panels between the edges, the partial panels to and from each x, and
-    u₁/u₂ on them and at xs."""
+    """Everything ``apply_resolvent`` needs of one (kernel, xs) but φ: the
+    nodes, u₁·w and u₂·w there, the pieces left of each x, and u₁/u₂ at xs."""
 
     def __init__(self, kernel: _Kernel, xs: np.ndarray):
-        t, w = _leggauss(_QUAD_N)
-        t, w = 0.5 * (t + 1.0), 0.5 * w
-        edges = [kernel.a, *kernel.breaks, kernel.b]
-        self.full = _Panels(edges[:-1], edges[1:], t, w)
-        self.u1_full = kernel.u1(self.full.flat)
-        self.u2_full = kernel.u2(self.full.flat)
-        seg = np.searchsorted(np.asarray(edges[1:-1]), xs, side="right")
-        self.pieces = []  # (panel index, mask of xs, left panels, u₁ there, right panels, u₂ there)
-        for j in range(len(edges) - 1):
-            mask = seg == j
-            if not mask.any():
-                continue
-            xj = xs[mask]
-            left = _Panels(np.full_like(xj, edges[j]), xj, t, w)
-            right = _Panels(xj, np.full_like(xj, edges[j + 1]), t, w)
-            self.pieces.append((j, mask, left, kernel.u1(left.flat), right, kernel.u2(right.flat)))
-        self.u1_xs = kernel.u1(xs)
-        self.u2_xs = kernel.u2(xs)
+        points = np.unique(np.concatenate([[kernel.a, *kernel.breaks, kernel.b], xs.ravel()]))
+        gaps = np.diff(points)
+        counts = np.ceil(gaps / _PIECE_LENGTH).astype(int)  # equal pieces per gap
+        first = np.concatenate([[0], np.cumsum(counts)])
+        gap = np.repeat(np.arange(gaps.size), counts)
+        lengths = gaps[gap] / counts[gap]
+        starts = points[gap] + (np.arange(gap.size) - first[gap]) * lengths
+        t, w = _leggauss(_PIECE_N)
+        self.nodes = (starts[:, None] + np.outer(lengths, 0.5 * (t + 1.0))).ravel()
+        weights = np.outer(lengths, 0.5 * w)
+        self.u1w = kernel.u1(self.nodes).reshape(weights.shape) * weights
+        self.u2w = kernel.u2(self.nodes).reshape(weights.shape) * weights
+        self.left_pieces = first[np.searchsorted(points, xs)]
+        self.u1_xs, self.u2_xs = kernel.u1(xs), kernel.u2(xs)
 
 
 def apply_resolvent(kernel: _Kernel, phi: Callable, xs) -> np.ndarray:
-    """(A−z)⁻¹φ at points xs: u(x) = −[u₂(x)∫_a^x u₁φ + u₁(x)∫_x^b u₂φ]/W.
+    """(A−z)⁻¹φ at points xs of [a, b]: u(x) = −[u₂(x)∫_a^x u₁φ + u₁(x)∫_x^b u₂φ]/W.
 
-    Integration is split at the kernel kink x and at every interior break, so
-    each Gauss–Legendre panel sees an analytic integrand; φ must be an
-    evaluable callable (closed-form bases keep this exact).  The panels and
-    u₁/u₂ are built on the kernel's first call at xs and reused
-    bit-identically for every later φ (see the module docstring)."""
+    φ must be an evaluable callable (closed-form bases keep this exact).  It
+    is evaluated once on the pieces of the module docstring, which end at
+    every x and break, and ∫_a^x, ∫_x^b are forward and backward running sums
+    of the piece integrals.  A point outside [a, b] or NaN raises
+    ``ConfigurationError``."""
     xs = np.asarray(xs, dtype=float)
+    outside = xs[~((xs >= kernel.a) & (xs <= kernel.b))]  # NaN is outside too
+    if outside.size:
+        raise ConfigurationError(
+            f"resolvent point {float(outside[0])!r} is not in [{kernel.a:g}, {kernel.b:g}]")
     key = (xs.shape, xs.tobytes())
     fac = kernel._factors.get(key)
     if fac is None:
         fac = kernel._factors[key] = _ResolventFactors(kernel, xs)
-    phi_full = np.asarray(phi(fac.full.flat))
-    full1 = fac.full.integrate(fac.u1_full * phi_full)
-    full2 = fac.full.integrate(fac.u2_full * phi_full)
-    left = np.zeros(xs.shape, dtype=complex)
-    right = np.zeros(xs.shape, dtype=complex)
-    for j, mask, lp, u1_left, rp, u2_right in fac.pieces:
-        left[mask] = full1[:j].sum() + lp.integrate(u1_left * np.asarray(phi(lp.flat)))
-        right[mask] = full2[j + 1:].sum() + rp.integrate(u2_right * np.asarray(phi(rp.flat)))
-    return -(fac.u2_xs * left + fac.u1_xs * right) / kernel.wronskian
+    phi_nodes = np.asarray(phi(fac.nodes)).reshape(fac.u1w.shape)
+    left = np.concatenate([[0.0], np.cumsum((fac.u1w * phi_nodes).sum(axis=1))])
+    right = np.concatenate([np.cumsum((fac.u2w * phi_nodes).sum(axis=1)[::-1])[::-1], [0.0]])
+    return -(fac.u2_xs * left[fac.left_pieces] + fac.u1_xs * right[fac.left_pieces]) \
+        / kernel.wronskian
 
 
 def _integrate(fn: Callable, a: float, b: float) -> complex:

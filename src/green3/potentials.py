@@ -457,7 +457,12 @@ class _DiskMode:
 
     def __init__(self, z, m: int):
         self.m = m
-        self.kappa = -1j * as_spectral_point(z).sqrt_z
+        z = as_spectral_point(z)
+        self.kappa = -1j * z.sqrt_z
+        if not self.kappa.real > 0.0:  # a subnormal Im z just above (0, ∞) rounds it away
+            raise ArgumentRangeError(
+                f"mode {m} at z = {z.z}: κ = −i√z = {self.kappa:.6g} has no positive "
+                "real part, so K_m(κ) is undefined; move z off [0, ∞)")
         self.i_m = self._normal("I_m(κ)", modified_i(m, self.kappa))
         self.k_m = self._normal("K_m(κ)", modified_k(m, self.kappa))
         self.di_m = self._normal("I_m'(κ)", modified_i_derivative(m, self.kappa))

@@ -292,6 +292,18 @@ def test_disk_jumps_beyond_the_double_range_are_usage_errors(nodes, z, modes, fi
                if not callable(value))
 
 
+@pytest.mark.parametrize("argv", [
+    ["krein", "--z", "1,5e-324", "--modes", "2", "--c", "0"],
+    ["jumps", "--curve", "disk", "--nodes", "16", "--z", "1,5e-324", "--modes", "2"],
+])
+def test_a_subnormal_imaginary_part_names_z_and_the_mode(argv):
+    # −i√z loses its real part to rounding, which K_m(κ) cannot take
+    code, stdout, stderr = main_capture([*argv, "--omit-timing"])
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("green3: mode 0 at z = (1+5e-324j): κ = −i√z = ")
+    assert "has no positive real part" in stderr and "internal error" not in stderr
+
+
 def test_unexpected_exception_is_one_line_and_exit_three(monkeypatch, tmp_path):
     import green3.cli as cli_mod
 

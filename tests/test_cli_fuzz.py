@@ -1,6 +1,7 @@
-"""Bounded fuzzing of the disk-mode closed forms through ``green3.cli.main``.
+"""Bounded fuzzing of the closed forms through ``green3.cli.main``.
 
-Each example is one in-process run of ``krein`` or ``jumps --curve disk``.
+Each example is one in-process run of ``krein``, ``jumps --curve disk`` or
+``interval``.
 Whatever the input, the run must end in a verdict (exit 0 or 1) or a usage
 error (exit 2), never in an internal error, and a passing report must not
 rest on a non-finite residual.  Warnings are errors under pytest, so an
@@ -71,3 +72,14 @@ def test_disk_jumps_fail_closed(z, data):
     nodes = 2 * half
     _assert_fail_closed(["jumps", "--curve", "disk", "--nodes", str(nodes), *_z_flag(z),
                          "--modes", str(modes)])
+
+
+@_FUZZ
+@given(check=st.sampled_from(["krein", "mixed", "green3", "suite"]), z=_spectral_points(-30),
+       shifts=st.lists(st.floats(-1.0, 1e5) | st.sampled_from([0.0, 3.0, 4e4]), max_size=2),
+       seed=st.integers(0, 2**31 - 1))
+def test_interval_fails_closed(check, z, shifts, seed):
+    argv = ["interval", "--check", check, *_z_flag(z)]
+    for flag, c in zip(("--c+", "--c-"), shifts):
+        argv += [flag, repr(c)]
+    _assert_fail_closed(argv + ["--seed", str(seed)])

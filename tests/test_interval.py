@@ -20,6 +20,7 @@ from green3.interval_model import (
     gamma_profile,
     krein_formula_check,
     mixed_formula_check,
+    neumann_kernel_minus,
     scalar_weyl,
     third_green_identity_1d,
 )
@@ -83,6 +84,70 @@ def test_dirichlet_resolvent_against_constant_load():
     u = apply_resolvent(dirichlet_kernel("+", -1.0), _const(1.0), xs)
     exact = 1.0 - np.cosh(xs - 0.5) / np.cosh(0.5)
     assert np.abs(u - exact).max() < 1e-13
+
+
+def _sine_solution(waves, a):
+    """u = Σ amp·sin(k(x − a)) over the (amp, k) ``waves``, and u''; a kernel's
+    resolvent maps −u'' + (c − z)u back to u when u meets its end conditions."""
+    def u(x):
+        return sum(amp * np.sin(k * (np.asarray(x) - a)) for amp, k in waves)
+
+    def ddu(x):
+        return sum(-amp * k * k * np.sin(k * (np.asarray(x) - a)) for amp, k in waves)
+
+    return u, ddu
+
+
+def _load(u, ddu, z, shift):
+    """φ = −u'' + (c(x) − z)u for the piecewise shift c(x) = shift(x)."""
+    return lambda x: -ddu(x) + (shift(np.asarray(x)) - z) * u(x)
+
+
+# |√(z − c)| = 149 lies next to the 150 limit of the krein and mixed checks; the
+# gaps between one or three points are cut into many pieces there
+_NEAR_LIMIT = [3.0 + (149.0 * np.exp(1j * arg)) ** 2 for arg in (1e-6, 0.7, np.pi / 2 - 1e-6)]
+
+
+@pytest.mark.parametrize("z", [-1.0, 2j, 1.0 + 1.0j, *_NEAR_LIMIT])
+@pytest.mark.parametrize("xs", [[1.0], [0.25, 1.0, 1.6], np.linspace(0.0, 2.0, 202)[1:-1]],
+                         ids=["1-point", "3-points", "200-points"])
+def test_coupled_resolvent_against_a_closed_form_solution(z, xs):
+    # u = sin(πx/2) + ½sin(3πx/2) vanishes at 0 and 2 and is C¹ at x = 1, so it
+    # lies in the coupled domain; its load jumps at x = 1 when c₊ ≠ c₋
+    u, ddu = _sine_solution([(1.0, np.pi / 2), (0.5, 1.5 * np.pi)], 0.0)
+    phi = _load(u, ddu, z, lambda x: np.where(x <= 1.0, 0.0, 3.0))
+    got = apply_resolvent(coupled_kernel(z, 0.0, 3.0), phi, xs)
+    assert np.abs(got - u(np.asarray(xs))).max() < 1e-10
+
+
+@pytest.mark.parametrize("z", [-1.0, 2j, 1.0 + 1.0j, *_NEAR_LIMIT])
+@pytest.mark.parametrize("make, waves, a, xs", [
+    (lambda z: dirichlet_kernel("+", z, 3.0), [(1.0, np.pi), (0.5, 2 * np.pi)], 0.0, [0.5]),
+    (lambda z: dirichlet_kernel("+", z, 3.0), [(1.0, np.pi), (0.5, 2 * np.pi)], 0.0,
+     [0.1, 0.5, 0.9]),
+    (lambda z: dirichlet_kernel("-", z, 3.0), [(1.0, np.pi), (0.5, 2 * np.pi)], 1.0,
+     np.linspace(1.0, 2.0, 202)[1:-1]),
+    # sin(πx/2) has u'(1) = 0 and u(2) = 0
+    (lambda z: neumann_kernel_minus(z, 3.0), [(1.0, np.pi / 2)], 0.0,
+     np.linspace(1.0, 2.0, 202)[1:-1]),
+], ids=["dirichlet-plus-1-point", "dirichlet-plus-3-points", "dirichlet-minus-200-points",
+        "neumann-minus-200-points"])
+def test_side_resolvents_against_closed_form_solutions(z, make, waves, a, xs):
+    u, ddu = _sine_solution(waves, a)
+    got = apply_resolvent(make(z), _load(u, ddu, z, lambda x: 3.0), xs)
+    assert np.abs(got - u(np.asarray(xs))).max() < 1e-10
+
+
+@pytest.mark.parametrize("x", [-0.5, 1.5, np.nan, np.inf, -np.inf, np.nextafter(1.0, 2.0)])
+def test_resolvent_points_outside_the_interval_are_rejected(x):
+    # the constant-load formula used to extend outside [0, 1]: −0.368 at −0.5 and 1.5
+    with pytest.raises(ConfigurationError, match=r"not in \[0, 1\]"):
+        apply_resolvent(dirichlet_kernel("+", -1.0), _const(1.0), np.array([0.5, x]))
+
+
+def test_resolvent_vanishes_at_the_dirichlet_ends():
+    u = apply_resolvent(dirichlet_kernel("+", -1.0), _const(1.0), np.array([0.0, 1.0]))
+    assert np.abs(u).max() < 1e-15
 
 
 @pytest.mark.parametrize("make, xs", [
