@@ -19,7 +19,6 @@ from .coupling import (
     resolvent_difference_disk_mode,
     third_green_identity_residual,
     transmission_point_sources,
-    unique_continuation_check,
 )
 from .errors import (
     AccuracyRegionError,
@@ -111,6 +110,5 @@ __all__ = [
     "third_green_identity_1d",
     "third_green_identity_residual",
     "transmission_point_sources",
-    "unique_continuation_check",
     "__version__",
 ]

@@ -5,8 +5,8 @@ an interior/exterior transmission pair.  On the unit disk every resolvent
 formula decouples into Fourier modes where each factor is a ratio of modified
 Bessel functions, so the Krein-type and mixed (Dirichlet ⊕ Neumann) formulas
 can be verified as exact scalar kernel identities; curve-level checks (third
-Green identity, eigenvalue indicator, unique continuation, Rellich quotient)
-work through the assembled boundary operators instead.
+Green identity, eigenvalue indicator, Rellich quotient) work through the
+assembled boundary operators instead.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .potentials import (
     eval_double_layer_field,
     eval_single_layer_field,
 )
-from .reports import ResidualReport, check_row, timed_check, worst
+from .reports import ResidualReport, timed_check, worst
 from .specfun import (
     as_spectral_point,
     bessel_j,
@@ -39,7 +39,7 @@ from .specfun import (
     fundamental_solution,
     fundamental_solution_gradient,
 )
-from .weyl import _guard_resonance, _normalize_side
+from .weyl import _guard_resonance
 
 __all__ = [
     "JumpData",
@@ -52,7 +52,6 @@ __all__ = [
     "mixed_resolvent_disk_mode",
     "resolvent_difference_disk_mode",
     "eigenvalue_indicator",
-    "unique_continuation_check",
     "rellich_quotient",
 ]
 
@@ -287,51 +286,6 @@ def eigenvalue_indicator(z, curve: InterfaceCurve, grid: QuadratureGrid, c: floa
     singular_values = ops.single_layer_singular_values
     _guard_resonance(singular_values)
     return float(1.0 / singular_values[0])
-
-
-def unique_continuation_check(side: str, z, curve: InterfaceCurve, grid: QuadratureGrid,
-                              trials: int = 8) -> ResidualReport:
-    """Quantitative surrogate for unique continuation from Cauchy data.
-
-    Random band-limited layer densities generate solution fields; each is
-    rescaled so its Cauchy data (τ_D, τ_N) has combined norm ε, and the probe
-    sup-norm must stay below 100·ε.  The report records the observed constants
-    and the ε-scaling slope (exactly 1 by linearity — that row guards the
-    evaluation pipeline, not the mathematics).
-    """
-    side = _normalize_side(side)
-    z = as_spectral_point(z)
-    ops = _LayerOperators(grid, z)
-    tau_d, tau_n = ops.single_layer, f"single.neumann.{side}"
-    d = np.sqrt(grid.arc_weights)
-
-    radius = 0.5 if side == "interior" else 2.0
-    probes = probe_ring(radius, 20)
-    rng = np.random.default_rng(0)
-    modes = np.arange(-16, 17)
-    harmonics = np.exp(1j * np.outer(modes, grid.nodes))
-    coeffs = rng.normal(size=(trials, modes.size)) + 1j * rng.normal(size=(trials, modes.size))
-
-    params = {"side": side, "curve": curve.shape, "n": grid.n, "z": [z.z.real, z.z.imag]}
-    rows, norms = [], []
-    epsilons = (1e-8, 1e-6, 1e-4)
-    for eps in epsilons:
-        probe_norms = []
-        for coef in coeffs:
-            psi = coef @ harmonics
-            data_norm = float(np.linalg.norm(d * (tau_d @ psi))
-                              + np.linalg.norm(d * ops.apply_trace(tau_n, psi)))
-            psi = psi * (eps / data_norm)
-            values = eval_single_layer_field(curve, grid, z, psi, probes)
-            probe_norms.append(np.abs(values).max())
-        norms.append(worst(probe_norms))
-        rows.append(check_row("uc.constant", {**params, "epsilon": eps},
-                              residual=norms[-1] / eps, tolerance=100.0,
-                              probe_norm=norms[-1]))
-    slope = float(np.polyfit(np.log(np.asarray(epsilons)), np.log(np.asarray(norms)), 1)[0])
-    rows.append(check_row("uc.slope", params, residual=abs(slope - 1.0), tolerance=0.1,
-                          slope=slope))
-    return ResidualReport(rows).sorted()
 
 
 def rellich_quotient(k: int):

@@ -10,18 +10,28 @@ the boundary maps follow the outward-derivative convention
 so C¹ matching at the junction is exactly the coupling condition.  Because the
 closed forms are exact, every residual here measures quadrature alone.
 
+The model has one quadrature rule, ``_pieces``: sorted points cut (a, b)
+into gaps, each gap into equal pieces no longer than ``_PIECE_LENGTH`` with
+one ``_PIECE_N``-point Gauss–Legendre rule each.
+
 Each Green kernel lives for one check call and is applied to many densities φ
 at the same few point sets.  ``apply_resolvent`` evaluates the Green's-function
 representation by running sums (Greengard & Rokhlin, CPAM 44, 1991): the
-evaluation points, the ends and the kernel's breaks cut (a, b) into gaps, each
-gap into pieces no longer than ``_PIECE_LENGTH`` with one ``_PIECE_N``-point
-Gauss–Legendre rule each, and ∫_a^x and ∫_x^b are forward and backward sums
-of the piece integrals, so every node is visited once for all points.  The
-first call at a point set builds the nodes, u₁·w and u₂·w there and u₁/u₂ at
-the points, and keeps them on the kernel; every later φ there evaluates only
-φ itself, once on all nodes.  This changes no bit of any result: each piece
-sum is the same elementwise product on the same nodes, reduced in the same
-order, as when everything is evaluated afresh.
+evaluation points, the ends and the kernel's breaks are the points of the
+rule, and ∫_a^x and ∫_x^b are forward and backward sums of the piece
+integrals, so every node is visited once for all points.  The first call at a
+point set builds the nodes, u₁·w and u₂·w there and u₁/u₂ at the points, and
+keeps them on the kernel; every later φ there evaluates only φ itself, once
+on all nodes.  This changes no bit of any result: each piece sum is the same
+elementwise product on the same nodes, reduced in the same order, as when
+everything is evaluated afresh.
+
+Everything the checks read of one side — m(z), γ, the Dirichlet kernel, the
+kernel with a Neumann condition at the junction, the check points — comes from
+one ``_Side``, which computes ω = √(z − c), sin ω and cos ω once and holds the
+one Dirichlet-pole test.  The γ pairings ∫γφ and ∫|γ|² use the same rule on
+the side's own ends (16 pieces of 16 nodes), with the nodes and γ·w built once
+per side.
 
 Unlike the planar operators, z may be any complex number away from the
 relevant poles — the 1D spectra are discrete, so real z in spectral gaps is a
@@ -33,22 +43,26 @@ resolve them only up to some |ω|.  Each check therefore rejects
 (``AccuracyRegionError``) a z whose largest |ω| over the two sides exceeds
 its ``_OMEGA_LIMIT``.  The limits come from a sweep over |ω| (36 geometric
 radii from 1 to 3000, refined near the first failure), 14 arguments of ω
-from 1e-9 to π/2 − 1e-6 (z from just above the positive real axis to just
-above the negative one) and (c₊, c₋) ∈ {(0, 0), (3, 3), (0, 3)}; for
-``green3`` (z = 0) the sweep is over c up to 1e7:
+(1e-9, 1e-6, 1e-3, ten equal steps from 0.1 to 1.5, and π/2 − 1e-6: z from
+just above the positive real axis to just above the negative one) and
+(c₊, c₋) ∈ {(0, 0), (3, 3), (0, 3)}, with z = min(c±) + ω²; for ``green3``
+(z = 0) the sweep is over c up to 1e7:
 
-* ``krein`` passes at every point up to |ω| = 186 and fails from 190
-  (7.3e-8 against 1e-8, next to the positive real axis); limit 150;
-* ``mixed`` passes up to 186 and fails from 190 (1.5e-7); limit 150;
-* ``suite`` passes up to 12.3 and fails from 12.4 (1.1e-9 against 1e-9);
+* ``krein`` passes at every point up to |ω| = 346 and fails from 355 (790
+  times the tolerance next to the negative real axis, where the kernel
+  products near e^{2|Im ω|} leave the double range; an invalid-value
+  RuntimeWarning from 355); limit 150;
+* ``mixed`` likewise passes up to 346 and fails from 355; limit 150;
+* ``suite`` passes up to 12.07 and fails from 12.38 (1.13e-9 against 1e-9);
   limit 10;
 * ``green3`` passes up to √c = 347, returns NaN from 355 and overflows
   (``OverflowError``) from 760; products of its kernels overflow with a
   RuntimeWarning from √c ≈ 237; limit 200.
 
-At the limits the worst residual over the same sweep is 2.0e-6 of the
-tolerance for ``krein``, 3.9e-6 for ``mixed``, 0.16 for ``suite`` and 8.6e-7
-for ``green3``, with no floating-point warning.
+At |ω| = 149 and 150 the worst residual over the same sweep is 3.6e-10 and
+6.5e-11 of the tolerance for ``krein`` and 7.1e-10 and 1.0e-10 for ``mixed``;
+at 9.9 and 10 it is 0.21 and 0.16 for ``suite``; at its limit it is 8.6e-7
+for ``green3``.  No floating-point warning is raised at the limits.
 
 Every z with |Re z| ≤ 5 and c± ∈ [0, 3] has |ω| ≤ 2.93, far inside.
 """
@@ -57,6 +71,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,10 +83,7 @@ from .reports import ResidualReport, timed_check, worst
 _BUMP_CENTERS = (0.3, 0.7, 1.0, 1.35, 1.8)
 _BUMP_WIDTH = 0.12
 
-# Gauss–Legendre nodes of each ``_integrate`` panel
-_QUAD_N = 64
-
-# ``apply_resolvent`` pieces: at most this long, with this many nodes each
+# ``_pieces``: at most this long, with this many nodes each
 _PIECE_LENGTH = 1.0 / 16.0
 _PIECE_N = 16
 
@@ -109,30 +121,7 @@ def scalar_weyl(side: str, z, c: float = 0.0) -> complex:
 
     Both sides share the formula (each is a unit interval with Dirichlet far
     end); ``side`` only selects which shift c belongs where in error text."""
-    _check_side(side, "interval side")
-    w = _omega(z, c)
-    if abs(w) < 1e-6:
-        w2 = w * w
-        return complex(-1.0 + w2 / 3.0 + w2 * w2 / 45.0)
-    s = cmath.sin(w)
-    if abs(s) < 1e-12 * (1.0 + abs(cmath.cos(w))):
-        raise SpectralPoleError(
-            f"z = {complex(z)} is a Dirichlet eigenvalue of side {side} (sin√(z−c) ≈ 0)"
-        )
-    return complex(-w * cmath.cos(w) / s)
-
-
-def gamma_profile(side: str, z, c: float = 0.0) -> Callable:
-    """γ-field of one side: the (−d²/dx²+c−z)-solution with boundary value 1
-    at the junction and 0 at the far end."""
-    _check_side(side, "interval side")
-    w = _omega(z, c)
-    s = cmath.sin(w)
-    if abs(s) < 1e-12 * (1.0 + abs(cmath.cos(w))):
-        raise SpectralPoleError(f"γ-field pole: z = {complex(z)} on side {side}")
-    if side == "+":
-        return lambda x: np.sin(w * np.asarray(x)) / s
-    return lambda x: np.sin(w * (2.0 - np.asarray(x))) / s
+    return _Side(side, z, c).weyl()
 
 
 # --------------------------------------------------------------- Green kernels
@@ -154,38 +143,96 @@ class _Kernel:
     _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def dirichlet_kernel(side: str, z, c: float = 0.0) -> _Kernel:
-    _check_side(side, "interval side")
-    w = _omega(z, c)
-    s = cmath.sin(w)
-    if abs(s) < 1e-12 * (1.0 + abs(cmath.cos(w))):
-        raise SpectralPoleError(f"Dirichlet resolvent pole at z = {complex(z)}, side {side}")
-    if side == "+":
-        return _Kernel(0.0, 1.0,
-                       lambda x: np.sin(w * np.asarray(x)),
-                       lambda x: np.sin(w * (1.0 - np.asarray(x))),
-                       -w * s)
-    return _Kernel(1.0, 2.0,
-                   lambda x: np.sin(w * (np.asarray(x) - 1.0)),
-                   lambda x: np.sin(w * (2.0 - np.asarray(x))),
-                   -w * s)
+class _Side:
+    """One side of the junction at (z, c): ω = √(z − c), sin ω and cos ω,
+    computed once, and everything the checks read of the side.
 
+    The side is (a, b) = (0, 1) for "+" and (1, 2) for "−", with its Dirichlet
+    far end at 0 or 2.  It supplies the Weyl value m = Γ₁γ, the γ-field, the
+    Dirichlet kernel (A₀ − z)⁻¹, the kernel with a Neumann condition at the
+    junction, the check points, and the pairings ∫γφ and ∫|γ|².  The pairings
+    use ``_pieces`` on [a, b], with nodes and γ·w built once per side.  Every
+    quadrature here evaluates φ on [a, b] only, so a density on (0, 2) needs
+    no restriction to the side."""
 
-def neumann_kernel_minus(z, c: float = 0.0) -> _Kernel:
-    """Resolvent kernel of the Neumann-at-1, Dirichlet-at-2 side."""
-    w = _omega(z, c)
-    cw = cmath.cos(w)
-    if abs(cw) < 1e-12 * (1.0 + abs(cmath.sin(w))):
-        raise SpectralPoleError(f"Neumann resolvent pole at z = {complex(z)}")
-    return _Kernel(1.0, 2.0,
-                   lambda x: np.cos(w * (np.asarray(x) - 1.0)),
-                   lambda x: np.sin(w * (2.0 - np.asarray(x))),
-                   -w * cw)
+    def __init__(self, side: str, z, c: float = 0.0):
+        _check_side(side, "interval side")
+        self.side, self.z = side, complex(z)
+        self.a, self.b = (0.0, 1.0) if side == "+" else (1.0, 2.0)
+        self.omega = _omega(z, c)
+        self.sin, self.cos = cmath.sin(self.omega), cmath.cos(self.omega)
+
+    def _regular(self) -> None:
+        """Raise at a Dirichlet eigenvalue of the side, where sin ω vanishes."""
+        if abs(self.sin) < 1e-12 * (1.0 + abs(self.cos)):
+            raise SpectralPoleError(
+                f"z = {self.z} is a Dirichlet eigenvalue of side {self.side} (sin√(z−c) ≈ 0)")
+
+    def _from_a(self, x):
+        return self.omega * (np.asarray(x) - self.a)
+
+    def _from_b(self, x):
+        return self.omega * (self.b - np.asarray(x))
+
+    def weyl(self) -> complex:
+        """m(z) = −ω·cot ω, by its series near ω = 0."""
+        w = self.omega
+        if abs(w) < 1e-6:
+            w2 = w * w
+            return complex(-1.0 + w2 / 3.0 + w2 * w2 / 45.0)
+        self._regular()
+        return complex(-w * self.cos / self.sin)
+
+    def gamma(self, x):
+        """γ-field: the (−d²/dx²+c−z)-solution with boundary value 1 at the
+        junction and 0 at the far end."""
+        self._regular()
+        return np.sin(self._from_a(x) if self.side == "+" else self._from_b(x)) / self.sin
+
+    @property
+    def junction_slope(self) -> complex:
+        """d/dx at x = 1 of sin(ω·distance from the far end), the numerator of γ."""
+        return self.omega * self.cos if self.side == "+" else -self.omega * self.cos
+
+    def dirichlet(self) -> _Kernel:
+        """Resolvent kernel of A₀, the side with Dirichlet conditions at both ends."""
+        self._regular()
+        return _Kernel(self.a, self.b, lambda x: np.sin(self._from_a(x)),
+                       lambda x: np.sin(self._from_b(x)), -self.omega * self.sin)
+
+    def neumann(self) -> _Kernel:
+        """Resolvent kernel of the side with a Neumann condition at the junction."""
+        if abs(self.cos) < 1e-12 * (1.0 + abs(self.sin)):
+            raise SpectralPoleError(f"Neumann resolvent pole at z = {self.z}, side {self.side}")
+        at_a, at_b = (np.sin, np.cos) if self.side == "+" else (np.cos, np.sin)
+        return _Kernel(self.a, self.b, lambda x: at_a(self._from_a(x)),
+                       lambda x: at_b(self._from_b(x)), -self.omega * self.cos)
+
+    def points(self, n: int) -> np.ndarray:
+        """n equispaced check points inside (a, b)."""
+        return np.linspace(self.a, self.b, n + 2)[1:-1]
+
+    @cached_property
+    def _rule(self):
+        nodes, weights, _ = _pieces(np.array([self.a, self.b]))
+        weights = weights.ravel()
+        return nodes, weights, self.gamma(nodes) * weights
+
+    def pairing(self, phi: Callable) -> complex:
+        """∫γφ over the side."""
+        nodes, _, gamma_w = self._rule
+        return complex(np.sum(gamma_w * phi(nodes)))
+
+    def gram(self) -> float:
+        """∫|γ|² over the side."""
+        nodes, weights, _ = self._rule
+        return float(np.sum(np.abs(self.gamma(nodes)) ** 2 * weights))
 
 
 def coupled_kernel(z, c_plus: float = 0.0, c_minus: float = 0.0) -> _Kernel:
     """Resolvent kernel of the coupled operator on (0,2): C¹ through x = 1."""
-    wp, wm = _omega(z, c_plus), _omega(z, c_minus)
+    p, m = _Side("+", z, c_plus), _Side("-", z, c_minus)
+    wp, wm = p.omega, m.omega
 
     def u1(x):
         x = np.asarray(x, dtype=float)
@@ -193,8 +240,7 @@ def coupled_kernel(z, c_plus: float = 0.0, c_minus: float = 0.0) -> _Kernel:
         left = x <= 1.0
         out[left] = np.sin(wp * x[left])
         xr = x[~left]
-        out[~left] = cmath.sin(wp) * np.cos(wm * (xr - 1.0)) \
-            + (wp / wm) * cmath.cos(wp) * np.sin(wm * (xr - 1.0))
+        out[~left] = p.sin * np.cos(wm * (xr - 1.0)) + (wp / wm) * p.cos * np.sin(wm * (xr - 1.0))
         return out
 
     def u2(x):
@@ -203,14 +249,29 @@ def coupled_kernel(z, c_plus: float = 0.0, c_minus: float = 0.0) -> _Kernel:
         right = x >= 1.0
         out[right] = np.sin(wm * (2.0 - x[right]))
         xl = x[~right]
-        out[~right] = cmath.sin(wm) * np.cos(wp * (1.0 - xl)) \
-            + (wm / wp) * cmath.cos(wm) * np.sin(wp * (1.0 - xl))
+        out[~right] = m.sin * np.cos(wp * (1.0 - xl)) + (wm / wp) * m.cos * np.sin(wp * (1.0 - xl))
         return out
 
-    wron = -cmath.sin(wp) * wm * cmath.cos(wm) - wp * cmath.cos(wp) * cmath.sin(wm)
+    wron = -p.sin * wm * m.cos - wp * p.cos * m.sin
     if abs(wron) < 1e-10 * (1.0 + abs(wp) + abs(wm)):
         raise SpectralPoleError(f"z = {complex(z)} is an eigenvalue of the coupled operator")
     return _Kernel(0.0, 2.0, u1, u2, wron, breaks=(1.0,))
+
+
+def _pieces(points: np.ndarray):
+    """The model's one quadrature rule on the sorted ``points``: each gap in
+    equal pieces no longer than ``_PIECE_LENGTH``, with ``_PIECE_N``
+    Gauss–Legendre nodes each.  Returns the nodes (flat), the weights (one row
+    per piece) and the index of the first piece of each gap."""
+    gaps = np.diff(points)
+    counts = np.ceil(gaps / _PIECE_LENGTH).astype(int)  # equal pieces per gap
+    first = np.concatenate([[0], np.cumsum(counts)])
+    gap = np.repeat(np.arange(gaps.size), counts)
+    lengths = gaps[gap] / counts[gap]
+    starts = points[gap] + (np.arange(gap.size) - first[gap]) * lengths
+    t, w = _leggauss(_PIECE_N)
+    nodes = (starts[:, None] + np.outer(lengths, 0.5 * (t + 1.0))).ravel()
+    return nodes, np.outer(lengths, 0.5 * w), first
 
 
 class _ResolventFactors:
@@ -219,15 +280,7 @@ class _ResolventFactors:
 
     def __init__(self, kernel: _Kernel, xs: np.ndarray):
         points = np.unique(np.concatenate([[kernel.a, *kernel.breaks, kernel.b], xs.ravel()]))
-        gaps = np.diff(points)
-        counts = np.ceil(gaps / _PIECE_LENGTH).astype(int)  # equal pieces per gap
-        first = np.concatenate([[0], np.cumsum(counts)])
-        gap = np.repeat(np.arange(gaps.size), counts)
-        lengths = gaps[gap] / counts[gap]
-        starts = points[gap] + (np.arange(gap.size) - first[gap]) * lengths
-        t, w = _leggauss(_PIECE_N)
-        self.nodes = (starts[:, None] + np.outer(lengths, 0.5 * (t + 1.0))).ravel()
-        weights = np.outer(lengths, 0.5 * w)
+        self.nodes, weights, first = _pieces(points)
         self.u1w = kernel.u1(self.nodes).reshape(weights.shape) * weights
         self.u2w = kernel.u2(self.nodes).reshape(weights.shape) * weights
         self.left_pieces = first[np.searchsorted(points, xs)]
@@ -258,12 +311,6 @@ def apply_resolvent(kernel: _Kernel, phi: Callable, xs) -> np.ndarray:
         / kernel.wronskian
 
 
-def _integrate(fn: Callable, a: float, b: float) -> complex:
-    t, w = _leggauss(_QUAD_N)
-    nodes = 0.5 * (b - a) * (t + 1.0) + a
-    return complex(0.5 * (b - a) * np.dot(np.asarray(fn(nodes)), w))
-
-
 def _gaussian_bump(center: float, width: float) -> Callable:
     return lambda x: np.exp(-(((np.asarray(x) - center) / width) ** 2))
 
@@ -273,20 +320,30 @@ def default_basis() -> list:
     return [_gaussian_bump(c, _BUMP_WIDTH) for c in _BUMP_CENTERS]
 
 
-def _restrict(phi: Callable, a: float, b: float) -> Callable:
-    def clipped(x):
-        x = np.asarray(x)
-        vals = np.asarray(phi(x))
-        return np.where((x >= a) & (x <= b), vals, 0.0)
-
-    return clipped
-
-
-def _eval_points(a: float, b: float, n: int) -> np.ndarray:
-    return np.linspace(a, b, n + 2)[1:-1]
-
-
 # ----------------------------------------------------------- resolvent formulas
+
+class _ResolventFormula:
+    """What the Krein and mixed checks share at (z, c₊, c₋): the region check,
+    both sides with m±, the coupled and Dirichlet kernels, the check points
+    with γ there, and the params echo."""
+
+    def __init__(self, check: str, z, c_plus: float, c_minus: float, grid_n: int):
+        _check_accuracy_region(check, z, c_plus, c_minus)
+        self.sides = (_Side("+", z, c_plus), _Side("-", z, c_minus))
+        self.weyl = tuple(side.weyl() for side in self.sides)
+        self.coupled = coupled_kernel(z, c_plus, c_minus)
+        self.dirichlet = tuple(side.dirichlet() for side in self.sides)
+        self.points = tuple(side.points(grid_n) for side in self.sides)
+        self.gamma = tuple(side.gamma(xs) for side, xs in zip(self.sides, self.points))
+        self.params = {"z": [complex(z).real, complex(z).imag], "c_plus": c_plus,
+                       "c_minus": c_minus, "grid_n": grid_n}
+
+    def defect(self, phi: Callable, rhs) -> float:
+        """|(A − z)⁻¹φ − rhs| at the check points, A the coupled operator,
+        worst over both sides; ``rhs`` holds one array per side."""
+        return worst(np.abs(apply_resolvent(self.coupled, phi, xs) - r).max()
+                     for xs, r in zip(self.points, rhs))
+
 
 def krein_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
                         grid_n: int = 200, basis: Sequence[Callable] = None,
@@ -296,41 +353,23 @@ def krein_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
     Left side: coupled kernel on (0,2).  Right side: decoupled Dirichlet
     resolvents plus the rank-one correction −γ(z)(m₊+m₋)⁻¹[γ₊*, γ₋*] with the
     no-conjugation adjoints of a dual pairing."""
-    _check_accuracy_region("krein", z, c_plus, c_minus)
+    setup = _ResolventFormula("krein", z, c_plus, c_minus, grid_n)
     basis = default_basis() if basis is None else list(basis)
-    mp = scalar_weyl("+", z, c_plus)
-    mm = scalar_weyl("-", z, c_minus)
+    mp, mm = setup.weyl
     denom = mp + mm
     if abs(denom) < 1e-10 * (abs(mp) + abs(mm)):
         raise SpectralPoleError(f"m₊+m₋ vanishes at z = {complex(z)}: coupled eigenvalue")
-    coupled = coupled_kernel(z, c_plus, c_minus)
-    g_plus = dirichlet_kernel("+", z, c_plus)
-    g_minus = dirichlet_kernel("-", z, c_minus)
-    gam_plus = gamma_profile("+", z, c_plus)
-    gam_minus = gamma_profile("-", z, c_minus)
-    xs_plus = _eval_points(0.0, 1.0, grid_n)
-    xs_minus = _eval_points(1.0, 2.0, grid_n)
 
     rows = []
     for idx, phi in enumerate(basis):
-        phi_p = _restrict(phi, 0.0, 1.0)
-        phi_m = _restrict(phi, 1.0, 2.0)
-
         def residual():
-            lhs_p = apply_resolvent(coupled, phi, xs_plus)
-            lhs_m = apply_resolvent(coupled, phi, xs_minus)
-            pair = (_integrate(lambda y: gam_plus(y) * phi_p(y), 0.0, 1.0)
-                    + _integrate(lambda y: gam_minus(y) * phi_m(y), 1.0, 2.0))
-            rhs_p = apply_resolvent(g_plus, phi_p, xs_plus) - gam_plus(xs_plus) * pair / denom
-            rhs_m = apply_resolvent(g_minus, phi_m, xs_minus) - gam_minus(xs_minus) * pair / denom
-            return worst((np.abs(lhs_p - rhs_p).max(), np.abs(lhs_m - rhs_m).max()))
+            pair = sum(side.pairing(phi) for side in setup.sides)
+            return setup.defect(phi, [apply_resolvent(g, phi, xs) - gam * pair / denom
+                                      for g, xs, gam in zip(setup.dirichlet, setup.points,
+                                                            setup.gamma)])
 
-        rows.append(timed_check(
-            "interval.krein",
-            {"z": [complex(z).real, complex(z).imag], "c_plus": c_plus,
-             "c_minus": c_minus, "basis": idx, "grid_n": grid_n},
-            tolerance, residual,
-        ))
+        rows.append(timed_check("interval.krein", {**setup.params, "basis": idx},
+                                tolerance, residual))
     return ResidualReport(rows).sorted()
 
 
@@ -339,52 +378,37 @@ def mixed_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
                         tolerance: float = _TOLERANCE["mixed"]) -> ResidualReport:
     """Dirichlet ⊕ Neumann resolvent formula, plus the standalone kernel
     difference (A₀₋−z)⁻¹ − (A₁₋−z)⁻¹ = γ₋ m₋⁻¹ γ₋*."""
-    _check_accuracy_region("mixed", z, c_plus, c_minus)
+    setup = _ResolventFormula("mixed", z, c_plus, c_minus, grid_n)
     basis = default_basis() if basis is None else list(basis)
-    mp = scalar_weyl("+", z, c_plus)
-    mm = scalar_weyl("-", z, c_minus)
+    mp, mm = setup.weyl
     if abs(mm) < 1e-12:
         raise SpectralPoleError(f"m₋(z) = 0 at z = {complex(z)}: mixed formula not invertible")
     sigma = -np.linalg.inv(np.array([[mp, 1.0], [1.0, -1.0 / mm]], dtype=complex))
-    coupled = coupled_kernel(z, c_plus, c_minus)
-    g_plus = dirichlet_kernel("+", z, c_plus)
-    g_minus = dirichlet_kernel("-", z, c_minus)
-    g1_minus = neumann_kernel_minus(z, c_minus)
-    gam_plus = gamma_profile("+", z, c_plus)
-    gam_minus = gamma_profile("-", z, c_minus)
-    xs_plus = _eval_points(0.0, 1.0, grid_n)
-    xs_minus = _eval_points(1.0, 2.0, grid_n)
-    params = {"z": [complex(z).real, complex(z).imag], "c_plus": c_plus,
-              "c_minus": c_minus, "grid_n": grid_n}
+    plus, minus = setup.sides
+    neumann = minus.neumann()
+    (g_plus, g_minus), (xs_plus, xs_minus) = setup.dirichlet, setup.points
+    gam_plus, gam_minus = setup.gamma
 
     rows = []
     for idx, phi in enumerate(basis):
-        phi_p = _restrict(phi, 0.0, 1.0)
-        phi_m = _restrict(phi, 1.0, 2.0)
-
         # (A₁₋−z)⁻¹φ₋ and the γ₋ pairing enter both rows of the bump
-        neumann_m = apply_resolvent(g1_minus, phi_m, xs_minus)
-        pairing_m = _integrate(lambda y: gam_minus(y) * phi_m(y), 1.0, 2.0)
+        neumann_m = apply_resolvent(neumann, phi, xs_minus)
+        pairing_m = minus.pairing(phi)
 
         def residual():
-            lhs_p = apply_resolvent(coupled, phi, xs_plus)
-            lhs_m = apply_resolvent(coupled, phi, xs_minus)
-            hat = np.array([
-                _integrate(lambda y: gam_plus(y) * phi_p(y), 0.0, 1.0),
-                pairing_m / mm,
-            ])
-            corr = sigma @ hat
-            rhs_p = apply_resolvent(g_plus, phi_p, xs_plus) + gam_plus(xs_plus) * corr[0]
-            rhs_m = neumann_m + (gam_minus(xs_minus) / mm) * corr[1]
-            return worst((np.abs(lhs_p - rhs_p).max(), np.abs(lhs_m - rhs_m).max()))
+            corr = sigma @ np.array([plus.pairing(phi), pairing_m / mm])
+            return setup.defect(phi, (apply_resolvent(g_plus, phi, xs_plus) + gam_plus * corr[0],
+                                      neumann_m + (gam_minus / mm) * corr[1]))
 
-        rows.append(timed_check("interval.mixed", {**params, "basis": idx}, tolerance, residual))
+        rows.append(timed_check("interval.mixed", {**setup.params, "basis": idx}, tolerance,
+                                residual))
 
         def res01():
-            direct = apply_resolvent(g_minus, phi_m, xs_minus) - neumann_m
-            return float(np.abs(direct - gam_minus(xs_minus) * pairing_m / mm).max())
+            direct = apply_resolvent(g_minus, phi, xs_minus) - neumann_m
+            return float(np.abs(direct - gam_minus * pairing_m / mm).max())
 
-        rows.append(timed_check("interval.res01", {**params, "basis": idx}, tolerance, res01))
+        rows.append(timed_check("interval.res01", {**setup.params, "basis": idx}, tolerance,
+                                res01))
     return ResidualReport(rows).sorted()
 
 
@@ -496,17 +520,17 @@ def third_green_identity_1d(field: IntervalField, c: float = 1.0, grid_n: int = 
         raise ConfigurationError(f"the coupled operator needs c > 0 for invertibility, got {c}")
     _check_accuracy_region("green3", 0.0, c)
     kernel = coupled_kernel(0.0, c, c)
+    plus, minus = _Side("+", 0.0, c), _Side("-", 0.0, c)
     bracket0 = complex(np.asarray(field.plus(np.array([1.0])))[0]
                        - np.asarray(field.minus(np.array([1.0])))[0])
     bracket1 = complex(-np.asarray(field.d_plus(np.array([1.0])))[0]
                        + np.asarray(field.d_minus(np.array([1.0])))[0])
 
-    # −∂_y G_A(x, y)|_{y=1}: the y-derivative lands on whichever factor owns y
+    # −∂_y G_A(x, y)|_{y=1}: the y-derivative lands on whichever factor owns y,
+    # u₁ (the + side's far-end solution) or u₂ (the − side's)
     u1_at_1 = complex(kernel.u1(np.array([1.0]))[0])
     u2_at_1 = complex(kernel.u2(np.array([1.0]))[0])
-    du1_at_1 = complex(_omega(0.0, c) * cmath.cos(_omega(0.0, c)))  # u1' continued value
-    # u2'(1) from the (1,2) branch: d/dx sin(ω(2−x)) = −ω cos(ω(2−x))
-    du2_at_1 = complex(-_omega(0.0, c) * cmath.cos(_omega(0.0, c)))
+    du1_at_1, du2_at_1 = plus.junction_slope, minus.junction_slope
 
     def single_layer(x):
         x = np.asarray(x, dtype=float)
@@ -519,19 +543,15 @@ def third_green_identity_1d(field: IntervalField, c: float = 1.0, grid_n: int = 
         dy = np.where(x <= 1.0, kernel.u1(x) * du2_at_1, du1_at_1 * kernel.u2(x))
         return dy / kernel.wronskian
 
-    def source(side):
-        f_dd = field.dd_plus if side == "+" else field.dd_minus
-        f_val = field.plus if side == "+" else field.minus
+    def source(f_dd, f_val):
         return lambda x: -np.asarray(f_dd(x)) + c * np.asarray(f_val(x))
 
-    xs_plus = _eval_points(0.0, 1.0, grid_n)
-    xs_minus = _eval_points(1.0, 2.0, grid_n)
-    t_plus = _restrict(source("+"), 0.0, 1.0)
-    t_minus = _restrict(source("-"), 1.0, 2.0)
+    source_plus = source(field.dd_plus, field.plus)
+    source_minus = source(field.dd_minus, field.minus)
 
     def total_source(x):
         x = np.asarray(x)
-        return np.where(x <= 1.0, t_plus(x), t_minus(x))
+        return np.where(x <= 1.0, source_plus(x), source_minus(x))
 
     def side_residual(xs, f_side):
         rhs = apply_resolvent(kernel, total_source, xs) \
@@ -543,9 +563,9 @@ def third_green_identity_1d(field: IntervalField, c: float = 1.0, grid_n: int = 
               "bracket1": [bracket1.real, bracket1.imag]}
     rows = [
         timed_check("interval.green3.plus", params, tolerance,
-                    lambda: side_residual(xs_plus, field.plus)),
+                    lambda: side_residual(plus.points(grid_n), field.plus)),
         timed_check("interval.green3.minus", params, tolerance,
-                    lambda: side_residual(xs_minus, field.minus)),
+                    lambda: side_residual(minus.points(grid_n), field.minus)),
     ]
     return ResidualReport(rows).sorted()
 
@@ -568,19 +588,17 @@ def abstract_identity_suite(zs, c_plus: float = 0.0, c_minus: float = 0.0, trial
     rows = []
     for z in zs:
         for side, c in (("+", c_plus), ("-", c_minus)):
-            a, b = (0.0, 1.0) if side == "+" else (1.0, 2.0)
-            gam = gamma_profile(side, z, c)
-            m_z = scalar_weyl(side, z, c)
+            here = _Side(side, z, c)
+            kern = here.dirichlet()
+            m_z = here.weyl()
             m_zbar = scalar_weyl(side, z.conjugate(), c)
             params = {"z": [z.real, z.imag], "side": side, "c": c}
 
             def jaok2():
-                gram = _integrate(lambda y: np.abs(gam(y)) ** 2, a, b)
-                return abs((m_z - m_zbar) - (z - z.conjugate()) * gram)
+                return abs((m_z - m_zbar) - (z - z.conjugate()) * here.gram())
 
             rows.append(timed_check("interval.jaok2", params, tolerance, jaok2))
 
-            kern = dirichlet_kernel(side, z, c)
             coefs = rng.normal(size=(trials, 4))
 
             def gsgs():
@@ -591,7 +609,7 @@ def abstract_identity_suite(zs, c_plus: float = 0.0, c_minus: float = 0.0, trial
                         return (ck[0] + ck[1] * y + ck[2] * np.sin(2.0 * y)
                                 + ck[3] * np.cos(3.0 * y))
 
-                    pairing = _integrate(lambda y: gam(y) * f(y), a, b)
+                    pairing = here.pairing(f)
                     # Γ₁ of u = (A₀−z)⁻¹f by one-sided polynomial extrapolation
                     dists = 0.002 * np.arange(1, 8)
                     pts = 1.0 + dists if side == "-" else 1.0 - dists

@@ -9,10 +9,11 @@ real-argument routines I_0, I_1, K_0, K_1.  That is exactly the kernel argument
 sqrt(z)·r at real z < 0, and the real routines are several times faster than
 the complex-argument ones on the N² pair grids of the Nyström assembly.
 
-The guards stay ahead of scipy: a nonnegative integer order, |w| < 700 for J
-and I (the e^{|Im w|} growth must stay finite; NaN fails it too), finite w,
-Im w >= 0 and w != 0 for H^(1), and Re w > 0 for K.  All functions accept
-scalars or numpy arrays in the argument and are pure (thread-safe).
+The guards stay ahead of scipy: a nonnegative integer order, |w| < 700 for J,
+I and H^(1) (J and I grow like e^{|Im w|}, H^(1) decays into underflow or
+loses its phase to the rounding of w; NaN fails it too), Im w >= 0 and
+w != 0 for H^(1), and Re w > 0 for K.  All functions accept scalars or numpy
+arrays in the argument and are pure (thread-safe).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy import special as sp
 
 from .errors import ArgumentRangeError, ConfigurationError, SingularityError, SpectralPoleError
 
-_OVERFLOW_RADIUS = 700.0  # the e^{|Im w|} growth of J must stay finite
+_OVERFLOW_RADIUS = 700.0  # e^{±|Im w|} of J, I and H^(1) must stay in the double range
 
 # order -> (real routine, factor) for w = iy: J_0 = I_0(y), J_1 = i I_1(y),
 # H_0 = -(2i/pi) K_0(y), H_1 = -(2/pi) K_1(y)
@@ -112,11 +113,10 @@ def _normalize_upper(arr: np.ndarray) -> np.ndarray:
 
 
 def hankel1(order, w):
-    """Hankel function of the first kind H^(1)_order(w), Im(w) >= 0, w != 0."""
+    """Hankel function of the first kind H^(1)_order(w), Im(w) >= 0, 0 < |w| < 700."""
     order = _check_order(order)
     arr, scalar = _as_complex_array(w)
-    if not np.all(np.isfinite(arr)):
-        raise ArgumentRangeError("hankel1 requires finite w")
+    _check_overflow(arr)
     if np.any(arr == 0):
         raise SingularityError("H^(1) is singular at w = 0")
     if np.any(arr.imag < -1e-9 * (1.0 + np.abs(arr))):

@@ -17,7 +17,6 @@ from green3.coupling import (
     rellich_quotient,
     third_green_identity_residual,
     transmission_point_sources,
-    unique_continuation_check,
 )
 from green3.geometry import make_curve
 from green3.interval_model import (
@@ -154,18 +153,6 @@ def test_A10_rellich_identity():
         lam, want = rellich_quotient(k)
         assert abs(lam / want - 1.0) <= 1e-10
     assert time.perf_counter() - tic < 1.0
-
-
-def test_A11_unique_continuation_surrogate():
-    tic = time.perf_counter()
-    curve, grid = make_curve("disk", 256)
-    report = unique_continuation_check("interior", -1.0, curve, grid)
-    constants = [row for row in report.checks if row.check == "uc.constant"]
-    assert len(constants) == 3
-    assert all(row.residual <= 100.0 for row in constants)  # probe norm ≤ 10²·ε
-    (slope,) = [row for row in report.checks if row.check == "uc.slope"]
-    assert slope.residual <= 0.1
-    assert time.perf_counter() - tic < 10.0
 
 
 def test_A12_special_function_invariants():

@@ -479,6 +479,14 @@ def test_interval_beyond_its_accuracy_region_is_usage_error(tmp_path, argv):
     assert stderr.count("\n") == 1 and not out.exists()
 
 
+@pytest.mark.parametrize("z", ["-1e5,0", "1e5,1"])
+def test_hankel_arguments_beyond_the_double_range_are_usage_errors(z):
+    # exited 0 with every field underflowed to zero, and exited 1 on a lost phase
+    code, stdout, stderr = main_capture(["green-identity", "--curve", "disk", "--z", z])
+    assert (code, stdout) == (2, "")
+    assert "overflow guard" in stderr and "internal error" not in stderr
+
+
 def test_failed_check_sets_exit_one():
     code, stdout, _ = main_capture(["jumps", "--z", "-1,0", "--nodes", "64",
                                     "--tol-scale", "1e-12"])

@@ -1,7 +1,7 @@
 """Bounded fuzzing of the closed forms through ``green3.cli.main``.
 
-Each example is one in-process run of ``krein``, ``jumps --curve disk`` or
-``interval``.
+Each example is one in-process run of ``krein``, ``jumps --curve disk``,
+``interval``, or ``dtn``, ``indicator`` and ``green-identity`` on each curve.
 Whatever the input, the run must end in a verdict (exit 0 or 1) or a usage
 error (exit 2), never in an internal error, and a passing report must not
 rest on a non-finite residual.  Warnings are errors under pytest, so an
@@ -83,3 +83,32 @@ def test_interval_fails_closed(check, z, shifts, seed):
     for flag, c in zip(("--c+", "--c-"), shifts):
         argv += [flag, repr(c)]
     _assert_fail_closed(argv + ["--seed", str(seed)])
+
+
+_CURVES = st.sampled_from(["disk", "ellipse:1.5,0.8", "kite"])
+
+
+@_FUZZ
+@given(curve=_CURVES, side=st.sampled_from(["interior", "exterior"]), z=_spectral_points(-30),
+       data=st.data())
+def test_dtn_fails_closed(curve, side, z, data):
+    half = 32 - data.draw(st.integers(0, 28), label="nodes below 64, halved")
+    modes = half - 1 - data.draw(st.integers(0, half - 1), label="modes below N/2")
+    _assert_fail_closed(["dtn", "--side", side, "--curve", curve, "--nodes", str(2 * half),
+                         *_z_flag(z), "--modes", str(modes)])
+
+
+@_FUZZ
+@given(curve=_CURVES, half=st.integers(4, 32), z=_spectral_points(-30),
+       shift=st.none() | st.floats(-1.0, 1e3))
+def test_indicator_fails_closed(curve, half, z, shift):
+    argv = ["indicator", "--curve", curve, "--nodes", str(2 * half), *_z_flag(z)]
+    _assert_fail_closed(argv + ([] if shift is None else ["--c+", repr(shift)]))
+
+
+@_FUZZ
+@given(curve=_CURVES, half=st.integers(48, 64), z=_spectral_points(-30))
+def test_green_identity_fails_closed(curve, half, z):
+    # at N <= 72 the interior probes sit inside the accuracy floor: every run exits 2
+    _assert_fail_closed(["green-identity", "--curve", curve, "--nodes", str(2 * half),
+                         *_z_flag(z)])

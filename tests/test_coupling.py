@@ -16,7 +16,6 @@ from green3.coupling import (
     resolvent_difference_disk_mode,
     third_green_identity_residual,
     transmission_point_sources,
-    unique_continuation_check,
 )
 from green3.errors import ArgumentRangeError, ConfigurationError, SpectralPoleError
 from green3.geometry import make_curve
@@ -154,27 +153,6 @@ def test_coupling_pencil_solves_flux_data(disk256):
     assert scale > 1e-3  # genuinely nonzero flux data
     assert np.linalg.norm(pencil @ psi - data) <= 1e-10 * scale
     assert np.linalg.norm(psi) <= 10.0 * scale
-
-
-# ------------------------------------------------------------ unique continuation
-
-
-def test_unique_continuation_interior(disk256):
-    curve, grid = disk256
-    report = unique_continuation_check("interior", -1.0, curve, grid)
-    assert report.all_pass
-    constants = [r.residual for r in report.checks if r.check == "uc.constant"]
-    assert len(constants) == 3 and max(constants) <= 100.0
-    # exact linearity: the same random fields are rescaled per ε
-    assert max(constants) - min(constants) <= 1e-8 * max(constants)
-    (slope_row,) = [r for r in report.checks if r.check == "uc.slope"]
-    assert slope_row.residual <= 0.1
-
-
-def test_unique_continuation_exterior(disk256):
-    curve, grid = disk256
-    report = unique_continuation_check("exterior", 2j, curve, grid, trials=4)
-    assert report.all_pass
 
 
 # ------------------------------------------------------------------ Rellich check
@@ -354,25 +332,6 @@ def test_mode_formulas_propagate_nan(monkeypatch, formula):
     code, stdout, _ = _cli(["krein", "--z", "2,1", "--mode", "1"])
     assert code == 1
     assert not any(row["passed"] for row in json.loads(stdout)["checks"])
-
-
-def test_unique_continuation_fails_on_a_nan_probe(monkeypatch):
-    import green3.coupling as coupling
-
-    calls = []
-    field = coupling.eval_single_layer_field
-
-    def poisoned(*args):
-        calls.append(1)
-        return field(*args) * (np.nan if len(calls) == 2 else 1.0)
-
-    monkeypatch.setattr(coupling, "eval_single_layer_field", poisoned)
-    curve, grid = make_curve("disk", 64)
-    report = unique_continuation_check("interior", -1.0, curve, grid, trials=3)
-    (first,) = [r for r in report.checks if r.params.get("epsilon") == 1e-8]
-    assert math.isnan(first.residual) and not first.passed
-    assert math.isnan(first.details["probe_norm"])
-    assert not report.all_pass
 
 
 def _cli(argv):

@@ -11,16 +11,14 @@ from green3.errors import AccuracyRegionError, ConfigurationError, SpectralPoleE
 from green3.interval_model import (
     GREEN3_FAMILIES,
     IntervalField,
+    _Side,
     abstract_identity_suite,
     apply_resolvent,
     coupled_eigenvalues,
     coupled_kernel,
     default_basis,
-    dirichlet_kernel,
-    gamma_profile,
     krein_formula_check,
     mixed_formula_check,
-    neumann_kernel_minus,
     scalar_weyl,
     third_green_identity_1d,
 )
@@ -70,8 +68,8 @@ def test_weyl_is_herglotz_on_sample():
 
 
 def test_gamma_profile_boundary_values():
-    gp = gamma_profile("+", 2j)
-    gm = gamma_profile("-", 2j, c=1.0)
+    gp = _Side("+", 2j).gamma
+    gm = _Side("-", 2j, c=1.0).gamma
     assert abs(gp(np.array([1.0]))[0] - 1.0) < 1e-14
     assert abs(gp(np.array([0.0]))[0]) < 1e-14
     assert abs(gm(np.array([1.0]))[0] - 1.0) < 1e-14
@@ -81,7 +79,7 @@ def test_gamma_profile_boundary_values():
 def test_dirichlet_resolvent_against_constant_load():
     # −u'' + u = 1, u(0)=u(1)=0  ⇒  u = 1 − cosh(x−½)/cosh(½)
     xs = np.linspace(0.05, 0.95, 19)
-    u = apply_resolvent(dirichlet_kernel("+", -1.0), _const(1.0), xs)
+    u = apply_resolvent(_Side("+", -1.0).dirichlet(), _const(1.0), xs)
     exact = 1.0 - np.cosh(xs - 0.5) / np.cosh(0.5)
     assert np.abs(u - exact).max() < 1e-13
 
@@ -122,16 +120,17 @@ def test_coupled_resolvent_against_a_closed_form_solution(z, xs):
 
 @pytest.mark.parametrize("z", [-1.0, 2j, 1.0 + 1.0j, *_NEAR_LIMIT])
 @pytest.mark.parametrize("make, waves, a, xs", [
-    (lambda z: dirichlet_kernel("+", z, 3.0), [(1.0, np.pi), (0.5, 2 * np.pi)], 0.0, [0.5]),
-    (lambda z: dirichlet_kernel("+", z, 3.0), [(1.0, np.pi), (0.5, 2 * np.pi)], 0.0,
+    (lambda z: _Side("+", z, 3.0).dirichlet(), [(1.0, np.pi), (0.5, 2 * np.pi)], 0.0, [0.5]),
+    (lambda z: _Side("+", z, 3.0).dirichlet(), [(1.0, np.pi), (0.5, 2 * np.pi)], 0.0,
      [0.1, 0.5, 0.9]),
-    (lambda z: dirichlet_kernel("-", z, 3.0), [(1.0, np.pi), (0.5, 2 * np.pi)], 1.0,
+    (lambda z: _Side("-", z, 3.0).dirichlet(), [(1.0, np.pi), (0.5, 2 * np.pi)], 1.0,
      np.linspace(1.0, 2.0, 202)[1:-1]),
-    # sin(πx/2) has u'(1) = 0 and u(2) = 0
-    (lambda z: neumann_kernel_minus(z, 3.0), [(1.0, np.pi / 2)], 0.0,
+    # sin(πx/2) has u(0) = 0, u'(1) = 0 and u(2) = 0
+    (lambda z: _Side("-", z, 3.0).neumann(), [(1.0, np.pi / 2)], 0.0,
      np.linspace(1.0, 2.0, 202)[1:-1]),
+    (lambda z: _Side("+", z, 3.0).neumann(), [(1.0, np.pi / 2)], 0.0, [0.1, 0.5, 0.9]),
 ], ids=["dirichlet-plus-1-point", "dirichlet-plus-3-points", "dirichlet-minus-200-points",
-        "neumann-minus-200-points"])
+        "neumann-minus-200-points", "neumann-plus-3-points"])
 def test_side_resolvents_against_closed_form_solutions(z, make, waves, a, xs):
     u, ddu = _sine_solution(waves, a)
     got = apply_resolvent(make(z), _load(u, ddu, z, lambda x: 3.0), xs)
@@ -142,17 +141,17 @@ def test_side_resolvents_against_closed_form_solutions(z, make, waves, a, xs):
 def test_resolvent_points_outside_the_interval_are_rejected(x):
     # the constant-load formula used to extend outside [0, 1]: −0.368 at −0.5 and 1.5
     with pytest.raises(ConfigurationError, match=r"not in \[0, 1\]"):
-        apply_resolvent(dirichlet_kernel("+", -1.0), _const(1.0), np.array([0.5, x]))
+        apply_resolvent(_Side("+", -1.0).dirichlet(), _const(1.0), np.array([0.5, x]))
 
 
 def test_resolvent_vanishes_at_the_dirichlet_ends():
-    u = apply_resolvent(dirichlet_kernel("+", -1.0), _const(1.0), np.array([0.0, 1.0]))
+    u = apply_resolvent(_Side("+", -1.0).dirichlet(), _const(1.0), np.array([0.0, 1.0]))
     assert np.abs(u).max() < 1e-15
 
 
 @pytest.mark.parametrize("make, xs", [
     (lambda: coupled_kernel(0.5 + 1j, 0.0, 2.0), np.linspace(0.05, 1.95, 40)),
-    (lambda: dirichlet_kernel("-", 2j, 1.0), np.linspace(1.05, 1.95, 19)),
+    (lambda: _Side("-", 2j, 1.0).dirichlet(), np.linspace(1.05, 1.95, 19)),
 ], ids=["coupled-both-sides-of-the-break", "dirichlet"])
 def test_reused_resolvent_factors_change_no_bit(make, xs):
     phi1, phi2 = default_basis()[2], default_basis()[4]
@@ -205,8 +204,9 @@ def test_resolvent_formulas_evaluate_each_kernel_once_per_point_set(monkeypatch,
             return dataclasses.replace(kernel, u1=counted(kernel.u1), u2=counted(kernel.u2))
         return build
 
-    for name in ("coupled_kernel", "dirichlet_kernel", "neumann_kernel_minus"):
-        monkeypatch.setattr(interval_model, name, counting(getattr(interval_model, name)))
+    for owner, name in ((interval_model, "coupled_kernel"), (interval_model._Side, "dirichlet"),
+                        (interval_model._Side, "neumann")):
+        monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
 
     def evaluations(bumps):
         calls.clear()
@@ -437,6 +437,14 @@ def test_checks_pass_up_to_their_accuracy_limit(check, run):
         assert run(3.0 + (0.999 * limit * direction) ** 2).all_pass
         with pytest.raises(AccuracyRegionError, match=f"interval {check} check"):
             run(3.0 + (1.01 * limit * direction) ** 2)
+
+
+@pytest.mark.parametrize("z, c_plus, c_minus", [(3.0 + (149.0 * np.exp(1e-6j)) ** 2, 3.0, 3.0),
+                                             ((149.0 * np.exp(1e-6j)) ** 2, 0.0, 3.0)])
+def test_resolvent_formulas_stay_at_rounding_level_at_the_region_edge(z, c_plus, c_minus):
+    # the one-panel γ pairings left 1.4e-14 to 2.9e-14 here
+    for formula in (krein_formula_check, mixed_formula_check):
+        assert formula(z, c_plus, c_minus).max_residual <= 1e-16
 
 
 def test_green3_check_has_an_accuracy_limit():

@@ -110,6 +110,14 @@ def test_hankel_rejects_non_finite_argument():
         hankel1(1, np.array([1.0 + 1j, complex(np.nan, 0.0)]))
 
 
+def test_hankel_shares_the_bessel_j_radius():
+    # H^(1) underflowed to zero at w = 316i·r and lost its phase at w = 316·r
+    for w in (700.0, 700j, 1e5 * np.exp(0.3j), np.array([1.0 + 1j, 800j])):
+        with pytest.raises(ArgumentRangeError, match="overflow guard"):
+            hankel1(0, w)
+    assert np.isfinite(hankel1(1, 699.0 + 1.0j))
+
+
 def test_j_rejects_negative_order():
     with pytest.raises(ArgumentRangeError):
         bessel_j(-1, 1.0)
