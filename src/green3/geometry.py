@@ -5,15 +5,21 @@ unbounded complement ("−").  All parametrizations are 2π-periodic and
 counterclockwise; ``normals`` always stores n⁺, the unit normal pointing out
 of the bounded side, and the "−" side uses n⁻ = −n⁺.  Quadrature is the
 periodic trapezoid rule, which is spectrally accurate for smooth integrands.
+
+A grid also holds the layout of its node pairs i < j that the layer bundles
+of :mod:`green3.potentials` read at every z: built once per grid, under a
+lock of its own, since the check tasks of a scan share the grid.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
+from ._pool import _cached_property
 from .errors import ConfigurationError, EvaluationError
 
 _BUILTIN_SHAPES = ("disk", "ellipse", "kite")
@@ -84,40 +90,52 @@ class QuadratureGrid:
     def __post_init__(self) -> None:
         if self.n < 8 or self.n % 2:
             raise ConfigurationError(f"node count must be even and >= 8, got {self.n}")
+        object.__setattr__(self, "_pairs_lock", threading.Lock())
 
     @staticmethod
     def _frozen(arr: np.ndarray) -> np.ndarray:
         arr.flags.writeable = False
         return arr
 
-    @cached_property
+    @_cached_property
     def nodes(self) -> np.ndarray:
         return self._frozen(2.0 * np.pi * np.arange(self.n) / self.n)
 
-    @cached_property
+    @_cached_property
     def points(self) -> np.ndarray:
         return self._frozen(self.curve.point(self.nodes))
 
-    @cached_property
+    @_cached_property
     def velocity(self) -> np.ndarray:
         return self._frozen(self.curve.velocity(self.nodes))
 
-    @cached_property
+    @_cached_property
     def speed(self) -> np.ndarray:
         return self._frozen(self.curve.speed(self.nodes))
 
-    @cached_property
+    @_cached_property
     def normals(self) -> np.ndarray:
         return self._frozen(self.curve.normal(self.nodes))
 
-    @cached_property
+    @_cached_property
     def curvature(self) -> np.ndarray:
         return self._frozen(self.curve.curvature(self.nodes))
 
-    @cached_property
+    @_cached_property
     def arc_weights(self) -> np.ndarray:
         """Quadrature weights for ∫_𝒞 · ds: (2π/N)·|x'(t_j)|."""
         return self._frozen(2.0 * np.pi / self.n * self.speed)
+
+    @property
+    def _pairs(self) -> _PairLayout:
+        """The pair layout, built on first use by exactly one thread."""
+        pairs = self.__dict__.get("_pair_layout")
+        if pairs is None:
+            with self._pairs_lock:
+                pairs = self.__dict__.get("_pair_layout")
+                if pairs is None:
+                    pairs = self.__dict__["_pair_layout"] = _PairLayout(self)
+        return pairs
 
     @property
     def length(self) -> float:
@@ -126,6 +144,42 @@ class QuadratureGrid:
     def signed_area(self) -> float:
         x, v = self.points, self.velocity
         return float(np.pi / self.n * np.sum(x[:, 0] * v[:, 1] - x[:, 1] * v[:, 0]))
+
+
+def _kress_weights(n: int) -> np.ndarray:
+    """Circulant quadrature weights R_{ij} = r_{(i-j) mod N} for the kernel
+    ln(4 sin²((t−s)/2)), returned as r; exact on trigonometric polynomials of
+    degree < N/2.  r_d = r_{N−d}, so R is symmetric."""
+    d = np.arange(n)
+    inverse = np.zeros(n)
+    inverse[1 : n // 2] = 1.0 / d[1 : n // 2]
+    # Σ_{0<m<N/2} cos(2πdm/N)/m is the real part of one DFT
+    return -(4.0 * np.pi / n) * np.fft.fft(inverse).real - (4.0 * np.pi / n**2) * (-1.0) ** d
+
+
+class _PairLayout:
+    """The node pairs i < j of a grid, row by row, and the z-free factors a
+    layer bundle reads on them: the upper-triangle mask, the row and column
+    of each pair, x_j − x_i as (dx, dy), the distance r, the Kress weight and
+    the log-sin factor ln(4 sin²((t_j − t_i)/2)).  The last two depend on
+    j − i alone.  Every array is read-only."""
+
+    def __init__(self, grid: QuadratureGrid):
+        n = grid.n
+        self.upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        self.rows, self.cols = np.nonzero(self.upper)
+        x, y = grid.points.T
+        self.dx = x[self.cols] - x[self.rows]
+        self.dy = y[self.cols] - y[self.rows]
+        self.r = np.hypot(self.dx, self.dy)
+        offset = self.cols - self.rows
+        weights = _kress_weights(n)
+        self.kress_diagonal = weights[0]
+        self.kress = weights[offset]
+        self.lsin = np.log(4.0 * np.sin(grid.nodes[1:] / 2.0) ** 2)[offset - 1]
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
 
 def make_curve(shape: str, n: int, a: float = 1.0, b: float = 1.0):

@@ -71,11 +71,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._pool import _cached_property
 from .errors import AccuracyRegionError, BracketingError, ConfigurationError, SpectralPoleError
 from .geometry import _check_side, _interp_at_zero, _leggauss
 from .reports import ResidualReport, timed_check, worst
@@ -212,7 +212,7 @@ class _Side:
         """n equispaced check points inside (a, b)."""
         return np.linspace(self.a, self.b, n + 2)[1:-1]
 
-    @cached_property
+    @_cached_property
     def _rule(self):
         nodes, weights, _ = _pieces(np.array([self.a, self.b]))
         weights = weights.ravel()

@@ -34,15 +34,28 @@ N = 64, 256 and 512 the tables agree to 4.4e-15 of each function's maximum
 for |z| ≤ 32 and to 3.2e-14 up to z = 1e4 + i and 2500 + 2500i, and H_0, H_1
 pointwise to 6.9e-15 for |z| ≤ 32 (|Im k|·r_max up to 16.7) and 7.8e-14 at
 z = 1e4 + i, where the rounding of k·r alone moves H by ε·|k|·r ≈ 3e-14.
-Real z < 0 (k on the imaginary axis) keeps the I/K route of ``specfun``;
+
+Real z ≤ 0.  There k = √z is 0 or iκ, and every factor of the kernels is
+real: J_0(iκr) = I_0(κr), (i/4)H_0(iκr) = K_0(κr)/(2π), J_1(iκr)/(iκr) =
+I_1(κr)/(κr), H_1(iκr) = −(2/π)K_1(κr), and the scales −k²/(4π) = κ²/(4π)
+and (i/4)k = −κ/4 of K.  So a bundle builds S, K and K* there in float64,
+from I and K of ``specfun._modified_real`` on the pairs.  Each value goes
+through the operations of the complex route in the same order, so it is the
+real part of the complex one to the bit, and the imaginary parts the complex
+route gives are exactly 0; the diagonal of S is the real part of its complex
+expression, since numpy's complex log may differ from the real one by an
+ulp.  The real SVD of S is about three times faster than the complex one.
 ``_LayerOperators._over_pairs`` hands either route's kernels to S and K, so
 each has one Helmholtz branch beside the logarithm at z = 0.  The off-curve
 field evaluators call ``specfun`` directly.
 
-The pair pass.  At complex z a bundle streams its pairs through the worker
-pool in chunks of ``_TABLE_CHUNK`` pairs.  One task looks its chunk up in the
-table, does all of the Kress-split arithmetic there and writes the S core, or
-the two K values of each pair, straight into the bundle's pair arrays: the
+The pair pass.  The pair layout (the pairs i < j, their offsets and
+distances, the Kress weights and the log-sin factor) depends on the grid
+alone and is built once per grid (``geometry._PairLayout``).  At complex z
+a bundle streams its pairs through the worker pool in chunks of
+``_TABLE_CHUNK`` pairs.  One task looks its chunk up in the table, does all
+of the Kress-split arithmetic there and writes the S core, or the two K
+values of each pair, straight into the bundle's pair arrays: the
 temporaries of a chunk stay in cache, and no kernel array over all pairs is
 made.  Each element goes through the same operations in the same order as in
 one pass over all pairs, so S, K and K* are the same to the bit for every
@@ -59,17 +72,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
 from . import _pool
+from ._pool import _cached_property
 from .errors import AccuracyRegionError, ArgumentRangeError, ConfigurationError
 from .geometry import InterfaceCurve, QuadratureGrid
 from .reports import ResidualReport, timed_check, worst
 from .specfun import (
+    _K_TO_H,
     _OVERFLOW_RADIUS,
     SpectralPoint,
+    _modified_real,
     as_spectral_point,
     bessel_j,
     fundamental_solution,
@@ -103,17 +119,6 @@ class BoundaryOperator:
         if density.shape[0] != self.n:
             raise ConfigurationError(f"density length {density.shape[0]} != grid size {self.n}")
         return self.matrix @ density
-
-
-def _kress_weights(n: int) -> np.ndarray:
-    """Circulant quadrature weights R_{ij} = r_{(i-j) mod N} for the kernel
-    ln(4 sin²((t−s)/2)), returned as r; exact on trigonometric polynomials of
-    degree < N/2.  r_d = r_{N−d}, so R is symmetric."""
-    d = np.arange(n)
-    inverse = np.zeros(n)
-    inverse[1 : n // 2] = 1.0 / d[1 : n // 2]
-    # Σ_{0<m<N/2} cos(2πdm/N)/m is the real part of one DFT
-    return -(4.0 * np.pi / n) * np.fft.fft(inverse).real - (4.0 * np.pi / n**2) * (-1.0) ** d
 
 
 def _unnormalized_normal(grid: QuadratureGrid) -> np.ndarray:
@@ -243,125 +248,131 @@ class _LayerOperators:
 
     The pair distance, the log-sin factor and the Kress weights are symmetric in
     the two nodes, so they and the Bessel/Hankel kernels on them are computed on
-    the N(N−1)/2 pairs i < j only and mirrored into the dense matrices; only
-    the normal factor ⟨n_u[j], x_j − x_i⟩ of K is not symmetric.  Each operator
-    is built on first use.  Callers make a bundle per call and keep nothing.
+    the N(N−1)/2 pairs i < j only (the grid's ``_PairLayout``) and mirrored
+    into the dense matrices; only the normal factor ⟨n_u[j], x_j − x_i⟩ of K
+    is not symmetric.  The operators are float64 where k = √z is 0 or on the
+    imaginary axis (real z ≤ 0) and complex128 elsewhere.  Each operator is
+    built on first use.  Callers make a bundle per call and keep nothing.
     """
 
     def __init__(self, grid: QuadratureGrid, z):
         self.grid = grid
         self.z = as_spectral_point(z)
-        n = grid.n
-        self._upper = np.triu(np.ones((n, n), dtype=bool), 1)
-        self._rows, self._cols = np.nonzero(self._upper)  # the pairs i < j, row by row
-        x, y = grid.points.T
-        self._dx = x[self._cols] - x[self._rows]  # x_j − x_i
-        self._dy = y[self._cols] - y[self._rows]
-        self._r = np.hypot(self._dx, self._dy)
-        # on the uniform grid both symmetric factors depend on j − i alone
-        offset = self._cols - self._rows
-        weights = _kress_weights(n)
-        self._kress_diagonal = weights[0]
-        self._kress = weights[offset]
-        self._lsin = np.log(4.0 * np.sin(grid.nodes[1:] / 2.0) ** 2)[offset - 1]
+        self._pairs = grid._pairs
+        self._dtype = float if self.z.sqrt_z.real == 0.0 else complex
 
-    @cached_property
+    @_cached_property
     def _table(self) -> _KernelTable:
-        return _KernelTable(self.z.sqrt_z, self._r.min(), self._r.max())
+        return _KernelTable(self.z.sqrt_z, self._pairs.r.min(), self._pairs.r.max())
 
-    def _over_pairs(self, order: int, assemble) -> None:
-        """``assemble(s, smooth, split)`` for slices s covering the pairs, with
-        (J_0(kr), H_0(kr)) for order 0 and (J_1(kr)/(kr), H_1(kr)) for order 1
-        on them, k = √z ≠ 0.  At complex z the table gives them a chunk of
-        ``_TABLE_CHUNK`` pairs at a time, one pool task per chunk; at real
-        z < 0, where k is on the imaginary axis, the I/K route of ``specfun``
-        gives them on all pairs in one pass."""
-        k = self.z.sqrt_z
-        if k.real != 0.0:
-            table, r = self._table, self._r
-            chunks = [slice(a, a + _TABLE_CHUNK) for a in range(0, r.size, _TABLE_CHUNK)]
-            _pool.run_all([lambda s=s: assemble(s, *table(order, r[s])) for s in chunks])
+    def _over_pairs(self, order: int, write) -> None:
+        """``write(s, core)`` for slices s covering the pairs, k = √z ≠ 0, with
+        the Kress-split kernel core = R·smooth + (2π/N)·(split − smooth·ln(4 sin²))
+        on them: smooth = −J_0(kr)/(4π) and split = (i/4)H_0(kr) for S (order
+        0), smooth = −k²/(4π)·J_1(kr)/(kr) and split = (i/4)k·H_1(kr)/r for K
+        without its normal factor (order 1).  At complex z the table gives the
+        kernels a chunk of ``_TABLE_CHUNK`` pairs at a time, one pool task per
+        chunk; at real z < 0 the real I/K route gives them on all pairs in one
+        pass."""
+        n, k, pairs = self.grid.n, self.z.sqrt_z, self._pairs
+        r = pairs.r
+
+        def combine(s, smooth, split):
+            split -= smooth * pairs.lsin[s]
+            write(s, pairs.kress[s] * smooth + (2.0 * np.pi / n) * split)
+
+        if self._dtype is complex:
+            table = self._table
+            smooth_scale, split_scale = ((-1.0 / (4.0 * np.pi), 0.25j) if order == 0
+                                         else (-k * k / (4.0 * np.pi), 0.25j * k))
+
+            def chunk(s):
+                smooth, split = table(order, r[s])
+                smooth *= smooth_scale
+                split *= split_scale
+                if order:
+                    split /= r[s]
+                combine(s, smooth, split)
+
+            _pool.run_all([lambda a=a: chunk(slice(a, a + _TABLE_CHUNK))
+                           for a in range(0, r.size, _TABLE_CHUNK)])
             return
-        w = k * self._r
-        j = bessel_j(order, w)
-        assemble(slice(None), (j / w if order else j), hankel1(order, w))
+        # k = iκ, y = κr: each value below is the real part of the complex
+        # route's, by the same roundings (the imaginary parts are exactly 0)
+        kappa = k.imag
+        y = kappa * r
+        i_y, k_y = _modified_real(order, y)
+        split = _K_TO_H * k_y  # H_0(iy)/i or H_1(iy)
+        if order == 0:
+            smooth = i_y * (-1.0 / (4.0 * np.pi))
+            split *= -0.25  # (i/4)·i
+        else:
+            smooth = i_y * (1.0 / y)  # J_1(iy)/(iy); a complex quotient rounds 1/y first
+            smooth *= kappa * kappa / (4.0 * np.pi)  # −k²/(4π)
+            split *= -0.25 * kappa  # (i/4)·k
+            split *= 1.0 / r
+        combine(slice(None), smooth, split)
 
     def _square(self, upper, lower, diagonal) -> np.ndarray:
-        out = np.empty((self.grid.n, self.grid.n), dtype=complex)
-        out[self._upper] = upper
-        out.T[self._upper] = lower
+        out = np.empty((self.grid.n, self.grid.n), dtype=self._dtype)
+        out[self._pairs.upper] = upper
+        out.T[self._pairs.upper] = lower
         np.fill_diagonal(out, diagonal)
         return out
 
-    @cached_property
+    @_cached_property
     def single_layer(self) -> np.ndarray:
         """S(z), the weakly singular kernel split per Kress."""
-        n, z, r, speed = self.grid.n, self.z, self._r, self.grid.speed
+        n, z, pairs, speed = self.grid.n, self.z, self._pairs, self.grid.speed
         if z.is_laplace:
             smooth = -1.0 / (4.0 * np.pi)
-            split = -(np.log(r) - 0.5 * self._lsin) / (2.0 * np.pi)
+            split = -(np.log(pairs.r) - 0.5 * pairs.lsin) / (2.0 * np.pi)
             split_diagonal = -np.log(speed) / (2.0 * np.pi)
-            core = self._kress * smooth + (2.0 * np.pi / n) * split
+            core = pairs.kress * smooth + (2.0 * np.pi / n) * split
         else:
-            k = z.sqrt_z
-            core = np.empty(r.size, dtype=complex)
-
-            def assemble(s, smooth, split):  # J_0(kr), H_0(kr), scaled in place
-                smooth *= -1.0 / (4.0 * np.pi)
-                split *= 0.25j
-                split -= smooth * self._lsin[s]
-                np.add(self._kress[s] * smooth, (2.0 * np.pi / n) * split, out=core[s])
-
-            self._over_pairs(0, assemble)
-            split_diagonal = 0.25j - (np.euler_gamma + np.log(k * speed / 2.0)) / (2.0 * np.pi)
+            core = np.empty(pairs.r.size, dtype=self._dtype)
+            self._over_pairs(0, core.__setitem__)
+            split_diagonal = 0.25j - (np.euler_gamma + np.log(z.sqrt_z * speed / 2.0)) / (2.0 * np.pi)
         # the smooth part is -J_0(k·0)/(4π) = -1/(4π) on the diagonal
-        diagonal = -self._kress_diagonal / (4.0 * np.pi) + (2.0 * np.pi / n) * split_diagonal
+        diagonal = -pairs.kress_diagonal / (4.0 * np.pi) + (2.0 * np.pi / n) * split_diagonal
+        if self._dtype is float:  # at k = iκ the imaginary part is 1/4 − (π/2)/(2π) = 0
+            diagonal = diagonal.real
         mat = self._square(core, core, diagonal)
         mat *= speed
         return mat
 
-    @cached_property
+    @_cached_property
     def _double_layer_pairs(self):
         """K on the pairs i < j, as (K_ij, K_ji), and its curvature diagonal."""
-        n, z, r = self.grid.n, self.z, self._r
+        n, pairs = self.grid.n, self._pairs
         nu_x, nu_y = _unnormalized_normal(self.grid).T
-        rows, cols, dx, dy = self._rows, self._cols, self._dx, self._dy
-        upper = np.empty(r.size, dtype=complex)
-        lower = np.empty(r.size, dtype=complex)
+        rows, cols, dx, dy = pairs.rows, pairs.cols, pairs.dx, pairs.dy
+        upper = np.empty(pairs.r.size, dtype=self._dtype)
+        lower = np.empty(pairs.r.size, dtype=self._dtype)
 
         def write_pairs(s, core):  # core times ⟨n_u[j], x_j − x_i⟩ and ⟨n_u[i], x_i − x_j⟩
             rs, cs, dxs, dys = rows[s], cols[s], dx[s], dy[s]
             np.multiply(nu_x[cs] * dxs + nu_y[cs] * dys, core, out=upper[s])
             np.multiply(-(nu_x[rs] * dxs + nu_y[rs] * dys), core, out=lower[s])
 
-        if z.is_laplace:
-            write_pairs(slice(None), 1.0 / (n * r * r))
+        if self.z.is_laplace:
+            write_pairs(slice(None), 1.0 / (n * pairs.r * pairs.r))
         else:
-            k = z.sqrt_z
-            smooth_scale, split_scale = -k * k / (4.0 * np.pi), 0.25j * k
-
-            def assemble(s, smooth, split):  # J_1(kr)/(kr), H_1(kr), scaled in place
-                smooth *= smooth_scale
-                split *= split_scale
-                split /= r[s]
-                split -= smooth * self._lsin[s]
-                write_pairs(s, self._kress[s] * smooth + (2.0 * np.pi / n) * split)
-
-            self._over_pairs(1, assemble)
+            self._over_pairs(1, write_pairs)
         return upper, lower, self.grid.curvature * self.grid.speed / (2.0 * n)
 
-    @cached_property
+    @_cached_property
     def double_layer(self) -> np.ndarray:
         """K(z), principal value, with the curvature diagonal."""
         return self._square(*self._double_layer_pairs)
 
-    @cached_property
+    @_cached_property
     def adjoint_double_layer(self) -> np.ndarray:
         """K*, the quadrature adjoint of K: K*_ij = K_ji |x'(t_j)| / |x'(t_i)|,
         scattered from the pair values of K without forming K."""
         speed = self.grid.speed
         upper, lower, diagonal = self._double_layer_pairs
-        s_rows, s_cols = speed[self._rows], speed[self._cols]
+        s_rows, s_cols = speed[self._pairs.rows], speed[self._pairs.cols]
         # the ratio is 1 on the diagonal, so K*_ii = K_ii
         return self._square(lower * (s_cols / s_rows), upper * (s_rows / s_cols), diagonal)
 
@@ -371,12 +382,11 @@ class _LayerOperators:
         attr, sign, half = _TRACES[name]
         return sign * (getattr(self, attr) @ densities) + half * densities
 
-    @cached_property
+    @_cached_property
     def single_layer_singular_values(self) -> np.ndarray:
-        """Singular values of S, largest first.  S is real at every real z ≤ 0,
-        and the real SVD is about three times faster."""
-        mat = self.single_layer
-        return np.linalg.svd(mat if mat.imag.any() else mat.real, compute_uv=False)
+        """Singular values of S, largest first; at real z ≤ 0 S is float64,
+        and the real SVD is about three times faster than the complex one."""
+        return np.linalg.svd(self.single_layer, compute_uv=False)
 
 
 def assemble_single_layer(curve: InterfaceCurve, grid: QuadratureGrid, z) -> BoundaryOperator:

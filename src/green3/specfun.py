@@ -4,16 +4,19 @@ The cylinder functions are thin, guarded wrappers over ``scipy.special``
 (``jv``, ``hankel1``, ``iv``, ``kv``, ``jn_zeros``), which deliver about
 machine-precision relative accuracy (a few 1e-16) on the whole range the
 package uses.  One branch is selected by the input: when every argument lies on
-the imaginary axis, w = iy, and the order is 0 or 1, J and H^(1) come from the
-real-argument routines I_0, I_1, K_0, K_1.  That is exactly the kernel argument
-sqrt(z)·r at real z < 0, and the real routines are several times faster than
-the complex-argument ones on the N² pair grids of the Nyström assembly.
+the positive imaginary axis, w = iy with y > 0, and the order is 0 or 1, J and
+H^(1) come from the real-argument routines I_0, I_1, K_0, K_1, which are
+several times faster than the complex-argument ones.  That is exactly the
+kernel argument sqrt(z)·r at real z < 0, where the layer bundles of
+:mod:`green3.potentials` read the same guarded helper, ``_modified_real``,
+and build their operators in float64.
 
 The guards stay ahead of scipy: a nonnegative integer order, |w| < 700 for J,
 I and H^(1) (J and I grow like e^{|Im w|}, H^(1) decays into underflow or
 loses its phase to the rounding of w; NaN fails it too), Im w >= 0 and
-w != 0 for H^(1), and Re w > 0 for K.  All functions accept scalars or numpy
-arrays in the argument and are pure (thread-safe).
+w != 0 for H^(1), Re w > 0 for K, and 0 < y < 700 for the real I/K helper.
+All functions accept scalars or numpy arrays in the argument and are pure
+(thread-safe).
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ from .errors import ArgumentRangeError, ConfigurationError, SingularityError, Sp
 
 _OVERFLOW_RADIUS = 700.0  # e^{±|Im w|} of J, I and H^(1) must stay in the double range
 
-# order -> (real routine, factor) for w = iy: J_0 = I_0(y), J_1 = i I_1(y),
-# H_0 = -(2i/pi) K_0(y), H_1 = -(2/pi) K_1(y)
-_J_IMAGINARY_AXIS = ((sp.i0, 1.0 + 0j), (sp.i1, 1j))
-_H_IMAGINARY_AXIS = ((sp.k0, -2j / np.pi), (sp.k1, -2.0 / np.pi + 0j))
+# at w = iy, y > 0: J_order(iy) = i^order I_order(y), H_order(iy) = i^(1-order)·(-2/pi)·K_order(y)
+_K_TO_H = -2.0 / np.pi
+_MODIFIED_ROUTINES = ((sp.i0, sp.k0), (sp.i1, sp.k1))  # order -> (I_order, K_order)
+_J_IMAGINARY_AXIS = (1.0 + 0j, 1j)                     # order -> factor of I_order
+_H_IMAGINARY_AXIS = (_K_TO_H * 1j, _K_TO_H + 0j)       # order -> factor of K_order
 
 
 @dataclass(frozen=True)
@@ -88,8 +92,20 @@ def _check_overflow(arr: np.ndarray) -> None:
 
 
 def _on_imaginary_axis(order: int, arr: np.ndarray) -> bool:
-    """Whether the real-argument I/K forms apply: order <= 1 and every w = iy."""
-    return order <= 1 and bool(np.all(arr.real == 0.0))
+    """Whether the real-argument I/K forms apply: order <= 1 and every w = iy, y > 0."""
+    return order <= 1 and bool(np.all(arr.real == 0.0)) and bool(np.all(arr.imag > 0.0))
+
+
+def _modified_real(order: int, y):
+    """(I_order(y), K_order(y)) for order 0 or 1 and real 0 < y < 700, the
+    kernels of J and H^(1) at w = iy.  ``bessel_j`` and ``hankel1`` keep one
+    of the two; both together still cost less than one complex routine."""
+    y = np.asarray(y, dtype=float)
+    _check_overflow(y)
+    if not np.all(y > 0.0):
+        raise ArgumentRangeError("the real I/K route needs w = iy with y > 0")
+    i_fn, k_fn = _MODIFIED_ROUTINES[order]
+    return i_fn(y), k_fn(y)
 
 
 def bessel_j(order, w):
@@ -98,8 +114,7 @@ def bessel_j(order, w):
     arr, scalar = _as_complex_array(w)
     _check_overflow(arr)
     if _on_imaginary_axis(order, arr):
-        fn, factor = _J_IMAGINARY_AXIS[order]
-        out = factor * fn(arr.imag)
+        out = _J_IMAGINARY_AXIS[order] * _modified_real(order, arr.imag)[0]
     else:
         out = sp.jv(order, arr)
     return complex(out[0]) if scalar else out
@@ -123,8 +138,7 @@ def hankel1(order, w):
         raise ArgumentRangeError("hankel1 requires Im(w) >= 0")
     arr = _normalize_upper(arr)
     if _on_imaginary_axis(order, arr):
-        fn, factor = _H_IMAGINARY_AXIS[order]
-        out = factor * fn(arr.imag)
+        out = _H_IMAGINARY_AXIS[order] * _modified_real(order, arr.imag)[1]
     else:
         out = sp.hankel1(order, arr)
     return complex(out[0]) if scalar else out

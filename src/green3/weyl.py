@@ -66,11 +66,14 @@ def _guard_resonance(singular_values: np.ndarray) -> None:
 
 
 def _single_layer_solve(ops: _LayerOperators, densities) -> np.ndarray:
-    """S⁻¹Φ for a density or the columns Φ, by one LU of S once its rcond₁ passes the guard."""
+    """S⁻¹Φ for a density or the columns Φ, by one LU of S once its rcond₁ passes the guard.
+
+    The LAPACK type follows S and Φ together: S is real at real z ≤ 0, and a
+    real ``getrs`` would drop the imaginary part of complex densities."""
     from scipy.linalg.lapack import get_lapack_funcs  # ~50 ms, paid on first use only
 
-    mat = ops.single_layer
-    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (mat,))
+    mat, densities = ops.single_layer, np.asarray(densities)
+    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (mat, densities))
     lu, piv, info = getrf(mat)
     if info > 0:
         raise _resonance(f"pivot {info} of its LU is exactly zero")

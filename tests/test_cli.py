@@ -589,6 +589,8 @@ def test_thread_cap_does_not_change_output(monkeypatch):
         # one task each: at cap 2 and 8 it hands its pair chunks to idle workers
         ["dtn", "--curve", "kite", "--z", "-1,0.5", "--nodes", "160", "--omit-timing"],
         ["jumps", "--curve", "kite", "--z", "2,1", "--nodes", "160", "--omit-timing"],
+        # four z-tasks on one grid, two or more of them at once
+        ["indicator", "--curve", "kite", "--nodes", "160", "--zgrid", "-6:-1:4", "--omit-timing"],
     ]
     for args in jobs:
         outputs = []
@@ -597,6 +599,25 @@ def test_thread_cap_does_not_change_output(monkeypatch):
             outputs.append(main_capture(args))
         assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[0][0] == 0
+
+
+@pytest.mark.parametrize("cap", ["1", "2"])
+def test_indicator_scan_builds_the_pair_layout_once(monkeypatch, cap):
+    import green3.geometry as geometry
+
+    builds = []
+
+    class Counted(geometry._PairLayout):
+        def __init__(self, grid):
+            builds.append(grid.n)
+            super().__init__(grid)
+
+    monkeypatch.setattr(geometry, "_PairLayout", Counted)
+    monkeypatch.setenv("GREEN3_THREADS", cap)
+    code, _, _ = main_capture(["indicator", "--curve", "kite", "--nodes", "96",
+                               "--zgrid", "-6:-1:4", "--omit-timing"])
+    assert code == 0
+    assert builds == [96]
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-3", "1.5"])

@@ -196,3 +196,52 @@ def test_trace_guards():
         dirichlet_trace(lambda p: np.ones(len(p)), curve, grid, offset=(0.0, 0.01, 4))
     with pytest.raises(EvaluationError):
         dirichlet_trace(lambda p: np.full(len(p), np.nan), curve, grid)
+
+
+def test_pair_layout_is_built_once_and_read_only():
+    _, grid = curve_from_spec("kite", 16)
+    pairs = grid._pairs
+    assert grid._pairs is pairs
+    assert pairs.r.size == 16 * 15 // 2
+    for name in ("upper", "rows", "cols", "dx", "dy", "r", "kress", "lsin"):
+        with pytest.raises(ValueError):
+            getattr(pairs, name)[0] = 0
+
+
+def test_pair_layout_is_built_once_by_many_threads_at_once(monkeypatch):
+    """Eight threads ask a fresh grid for its layout together: one builds it,
+    and all of them get that one object."""
+    import sys
+    import threading
+
+    import green3.geometry as geometry
+
+    builds = []
+
+    class Counted(geometry._PairLayout):
+        def __init__(self, grid):
+            builds.append(grid.n)
+            super().__init__(grid)
+
+    monkeypatch.setattr(geometry, "_PairLayout", Counted)
+    _, grid = curve_from_spec("kite", 64)
+    start = threading.Barrier(8, timeout=10.0)
+    seen = []
+
+    def read():
+        start.wait()
+        seen.append(grid._pairs)
+
+    threads = [threading.Thread(target=read, daemon=True) for _ in range(8)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert builds == [64]
+    assert len(seen) == 8 and all(pairs is seen[0] for pairs in seen)

@@ -251,14 +251,14 @@ def test_kernel_tables_match_scipy(spec, n):
     for z in _TABLE_ZS:
         ops = _LayerOperators(grid, z)
         k = ops.z.sqrt_z
-        r = ops._r[::4] if n == 512 else ops._r  # scipy on all 130 816 pairs is slow
+        r = grid._pairs.r[::4] if n == 512 else grid._pairs.r  # scipy on all 130 816 pairs is slow
         j0, h0 = ops._table(0, r)
         j1, h1 = ops._table(1, r)
         refs = _scipy_kernels(k, r)
         bound = 1e-14 if abs(z) <= 32 else 1e-13
         for got, ref in zip((j0, h0, j1, h1), refs):
             assert np.abs(got - ref).max() <= bound * np.abs(ref).max()
-        if abs(k.imag) * ops._r.max() <= 20.0:
+        if abs(k.imag) * grid._pairs.r.max() <= 20.0:
             for got, ref in ((h0, refs[1]), (h1, refs[3])):
                 assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
@@ -281,7 +281,7 @@ def test_kernel_table_evaluates_each_guarded_routine_once_per_function(monkeypat
         assert [c[:2] for c in calls] == [("J", 0), ("H", 0), ("J", 1), ("H", 1)]
         # r_max is a node (to rounding), so the |w| < 700 guard sees |k|·r_max
         for call in calls:
-            assert call[2] == pytest.approx(abs(ops.z.sqrt_z) * ops._r.max(), rel=1e-15)
+            assert call[2] == pytest.approx(abs(ops.z.sqrt_z) * grid._pairs.r.max(), rel=1e-15)
 
 
 def test_kernel_table_halves_a_coarse_layout_until_resolved(monkeypatch):
@@ -291,7 +291,7 @@ def test_kernel_table_halves_a_coarse_layout_until_resolved(monkeypatch):
 
     _, grid = curve_from_spec("kite", 128)
     ops = _LayerOperators(grid, -19.2 - 1.75j)
-    k, r = ops.z.sqrt_z, ops._r
+    k, r = ops.z.sqrt_z, grid._pairs.r
     default = potentials._KernelTable(k, r.min(), r.max())
     monkeypatch.setattr(potentials, "_TABLE_GRADING", 4.0)
     monkeypatch.setattr(potentials, "_TABLE_RADIANS", 20.0)
@@ -340,11 +340,13 @@ def test_overflow_guard_still_sees_the_largest_pair(capsys):
 
 # ---------------------------------------------------------------- chunked pair pass
 
-def _whole_array_operators(ops):
-    """S, K, K* from the table on all pairs at once, by the same per-element
-    operations as the bundle, scattered into dense matrices here."""
-    n, k, r = ops.grid.n, ops.z.sqrt_z, ops._r
-    speed, rows, cols = ops.grid.speed, ops._rows, ops._cols
+def _whole_array_operators(ops, kernels):
+    """S, K, K* in complex arithmetic on all pairs at once, by the same
+    per-element operations as the bundle's complex route, scattered into dense
+    matrices here.  ``kernels(order, r)`` gives (J_0(kr), H_0(kr)) and
+    (J_1(kr)/(kr), H_1(kr))."""
+    n, k, pairs = ops.grid.n, ops.z.sqrt_z, ops.grid._pairs
+    speed, rows, cols, r = ops.grid.speed, pairs.rows, pairs.cols, pairs.r
 
     def dense(upper, lower, diagonal):
         mat = np.empty((n, n), dtype=complex)
@@ -352,28 +354,40 @@ def _whole_array_operators(ops):
         mat[np.arange(n), np.arange(n)] = diagonal
         return mat
 
-    smooth, split = ops._table(0, r)
+    smooth, split = kernels(0, r)
     smooth *= -1.0 / (4.0 * np.pi)
     split *= 0.25j
-    split -= smooth * ops._lsin
-    core = ops._kress * smooth + (2.0 * np.pi / n) * split
+    split -= smooth * pairs.lsin
+    core = pairs.kress * smooth + (2.0 * np.pi / n) * split
     split_diagonal = 0.25j - (np.euler_gamma + np.log(k * speed / 2.0)) / (2.0 * np.pi)
-    diagonal = -ops._kress_diagonal / (4.0 * np.pi) + (2.0 * np.pi / n) * split_diagonal
+    diagonal = -pairs.kress_diagonal / (4.0 * np.pi) + (2.0 * np.pi / n) * split_diagonal
     single = dense(core, core, diagonal)
     single *= speed
 
-    smooth, split = ops._table(1, r)
+    smooth, split = kernels(1, r)
     smooth *= -k * k / (4.0 * np.pi)
     split *= 0.25j * k
     split /= r
-    split -= smooth * ops._lsin
-    core = ops._kress * smooth + (2.0 * np.pi / n) * split
+    split -= smooth * pairs.lsin
+    core = pairs.kress * smooth + (2.0 * np.pi / n) * split
     v = ops.grid.velocity
     nu_x, nu_y = v[:, 1], -v[:, 0]
-    upper = (nu_x[cols] * ops._dx + nu_y[cols] * ops._dy) * core
-    lower = -(nu_x[rows] * ops._dx + nu_y[rows] * ops._dy) * core
+    upper = (nu_x[cols] * pairs.dx + nu_y[cols] * pairs.dy) * core
+    lower = -(nu_x[rows] * pairs.dx + nu_y[rows] * pairs.dy) * core
     double = dense(upper, lower, ops.grid.curvature * speed / (2.0 * n))
     return single, double, double.T * (speed[None, :] / speed[:, None])
+
+
+def _guarded_kernels(k):
+    """The kernels of ``_whole_array_operators`` from ``bessel_j``/``hankel1`` at w = k·r."""
+    from green3.specfun import bessel_j, hankel1
+
+    def kernels(order, r):
+        w = k * r
+        j = bessel_j(order, w)
+        return (j / w if order else j), hankel1(order, w)
+
+    return kernels
 
 
 @pytest.mark.parametrize("spec", ["disk", "kite", "ellipse:1.5,0.8"])
@@ -390,7 +404,8 @@ def test_chunked_pair_pass_changes_no_bit(monkeypatch, spec, n):
     sys.setswitchinterval(1e-5)  # many thread switches inside each chunk task
     try:
         for z in (-1.0 + 0.5j, -24.9 - 1.8j, 4.11 + 26.6j):
-            reference = _whole_array_operators(_LayerOperators(grid, z))
+            ops = _LayerOperators(grid, z)
+            reference = _whole_array_operators(ops, ops._table)
             for cap in ("1", "2", "8"):
                 # the default, a ragged last chunk, and one chunk for all pairs
                 for chunk in (potentials._TABLE_CHUNK, 1000, pairs):
@@ -403,6 +418,70 @@ def test_chunked_pair_pass_changes_no_bit(monkeypatch, spec, n):
                     monkeypatch.undo()
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("spec", ["disk", "kite", "ellipse:1.5,0.8"])
+@pytest.mark.parametrize("n", [64, 256])
+def test_real_z_operators_are_the_complex_route_to_the_bit(spec, n):
+    """At real z < 0, S, K and K* are float64 and equal the real parts of the
+    complex route through ``bessel_j``/``hankel1``, whose imaginary parts are 0."""
+    _, grid = curve_from_spec(spec, n)
+    for z in (-1e-3, -1.0, -30.0):
+        ops = _LayerOperators(grid, z)
+        reference = _whole_array_operators(ops, _guarded_kernels(ops.z.sqrt_z))
+        got = (ops.single_layer, ops.double_layer, ops.adjoint_double_layer)
+        for mat, ref in zip(got, reference):
+            assert mat.dtype == np.float64
+            assert not ref.imag.any()
+            assert np.array_equal(mat, ref.real), z
+
+
+@pytest.mark.parametrize("spec", ["disk", "kite"])
+def test_laplace_operators_are_real(spec):
+    """At z = 0 (the Laplace branch, no Bessel kernels) the bundle is float64 as well."""
+    _, grid = curve_from_spec(spec, 64)
+    ops = _LayerOperators(grid, 0.0)
+    for mat in (ops.single_layer, ops.double_layer, ops.adjoint_double_layer):
+        assert mat.dtype == np.float64 and np.all(np.isfinite(mat))
+
+
+def test_two_bundles_build_s_at_the_same_time(monkeypatch):
+    """Two threads, each with its own bundle on one shared grid, are inside
+    ``single_layer`` together, and get the arrays of a serial build."""
+    import threading
+
+    import green3.potentials as potentials
+
+    monkeypatch.setenv("GREEN3_THREADS", "1")
+    meet = threading.Barrier(2, timeout=5.0)
+    over_pairs = _LayerOperators._over_pairs
+
+    def meeting(self, order, write):
+        meet.wait()  # broken unless the other thread gets into single_layer as well
+        return over_pairs(self, order, write)
+
+    monkeypatch.setattr(potentials._LayerOperators, "_over_pairs", meeting)
+    _, grid = curve_from_spec("kite", 64)
+    zs = (-1.0, -2.0)
+    got, errors = {}, []
+
+    def build(z):
+        try:
+            got[z] = _LayerOperators(grid, z).single_layer
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=build, args=(z,), daemon=True) for z in zs]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(30.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    monkeypatch.undo()
+    _, fresh = curve_from_spec("kite", 64)
+    for z in zs:
+        assert np.array_equal(got[z], _LayerOperators(fresh, z).single_layer)
 
 
 @pytest.mark.parametrize("z", [-1.0 + 0.5j, -2.5, 0.0])

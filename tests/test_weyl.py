@@ -9,8 +9,10 @@ import scipy.special
 import oracles
 from green3.errors import AccuracyRegionError, AnsatzResonanceError, ConfigurationError
 from green3.geometry import make_curve
+from green3.potentials import _LayerOperators
 from green3.weyl import (
     _guard_resonance,
+    _mode_quotients,
     _single_layer_solve,
     dtn_map,
     gamma_field,
@@ -285,3 +287,18 @@ def test_herglotz_positivity_fails_on_nan(monkeypatch):
     report = herglotz_residuals("interior", curve, grid, 1j, modes=2)
     (row,) = [r for r in report.checks if r.check == "herglotz.psd"]
     assert np.isnan(row.residual) and not row.passed
+
+
+def test_real_z_solve_keeps_complex_densities():
+    """S is float64 at real z; complex densities keep their imaginary parts
+    (a real getrs would drop them), and the mode table agrees with the dense map."""
+    curve, grid = make_curve("kite", 64)
+    ops = _LayerOperators(grid, -2.0)
+    assert ops.single_layer.dtype == np.float64
+    phis = np.exp(1j * np.outer(grid.nodes, np.arange(4)))
+    psi = _single_layer_solve(ops, phis)
+    assert np.abs(ops.single_layer @ psi - phis).max() <= 1e-12
+    quotients = _mode_quotients("+", grid, -2.0, 3)
+    weyl = dtn_map("+", curve, grid, -2.0)
+    dense = np.array([mode_eigenvalue(weyl, m) for m in range(4)])
+    assert np.abs(quotients - dense).max() <= 1e-12 * np.abs(dense).max()
