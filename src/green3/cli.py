@@ -239,12 +239,8 @@ def _krein_tasks(cfg: RunConfig) -> list:
             for m in modes:
                 params = {"z": [z.real, z.imag], "m": m, "c": cfg.c_shift}
                 mode = coupling._ModeScalars(z, m, cfg.c_shift)  # both rows read it
-                rows.append(timed_check(
-                    "coupling.krein.mode", params, tol,
-                    lambda: coupling.krein_resolvent_disk_mode(z, m, c=cfg.c_shift, mode=mode)))
-                rows.append(timed_check(
-                    "coupling.mixed.mode", params, tol,
-                    lambda: coupling.mixed_resolvent_disk_mode(z, m, c=cfg.c_shift, mode=mode)))
+                rows.append(timed_check("coupling.krein.mode", params, tol, mode.krein))
+                rows.append(timed_check("coupling.mixed.mode", params, tol, mode.mixed))
             return rows
 
         tasks.append(one_z)

@@ -7,6 +7,14 @@ Bessel functions, so the Krein-type and mixed (Dirichlet ⊕ Neumann) formulas
 can be verified as exact scalar kernel identities; curve-level checks (third
 Green identity, eigenvalue indicator, Rellich quotient) work through the
 assembled boundary operators instead.
+
+The right sides of the Krein, mixed and difference formulas are written once
+here, for scalar M±; the disk modes and the 1D model (``interval_model``) call
+them.  The rows are check points of both sides, with a side index (0 for +, 1
+for −), and the columns are densities φ: a delta at each sample radius on the
+disk, one bump in 1D.  The inputs are M±, γ at the rows, γ₊*φ and γ₋*φ per
+column, and the decoupled resolvent applied to φ as one block-diagonal array.
+One pole rule guards M₊ + M₋ and M₋: a pole below 1e-10·(|M₊| + |M₋|).
 """
 
 from __future__ import annotations
@@ -174,19 +182,51 @@ def third_green_identity_residual(field: TransmissionField, z, curve: InterfaceC
     return ResidualReport(rows).sorted()
 
 
-# ------------------------------------------------------- per-mode resolvents
+# ------------------------------------------------------- resolvent formulas
+
+_POLE = 1e-10  # the pole rule of the module docstring
+
+
+def _pivot(name, value, m_plus, m_minus):
+    """``value`` unless it is a pole by the one rule; NaN passes on."""
+    if abs(value) < _POLE * (abs(m_plus) + abs(m_minus)):
+        raise SpectralPoleError(f"{name} = {value:.3g} makes z a pole of the resolvent formula")
+    return value
+
+
+def _krein(m_plus, m_minus, gamma, pairings, decoupled):
+    """R₀₊ ⊕ R₀₋ − γ(M₊ + M₋)⁻¹γ* on the columns; ``decoupled`` is R₀₊ ⊕ R₀₋."""
+    denom = _pivot("M₊ + M₋", m_plus + m_minus, m_plus, m_minus)
+    return decoupled - gamma[:, None] * pairings.sum(axis=0) / denom
+
+
+def _mixed(m_plus, m_minus, side, gamma, pairings, decoupled):
+    """R₀₊ ⊕ R₁₋ + γ̂Σγ̂* on the columns, with γ̂ = diag(γ₊, γ₋M₋⁻¹) and
+    Σ = −[[M₊, 1], [1, −M₋⁻¹]]⁻¹; ``decoupled`` is R₀₊ ⊕ R₁₋ (Neumann on −)."""
+    _pivot("M₊ + M₋", m_plus + m_minus, m_plus, m_minus)  # Σ's determinant is −(M₊+M₋)/M₋
+    _pivot("M₋", m_minus, m_plus, m_minus)
+    sigma = -np.linalg.inv(np.array([[m_plus, 1.0], [1.0, -1.0 / m_minus]], dtype=complex))
+    divisor = np.array([1.0, m_minus])  # γ̂ and γ̂* divide the − side by M₋
+    hat = gamma / divisor[side]
+    return decoupled + hat[:, None] * (sigma @ (pairings / divisor[:, None]))[side]
+
+
+def _difference(m_plus, m_minus, gamma_minus, pairing_minus):
+    """γ₋M₋⁻¹γ₋* on the columns, the right side of R₀₋ − R₁₋; ``gamma_minus``
+    is γ₋ at the rows, zero on + rows."""
+    return gamma_minus[:, None] * pairing_minus / _pivot("M₋", m_minus, m_plus, m_minus)
+
 
 # three sample radii inside the unit circle, then three outside
 _SAMPLES = np.array([0.25, 0.6, 0.9, 1.2, 1.8, 2.5])
-_IN, _OUT = slice(0, 3), slice(3, 6)
 _SIDE = np.repeat([0, 1], 3)  # 0 interior, 1 exterior, per sample radius
 
 
 class _ModeScalars(_DiskMode):
     """Mode m of −Δ + c at z: the disk-mode factors at z − c, the Weyl values
-    M± and the free radial kernel I_m(κr_<)K_m(κr_>) as one 6×6 array over
-    the sample radii.  The decoupled kernels are built on the block of pairs
-    they live on, and only by the formulas that read them."""
+    M±, and on the sample radii γ, the free radial kernel I_m(κr_<)K_m(κr_>)
+    and the decoupled kernels, the columns a delta at each radius.  ``krein``,
+    ``mixed`` and ``difference`` are the defects of the three formulas."""
 
     def __init__(self, z, m, c):
         if c < 0:
@@ -200,77 +240,69 @@ class _ModeScalars(_DiskMode):
         # scale; comparing across the I/K families would misfire at large m
         if abs(self.i_m) < 1e-12 * abs(self.di_m) or abs(self.k_m) < 1e-12 * abs(self.dk_m):
             raise SpectralPoleError(f"z - c = {shifted} sits at a Dirichlet pole of mode {m}")
-        self.m_plus = -self.kappa * self.di_m / self.i_m
-        self.m_minus = self.kappa * self.dk_m / self.k_m
+        self.weyl = (-self.kappa * self.di_m / self.i_m, self.kappa * self.dk_m / self.k_m)
         i_r, k_r = self.i_at(_SAMPLES), self.k_at(_SAMPLES)
-        self._i_in, self._k_out = i_r[_IN], k_r[_OUT]
-        self.gamma = np.concatenate([self._i_in / self.i_m, self._k_out / self.k_m])
-        rows, cols = np.triu_indices(_SAMPLES.size)  # the pairs r <= r′
-        self.free = np.empty((_SAMPLES.size, _SAMPLES.size), dtype=complex)
-        self.free[rows, cols] = self.free[cols, rows] = i_r[rows] * k_r[cols]
+        self._profile = np.where(_SIDE == 0, i_r, k_r)  # I_m(κr) inside, K_m(κr) outside
+        self.gamma = self._profile / np.array([self.i_m, self.k_m])[_SIDE]
+        self.pairings = np.where(_SIDE == np.array([[0], [1]]), self.gamma, 0.0)  # γ±*δ_r′
+        self.free = np.where(_SAMPLES[:, None] <= _SAMPLES, i_r[:, None] * k_r, i_r * k_r[:, None])
 
-    def _decoupled(self, block, name, ratio, values):
-        """The free kernel on the ``block`` pairs minus ratio·v(r)v(r′)."""
-        ratio = self._normal(name, ratio)
-        return self.free[block, block] - (ratio * values)[:, None] * values
-
-    def dirichlet_interior(self):
-        return self._decoupled(_IN, "K_m(κ)/I_m(κ)", self.k_m / self.i_m, self._i_in)
-
-    def dirichlet_exterior(self):
-        return self._decoupled(_OUT, "I_m(κ)/K_m(κ)", self.i_m / self.k_m, self._k_out)
-
-    def neumann_exterior(self):
-        if abs(self.dk_m) < 1e-12 * abs(self.k_m):
+    def _decoupled(self, neumann: bool):
+        """R₀₊ ⊕ R₋, Dirichlet inside and Dirichlet or Neumann outside: zero
+        across the circle, and on each side's block the free kernel minus
+        ratio·v(r)v(r′), v the side's profile."""
+        if neumann and abs(self.dk_m) < 1e-12 * abs(self.k_m):
             raise SpectralPoleError(f"z sits at a Neumann pole of exterior mode {self.m}")
-        return self._decoupled(_OUT, "I_m'(κ)/K_m'(κ)", self.di_m / self.dk_m, self._k_out)
+        outer = (("I_m'(κ)/K_m'(κ)", self.di_m / self.dk_m) if neumann
+                 else ("I_m(κ)/K_m(κ)", self.i_m / self.k_m))
+        ratio = np.array([self._normal("K_m(κ)/I_m(κ)", self.k_m / self.i_m),
+                          self._normal(*outer)])[_SIDE]
+        scaled = ratio * self._profile
+        return np.where(_SIDE[:, None] == _SIDE, self.free - scaled[:, None] * self._profile, 0.0)
+
+    def _defect(self, lhs, rhs) -> float:
+        """The worst |lhs − rhs| over the sample pairs, each relative to the
+        free kernel there, which falls like e^{−κ|r−r′|} and (r_</r_>)^m."""
+        return worst((np.abs(lhs - rhs) / np.abs(self.free)).flat)
+
+    def krein(self) -> float:
+        return self._defect(self.free, _krein(*self.weyl, self.gamma, self.pairings,
+                                              self._decoupled(neumann=False)))
+
+    def mixed(self) -> float:
+        return self._defect(self.free, _mixed(*self.weyl, _SIDE, self.gamma, self.pairings,
+                                              self._decoupled(neumann=True)))
+
+    def difference(self) -> float:
+        lhs = self._decoupled(neumann=False) - self._decoupled(neumann=True)
+        # γ₋ at the radii is zero inside, so it is its own pairing row
+        return self._defect(lhs, _difference(*self.weyl, self.pairings[1], self.pairings[1]))
 
 
-def krein_resolvent_disk_mode(z, m: int, c: float = 1.0, mode: _ModeScalars | None = None) -> float:
-    """Worst pointwise defect of the Krein formula for (−Δ+c−z)⁻¹ in mode m.
+def krein_resolvent_disk_mode(z, m: int, c: float = 1.0) -> float:
+    """Worst defect of the Krein formula for (−Δ+c−z)⁻¹ in mode m, relative
+    to the free kernel on each pair of sample radii.
 
     Left side: the free radial kernel I_m(κr_<)K_m(κr_>).  Right side: the
     decoupled Dirichlet kernels plus the rank-one correction
-    −γ(r)(M₊+M₋)⁻¹γ(r′), all of whose factors are scalars in mode m.  A
-    caller that already holds ``_ModeScalars(z, m, c)`` passes it as ``mode``.
-    """
-    mode = _ModeScalars(z, m, c) if mode is None else mode
-    denom = mode.m_plus + mode.m_minus
-    if abs(denom) < 1e-12 * (abs(mode.m_plus) + abs(mode.m_minus)):
-        raise SpectralPoleError(
-            f"M₊+M₋ vanishes in mode {m}: z is a coupled eigenvalue, the formula "
-            "cannot be inverted there"
-        )
-    rhs = -(mode.gamma[:, None] * mode.gamma / denom)
-    rhs[_IN, _IN] += mode.dirichlet_interior()
-    rhs[_OUT, _OUT] += mode.dirichlet_exterior()
-    return worst(np.abs(mode.free - rhs).flat)
+    −γ(r)(M₊+M₋)⁻¹γ(r′), all of whose factors are scalars in mode m."""
+    return _ModeScalars(z, m, c).krein()
 
 
-def mixed_resolvent_disk_mode(z, m: int, c: float = 1.0, mode: _ModeScalars | None = None) -> float:
-    """Worst pointwise defect of the Dirichlet ⊕ Neumann resolvent formula.
+def mixed_resolvent_disk_mode(z, m: int, c: float = 1.0) -> float:
+    """Worst defect of the Dirichlet ⊕ Neumann resolvent formula, relative as
+    in ``krein_resolvent_disk_mode``.
 
     The decoupled block is Dirichlet on the interior but Neumann on the
     exterior; the correction uses γ̂ = diag(γ₊, γ₋M₋⁻¹) and the 2×2 matrix
-    Σ = −[[M₊, 1], [1, −M₋⁻¹]]⁻¹.  ``mode`` is as in
-    ``krein_resolvent_disk_mode``."""
-    mode = _ModeScalars(z, m, c) if mode is None else mode
-    if abs(mode.m_minus) == 0.0:
-        raise SpectralPoleError(f"exterior Weyl value vanishes in mode {m}")
-    sigma = -np.linalg.inv(np.array([[mode.m_plus, 1.0], [1.0, -1.0 / mode.m_minus]]))
-    hat = np.concatenate([mode.gamma[_IN], mode.gamma[_OUT] / mode.m_minus])
-    rhs = hat[:, None] * sigma[np.ix_(_SIDE, _SIDE)] * hat
-    rhs[_IN, _IN] += mode.dirichlet_interior()
-    rhs[_OUT, _OUT] += mode.neumann_exterior()
-    return worst(np.abs(mode.free - rhs).flat)
+    Σ = −[[M₊, 1], [1, −M₋⁻¹]]⁻¹."""
+    return _ModeScalars(z, m, c).mixed()
 
 
 def resolvent_difference_disk_mode(z, m: int, c: float = 1.0) -> float:
-    """Defect of (A₀₋−z)⁻¹ − (A₁₋−z)⁻¹ = γ₋ M₋⁻¹ γ₋* in exterior mode m."""
-    mode = _ModeScalars(z, m, c)
-    gamma = mode.gamma[_OUT]
-    rhs = gamma[:, None] * gamma / mode.m_minus
-    return worst(np.abs(mode.dirichlet_exterior() - mode.neumann_exterior() - rhs).flat)
+    """Defect of (A₀₋−z)⁻¹ − (A₁₋−z)⁻¹ = γ₋ M₋⁻¹ γ₋* in exterior mode m,
+    relative as in ``krein_resolvent_disk_mode``."""
+    return _ModeScalars(z, m, c).difference()
 
 
 # ------------------------------------------------------------- curve-level ops

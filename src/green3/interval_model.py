@@ -33,6 +33,9 @@ one Dirichlet-pole test.  The γ pairings ∫γφ and ∫|γ|² use the same rul
 the side's own ends (16 pieces of 16 nodes), with the nodes and γ·w built once
 per side.
 
+The Krein, mixed and difference formulas, and their pole rule, are those of
+``coupling``, which the disk modes use too; a column there is one bump here.
+
 Unlike the planar operators, z may be any complex number away from the
 relevant poles — the 1D spectra are discrete, so real z in spectral gaps is a
 legitimate (and tested) regime.
@@ -76,6 +79,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._pool import _cached_property
+from .coupling import _difference, _krein, _mixed
 from .errors import AccuracyRegionError, BracketingError, ConfigurationError, SpectralPoleError
 from .geometry import _check_side, _interp_at_zero, _leggauss
 from .reports import ResidualReport, timed_check, worst
@@ -324,8 +328,9 @@ def default_basis() -> list:
 
 class _ResolventFormula:
     """What the Krein and mixed checks share at (z, c₊, c₋): the region check,
-    both sides with m±, the coupled and Dirichlet kernels, the check points
-    with γ there, and the params echo."""
+    both sides with m±, the coupled and Dirichlet kernels, the params echo,
+    and the rows of ``coupling``'s formulas (each side's check points, +
+    first) with their side index and γ there."""
 
     def __init__(self, check: str, z, c_plus: float, c_minus: float, grid_n: int):
         _check_accuracy_region(check, z, c_plus, c_minus)
@@ -334,15 +339,23 @@ class _ResolventFormula:
         self.coupled = coupled_kernel(z, c_plus, c_minus)
         self.dirichlet = tuple(side.dirichlet() for side in self.sides)
         self.points = tuple(side.points(grid_n) for side in self.sides)
-        self.gamma = tuple(side.gamma(xs) for side, xs in zip(self.sides, self.points))
+        self.side = np.repeat([0, 1], grid_n)
+        self.gamma = np.concatenate([side.gamma(xs) for side, xs in zip(self.sides, self.points)])
         self.params = {"z": [complex(z).real, complex(z).imag], "c_plus": c_plus,
                        "c_minus": c_minus, "grid_n": grid_n}
 
+    def pairings(self, phi: Callable) -> np.ndarray:
+        """γ₊*φ and γ₋*φ, one column."""
+        return np.array([[side.pairing(phi)] for side in self.sides])
+
+    def apply(self, kernels, phi: Callable) -> np.ndarray:
+        """Each side's kernel of ``kernels`` applied to φ at its rows, one column."""
+        return np.concatenate([apply_resolvent(kernel, phi, xs)
+                               for kernel, xs in zip(kernels, self.points)])[:, None]
+
     def defect(self, phi: Callable, rhs) -> float:
-        """|(A − z)⁻¹φ − rhs| at the check points, A the coupled operator,
-        worst over both sides; ``rhs`` holds one array per side."""
-        return worst(np.abs(apply_resolvent(self.coupled, phi, xs) - r).max()
-                     for xs, r in zip(self.points, rhs))
+        """The worst |(A − z)⁻¹φ − rhs| over the rows, A the coupled operator."""
+        return worst(np.abs(self.apply((self.coupled,) * 2, phi) - rhs).flat)
 
 
 def krein_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
@@ -355,18 +368,11 @@ def krein_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
     no-conjugation adjoints of a dual pairing."""
     setup = _ResolventFormula("krein", z, c_plus, c_minus, grid_n)
     basis = default_basis() if basis is None else list(basis)
-    mp, mm = setup.weyl
-    denom = mp + mm
-    if abs(denom) < 1e-10 * (abs(mp) + abs(mm)):
-        raise SpectralPoleError(f"m₊+m₋ vanishes at z = {complex(z)}: coupled eigenvalue")
-
     rows = []
     for idx, phi in enumerate(basis):
         def residual():
-            pair = sum(side.pairing(phi) for side in setup.sides)
-            return setup.defect(phi, [apply_resolvent(g, phi, xs) - gam * pair / denom
-                                      for g, xs, gam in zip(setup.dirichlet, setup.points,
-                                                            setup.gamma)])
+            return setup.defect(phi, _krein(*setup.weyl, setup.gamma, setup.pairings(phi),
+                                            setup.apply(setup.dirichlet, phi)))
 
         rows.append(timed_check("interval.krein", {**setup.params, "basis": idx},
                                 tolerance, residual))
@@ -380,32 +386,27 @@ def mixed_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
     difference (A₀₋−z)⁻¹ − (A₁₋−z)⁻¹ = γ₋ m₋⁻¹ γ₋*."""
     setup = _ResolventFormula("mixed", z, c_plus, c_minus, grid_n)
     basis = default_basis() if basis is None else list(basis)
-    mp, mm = setup.weyl
-    if abs(mm) < 1e-12:
-        raise SpectralPoleError(f"m₋(z) = 0 at z = {complex(z)}: mixed formula not invertible")
-    sigma = -np.linalg.inv(np.array([[mp, 1.0], [1.0, -1.0 / mm]], dtype=complex))
-    plus, minus = setup.sides
-    neumann = minus.neumann()
-    (g_plus, g_minus), (xs_plus, xs_minus) = setup.dirichlet, setup.points
-    gam_plus, gam_minus = setup.gamma
+    kernels = (setup.dirichlet[0], setup.sides[1].neumann())
+    minus = setup.side == 1
 
     rows = []
     for idx, phi in enumerate(basis):
-        # (A₁₋−z)⁻¹φ₋ and the γ₋ pairing enter both rows of the bump
-        neumann_m = apply_resolvent(neumann, phi, xs_minus)
-        pairing_m = minus.pairing(phi)
+        # R₀₊φ ⊕ R₁₋φ and the γ pairings enter both rows of the bump
+        decoupled = setup.apply(kernels, phi)
+        pairings = setup.pairings(phi)
 
         def residual():
-            corr = sigma @ np.array([plus.pairing(phi), pairing_m / mm])
-            return setup.defect(phi, (apply_resolvent(g_plus, phi, xs_plus) + gam_plus * corr[0],
-                                      neumann_m + (gam_minus / mm) * corr[1]))
+            return setup.defect(phi, _mixed(*setup.weyl, setup.side, setup.gamma, pairings,
+                                            decoupled))
 
         rows.append(timed_check("interval.mixed", {**setup.params, "basis": idx}, tolerance,
                                 residual))
 
         def res01():
-            direct = apply_resolvent(g_minus, phi, xs_minus) - neumann_m
-            return float(np.abs(direct - gam_minus * pairing_m / mm).max())
+            direct = apply_resolvent(setup.dirichlet[1], phi, setup.points[1])[:, None] \
+                - decoupled[minus]
+            return worst(np.abs(direct - _difference(*setup.weyl, setup.gamma[minus],
+                                                     pairings[1])).flat)
 
         rows.append(timed_check("interval.res01", {**setup.params, "basis": idx}, tolerance,
                                 res01))

@@ -1,0 +1,73 @@
+"""Every row family catches a planted defect.
+
+One table of (defect, CLI argv): each defect is monkeypatched into the
+package, the argv runs in process, and the run must end in exit 1, a failed
+identity.  The same argv without the defect must exit 0, so a catch is never
+a row that fails anyway.  Sizes are small, so the file adds about a second.
+"""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+
+import green3.coupling as coupling
+import green3.interval_model as interval_model
+from green3.cli import main
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--omit-timing"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _krein_without_rank_one(monkeypatch):
+    # the Krein core returns R₀₊ ⊕ R₀₋ alone; both models read the core
+    for module in (coupling, interval_model):
+        monkeypatch.setattr(module, "_krein", lambda m_plus, m_minus, gamma, pairings,
+                            decoupled: decoupled)
+
+
+def _dirichlet_for_neumann(monkeypatch):
+    # the − side keeps its Dirichlet condition where the mixed formula wants Neumann
+    decoupled = coupling._ModeScalars._decoupled
+    monkeypatch.setattr(coupling._ModeScalars, "_decoupled",
+                        lambda self, neumann: decoupled(self, neumann=False))
+    monkeypatch.setattr(interval_model._Side, "neumann", interval_model._Side.dirichlet)
+
+
+def _unweighted_pairing(monkeypatch):
+    # ∫γφ as a plain sum over the quadrature nodes
+    def pairing(self, phi):
+        nodes, _, _ = self._rule
+        return complex(np.sum(self.gamma(nodes) * phi(nodes)))
+
+    monkeypatch.setattr(interval_model._Side, "pairing", pairing)
+
+
+DEFECTS = [
+    (_krein_without_rank_one, ["krein", "--z", "2,1", "--mode", "1"]),
+    (_krein_without_rank_one, ["interval", "--check", "krein"]),
+    (_dirichlet_for_neumann, ["krein", "--z", "2,1", "--mode", "1"]),
+    (_dirichlet_for_neumann, ["interval", "--check", "mixed"]),
+    (_unweighted_pairing, ["interval", "--check", "krein"]),
+]
+
+
+@pytest.mark.parametrize("argv", sorted({tuple(argv) for _, argv in DEFECTS}))
+def test_each_run_passes_without_a_defect(argv):
+    code, _, stderr = _run(list(argv))
+    assert code == 0, stderr
+
+
+@pytest.mark.parametrize("plant, argv", DEFECTS,
+                         ids=[f"{plant.__name__}-{' '.join(argv)}" for plant, argv in DEFECTS])
+def test_a_planted_defect_fails_its_rows(monkeypatch, plant, argv):
+    plant(monkeypatch)
+    code, stdout, stderr = _run(argv)
+    assert code == 1, stderr
+    assert not json.loads(stdout)["all_pass"]

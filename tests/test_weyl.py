@@ -211,7 +211,7 @@ def test_gamma_near_boundary_guard(disk128):
 # ------------------------------------------------------------- Herglotz suite
 
 
-@pytest.mark.parametrize("z", [1j, 2j])
+@pytest.mark.parametrize("z", [1j, 2j, -1 + 0.5j])
 def test_herglotz_interior(disk128, z):
     curve, grid = disk128
     report = herglotz_residuals("interior", curve, grid, z, modes=12)
@@ -246,16 +246,26 @@ def test_herglotz_self_adjoint_on_kite():
 
 
 def test_herglotz_exterior(disk128):
-    # identity + decay tail are the substantive exterior rows; the full-matrix
-    # PSD floor sits at the unresolved-mode noise level (Im μ_m ~ 1/m there)
+    # positivity is read on the resolved modes |m| <= modes, as the identity is
     curve, grid = disk128
-    report = herglotz_residuals("exterior", curve, grid, 4j, modes=8, tolerance=5e-2)
+    report = herglotz_residuals("exterior", curve, grid, 4j, modes=8)
     rows = {row.check: row for row in report.checks}
     assert set(rows) == {"herglotz.psd", "herglotz.identity", "herglotz.tail"}
     assert rows["herglotz.identity"].residual <= 1e-6
     assert rows["herglotz.tail"].residual <= 1e-6
-    assert rows["herglotz.psd"].residual <= 5e-2
+    assert rows["herglotz.psd"].residual == 0.0
     assert rows["herglotz.tail"].details["decay_rate"] == pytest.approx(np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_herglotz_exterior_positivity_near_the_negative_axis(n):
+    # the unresolved mode nearest Nyquist has Im M_m / Im z < 0 here
+    curve, grid = make_curve("disk", n)
+    report = herglotz_residuals("exterior", curve, grid, -1 + 0.5j)
+    rows = {row.check: row for row in report.checks}
+    assert rows["herglotz.psd"].residual == 0.0
+    assert rows["herglotz.psd"].details["lambda_min"] > 0.0
+    assert report.all_pass
 
 
 def test_herglotz_scalar_identity_mode0(disk128):

@@ -1,0 +1,146 @@
+"""Compare the reports of two green3 source trees on the benchmark's jobs.
+
+    python3 tools/same_answers.py PARENT_DIR CHANGE_DIR
+
+Each directory is a checkout of this repository.  The jobs are those of the
+three workloads of ``bench/workloads.py`` (imported read-only from this
+checkout) at seeds 1–3, each distinct argv once.  Each tree runs all of them in
+one fresh interpreter, in process through ``green3.cli.main`` with
+``--omit-timing``, on one thread.  The tool prints:
+
+* every job whose exit code or verdict (``all_pass``) differs;
+* per job kind (the subcommand, with ``--check`` for ``interval``), how many
+  reports are byte-identical;
+* per check name, how many rows moved out of the total, the largest
+  |Δresidual| over them, and the worst residual/tolerance in each tree.
+
+It exits 1 if an exit code, a verdict or a report's list of rows differs,
+else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+SEEDS = (1, 2, 3)
+SECONDS = 30.0  # the benchmark's run length, which sets the number of cycles per seed
+
+
+def distinct_jobs(workloads) -> list:
+    seen, out = set(), []
+    for name in workloads.WORKLOADS:
+        for seed in SEEDS:
+            for argv in workloads.jobs(name, seed, SECONDS):
+                if tuple(argv) not in seen:
+                    seen.add(tuple(argv))
+                    out.append(argv)
+    return out
+
+
+def _run_jobs() -> None:
+    """In the child: read argv lists from stdin, print [code, stdout] per job."""
+    from green3.cli import main
+
+    results = []
+    for argv in json.load(sys.stdin):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        results.append([code, out.getvalue()])
+    json.dump(results, sys.stdout)
+
+
+def run_tree(tree: Path, jobs: list) -> list:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "GREEN3_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, __file__, "--run-jobs"], input=json.dumps(jobs),
+                          capture_output=True, text=True, env=env)
+    if proc.returncode:
+        sys.exit(f"the jobs of {tree} did not run:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def kind(argv) -> str:
+    return f"interval --check {argv[argv.index('--check') + 1]}" if argv[0] == "interval" else argv[0]
+
+
+def verdict(text: str):
+    return json.loads(text)["all_pass"] if text else None
+
+
+def _worse(old: float, new: float) -> float:
+    """The larger of the two, NaN once either is NaN."""
+    return new if math.isnan(new) or new > old else old
+
+
+def compare(jobs, parent, change) -> bool:
+    """Print the three tables; True if every exit code, verdict and row list is kept."""
+    kept = True
+    identical = defaultdict(lambda: [0, 0])
+    moved = defaultdict(lambda: [0, 0, 0.0, 0.0, 0.0])  # moved, rows, largest |Δ|, worst r/tol × 2
+    for argv, (code0, out0), (code1, out1) in zip(jobs, parent, change):
+        if code0 != code1 or verdict(out0) != verdict(out1):
+            kept = False
+            print(f"CHANGED exit {code0} -> {code1}, all_pass {verdict(out0)} -> {verdict(out1)}: "
+                  f"green3 {' '.join(argv)}")
+        identical[kind(argv)][0] += out0 == out1
+        identical[kind(argv)][1] += 1
+        if not (out0 and out1):
+            continue
+        rows0, rows1 = json.loads(out0)["checks"], json.loads(out1)["checks"]
+        if [(r["check"], r["params"]) for r in rows0] != [(r["check"], r["params"]) for r in rows1]:
+            print(f"ROWS DIFFER: green3 {' '.join(argv)}")
+            kept = False
+            continue
+        for r0, r1 in zip(rows0, rows1):
+            entry = moved[r0["check"]]
+            entry[1] += 1
+            for i, row in ((3, r0), (4, r1)):
+                residual, tolerance = float(row["residual"]), float(row["tolerance"])
+                if tolerance:  # the indicator rows have tolerance 0 and residual 0 on a pass
+                    entry[i] = _worse(entry[i], residual / tolerance)
+            if r0["residual"] != r1["residual"]:
+                entry[0] += 1
+                entry[2] = _worse(entry[2], abs(float(r0["residual"]) - float(r1["residual"])))
+    print(f"\n{len(jobs)} distinct jobs; exit codes, verdicts and row lists "
+          f"{'all kept' if kept else 'NOT kept (above)'}\n")
+    print("byte-identical reports per job kind")
+    for name, (same, total) in sorted(identical.items()):
+        print(f"  {name:32s} {same:5d} / {total}")
+    print("\nper check: rows moved, largest |Δresidual|, worst residual/tolerance parent -> change")
+    for name, (count, total, delta, ratio0, ratio1) in sorted(moved.items()):
+        print(f"  {name:32s} {count:5d} / {total:<5d} {delta:9.3g}   {ratio0:.3g} -> {ratio1:.3g}")
+    return kept
+
+
+def main() -> int:
+    if sys.argv[1:] == ["--run-jobs"]:
+        _run_jobs()
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    args = parser.parse_args()
+    sys.dont_write_bytecode = True  # leave bench/ as it is
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    jobs = distinct_jobs(workloads)
+    parent, change = run_tree(args.parent, jobs), run_tree(args.change, jobs)
+    return 0 if compare(jobs, parent, change) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
