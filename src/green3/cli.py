@@ -35,9 +35,9 @@ from .errors import (
     SpectralPoleError,
 )
 from .geometry import curve_from_spec
-from .potentials import jump_relation_residuals
+from .potentials import _LayerOperators, _jump_rows, _point_source_sites, disk_mode_multipliers
 from .reports import ResidualReport, timed_check, worst
-from .weyl import _mode_quotients
+from .weyl import _mode_quotients, _weyl_checks
 
 _USAGE_ERRORS = (
     AccuracyRegionError, AnsatzResonanceError, ArgumentRangeError, BracketingError,
@@ -46,22 +46,22 @@ _USAGE_ERRORS = (
 
 _SUBCOMMANDS = ("jumps", "dtn", "green-identity", "krein", "indicator", "rellich", "interval")
 
-# Dense work arrays of a run that assembles S, K, K*: about ten complex M×M
+# Dense work arrays of a run that assembles S, K, K*: about ten complex N×N
 # matrices (the operators, a trace or LU, the pair arrays and kernel
-# temporaries), M = 2N for the N-vs-2N self-convergence of jumps and dtn and
-# M = N for indicator; green-identity evaluates fields at probes and
-# assembles nothing.  A --nodes whose estimate exceeds the budget (N > 1294
-# for jumps and dtn, N > 2590 for indicator) is rejected before any work.
+# temporaries) for jumps, dtn and indicator, which build every operator at
+# the N of --nodes (dtn's N/2 reference off the disk adds a quarter);
+# green-identity evaluates fields at probes and assembles nothing.  A --nodes
+# whose estimate exceeds the budget (N > 2590) is rejected before any work.
 _WORK_ARRAYS = 10
 _WORK_BUDGET_BYTES = 2**30
-_WORK_GRID = {"jumps": 2, "dtn": 2, "indicator": 1}
+_WORK_SUBCOMMANDS = ("jumps", "dtn", "indicator")
 
 
 def _work_bytes(subcommand: str, nodes: int) -> int:
     """The dense-array estimate for ``--nodes``; 0 where the subcommand ignores it."""
-    if subcommand not in _WORK_GRID:
+    if subcommand not in _WORK_SUBCOMMANDS:
         return 0
-    return _WORK_ARRAYS * 16 * (_WORK_GRID[subcommand] * nodes) ** 2
+    return _WORK_ARRAYS * 16 * nodes**2
 
 
 def _parse_z(text: str):
@@ -164,41 +164,73 @@ def _reject_aliased_modes(cfg: RunConfig) -> None:
             f"{cfg.subcommand} modes must be below nodes/2 = {cfg.nodes / 2:g}, got {cfg.modes}")
 
 
+def _point_source_row(ops: _LayerOperators, side: str, curve: str, tol: float, defect):
+    """The ``weyl.dtn.point_source`` row of one side, its residual from ``defect()``."""
+    z = ops.z.z
+    return timed_check("weyl.dtn.point_source",
+                       {"side": side, "curve": curve, "n": ops.grid.n, "z": [z.real, z.imag]},
+                       tol, defect)
+
+
 def _jump_tasks(cfg: RunConfig) -> list:
+    """Trace and jump relations of S, K and K* at N, one layer bundle per z.
+
+    On every curve: the Calderón rows of both sides (S and K on the exact
+    traces of a point source, ``potentials.jump_relation_residuals``) and the
+    point-source DtN row of both sides (S and K*, through ``weyl._weyl_action``).
+    On the disk also the six closed-form trace rows on the modes |m| ≤ ``--modes``."""
     _reject_aliased_modes(cfg)
+    if cfg.modes < 0:
+        raise ConfigurationError(f"modes must be >= 0, got {cfg.modes}")
     curve, grid = curve_from_spec(cfg.curve, cfg.nodes)
-    base = 1e-6 if curve.shape == "disk" else 1e-5
-    tasks = []
-    for z in cfg.z_values(default=(-1.0,)):
-        tasks.append(lambda z=z: jump_relation_residuals(
-            curve, grid, z, modes=cfg.modes, tolerance=base * cfg.tol_scale).checks)
-    return tasks
+    tol = (1e-6 if curve.shape == "disk" else 1e-5) * cfg.tol_scale
+
+    def one_z(z):
+        ops = _LayerOperators(grid, z)
+        rows = _jump_rows(curve, ops, cfg.modes, tol)
+        return rows + [_point_source_row(ops, side, curve.shape, tol,
+                                         lambda side=side: _weyl_checks(ops, side, -1)[1])
+                       for side in ("interior", "exterior")]
+
+    return [lambda z=z: one_z(z) for z in cfg.z_values(default=(-1.0,))]
 
 
 def _dtn_tasks(cfg: RunConfig) -> list:
-    """Mode-eigenvalue tables with a self-convergence residual per entry.
+    """Mode-eigenvalue tables of M_side at N, each entry with a reference, and
+    the side's point-source DtN row (``weyl._weyl_checks``), from one LU of S.
 
-    The reference is the same quotient at 2N nodes, which is meaningful on
-    every supported curve; on the disk both agree to rounding.  Only the
-    Fourier columns of the rows are pushed through the Weyl map, never the
-    dense map.  Modes at or above N/2 alias on the N-node grid and are
-    rejected before any assembly; a negative ``--modes`` asks for no row and
-    builds nothing."""
+    On the disk the reference is the closed-form symbol −κI_m′/I_m (interior)
+    or κK_m′/K_m (exterior) of ``disk_mode_multipliers``; elsewhere it is the
+    same quotient at N/2 nodes, a conservative bound that needs N a multiple
+    of 4 and at least 16, and ``--modes`` below N/4.  A run off the disk
+    outside that rule is rejected before any assembly, as are modes at or
+    above N/2 on any curve; a negative ``--modes`` asks for no row and builds
+    nothing.  The reported eigenvalue is the quotient at N."""
     _reject_aliased_modes(cfg)
     if cfg.modes < 0:
         return []
     curve, grid = curve_from_spec(cfg.curve, cfg.nodes)
-    _, grid_fine = curve_from_spec(cfg.curve, 2 * cfg.nodes)
+    on_disk = curve.shape == "disk"
+    if not on_disk and (cfg.nodes % 4 or cfg.nodes < 16 or 4 * cfg.modes >= cfg.nodes):
+        raise ConfigurationError(
+            f"dtn off the disk checks its modes against N/2 nodes: --nodes must be a multiple "
+            f"of 4 and at least 16, and --modes below nodes/4; got --nodes {cfg.nodes} and "
+            f"--modes {cfg.modes}")
+    half = None if on_disk else curve_from_spec(cfg.curve, cfg.nodes // 2)[1]
     tol = 1e-6 * cfg.tol_scale
 
     def one_z(z):
-        coarse = _mode_quotients(cfg.side, grid, z, cfg.modes)
-        fine = _mode_quotients(cfg.side, grid_fine, z, cfg.modes)
-        rows = []
+        ops = _LayerOperators(grid, z)
+        quotients, defect = _weyl_checks(ops, cfg.side, cfg.modes)  # at N first: its rcond₁ guard
+        if on_disk:
+            reference = [disk_mode_multipliers(z, m)[f"M.{cfg.side}"] for m in range(cfg.modes + 1)]
+        else:
+            reference = _mode_quotients(cfg.side, half, z, cfg.modes)
+        rows = [_point_source_row(ops, cfg.side, curve.shape, tol, lambda: defect)]
         for m in range(cfg.modes + 1):
             def entry(m=m):
-                lam, ref = complex(coarse[m]), complex(fine[m])
-                return abs(lam - ref) / (1.0 + abs(ref)), {"eigenvalue": ref}
+                lam, ref = complex(quotients[m]), complex(reference[m])
+                return abs(lam - ref) / (1.0 + abs(ref)), {"eigenvalue": lam}
 
             rows.append(timed_check(
                 "weyl.dtn.mode",
@@ -217,8 +249,7 @@ def _green_identity_tasks(cfg: RunConfig) -> list:
     r_min, r_max = float(radii.min()), float(radii.max())
     interior = coupling.probe_ring(0.55 * r_min, 20)
     exterior = coupling.probe_ring(1.45 * r_max, 20)
-    source_out = (2.1 * r_max * np.cos(0.4), 2.1 * r_max * np.sin(0.4))
-    source_in = (0.3 * r_min * np.cos(-1.1), 0.3 * r_min * np.sin(-1.1))
+    source_out, source_in = _point_source_sites(grid)
     tol = 1e-7 * cfg.tol_scale
 
     def one_z(z):

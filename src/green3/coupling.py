@@ -36,6 +36,7 @@ from .geometry import (
 from .potentials import (
     _DiskMode,
     _LayerOperators,
+    _point_source,
     eval_double_layer_field,
     eval_single_layer_field,
 )
@@ -45,7 +46,6 @@ from .specfun import (
     bessel_j,
     bessel_j_zero,
     fundamental_solution,
-    fundamental_solution_gradient,
 )
 from .weyl import _guard_resonance
 
@@ -86,20 +86,6 @@ class TransmissionField:
     gradient_minus: Optional[Callable] = None
     source_plus: Optional[Callable] = None
     source_minus: Optional[Callable] = None
-
-
-def _point_source(z, location):
-    y0 = np.asarray(location, dtype=float)
-
-    def field(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return fundamental_solution(2, z, np.linalg.norm(pts - y0, axis=1))
-
-    def grad(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return fundamental_solution_gradient(2, z, pts - y0)
-
-    return field, grad
 
 
 def transmission_point_sources(z, exterior_point, interior_point) -> TransmissionField:

@@ -353,9 +353,22 @@ class _ResolventFormula:
         return np.concatenate([apply_resolvent(kernel, phi, xs)
                                for kernel, xs in zip(kernels, self.points)])[:, None]
 
-    def defect(self, phi: Callable, rhs) -> float:
-        """The worst |(A − z)⁻¹φ − rhs| over the rows, A the coupled operator."""
-        return worst(np.abs(self.apply((self.coupled,) * 2, phi) - rhs).flat)
+    def defect(self, phi: Callable, rhs, decoupled) -> float:
+        """The relative defect of (A − z)⁻¹φ = rhs, A the coupled operator and
+        ``decoupled`` the decoupled resolvent term of rhs."""
+        return _relative_defect(self.apply((self.coupled,) * 2, phi), rhs, decoupled)
+
+
+def _relative_defect(lhs, rhs, term) -> float:
+    """The worst |lhs − rhs| of each column over the largest |lhs|, |rhs| or
+    |term| of that column, ``term`` the largest other term of the identity.
+
+    Next to a coupled eigenvalue the left side grows like 1/|m₊ + m₋|, and next
+    to a Neumann pole of the − side R₁₋φ grows like 1/|m₋| on the right; the
+    rounding of the sum grows with its largest term, and relative to it the
+    defect stays at rounding level."""
+    scale = np.abs(np.concatenate([lhs, rhs, term])).max(axis=0)
+    return worst((np.abs(lhs - rhs).max(axis=0) / scale).flat)
 
 
 def krein_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
@@ -371,8 +384,9 @@ def krein_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
     rows = []
     for idx, phi in enumerate(basis):
         def residual():
+            decoupled = setup.apply(setup.dirichlet, phi)
             return setup.defect(phi, _krein(*setup.weyl, setup.gamma, setup.pairings(phi),
-                                            setup.apply(setup.dirichlet, phi)))
+                                            decoupled), decoupled)
 
         rows.append(timed_check("interval.krein", {**setup.params, "basis": idx},
                                 tolerance, residual))
@@ -397,7 +411,7 @@ def mixed_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
 
         def residual():
             return setup.defect(phi, _mixed(*setup.weyl, setup.side, setup.gamma, pairings,
-                                            decoupled))
+                                            decoupled), decoupled)
 
         rows.append(timed_check("interval.mixed", {**setup.params, "basis": idx}, tolerance,
                                 residual))
@@ -405,8 +419,8 @@ def mixed_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
         def res01():
             direct = apply_resolvent(setup.dirichlet[1], phi, setup.points[1])[:, None] \
                 - decoupled[minus]
-            return worst(np.abs(direct - _difference(*setup.weyl, setup.gamma[minus],
-                                                     pairings[1])).flat)
+            return _relative_defect(direct, _difference(*setup.weyl, setup.gamma[minus],
+                                                        pairings[1]), decoupled[minus])
 
         rows.append(timed_check("interval.res01", {**setup.params, "basis": idx}, tolerance,
                                 res01))

@@ -14,6 +14,15 @@ S, K, K* and these traces come from one ``_LayerOperators`` bundle per
 (grid, z), which evaluates each kernel once; the ``assemble_*`` functions are
 thin wrappers around it.
 
+Point sources.  f = E(z; · − y) solves (−Δ − z)f = 0 on the side of the
+curve away from y, and its traces are exact.  Green's representation there,
+f = 𝒮[τ_N f] ± 𝒟[τ_D f] with τ_N along n^±, has the Dirichlet trace
+S·τ_N⁺f + K·φ − ½φ = 0 inside and S·τ_N⁻f − K·φ − ½φ = 0 outside, φ = τ_D f
+(the Calderón relations; Kress, *Linear Integral Equations*, §6 and §12.3).
+``_PointSourceTraces`` gives those traces for the sources that
+``_point_source_sites`` places, and the ``jump.calderon.*`` rows check S and K
+with them at one N on every curve.
+
 Kernel tables.  At complex z off the negative real axis the kernels J_0, H_0,
 J_1 and H_1 (H = H^(1)) at k·r, k = √z, are functions of the pair distance r
 alone, so a bundle reads them from a ``_KernelTable``: piecewise Chebyshev
@@ -79,7 +88,7 @@ import numpy as np
 from . import _pool
 from ._pool import _cached_property
 from .errors import AccuracyRegionError, ArgumentRangeError, ConfigurationError
-from .geometry import InterfaceCurve, QuadratureGrid
+from .geometry import InterfaceCurve, QuadratureGrid, dirichlet_trace, neumann_trace
 from .reports import ResidualReport, timed_check, worst
 from .specfun import (
     _K_TO_H,
@@ -542,62 +551,113 @@ def disk_mode_multipliers(z, m: int) -> dict:
     }
 
 
+# ---------------------------------------------------------------- point sources
+
+def _point_source(z, location):
+    """The field E(z; x − y) of a point source at y and its gradient in x."""
+    y0 = np.asarray(location, dtype=float)
+
+    def field(pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return fundamental_solution(2, z, np.linalg.norm(pts - y0, axis=1))
+
+    def grad(pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return fundamental_solution_gradient(2, z, pts - y0)
+
+    return field, grad
+
+
+def _point_source_sites(grid: QuadratureGrid):
+    """The two point sources of the planar checks, (outside, inside): 2.1·r_max
+    at angle 0.4 and 0.3·r_min at angle −1.1, r the distances of the nodes
+    from the origin, which every supported curve encloses."""
+    radii = np.linalg.norm(grid.points, axis=1)
+    r_min, r_max = float(radii.min()), float(radii.max())
+    return ((2.1 * r_max * np.cos(0.4), 2.1 * r_max * np.sin(0.4)),
+            (0.3 * r_min * np.cos(-1.1), 0.3 * r_min * np.sin(-1.1)))
+
+
+class _PointSourceTraces:
+    """φ = τ_D f and τ_N f along n^side at the nodes of the point source
+    f = E(z; · − y) that solves (−Δ − z)f = 0 on ``side``: y is the outside
+    site of ``_point_source_sites`` for the interior and the inside one for
+    the exterior."""
+
+    def __init__(self, grid: QuadratureGrid, z, side: str):
+        outside, inside = _point_source_sites(grid)
+        self.site = outside if side == "interior" else inside
+        field, grad = _point_source(z, self.site)
+        trace_side = "+" if side == "interior" else "-"
+        self.dirichlet = dirichlet_trace(field, grid.curve, grid, trace_side)
+        self.neumann = neumann_trace(field, grid.curve, grid, trace_side, gradient=grad)
+
+    def defect(self, residual):
+        """The largest |residual| over the largest |φ| or |τ_N f|, and the site."""
+        scale = max(np.abs(self.dirichlet).max(), np.abs(self.neumann).max())
+        return float(np.abs(residual).max() / scale), {"source": list(self.site)}
+
+
 # ---------------------------------------------------------------- jump relations
 
 def _mode_density(grid: QuadratureGrid, m: int) -> np.ndarray:
     return np.exp(1j * m * grid.nodes)
 
 
-def jump_relation_residuals(curve: InterfaceCurve, grid: QuadratureGrid, z, modes: int = 8,
-                            method: str = "auto", tolerance: float | None = None) -> ResidualReport:
-    """Residuals of the trace/jump relations for S, K, K* on Fourier densities.
+def _calderon_defect(ops: _LayerOperators, side: str):
+    """The Calderón relation of ``side`` for its point source, through the
+    ``_TRACES`` names: S·τ_N f ± τ_D^±𝒟φ − φ = 0, the Dirichlet trace of
+    f = 𝒮[τ_N f] ± 𝒟[φ]."""
+    source = _PointSourceTraces(ops.grid, ops.z, side)
+    sign = 1.0 if side == "interior" else -1.0
+    phi = source.dirichlet
+    residual = (ops.apply_trace(f"single.dirichlet.{side}", source.neumann)
+                + sign * ops.apply_trace(f"double.dirichlet.{side}", phi) - phi)
+    return source.defect(residual)
 
-    method "trace" (disk only) compares each operator against the closed-form
-    Bessel multiplier; "self" compares the N-node operators against a 2N-node
-    re-assembly at the shared nodes, which bounds the discretization error on
-    curves without closed forms.  "auto" picks "trace" on the disk.
-    """
-    z = as_spectral_point(z)
-    if method == "auto":
-        method = "trace" if curve.shape == "disk" else "self"
-    if method not in ("trace", "self"):
-        raise ConfigurationError(f"method must be 'auto', 'trace' or 'self', got {method!r}")
-    if method == "trace" and curve.shape != "disk":
-        raise ConfigurationError("closed-form trace oracle exists only on the disk; use method='self'")
-    if modes < 0:
-        raise ConfigurationError(f"modes must be >= 0, got {modes}")
-    if tolerance is None:
-        tolerance = 1e-6 if method == "trace" else 1e-5
-    mlist = range(-modes, modes + 1)
-    params = {
-        "curve": curve.shape, "n": grid.n, "z": [z.z.real, z.z.imag],
-        "modes": modes, "method": method,
-    }
 
-    def densities(g):  # one column per mode
-        return np.column_stack([_mode_density(g, m) for m in mlist])
-
-    phis = densities(grid)
-    if method == "trace":
+def _jump_rows(curve: InterfaceCurve, ops: _LayerOperators, modes: int, tolerance: float) -> list:
+    """The closed-form trace rows (disk only) and both Calderón rows of one
+    bundle; the disk's Bessel factors are checked first, before any operator."""
+    z, grid = ops.z, ops.grid
+    params = {"curve": curve.shape, "n": grid.n, "z": [z.z.real, z.z.imag]}
+    rows = []
+    if curve.shape == "disk":
+        mlist = range(-modes, modes + 1)
+        phis = np.column_stack([_mode_density(grid, m) for m in mlist])  # one column per mode
         table = {m: disk_mode_multipliers(z, m) for m in range(modes + 1)}
 
         def reference(name):
             key = "single.dirichlet" if name.startswith("single.dirichlet") else name
             return np.array([table[abs(m)][key] for m in mlist]) * phis
-    else:
-        grid2 = QuadratureGrid(curve, 2 * grid.n)
-        fine = _LayerOperators(grid2, z)
-        fine_phis = densities(grid2)
 
-        def reference(name):
-            return fine.apply_trace(name, fine_phis)[::2]
+        for name in _TRACES:
+            def run(name=name):
+                errs = np.abs(ops.apply_trace(name, phis) - reference(name)).max(axis=0)
+                return worst(errs), {"worst_mode": mlist[int(np.argmax(errs))]}
 
-    ops = _LayerOperators(grid, z)
-    rows = []
-    for name in _TRACES:
-        def run(name=name):
-            errs = np.abs(ops.apply_trace(name, phis) - reference(name)).max(axis=0)
-            return worst(errs), {"worst_mode": mlist[int(np.argmax(errs))]}
+            rows.append(timed_check(f"jump.{name}", {**params, "modes": modes, "method": "trace"},
+                                    tolerance, run))
+    for side in ("interior", "exterior"):
+        rows.append(timed_check(f"jump.calderon.{side}", params, tolerance,
+                                lambda side=side: _calderon_defect(ops, side)))
+    return rows
 
-        rows.append(timed_check(f"jump.{name}", params, tolerance, run))
-    return ResidualReport(rows).sorted()
+
+def jump_relation_residuals(curve: InterfaceCurve, grid: QuadratureGrid, z, modes: int = 8,
+                            tolerance: float | None = None) -> ResidualReport:
+    """Residuals of the trace/jump relations for S, K, K* at one N.
+
+    On every curve, the rows ``jump.calderon.interior|exterior`` check S and K
+    on the exact traces of a point source (module docstring), each relative to
+    the largest trace value.  On the disk the six ``jump.<trace>`` rows also
+    compare each trace of ``_TRACES`` on the Fourier densities |m| ≤ ``modes``
+    with the closed-form Bessel multiplier.  The default tolerance is 1e-6 on
+    the disk and 1e-5 elsewhere.
+    """
+    z = as_spectral_point(z)
+    if modes < 0:
+        raise ConfigurationError(f"modes must be >= 0, got {modes}")
+    if tolerance is None:
+        tolerance = 1e-6 if curve.shape == "disk" else 1e-5
+    return ResidualReport(_jump_rows(curve, _LayerOperators(grid, z), modes, tolerance)).sorted()

@@ -9,16 +9,22 @@ Gram computed by genuine domain quadrature of the fields.
 
 Every solve with S goes through one LU factorization, and only the densities
 a caller reads are solved for: a dense map solves for the identity, the CLI's
-mode tables for their Fourier columns.  The resonance guard reads LAPACK's
-estimate of the 1-norm reciprocal condition number rcond₁ = 1/(‖S‖₁‖S⁻¹‖₁)
-on that LU and raises below ``_RCOND_FLOOR`` = 1e-12, the floor that the
-σ_min/σ_max guard of the indicator uses.  rcond₁ lies within a factor N of
-σ_min/σ_max.  Where S is singular, as on the unit disk at z = 0 (log
-capacity 1), rcond₁ is at rounding level: 2.4e-17 at N = 128 and 7.7e-18 at
-N = 512, against σ ratios of 2.9e-17 and 1.4e-17.  A regular S keeps it far
-above the floor, e.g. 2.6e-3 (N = 128) and 6.4e-4 (N = 512) on the kite at
-z = 0; in all four cases the estimate matches the exact rcond₁ to three
-digits.  An LU with an exactly zero pivot raises before any estimate.
+mode tables for their Fourier columns and one point-source column.  That
+column checks the map on every curve at one N: a point source on the far
+side of the curve solves on this side, so M_±φ = −τ_N^± f with φ = τ_D f
+(``potentials._PointSourceTraces``), the row ``weyl.dtn.point_source``.  It
+reads S and K*, as the ``jump.calderon.*`` rows read S and K.
+
+The resonance guard reads LAPACK's estimate of the 1-norm reciprocal
+condition number rcond₁ = 1/(‖S‖₁‖S⁻¹‖₁) on that LU and raises below
+``_RCOND_FLOOR`` = 1e-12, the floor that the σ_min/σ_max guard of the
+indicator uses.  rcond₁ lies within a factor N of σ_min/σ_max.  Where S is
+singular, as on the unit disk at z = 0 (log capacity 1), rcond₁ is at
+rounding level: 2.4e-17 at N = 128 and 7.7e-18 at N = 512, against σ ratios
+of 2.9e-17 and 1.4e-17.  A regular S keeps it far above the floor, e.g.
+2.6e-3 (N = 128) and 6.4e-4 (N = 512) on the kite at z = 0; in all four
+cases the estimate matches the exact rcond₁ to three digits.  An LU with an
+exactly zero pivot raises before any estimate.
 """
 
 from __future__ import annotations
@@ -30,7 +36,12 @@ import numpy as np
 
 from .errors import AnsatzResonanceError, ConfigurationError
 from .geometry import InterfaceCurve, QuadratureGrid, _leggauss
-from .potentials import _LayerOperators, _clearance_check, eval_single_layer_field
+from .potentials import (
+    _LayerOperators,
+    _PointSourceTraces,
+    _clearance_check,
+    eval_single_layer_field,
+)
 from .reports import ResidualReport, timed_check, worst
 from .specfun import (
     SpectralPoint,
@@ -149,12 +160,21 @@ def _rayleigh_quotients(grid: QuadratureGrid, phis: np.ndarray, images: np.ndarr
     return np.einsum("ij,ij->j", weighted, images) / np.einsum("ij,ij->j", weighted, phis)
 
 
+def _weyl_checks(ops: _LayerOperators, side: str, modes: int):
+    """The ``mode_eigenvalue`` of M_side for m = 0..modes, without forming M,
+    and the relative defect of M_side φ = −τ_N f for the side's point source
+    with its details: the traces are one more column of the same solve."""
+    grid = ops.grid
+    source = _PointSourceTraces(grid, ops.z, side)
+    phis = np.exp(1j * np.outer(grid.nodes, np.arange(modes + 1)))
+    images, _ = _weyl_action(ops, side, np.column_stack([phis, source.dirichlet]))
+    return (_rayleigh_quotients(grid, phis, images[:, :-1]),
+            source.defect(images[:, -1] + source.neumann))
+
+
 def _mode_quotients(side: str, grid: QuadratureGrid, z, modes: int) -> np.ndarray:
     """``mode_eigenvalue`` of M_side(z) for m = 0..modes without forming M."""
-    ops = _LayerOperators(grid, z)
-    phis = np.exp(1j * np.outer(grid.nodes, np.arange(modes + 1)))
-    images, _ = _weyl_action(ops, _normalize_side(side), phis)
-    return _rayleigh_quotients(grid, phis, images)
+    return _weyl_checks(_LayerOperators(grid, z), _normalize_side(side), modes)[0]
 
 
 def mode_eigenvalue(weyl: WeylMap, m: int) -> complex:

@@ -107,7 +107,9 @@ def test_A06_jump_relations():
     assert disk_report.all_pass and disk_report.max_residual <= 1e-6
 
     kite, kite_grid = make_curve("kite", 256)
-    kite_report = jump_relation_residuals(kite, kite_grid, -1.0, modes=8, method="self")
+    kite_report = jump_relation_residuals(kite, kite_grid, -1.0, modes=8)
+    assert [row.check for row in kite_report.checks] == ["jump.calderon.exterior",
+                                                         "jump.calderon.interior"]
     assert kite_report.all_pass and kite_report.max_residual <= 1e-5
     assert time.perf_counter() - tic < 60.0
 

@@ -92,6 +92,7 @@ def test_jumps_on_disk_passes():
         "jump.single.dirichlet.interior", "jump.single.dirichlet.exterior",
         "jump.single.neumann.interior", "jump.single.neumann.exterior",
         "jump.double.dirichlet.interior", "jump.double.dirichlet.exterior",
+        "jump.calderon.interior", "jump.calderon.exterior", "weyl.dtn.point_source",
     }
 
 
@@ -120,8 +121,8 @@ def test_dtn_emits_eigenvalue_table_csv(tmp_path):
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("check,residual,tolerance,passed")
-    assert len(lines) == 1 + 5  # header + modes 0..4
-    assert all("eigenvalue" in line for line in lines[1:])
+    assert len(lines) == 1 + 5 + 1  # header + modes 0..4 + the point-source row
+    assert all("eigenvalue" in line for line in lines[1:] if line.startswith("weyl.dtn.mode,"))
 
 
 def test_krein_subcommand_runs_selected_modes():
@@ -198,6 +199,22 @@ def test_dtn_without_usable_modes_assembles_nothing(monkeypatch, command, modes,
     assert code == 2
     assert stdout == ""
     assert stderr == message + "\n"
+
+
+@pytest.mark.parametrize("nodes, modes", [("30", "2"), ("12", "1"), ("32", "8")])
+def test_off_disk_dtn_outside_the_half_grid_rule_assembles_nothing(monkeypatch, nodes, modes):
+    from green3.potentials import _LayerOperators
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("layer operators built")
+
+    monkeypatch.setattr(_LayerOperators, "__init__", no_assembly)
+    code, stdout, stderr = main_capture(["dtn", "--curve", "kite", "--nodes", nodes,
+                                         "--modes", modes])
+    assert (code, stdout) == (2, "")
+    assert stderr == ("green3: dtn off the disk checks its modes against N/2 nodes: --nodes must "
+                      "be a multiple of 4 and at least 16, and --modes below nodes/4; got "
+                      f"--nodes {nodes} and --modes {modes}\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -334,8 +351,8 @@ def test_a_task_that_raises_is_exit_three(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("argv, gib", [
-    (["jumps", "--nodes", "1296"], "1.00"),
-    (["dtn", "--nodes", "2048"], "2.50"),
+    (["jumps", "--nodes", "2592"], "1.00"),
+    (["dtn", "--nodes", "4096"], "2.50"),
     (["indicator", "--nodes", "2592"], "1.00"),
 ])
 def test_node_count_over_the_memory_budget_is_usage_error(monkeypatch, tmp_path, argv, gib):
@@ -358,7 +375,7 @@ def test_node_budget_keeps_every_documented_job():
     from green3.cli import _absorb_negative_values, _work_bytes, build_parser, config_from_args
 
     # the largest accepted counts, and every subcommand at N = 512
-    assert _work_bytes("jumps", 1294) <= 2**30 < _work_bytes("jumps", 1296)
+    assert _work_bytes("jumps", 2590) <= 2**30 < _work_bytes("jumps", 2592)
     assert _work_bytes("indicator", 2590) <= 2**30 < _work_bytes("indicator", 2592)
     for command in ("jumps", "dtn", "green-identity", "indicator", "krein", "rellich",
                     "interval"):
@@ -385,12 +402,11 @@ def test_dtn_quotients_equal_the_dense_map(spec, side):
     assert code == 0
     reported = {row["params"]["m"]: complex(row["details"]["eigenvalue"]["re"],
                                             row["details"]["eigenvalue"]["im"])
-                for row in json.loads(stdout)["checks"]}
+                for row in json.loads(stdout)["checks"] if row["check"] == "weyl.dtn.mode"}
     assert sorted(reported) == list(range(7))
-    for n in (128, 256):
-        curve, grid = curve_from_spec(spec, n)
-        weyl = dtn_map(side, curve, grid, z)
-        quotients = _mode_quotients(side, grid, z, 6) if n == 128 else reported
+    curve, grid = curve_from_spec(spec, 128)
+    weyl = dtn_map(side, curve, grid, z)
+    for quotients in (_mode_quotients(side, grid, z, 6), reported):
         for m in range(7):
             want = mode_eigenvalue(weyl, m)
             assert abs(quotients[m] - want) <= 1e-13 * abs(want)

@@ -1,7 +1,7 @@
 """Bounded fuzzing of the closed forms through ``green3.cli.main``.
 
-Each example is one in-process run of ``krein``, ``jumps --curve disk``,
-``interval``, or ``dtn``, ``indicator`` and ``green-identity`` on each curve.
+Each example is one in-process run of ``krein``, ``interval``, or ``jumps``,
+``dtn``, ``indicator`` and ``green-identity`` on each curve.
 Whatever the input, the run must end in a verdict (exit 0 or 1) or a usage
 error (exit 2), never in an internal error, and a passing report must not
 rest on a non-finite residual.  Warnings are errors under pytest, so an
@@ -85,6 +85,14 @@ def test_interval_fails_closed(check, z, shifts, seed):
     _assert_fail_closed(argv + ["--seed", str(seed)])
 
 
+@_FUZZ
+@given(curve=st.sampled_from(["ellipse:1.5,0.8", "kite"]), half=st.integers(4, 32),
+       z=_spectral_points(-30))
+def test_off_disk_jumps_fail_closed(curve, half, z):
+    _assert_fail_closed(["jumps", "--curve", curve, "--nodes", str(2 * half), *_z_flag(z),
+                         "--modes", "0"])
+
+
 _CURVES = st.sampled_from(["disk", "ellipse:1.5,0.8", "kite"])
 
 
@@ -92,9 +100,16 @@ _CURVES = st.sampled_from(["disk", "ellipse:1.5,0.8", "kite"])
 @given(curve=_CURVES, side=st.sampled_from(["interior", "exterior"]), z=_spectral_points(-30),
        data=st.data())
 def test_dtn_fails_closed(curve, side, z, data):
-    half = 32 - data.draw(st.integers(0, 28), label="nodes below 64, halved")
-    modes = half - 1 - data.draw(st.integers(0, half - 1), label="modes below N/2")
-    _assert_fail_closed(["dtn", "--side", side, "--curve", curve, "--nodes", str(2 * half),
+    if curve != "disk" and data.draw(st.booleans(), label="N/2 reference runs"):
+        # off the disk the rows need N a multiple of 4, N >= 16 and modes below N/4
+        quarter = 16 - data.draw(st.integers(0, 12), label="nodes from 16 to 64, quartered")
+        nodes = 4 * quarter
+        modes = quarter - 1 - data.draw(st.integers(0, quarter - 1), label="modes below N/4")
+    else:
+        half = 32 - data.draw(st.integers(0, 28), label="nodes below 64, halved")
+        nodes = 2 * half
+        modes = half - 1 - data.draw(st.integers(0, half - 1), label="modes below N/2")
+    _assert_fail_closed(["dtn", "--side", side, "--curve", curve, "--nodes", str(nodes),
                          *_z_flag(z), "--modes", str(modes)])
 
 

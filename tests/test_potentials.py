@@ -190,7 +190,7 @@ def test_jump_relations_disk(disk256):
     report = jump_relation_residuals(curve, grid, -1.0)
     assert report.all_pass
     assert report.max_residual <= 1e-6
-    assert len(report.checks) == 6
+    assert len(report.checks) == 8  # six closed-form traces, two Calderón rows
 
 
 def test_jump_relations_complex_z(disk256):
@@ -209,9 +209,7 @@ def test_jump_relations_ellipse_self_convergence():
 def test_jump_relation_guards():
     curve, grid = make_curve("kite", 64)
     with pytest.raises(ConfigurationError):
-        jump_relation_residuals(curve, grid, -1.0, method="trace")
-    with pytest.raises(ConfigurationError):
-        jump_relation_residuals(curve, grid, -1.0, method="bogus")
+        jump_relation_residuals(curve, grid, -1.0, modes=-1)
 
 
 def test_jump_relations_fail_on_a_nan_mode(monkeypatch):
@@ -223,8 +221,10 @@ def test_jump_relations_fail_on_a_nan_mode(monkeypatch):
                         lambda grid, m: mode_density(grid, m) * (np.nan if m == 1 else 1.0))
     curve, grid = make_curve("disk", 32)
     report = jump_relation_residuals(curve, grid, -1.0, modes=2)
-    assert len(report.checks) == 6
-    for row in report.checks:
+    assert len(report.checks) == 8
+    traces = [row for row in report.checks if not row.check.startswith("jump.calderon.")]
+    assert len(traces) == 6
+    for row in traces:
         assert np.isnan(row.residual) and not row.passed
         assert row.details["worst_mode"] == 1
     assert np.isnan(report.max_residual)

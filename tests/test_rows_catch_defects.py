@@ -3,7 +3,7 @@
 One table of (defect, CLI argv): each defect is monkeypatched into the
 package, the argv runs in process, and the run must end in exit 1, a failed
 identity.  The same argv without the defect must exit 0, so a catch is never
-a row that fails anyway.  Sizes are small, so the file adds about a second.
+a row that fails anyway.  Sizes are small, so the file adds a few seconds.
 """
 
 import contextlib
@@ -15,6 +15,8 @@ import pytest
 
 import green3.coupling as coupling
 import green3.interval_model as interval_model
+import green3.potentials as potentials
+import green3.weyl as weyl
 from green3.cli import main
 
 
@@ -49,7 +51,27 @@ def _unweighted_pairing(monkeypatch):
     monkeypatch.setattr(interval_model._Side, "pairing", pairing)
 
 
+def _side_ignored(monkeypatch):
+    # every Weyl action takes the interior Neumann trace, whatever the side
+    action = weyl._weyl_action
+    monkeypatch.setattr(weyl, "_weyl_action",
+                        lambda ops, side, densities: action(ops, "interior", densities))
+
+
+def _exterior_k_sign_flipped(monkeypatch):
+    # τ_D⁻𝒟 = −½I − K in place of −½I + K
+    monkeypatch.setitem(potentials._TRACES, "double.dirichlet.exterior",
+                        ("double_layer", -1.0, -0.5))
+
+
+_CURVES = ("disk", "kite", "ellipse:1.5,0.8")
+_PLANAR = ["--nodes", "128", "--z", "-5,1"]
+
+# dtn reads S and K* only, so the K entry runs jumps alone
 DEFECTS = [
+    *[(_side_ignored, [*run, "--curve", curve, *_PLANAR])
+      for run in (["dtn", "--side", "exterior"], ["jumps"]) for curve in _CURVES],
+    *[(_exterior_k_sign_flipped, ["jumps", "--curve", curve, *_PLANAR]) for curve in _CURVES],
     (_krein_without_rank_one, ["krein", "--z", "2,1", "--mode", "1"]),
     (_krein_without_rank_one, ["interval", "--check", "krein"]),
     (_dirichlet_for_neumann, ["krein", "--z", "2,1", "--mode", "1"]),

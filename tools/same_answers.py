@@ -12,7 +12,9 @@ one fresh interpreter, in process through ``green3.cli.main`` with
 * per job kind (the subcommand, with ``--check`` for ``interval``), how many
   reports are byte-identical;
 * per check name, how many rows moved out of the total, the largest
-  |Δresidual| over them, and the worst residual/tolerance in each tree.
+  |Δresidual| over them, and the worst residual/tolerance in each tree, over
+  the rows (check name and params) that both reports hold;
+* the check names of rows that only one tree reports, with their counts.
 
 It exits 1 if an exit code, a verdict or a report's list of rows differs,
 else 0.
@@ -90,6 +92,7 @@ def compare(jobs, parent, change) -> bool:
     kept = True
     identical = defaultdict(lambda: [0, 0])
     moved = defaultdict(lambda: [0, 0, 0.0, 0.0, 0.0])  # moved, rows, largest |Δ|, worst r/tol × 2
+    only = (defaultdict(int), defaultdict(int))  # rows per check name in one tree only
     for argv, (code0, out0), (code1, out1) in zip(jobs, parent, change):
         if code0 != code1 or verdict(out0) != verdict(out1):
             kept = False
@@ -99,12 +102,16 @@ def compare(jobs, parent, change) -> bool:
         identical[kind(argv)][1] += 1
         if not (out0 and out1):
             continue
-        rows0, rows1 = json.loads(out0)["checks"], json.loads(out1)["checks"]
-        if [(r["check"], r["params"]) for r in rows0] != [(r["check"], r["params"]) for r in rows1]:
+        rows0, rows1 = ({(r["check"], json.dumps(r["params"], sort_keys=True)): r
+                         for r in json.loads(out)["checks"]} for out in (out0, out1))
+        if list(rows0) != list(rows1):
             print(f"ROWS DIFFER: green3 {' '.join(argv)}")
             kept = False
-            continue
-        for r0, r1 in zip(rows0, rows1):
+            for key in rows0.keys() - rows1.keys():
+                only[0][key[0]] += 1
+            for key in rows1.keys() - rows0.keys():
+                only[1][key[0]] += 1
+        for r0, r1 in ((rows0[key], rows1[key]) for key in rows0 if key in rows1):
             entry = moved[r0["check"]]
             entry[1] += 1
             for i, row in ((3, r0), (4, r1)):
@@ -119,6 +126,9 @@ def compare(jobs, parent, change) -> bool:
     print("byte-identical reports per job kind")
     for name, (same, total) in sorted(identical.items()):
         print(f"  {name:32s} {same:5d} / {total}")
+    for tree, counts in zip(("parent", "change"), only):
+        for name, count in sorted(counts.items()):
+            print(f"ROWS ONLY IN {tree}: {name} ({count})")
     print("\nper check: rows moved, largest |Δresidual|, worst residual/tolerance parent -> change")
     for name, (count, total, delta, ratio0, ratio1) in sorted(moved.items()):
         print(f"  {name:32s} {count:5d} / {total:<5d} {delta:9.3g}   {ratio0:.3g} -> {ratio1:.3g}")
