@@ -37,7 +37,7 @@ from .errors import (
 from .geometry import curve_from_spec
 from .potentials import _LayerOperators, _jump_rows, _point_source_sites, disk_mode_multipliers
 from .reports import ResidualReport, timed_check, worst
-from .weyl import _mode_quotients, _weyl_checks
+from .weyl import _mode_quotients, _point_source_row
 
 _USAGE_ERRORS = (
     AccuracyRegionError, AnsatzResonanceError, ArgumentRangeError, BracketingError,
@@ -164,40 +164,32 @@ def _reject_aliased_modes(cfg: RunConfig) -> None:
             f"{cfg.subcommand} modes must be below nodes/2 = {cfg.nodes / 2:g}, got {cfg.modes}")
 
 
-def _point_source_row(ops: _LayerOperators, side: str, curve: str, tol: float, defect):
-    """The ``weyl.dtn.point_source`` row of one side, its residual from ``defect()``."""
-    z = ops.z.z
-    return timed_check("weyl.dtn.point_source",
-                       {"side": side, "curve": curve, "n": ops.grid.n, "z": [z.real, z.imag]},
-                       tol, defect)
-
-
 def _jump_tasks(cfg: RunConfig) -> list:
     """Trace and jump relations of S, K and K* at N, one layer bundle per z.
 
     On every curve: the Calderón rows of both sides (S and K on the exact
     traces of a point source, ``potentials.jump_relation_residuals``) and the
-    point-source DtN row of both sides (S and K*, through ``weyl._weyl_action``).
-    On the disk also the six closed-form trace rows on the modes |m| ≤ ``--modes``."""
-    _reject_aliased_modes(cfg)
-    if cfg.modes < 0:
-        raise ConfigurationError(f"modes must be >= 0, got {cfg.modes}")
+    point-source DtN row of both sides (S and K*, ``weyl._point_source_row``),
+    from one LU of S.  On the disk also the six closed-form trace rows on the
+    modes |m| ≤ ``--modes``, which no other curve reads."""
     curve, grid = curve_from_spec(cfg.curve, cfg.nodes)
+    if curve.shape == "disk":
+        _reject_aliased_modes(cfg)
+        if cfg.modes < 0:
+            raise ConfigurationError(f"modes must be >= 0, got {cfg.modes}")
     tol = (1e-6 if curve.shape == "disk" else 1e-5) * cfg.tol_scale
 
     def one_z(z):
         ops = _LayerOperators(grid, z)
-        rows = _jump_rows(curve, ops, cfg.modes, tol)
-        return rows + [_point_source_row(ops, side, curve.shape, tol,
-                                         lambda side=side: _weyl_checks(ops, side, -1)[1])
-                       for side in ("interior", "exterior")]
+        return _jump_rows(curve, ops, cfg.modes, tol) + [
+            _point_source_row(ops, side, tol) for side in ("interior", "exterior")]
 
     return [lambda z=z: one_z(z) for z in cfg.z_values(default=(-1.0,))]
 
 
 def _dtn_tasks(cfg: RunConfig) -> list:
     """Mode-eigenvalue tables of M_side at N, each entry with a reference, and
-    the side's point-source DtN row (``weyl._weyl_checks``), from one LU of S.
+    the side's point-source DtN row (``weyl._point_source_row``), one solve.
 
     On the disk the reference is the closed-form symbol −κI_m′/I_m (interior)
     or κK_m′/K_m (exterior) of ``disk_mode_multipliers``; elsewhere it is the
@@ -221,12 +213,14 @@ def _dtn_tasks(cfg: RunConfig) -> list:
 
     def one_z(z):
         ops = _LayerOperators(grid, z)
-        quotients, defect = _weyl_checks(ops, cfg.side, cfg.modes)  # at N first: its rcond₁ guard
+        # N before N/2, so that a resonance is reported by the rcond₁ guard at N
+        source = ops.point_source(cfg.side).dirichlet  # one more column of the solve
+        quotients, image = _mode_quotients(ops, cfg.side, cfg.modes, source)
         if on_disk:
             reference = [disk_mode_multipliers(z, m)[f"M.{cfg.side}"] for m in range(cfg.modes + 1)]
         else:
-            reference = _mode_quotients(cfg.side, half, z, cfg.modes)
-        rows = [_point_source_row(ops, cfg.side, curve.shape, tol, lambda: defect)]
+            reference, _ = _mode_quotients(_LayerOperators(half, z), cfg.side, cfg.modes)
+        rows = [_point_source_row(ops, cfg.side, tol, image[:, 0])]
         for m in range(cfg.modes + 1):
             def entry(m=m):
                 lam, ref = complex(quotients[m]), complex(reference[m])
@@ -466,8 +460,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
     """The parsed flags, named as the ``RunConfig`` fields; a flag left out keeps
-    the field's default."""
-    return RunConfig(**vars(ns))
+    the field's default.  No row reads ``jumps --modes`` off the disk: it
+    raises ``ConfigurationError``."""
+    config = RunConfig(**vars(ns))
+    if ("modes" in ns and config.subcommand == "jumps"
+            and curve_from_spec(config.curve, config.nodes)[0].shape != "disk"):
+        raise ConfigurationError(
+            f"jumps reads --modes only on the disk; drop it for --curve {config.curve}")
+    return config
 
 
 _NEGATIVE_VALUE_FLAGS = ("--z", "--c+", "--c-", "--zgrid")

@@ -14,14 +14,24 @@ S, K, K* and these traces come from one ``_LayerOperators`` bundle per
 (grid, z), which evaluates each kernel once; the ``assemble_*`` functions are
 thin wrappers around it.
 
+S⁻¹.  The bundle also owns S(z)⁻¹, which the γ-field and the Weyl maps of
+:mod:`green3.weyl` read: one LU of S per (grid, z), made on first use, and
+the singular values of S for the indicator, each guarded against a resonance
+of the ansatz with the floor ``_RCOND_FLOOR`` = 1e-12.  The LU guard reads
+LAPACK's estimate of rcond₁ = 1/(‖S‖₁‖S⁻¹‖₁), within a factor N of the SVD
+guard's σ_min/σ_max.  On the unit disk at z = 0 (log capacity 1, S singular)
+rcond₁ is 2.4e-17 at N = 128 and 7.7e-18 at N = 512 (σ ratios 2.9e-17 and
+1.4e-17); on the kite at z = 0 it is 2.6e-3 and 6.4e-4, each estimate within
+three digits of the exact rcond₁.  An exactly zero pivot raises first.
+
 Point sources.  f = E(z; · − y) solves (−Δ − z)f = 0 on the side of the
 curve away from y, and its traces are exact.  Green's representation there,
 f = 𝒮[τ_N f] ± 𝒟[τ_D f] with τ_N along n^±, has the Dirichlet trace
 S·τ_N⁺f + K·φ − ½φ = 0 inside and S·τ_N⁻f − K·φ − ½φ = 0 outside, φ = τ_D f
 (the Calderón relations; Kress, *Linear Integral Equations*, §6 and §12.3).
 ``_PointSourceTraces`` gives those traces for the sources that
-``_point_source_sites`` places, and the ``jump.calderon.*`` rows check S and K
-with them at one N on every curve.
+``_point_source_sites`` places, a bundle builds each side's on first use, and
+the ``jump.calderon.*`` rows check S and K with them at one N on every curve.
 
 Kernel tables.  At complex z off the negative real axis the kernels J_0, H_0,
 J_1 and H_1 (H = H^(1)) at k·r, k = √z, are functions of the pair distance r
@@ -87,7 +97,7 @@ import numpy as np
 
 from . import _pool
 from ._pool import _cached_property
-from .errors import AccuracyRegionError, ArgumentRangeError, ConfigurationError
+from .errors import AccuracyRegionError, AnsatzResonanceError, ArgumentRangeError, ConfigurationError
 from .geometry import InterfaceCurve, QuadratureGrid, dirichlet_trace, neumann_trace
 from .reports import ResidualReport, timed_check, worst
 from .specfun import (
@@ -252,15 +262,24 @@ class _KernelTable:
         return j, h
 
 
+_RCOND_FLOOR = 1e-12  # both resonance guards of S (module docstring)
+
+
+def _resonance(detail: str) -> AnsatzResonanceError:
+    return AnsatzResonanceError(f"single-layer boundary matrix is numerically singular ({detail}); "
+                                "perturb z slightly or refine the grid")
+
+
 class _LayerOperators:
-    """S, K, K* and their traces on one (grid, z), each kernel evaluated once.
+    """S, K, K* and their traces on one (grid, z), each kernel evaluated once,
+    and S⁻¹ (module docstring) with the point-source traces of both sides.
 
     The pair distance, the log-sin factor and the Kress weights are symmetric in
     the two nodes, so they and the Bessel/Hankel kernels on them are computed on
     the N(N−1)/2 pairs i < j only (the grid's ``_PairLayout``) and mirrored
     into the dense matrices; only the normal factor ⟨n_u[j], x_j − x_i⟩ of K
     is not symmetric.  The operators are float64 where k = √z is 0 or on the
-    imaginary axis (real z ≤ 0) and complex128 elsewhere.  Each operator is
+    imaginary axis (real z ≤ 0) and complex128 elsewhere.  Everything is
     built on first use.  Callers make a bundle per call and keep nothing.
     """
 
@@ -269,6 +288,7 @@ class _LayerOperators:
         self.z = as_spectral_point(z)
         self._pairs = grid._pairs
         self._dtype = float if self.z.sqrt_z.real == 0.0 else complex
+        self._lu, self._sources = {}, {}  # (LU, pivots) per LAPACK type; traces per side
 
     @_cached_property
     def _table(self) -> _KernelTable:
@@ -391,11 +411,41 @@ class _LayerOperators:
         attr, sign, half = _TRACES[name]
         return sign * (getattr(self, attr) @ densities) + half * densities
 
+    def solve(self, densities) -> np.ndarray:
+        """S⁻¹Φ for a density or the columns Φ, by the LU of S once its rcond₁
+        passes the guard.  The LAPACK type follows S and Φ together (S is real
+        at real z ≤ 0, and a real ``getrs`` would drop the imaginary part of
+        complex densities); S is factored once per type, and callers use one."""
+        from scipy.linalg.lapack import get_lapack_funcs  # ~50 ms, paid on first use only
+
+        mat, densities = self.single_layer, np.asarray(densities)
+        getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (mat, densities))
+        if getrf.typecode not in self._lu:
+            lu, piv, info = getrf(mat)
+            if info > 0:
+                raise _resonance(f"pivot {info} of its LU is exactly zero")
+            rcond, _ = gecon(lu, np.abs(mat).sum(axis=0).max())
+            if not rcond >= _RCOND_FLOOR:  # a NaN estimate fails too
+                raise _resonance(f"rcond₁ = {rcond:.2e}")
+            self._lu[getrf.typecode] = lu, piv
+        psi, _ = getrs(*self._lu[getrf.typecode], densities)
+        return psi
+
     @_cached_property
     def single_layer_singular_values(self) -> np.ndarray:
-        """Singular values of S, largest first; at real z ≤ 0 S is float64,
-        and the real SVD is about three times faster than the complex one."""
-        return np.linalg.svd(self.single_layer, compute_uv=False)
+        """Singular values of S, largest first, once σ_min/σ_max passes the
+        guard; at real z ≤ 0 S is float64, and the real SVD is about three
+        times faster than the complex one."""
+        values = np.linalg.svd(self.single_layer, compute_uv=False)
+        if values[-1] < _RCOND_FLOOR * values[0]:
+            raise _resonance(f"σ_min/σ_max = {values[-1] / values[0]:.2e}")
+        return values
+
+    def point_source(self, side: str) -> _PointSourceTraces:
+        """The exact traces of the point source that solves on ``side``."""
+        if side not in self._sources:
+            self._sources[side] = _PointSourceTraces(self.grid, self.z, side)
+        return self._sources[side]
 
 
 def assemble_single_layer(curve: InterfaceCurve, grid: QuadratureGrid, z) -> BoundaryOperator:
@@ -608,7 +658,7 @@ def _calderon_defect(ops: _LayerOperators, side: str):
     """The Calderón relation of ``side`` for its point source, through the
     ``_TRACES`` names: S·τ_N f ± τ_D^±𝒟φ − φ = 0, the Dirichlet trace of
     f = 𝒮[τ_N f] ± 𝒟[φ]."""
-    source = _PointSourceTraces(ops.grid, ops.z, side)
+    source = ops.point_source(side)
     sign = 1.0 if side == "interior" else -1.0
     phi = source.dirichlet
     residual = (ops.apply_trace(f"single.dirichlet.{side}", source.neumann)

@@ -7,24 +7,11 @@ For Im z > 0 the maps are verified to be Herglotz: positive (weighted)
 imaginary part, and M(z) − M(z)* = (z − z̄)·γ(z)*γ(z) with the right-hand
 Gram computed by genuine domain quadrature of the fields.
 
-Every solve with S goes through one LU factorization, and only the densities
-a caller reads are solved for: a dense map solves for the identity, the CLI's
-mode tables for their Fourier columns and one point-source column.  That
-column checks the map on every curve at one N: a point source on the far
-side of the curve solves on this side, so M_±φ = −τ_N^± f with φ = τ_D f
-(``potentials._PointSourceTraces``), the row ``weyl.dtn.point_source``.  It
-reads S and K*, as the ``jump.calderon.*`` rows read S and K.
-
-The resonance guard reads LAPACK's estimate of the 1-norm reciprocal
-condition number rcond₁ = 1/(‖S‖₁‖S⁻¹‖₁) on that LU and raises below
-``_RCOND_FLOOR`` = 1e-12, the floor that the σ_min/σ_max guard of the
-indicator uses.  rcond₁ lies within a factor N of σ_min/σ_max.  Where S is
-singular, as on the unit disk at z = 0 (log capacity 1), rcond₁ is at
-rounding level: 2.4e-17 at N = 128 and 7.7e-18 at N = 512, against σ ratios
-of 2.9e-17 and 1.4e-17.  A regular S keeps it far above the floor, e.g.
-2.6e-3 (N = 128) and 6.4e-4 (N = 512) on the kite at z = 0; in all four
-cases the estimate matches the exact rcond₁ to three digits.  An LU with an
-exactly zero pivot raises before any estimate.
+Every S⁻¹ is the layer bundle's guarded solve (``potentials``), for the
+densities a caller reads only.  The row ``weyl.dtn.point_source`` checks the
+map on every curve at one N: a point source on the far side of the curve
+solves on this side, so M_±φ = −τ_N^± f with φ = τ_D f.  It reads S and K*,
+as the ``jump.calderon.*`` rows read S and K.
 """
 
 from __future__ import annotations
@@ -34,14 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnsatzResonanceError, ConfigurationError
+from .errors import ConfigurationError
 from .geometry import InterfaceCurve, QuadratureGrid, _leggauss
-from .potentials import (
-    _LayerOperators,
-    _PointSourceTraces,
-    _clearance_check,
-    eval_single_layer_field,
-)
+from .potentials import _LayerOperators, _clearance_check, eval_single_layer_field
 from .reports import ResidualReport, timed_check, worst
 from .specfun import (
     SpectralPoint,
@@ -60,44 +42,9 @@ def _normalize_side(side: str) -> str:
         raise ConfigurationError(f"side must be interior/exterior (or +/−), got {side!r}") from None
 
 
-_RCOND_FLOOR = 1e-12
-
-
-def _resonance(detail: str) -> AnsatzResonanceError:
-    return AnsatzResonanceError(
-        f"single-layer boundary matrix is numerically singular ({detail}); "
-        f"perturb z slightly or refine the grid"
-    )
-
-
-def _guard_resonance(singular_values: np.ndarray) -> None:
-    smin, smax = singular_values[-1], singular_values[0]
-    if smin < _RCOND_FLOOR * smax:
-        raise _resonance(f"σ_min/σ_max = {smin / smax:.2e}")
-
-
-def _single_layer_solve(ops: _LayerOperators, densities) -> np.ndarray:
-    """S⁻¹Φ for a density or the columns Φ, by one LU of S once its rcond₁ passes the guard.
-
-    The LAPACK type follows S and Φ together: S is real at real z ≤ 0, and a
-    real ``getrs`` would drop the imaginary part of complex densities."""
-    from scipy.linalg.lapack import get_lapack_funcs  # ~50 ms, paid on first use only
-
-    mat, densities = ops.single_layer, np.asarray(densities)
-    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (mat, densities))
-    lu, piv, info = getrf(mat)
-    if info > 0:
-        raise _resonance(f"pivot {info} of its LU is exactly zero")
-    rcond, _ = gecon(lu, np.abs(mat).sum(axis=0).max())
-    if not rcond >= _RCOND_FLOOR:  # a NaN estimate fails too
-        raise _resonance(f"rcond₁ = {rcond:.2e}")
-    psi, _ = getrs(lu, piv, densities)
-    return psi
-
-
 def _weyl_action(ops: _LayerOperators, side: str, densities: np.ndarray):
     """M_side Φ = −(½I ∓ K*) S⁻¹Φ for the columns Φ, with the densities S⁻¹Φ."""
-    psi = _single_layer_solve(ops, densities)
+    psi = ops.solve(densities)
     return -ops.apply_trace(f"single.neumann.{side}", psi), psi
 
 
@@ -128,8 +75,7 @@ def gamma_field(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z,
     """Solve (−Δ − z)f = 0 on the chosen side with τ_D f = density."""
     _normalize_side(side)  # the ansatz field is two-sided; side only validates intent
     ops = _LayerOperators(grid, z)
-    psi = _single_layer_solve(ops, density)
-    return SingleLayerField(curve, grid, ops.z, psi)
+    return SingleLayerField(curve, grid, ops.z, ops.solve(density))
 
 
 @dataclass(frozen=True)
@@ -160,21 +106,27 @@ def _rayleigh_quotients(grid: QuadratureGrid, phis: np.ndarray, images: np.ndarr
     return np.einsum("ij,ij->j", weighted, images) / np.einsum("ij,ij->j", weighted, phis)
 
 
-def _weyl_checks(ops: _LayerOperators, side: str, modes: int):
-    """The ``mode_eigenvalue`` of M_side for m = 0..modes, without forming M,
-    and the relative defect of M_side φ = −τ_N f for the side's point source
-    with its details: the traces are one more column of the same solve."""
-    grid = ops.grid
-    source = _PointSourceTraces(grid, ops.z, side)
-    phis = np.exp(1j * np.outer(grid.nodes, np.arange(modes + 1)))
-    images, _ = _weyl_action(ops, side, np.column_stack([phis, source.dirichlet]))
-    return (_rayleigh_quotients(grid, phis, images[:, :-1]),
-            source.defect(images[:, -1] + source.neumann))
+def _mode_quotients(ops: _LayerOperators, side: str, modes: int, *extra):
+    """``mode_eigenvalue`` of M_side for m = 0..modes without forming M, and
+    M_side on the ``extra`` densities, more columns of the same solve."""
+    phis = np.exp(1j * np.outer(ops.grid.nodes, np.arange(modes + 1)))
+    images, _ = _weyl_action(ops, side, np.column_stack([phis, *extra]))
+    return _rayleigh_quotients(ops.grid, phis, images[:, :modes + 1]), images[:, modes + 1:]
 
 
-def _mode_quotients(side: str, grid: QuadratureGrid, z, modes: int) -> np.ndarray:
-    """``mode_eigenvalue`` of M_side(z) for m = 0..modes without forming M."""
-    return _weyl_checks(_LayerOperators(grid, z), _normalize_side(side), modes)[0]
+def _point_source_row(ops: _LayerOperators, side: str, tolerance: float, image=None):
+    """The ``weyl.dtn.point_source`` row of ``side``: M_side φ + τ_N f for the
+    side's point source, relative to its largest trace.  ``image`` is M_side φ
+    where the caller's solve has it; without it the row solves for φ alone."""
+    source = ops.point_source(side)
+
+    def defect():
+        mphi = _weyl_action(ops, side, source.dirichlet[:, None])[0][:, 0] if image is None else image
+        return source.defect(mphi + source.neumann)
+
+    z = ops.z.z
+    params = {"side": side, "curve": ops.grid.curve.shape, "n": ops.grid.n, "z": [z.real, z.imag]}
+    return timed_check("weyl.dtn.point_source", params, tolerance, defect)
 
 
 def mode_eigenvalue(weyl: WeylMap, m: int) -> complex:

@@ -217,6 +217,78 @@ def test_off_disk_dtn_outside_the_half_grid_rule_assembles_nothing(monkeypatch, 
                       f"--nodes {nodes} and --modes {modes}\n")
 
 
+@pytest.mark.parametrize("curve", ["kite", "ellipse:1.5,0.8"])
+def test_off_disk_jumps_rejects_modes_and_assembles_nothing(monkeypatch, curve):
+    # no row off the disk reads --modes; it used to be accepted and ignored
+    from green3.potentials import _LayerOperators
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("layer operators built")
+
+    monkeypatch.setattr(_LayerOperators, "__init__", no_assembly)
+    code, stdout, stderr = main_capture(["jumps", "--curve", curve, "--nodes", "64",
+                                         "--modes", "3"])
+    assert (code, stdout) == (2, "")
+    assert stderr == f"green3: jumps reads --modes only on the disk; drop it for --curve {curve}\n"
+
+
+def test_off_disk_jumps_has_no_mode_alias_rule():
+    # the default --modes 8 is at nodes/2 here, but no off-disk row reads it
+    code, stdout, stderr = main_capture(["jumps", "--curve", "kite", "--nodes", "16",
+                                         "--z", "-1,1", "--omit-timing"])
+    assert code in (0, 1), stderr
+    assert {row["check"] for row in json.loads(stdout)["checks"]} == {
+        "jump.calderon.interior", "jump.calderon.exterior", "weyl.dtn.point_source"}
+
+
+class _CountedCalls:
+    """A callable that logs the size of its first argument, then calls ``fn``."""
+
+    def __init__(self, fn, log):
+        self.fn, self.log = fn, log
+
+    def __call__(self, a, *args, **kwargs):
+        self.log.append(len(a))
+        return self.fn(a, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.fn, name)
+
+
+@pytest.mark.parametrize("argv, lus, traces", [
+    (["jumps", "--curve", "disk", "--modes", "4"], [128], [(128, "interior"), (128, "exterior")]),
+    (["jumps", "--curve", "kite"], [128], [(128, "interior"), (128, "exterior")]),
+    (["dtn", "--curve", "disk", "--side", "exterior"], [128], [(128, "exterior")]),
+    (["dtn", "--curve", "kite", "--side", "interior"], [128, 64], [(128, "interior")]),
+    (["dtn", "--curve", "kite", "--side", "exterior"], [128, 64], [(128, "exterior")]),
+])
+def test_one_lu_and_one_trace_build_per_side_and_z(monkeypatch, argv, lus, traces):
+    # jumps used to factor S for each side and build each side's traces for
+    # the Calderón and the DtN rows apart; the N/2 reference of dtn built traces
+    import scipy.linalg.lapack as lapack
+
+    from green3.potentials import _PointSourceTraces
+
+    factored, built = [], []
+    get_lapack_funcs, traces_init = lapack.get_lapack_funcs, _PointSourceTraces.__init__
+
+    def counting_lapack_funcs(names, *args, **kwargs):
+        funcs = get_lapack_funcs(names, *args, **kwargs)
+        return [_CountedCalls(f, factored) if name == "getrf" else f
+                for name, f in zip(names, funcs)]
+
+    def counting_traces(self, grid, z, side):
+        built.append((grid.n, side))
+        traces_init(self, grid, z, side)
+
+    monkeypatch.setattr(lapack, "get_lapack_funcs", counting_lapack_funcs)
+    monkeypatch.setattr(_PointSourceTraces, "__init__", counting_traces)
+    code, _, stderr = main_capture([*argv, "--nodes", "128", "--z", "-3,2"])
+    assert code == 0, stderr
+    assert sorted(factored, reverse=True) == lus
+    assert sorted(built) == sorted(traces)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["krein", "--tol-scale", "nan"], "--tol-scale must be finite and > 0, got nan"),
     (["dtn", "--tol-scale", "-1"], "--tol-scale must be finite and > 0, got -1.0"),
@@ -394,6 +466,7 @@ def test_node_budget_keeps_every_documented_job():
 def test_dtn_quotients_equal_the_dense_map(spec, side):
     # the CLI never forms the dense map; its quotients must be those of it
     from green3.geometry import curve_from_spec
+    from green3.potentials import _LayerOperators
     from green3.weyl import _mode_quotients, dtn_map, mode_eigenvalue
 
     z = complex(-1.0, 0.5)
@@ -406,7 +479,7 @@ def test_dtn_quotients_equal_the_dense_map(spec, side):
     assert sorted(reported) == list(range(7))
     curve, grid = curve_from_spec(spec, 128)
     weyl = dtn_map(side, curve, grid, z)
-    for quotients in (_mode_quotients(side, grid, z, 6), reported):
+    for quotients in (_mode_quotients(_LayerOperators(grid, z), side, 6)[0], reported):
         for m in range(7):
             want = mode_eigenvalue(weyl, m)
             assert abs(quotients[m] - want) <= 1e-13 * abs(want)

@@ -1,7 +1,7 @@
 """Bounded fuzzing of the closed forms through ``green3.cli.main``.
 
-Each example is one in-process run of ``krein``, ``interval``, or ``jumps``,
-``dtn``, ``indicator`` and ``green-identity`` on each curve.
+Each example is one in-process run of ``krein``, ``interval``, ``rellich``,
+or ``jumps``, ``dtn``, ``indicator`` and ``green-identity`` on each curve.
 Whatever the input, the run must end in a verdict (exit 0 or 1) or a usage
 error (exit 2), never in an internal error, and a passing report must not
 rest on a non-finite residual.  Warnings are errors under pytest, so an
@@ -48,12 +48,13 @@ def _assert_fail_closed(argv):
     assert "internal error" not in stderr, (argv, stderr)
     if code == 2:
         assert stdout == ""
-        return
+        return code
     rows = json.loads(stdout)["checks"]
     assert rows
     for row in rows:
         if row["passed"]:
             assert isinstance(row["residual"], float) and math.isfinite(row["residual"]), (argv, row)
+    return code
 
 
 @_FUZZ
@@ -75,6 +76,14 @@ def test_disk_jumps_fail_closed(z, data):
 
 
 @_FUZZ
+@given(ks=st.lists(st.integers(-5, 30), min_size=1, max_size=4))
+def test_rellich_fails_closed(ks):
+    # the tabulated zeros of J_0 are j_{0,1}..j_{0,15}; repeated --k flags append
+    code = _assert_fail_closed(["rellich", *[arg for k in ks for arg in ("--k", str(k))]])
+    assert code != 2 or not all(1 <= k <= 15 for k in ks), ks
+
+
+@_FUZZ
 @given(check=st.sampled_from(["krein", "mixed", "green3", "suite"]), z=_spectral_points(-30),
        shifts=st.lists(st.floats(-1.0, 1e5) | st.sampled_from([0.0, 3.0, 4e4]), max_size=2),
        seed=st.integers(0, 2**31 - 1))
@@ -89,8 +98,8 @@ def test_interval_fails_closed(check, z, shifts, seed):
 @given(curve=st.sampled_from(["ellipse:1.5,0.8", "kite"]), half=st.integers(4, 32),
        z=_spectral_points(-30))
 def test_off_disk_jumps_fail_closed(curve, half, z):
-    _assert_fail_closed(["jumps", "--curve", curve, "--nodes", str(2 * half), *_z_flag(z),
-                         "--modes", "0"])
+    # off the disk jumps reads no --modes, so the draws omit it
+    _assert_fail_closed(["jumps", "--curve", curve, "--nodes", str(2 * half), *_z_flag(z)])
 
 
 _CURVES = st.sampled_from(["disk", "ellipse:1.5,0.8", "kite"])

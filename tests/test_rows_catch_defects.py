@@ -64,6 +64,33 @@ def _exterior_k_sign_flipped(monkeypatch):
                         ("double_layer", -1.0, -0.5))
 
 
+def _speed_dropped_from_s_diagonal(monkeypatch):
+    # S_ii without the −ln|x'(t_i)|/(2π) of its split diagonal; the disk's speed is 1
+    single_layer = potentials._LayerOperators.single_layer.func
+
+    def planted(self):
+        mat = single_layer(self)
+        speed = self.grid.speed
+        mat[np.diag_indices_from(mat)] += speed * np.log(speed) / self.grid.n
+        return mat
+
+    monkeypatch.setattr(potentials._LayerOperators, "single_layer", property(planted))
+
+
+def _brackets_swapped(monkeypatch):
+    # [Γ₀f] and [Γ₁f] trade places
+    brackets = coupling.jump_brackets
+    monkeypatch.setattr(coupling, "jump_brackets", lambda *args: (
+        lambda jumps: coupling.JumpData(jumps.bracket1, jumps.bracket0))(brackets(*args)))
+
+
+def _gamma1_sign_flipped(monkeypatch):
+    # Γ₁ = +τ_N in place of −τ_N
+    brackets = coupling.jump_brackets
+    monkeypatch.setattr(coupling, "jump_brackets", lambda *args: (
+        lambda jumps: coupling.JumpData(jumps.bracket0, -jumps.bracket1))(brackets(*args)))
+
+
 _CURVES = ("disk", "kite", "ellipse:1.5,0.8")
 _PLANAR = ["--nodes", "128", "--z", "-5,1"]
 
@@ -72,6 +99,11 @@ DEFECTS = [
     *[(_side_ignored, [*run, "--curve", curve, *_PLANAR])
       for run in (["dtn", "--side", "exterior"], ["jumps"]) for curve in _CURVES],
     *[(_exterior_k_sign_flipped, ["jumps", "--curve", curve, *_PLANAR]) for curve in _CURVES],
+    *[(_speed_dropped_from_s_diagonal, [*run, "--curve", curve, *_PLANAR])
+      for run in (["jumps"], ["dtn", "--side", "interior"], ["dtn", "--side", "exterior"])
+      for curve in _CURVES[1:]],
+    *[(plant, ["green-identity", "--curve", curve, *_PLANAR])
+      for plant in (_brackets_swapped, _gamma1_sign_flipped) for curve in _CURVES],
     (_krein_without_rank_one, ["krein", "--z", "2,1", "--mode", "1"]),
     (_krein_without_rank_one, ["interval", "--check", "krein"]),
     (_dirichlet_for_neumann, ["krein", "--z", "2,1", "--mode", "1"]),

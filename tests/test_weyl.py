@@ -1,4 +1,3 @@
-import types
 import warnings
 
 import numpy as np
@@ -11,9 +10,7 @@ from green3.errors import AccuracyRegionError, AnsatzResonanceError, Configurati
 from green3.geometry import make_curve
 from green3.potentials import _LayerOperators
 from green3.weyl import (
-    _guard_resonance,
     _mode_quotients,
-    _single_layer_solve,
     dtn_map,
     gamma_field,
     herglotz_residuals,
@@ -121,10 +118,17 @@ def test_apply_matches_matrix(weyl_pair):
     assert np.allclose(mi.apply(phi), mi.matrix @ phi)
 
 
+def _bundle_with(single_layer):
+    """A layer bundle whose S is ``single_layer``, for its guards alone."""
+    ops = _LayerOperators(make_curve("disk", 8)[1], -1.0)
+    ops.single_layer = single_layer
+    return ops
+
+
 def test_resonance_guard():
-    _guard_resonance(np.array([1.0, 1e-11]))
+    assert _bundle_with(np.diag([1.0, 1e-11])).single_layer_singular_values[0] == 1.0
     with pytest.raises(AnsatzResonanceError):
-        _guard_resonance(np.array([1.0, 1e-13]))
+        _bundle_with(np.diag([1.0, 1e-13])).single_layer_singular_values
 
 
 @pytest.mark.parametrize("n", [128, 512])
@@ -150,11 +154,11 @@ def test_lu_guard_passes_the_kite_at_zero(n):
 ])
 def test_lu_guard_fails_closed(matrix, message):
     # an exactly zero pivot must raise, not warn; a NaN estimate must not pass
-    ops = types.SimpleNamespace(single_layer=matrix.astype(complex))
+    ops = _bundle_with(matrix.astype(complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AnsatzResonanceError, match=message):
-            _single_layer_solve(ops, np.eye(4))
+            ops.solve(np.eye(4))
 
 
 # ------------------------------------------------------------------ γ-fields
@@ -306,9 +310,9 @@ def test_real_z_solve_keeps_complex_densities():
     ops = _LayerOperators(grid, -2.0)
     assert ops.single_layer.dtype == np.float64
     phis = np.exp(1j * np.outer(grid.nodes, np.arange(4)))
-    psi = _single_layer_solve(ops, phis)
+    psi = ops.solve(phis)
     assert np.abs(ops.single_layer @ psi - phis).max() <= 1e-12
-    quotients = _mode_quotients("+", grid, -2.0, 3)
+    quotients, _ = _mode_quotients(_LayerOperators(grid, -2.0), "interior", 3)
     weyl = dtn_map("+", curve, grid, -2.0)
     dense = np.array([mode_eigenvalue(weyl, m) for m in range(4)])
     assert np.abs(quotients - dense).max() <= 1e-12 * np.abs(dense).max()
