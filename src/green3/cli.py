@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import coupling, interval_model
+from . import coupling, interval_model, potentials
 from ._pool import run_all
 from .errors import (
     AccuracyRegionError,
@@ -177,7 +177,7 @@ def _jump_tasks(cfg: RunConfig) -> list:
         _reject_aliased_modes(cfg)
         if cfg.modes < 0:
             raise ConfigurationError(f"modes must be >= 0, got {cfg.modes}")
-    tol = (1e-6 if curve.shape == "disk" else 1e-5) * cfg.tol_scale
+    tol = potentials._TOLERANCE[curve.shape] * cfg.tol_scale
 
     def one_z(z):
         ops = _LayerOperators(grid, z)
@@ -244,7 +244,7 @@ def _green_identity_tasks(cfg: RunConfig) -> list:
     interior = coupling.probe_ring(0.55 * r_min, 20)
     exterior = coupling.probe_ring(1.45 * r_max, 20)
     source_out, source_in = _point_source_sites(grid)
-    tol = 1e-7 * cfg.tol_scale
+    tol = coupling._TOLERANCE["homogeneous"] * cfg.tol_scale
 
     def one_z(z):
         field = coupling.transmission_point_sources(z, source_out, source_in)

@@ -36,17 +36,13 @@ from .geometry import (
 from .potentials import (
     _DiskMode,
     _LayerOperators,
+    _OffCurve,
     _point_source,
     eval_double_layer_field,
     eval_single_layer_field,
 )
 from .reports import ResidualReport, timed_check, worst
-from .specfun import (
-    as_spectral_point,
-    bessel_j,
-    bessel_j_zero,
-    fundamental_solution,
-)
+from .specfun import as_spectral_point, bessel_j, bessel_j_zero
 
 __all__ = [
     "JumpData",
@@ -113,17 +109,20 @@ def _volume_potential(z, source, points):
     # tensor polar rule on the unit disk; exact enough for sources supported
     # away from both the probes and the rim
     n_angular = 192
-    x, w = _leggauss(96)
-    r = 0.5 * (x + 1.0)
-    wr = 0.5 * w * r
+    r, w = _leggauss(96, 0.0, 1.0)
+    wr = w * r
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
     nodes = np.stack(
         [np.outer(r, np.cos(theta)).ravel(), np.outer(r, np.sin(theta)).ravel()], axis=1
     )
     weights = np.repeat(wr, n_angular) * (2.0 * np.pi / n_angular)
     density = np.asarray(source(nodes), dtype=complex) * weights
-    diff = np.linalg.norm(points[:, None, :] - nodes[None, :, :], axis=2)
-    return fundamental_solution(2, z, diff.ravel()).reshape(diff.shape) @ density
+    return _OffCurve(z, points, nodes).value @ density
+
+
+# the default tolerance of the green.third rows per field mode (the rows' "mode"
+# param), which the CLI scales by --tol-scale
+_TOLERANCE = {"homogeneous": 1e-7, "source": 1e-5}
 
 
 def third_green_identity_residual(field: TransmissionField, z, curve: InterfaceCurve,
@@ -140,8 +139,9 @@ def third_green_identity_residual(field: TransmissionField, z, curve: InterfaceC
         raise ConfigurationError("volume quadrature over the unbounded exterior is not supported")
     if field.source_plus is not None and curve.shape != "disk":
         raise ConfigurationError("interior volume quadrature is polar and needs the disk")
+    mode = "source" if field.source_plus is not None else "homogeneous"
     if tolerance is None:
-        tolerance = 1e-5 if field.source_plus is not None else 1e-7
+        tolerance = _TOLERANCE[mode]
     jumps = jump_brackets(field, curve, grid)
     inner, outer = probes
 
@@ -153,10 +153,9 @@ def third_green_identity_residual(field: TransmissionField, z, curve: InterfaceC
                                             enforce_accuracy_region=enforce_accuracy_region)
         if field.source_plus is not None:
             rhs = rhs + _volume_potential(z, field.source_plus, pts)
-        return float(np.abs(np.asarray(side_field(pts), dtype=complex) - rhs).max())
+        return worst(np.abs(np.asarray(side_field(pts), dtype=complex) - rhs))
 
-    params = {"curve": curve.shape, "n": grid.n, "z": [z.z.real, z.z.imag],
-              "mode": "source" if field.source_plus is not None else "homogeneous"}
+    params = {"curve": curve.shape, "n": grid.n, "z": [z.z.real, z.z.imag], "mode": mode}
     rows = []
     if inner is not None and len(inner):
         rows.append(timed_check("green.third.interior", {**params, "probes": len(inner)},
@@ -248,7 +247,7 @@ class _ModeScalars(_DiskMode):
     def _defect(self, lhs, rhs) -> float:
         """The worst |lhs − rhs| over the sample pairs, each relative to the
         free kernel there, which falls like e^{−κ|r−r′|} and (r_</r_>)^m."""
-        return worst((np.abs(lhs - rhs) / np.abs(self.free)).flat)
+        return worst(np.abs(lhs - rhs) / np.abs(self.free))
 
     def krein(self) -> float:
         return self._defect(self.free, _krein(*self.weyl, self.gamma, self.pairings,
@@ -312,8 +311,7 @@ def rellich_quotient(k: int):
     du_dnu = -j0k * bessel_j(1, np.full(grid.n, j0k, dtype=complex)).real
     nu_weight = 2.0 * np.einsum("ij,ij->i", grid.points, grid.normals)
     boundary = float(np.sum(du_dnu**2 * nu_weight * grid.arc_weights))
-    x, w = _leggauss(400)
-    r = 0.5 * (x + 1.0)
+    r, w = _leggauss(400, 0.0, 1.0)
     values = bessel_j(0, j0k * r.astype(complex)).real
-    u_sq = 2.0 * np.pi * float(np.sum(0.5 * w * r * values**2))
+    u_sq = 2.0 * np.pi * float(np.sum(w * r * values**2))
     return boundary / (4.0 * u_sq), float(j0k * j0k)

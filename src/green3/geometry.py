@@ -44,8 +44,9 @@ class InterfaceCurve:
     def __post_init__(self) -> None:
         if self.shape not in _BUILTIN_SHAPES:
             raise ConfigurationError(f"unknown shape {self.shape!r}; expected one of {_BUILTIN_SHAPES}")
-        if self.a <= 0 or self.b <= 0:
-            raise ConfigurationError("ellipse semi-axes must be positive")
+        if not (0.0 < self.a < np.inf and 0.0 < self.b < np.inf):  # NaN fails too
+            raise ConfigurationError("ellipse semi-axes must be finite and positive, "
+                                     f"got ellipse:{self.a:g},{self.b:g}")
 
     def point(self, t):
         t = np.asarray(t, dtype=float)
@@ -211,10 +212,12 @@ def _check_finite(vals: np.ndarray, what: str) -> np.ndarray:
 
 
 @cache
-def _leggauss(n: int):
-    """The n-point Gauss–Legendre rule (nodes, weights) on [−1, 1], built once per
-    process; the arrays are read-only because every caller shares them."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+def _leggauss(n: int, a: float = -1.0, b: float = 1.0):
+    """The n-point Gauss–Legendre rule (nodes, weights) on [a, b], built once per
+    process and interval; the arrays are read-only because every caller shares
+    them."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes, weights = 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

@@ -368,7 +368,7 @@ def _relative_defect(lhs, rhs, term) -> float:
     rounding of the sum grows with its largest term, and relative to it the
     defect stays at rounding level."""
     scale = np.abs(np.concatenate([lhs, rhs, term])).max(axis=0)
-    return worst((np.abs(lhs - rhs).max(axis=0) / scale).flat)
+    return worst(np.abs(lhs - rhs).max(axis=0) / scale)
 
 
 def krein_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
@@ -571,7 +571,7 @@ def third_green_identity_1d(field: IntervalField, c: float = 1.0, grid_n: int = 
     def side_residual(xs, f_side):
         rhs = apply_resolvent(kernel, total_source, xs) \
             + double_layer(xs) * bracket0 - single_layer(xs) * bracket1
-        return float(np.abs(np.asarray(f_side(xs)) - rhs).max())
+        return worst(np.abs(np.asarray(f_side(xs)) - rhs))
 
     params = {"c": c, "grid_n": grid_n,
               "bracket0": [bracket0.real, bracket0.imag],

@@ -65,8 +65,7 @@ route gives are exactly 0; the diagonal of S is the real part of its complex
 expression, since numpy's complex log may differ from the real one by an
 ulp.  The real SVD of S is about three times faster than the complex one.
 ``_LayerOperators._over_pairs`` hands either route's kernels to S and K, so
-each has one Helmholtz branch beside the logarithm at z = 0.  The off-curve
-field evaluators call ``specfun`` directly.
+each has one Helmholtz branch beside the logarithm at z = 0.
 
 The pair pass.  The pair layout (the pairs i < j, their offsets and
 distances, the Kress weights and the log-sin factor) depends on the grid
@@ -82,7 +81,12 @@ chunk size and thread cap.  Real z < 0 and z = 0 keep one pass over all
 pairs: a variant that chunked the I/K route too raised the peak RSS of the
 benchmark's real-z indicator scans (N = 256 and 512) from 90 to 122 MB in
 three runs, and to 117 MB with a single malloc arena, while its throughput
-moved by 2% at most.  K* is scattered from the pair values of K,
+moved by 2% at most.  Real z also keeps the I/K route rather than the
+tables: a variant that read the tables at real z too was 23 lines shorter
+and its S pair pass 1.1–1.8× faster on one thread, but over 10 alternated
+runs of those scans (two z-tasks at once) its median job time rose from
+0.076 to 0.086 s, better in only 2 of the 10 pairs, while the N = 512 tail
+fell from 0.190 to 0.164 s.  K* is scattered from the pair values of K,
 K*_ij = K_ji·(s_j/s_i) with s the node speed, which equals K.T·(s_j/s_i) bit
 for bit; the DtN path reads only S and K* and never forms K.
 """
@@ -468,46 +472,55 @@ def assemble_adjoint_double_layer(curve: InterfaceCurve, grid: QuadratureGrid, z
 
 # ---------------------------------------------------------------- field evaluation
 
-def _clearance_check(grid: QuadratureGrid, points: np.ndarray, enforce: bool):
-    """The (M, N, 2) offsets x − y from the points x to the nodes y and their
-    (M, N) distances; with ``enforce``, a point nearer the curve than the
-    trapezoid rule is trusted raises ``AccuracyRegionError``."""
-    diff = points[:, None, :] - grid.points[None, :, :]
-    dists = np.linalg.norm(diff, axis=2)
-    nearest = dists.min(axis=1)
-    floor = 5.0 * 2.0 * np.pi / grid.n
-    if enforce and np.any(nearest < floor):
-        raise AccuracyRegionError(
-            f"evaluation point within {nearest.min():.3g} of the curve; the plain "
-            f"trapezoid rule is only trusted beyond {floor:.3g} at N={grid.n}"
-        )
-    return diff, dists
+class _OffCurve:
+    """E(z; x − y) and ∇_x E away from the curve, on targets x × sources y:
+    the (M, S, 2) offsets, the (M, S) distances, and E and ∇E each built on
+    first use.  The layer fields, γ-fields, point sources and the volume
+    potential all read one; a single target may be given as one point."""
 
+    def __init__(self, z, targets, sources):
+        self.z = z
+        targets = np.asarray(targets, dtype=float).reshape(-1, 2)
+        self.offsets = targets[:, None, :] - np.asarray(sources, dtype=float)[None, :, :]
+        self.r = np.linalg.norm(self.offsets, axis=2)
 
-def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    return pts.reshape(1, 2) if pts.ndim == 1 else pts
+    @classmethod
+    def layer(cls, grid: QuadratureGrid, z, points, enforce: bool) -> _OffCurve:
+        """Targets ``points`` × the nodes of ``grid``; with ``enforce``, a point
+        nearer the curve than the trapezoid rule is trusted raises
+        ``AccuracyRegionError``."""
+        kernel = cls(z, points, grid.points)
+        floor = 5.0 * 2.0 * np.pi / grid.n
+        if enforce and kernel.r.min() < floor:
+            raise AccuracyRegionError(
+                f"evaluation point within {kernel.r.min():.3g} of the curve; the plain "
+                f"trapezoid rule is only trusted beyond {floor:.3g} at N={grid.n}"
+            )
+        return kernel
+
+    @_cached_property
+    def value(self) -> np.ndarray:
+        return fundamental_solution(2, self.z, self.r.ravel()).reshape(self.r.shape)
+
+    @_cached_property
+    def gradient(self) -> np.ndarray:
+        flat = self.offsets.reshape(-1, 2)
+        return fundamental_solution_gradient(2, self.z, flat).reshape(self.offsets.shape)
 
 
 def eval_single_layer_field(curve: InterfaceCurve, grid: QuadratureGrid, z, density, points,
                             enforce_accuracy_region: bool = True) -> np.ndarray:
     """𝒮_z φ at off-boundary points by the plain trapezoid rule."""
-    z = as_spectral_point(z)
-    pts = _as_points(points)
-    _, dists = _clearance_check(grid, pts, enforce_accuracy_region)
-    kernel = fundamental_solution(2, z, dists.ravel()).reshape(dists.shape)
-    return kernel @ (np.asarray(density) * grid.arc_weights)
+    kernel = _OffCurve.layer(grid, as_spectral_point(z), points, enforce_accuracy_region)
+    return kernel.value @ (np.asarray(density) * grid.arc_weights)
 
 
 def eval_double_layer_field(curve: InterfaceCurve, grid: QuadratureGrid, z, density, points,
                             enforce_accuracy_region: bool = True) -> np.ndarray:
     """𝒟_z φ at off-boundary points by the plain trapezoid rule."""
-    z = as_spectral_point(z)
-    pts = _as_points(points)
-    diff, _ = _clearance_check(grid, pts, enforce_accuracy_region)
-    grads = fundamental_solution_gradient(2, z, diff.reshape(-1, 2)).reshape(diff.shape)
-    kernel = np.einsum("jk,ijk->ij", _unnormalized_normal(grid), grads)
-    return (2.0 * np.pi / grid.n) * (kernel @ np.asarray(density))
+    kernel = _OffCurve.layer(grid, as_spectral_point(z), points, enforce_accuracy_region)
+    normal_derivative = np.einsum("jk,ijk->ij", _unnormalized_normal(grid), kernel.gradient)
+    return (2.0 * np.pi / grid.n) * (normal_derivative @ np.asarray(density))
 
 
 # ---------------------------------------------------------------- disk oracle
@@ -605,17 +618,9 @@ def disk_mode_multipliers(z, m: int) -> dict:
 
 def _point_source(z, location):
     """The field E(z; x − y) of a point source at y and its gradient in x."""
-    y0 = np.asarray(location, dtype=float)
-
-    def field(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return fundamental_solution(2, z, np.linalg.norm(pts - y0, axis=1))
-
-    def grad(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return fundamental_solution_gradient(2, z, pts - y0)
-
-    return field, grad
+    site = [location]
+    return (lambda pts: _OffCurve(z, pts, site).value[:, 0],
+            lambda pts: _OffCurve(z, pts, site).gradient[:, 0])
 
 
 def _point_source_sites(grid: QuadratureGrid):
@@ -645,7 +650,7 @@ class _PointSourceTraces:
     def defect(self, residual):
         """The largest |residual| over the largest |φ| or |τ_N f|, and the site."""
         scale = max(np.abs(self.dirichlet).max(), np.abs(self.neumann).max())
-        return float(np.abs(residual).max() / scale), {"source": list(self.site)}
+        return worst(np.abs(residual) / scale), {"source": list(self.site)}
 
 
 # ---------------------------------------------------------------- jump relations
@@ -664,6 +669,10 @@ def _calderon_defect(ops: _LayerOperators, side: str):
     residual = (ops.apply_trace(f"single.dirichlet.{side}", source.neumann)
                 + sign * ops.apply_trace(f"double.dirichlet.{side}", phi) - phi)
     return source.defect(residual)
+
+
+# the default tolerance of the jump rows per curve shape, which the CLI scales by --tol-scale
+_TOLERANCE = {"disk": 1e-6, "ellipse": 1e-5, "kite": 1e-5}
 
 
 def _jump_rows(curve: InterfaceCurve, ops: _LayerOperators, modes: int, tolerance: float) -> list:
@@ -702,12 +711,12 @@ def jump_relation_residuals(curve: InterfaceCurve, grid: QuadratureGrid, z, mode
     on the exact traces of a point source (module docstring), each relative to
     the largest trace value.  On the disk the six ``jump.<trace>`` rows also
     compare each trace of ``_TRACES`` on the Fourier densities |m| ≤ ``modes``
-    with the closed-form Bessel multiplier.  The default tolerance is 1e-6 on
-    the disk and 1e-5 elsewhere.
+    with the closed-form Bessel multiplier.  The default tolerance
+    (``_TOLERANCE``) is 1e-6 on the disk and 1e-5 elsewhere.
     """
     z = as_spectral_point(z)
     if modes < 0:
         raise ConfigurationError(f"modes must be >= 0, got {modes}")
     if tolerance is None:
-        tolerance = 1e-6 if curve.shape == "disk" else 1e-5
+        tolerance = _TOLERANCE[curve.shape]
     return ResidualReport(_jump_rows(curve, _LayerOperators(grid, z), modes, tolerance)).sorted()

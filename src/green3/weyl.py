@@ -23,14 +23,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import InterfaceCurve, QuadratureGrid, _leggauss
-from .potentials import _LayerOperators, _clearance_check, eval_single_layer_field
+from .potentials import _LayerOperators, _OffCurve, eval_single_layer_field
 from .reports import ResidualReport, timed_check, worst
-from .specfun import (
-    SpectralPoint,
-    as_spectral_point,
-    fundamental_solution,
-    fundamental_solution_gradient,
-)
+from .specfun import SpectralPoint, as_spectral_point, fundamental_solution
 
 _SIDES = {"+": "interior", "interior": "interior", "-": "exterior", "exterior": "exterior"}
 
@@ -61,13 +56,9 @@ class SingleLayerField:
         return eval_single_layer_field(self.curve, self.grid, self.z, self.density, points)
 
     def gradient(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        squeeze = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        diff, _ = _clearance_check(self.grid, pts, True)
-        grads = fundamental_solution_gradient(2, self.z, diff.reshape(-1, 2)).reshape(diff.shape)
-        out = np.einsum("j,ijk->ik", self._weights, grads)
-        return out[0] if squeeze else out
+        kernel = _OffCurve.layer(self.grid, self.z, points, True)
+        out = np.einsum("j,ijk->ik", self._weights, kernel.gradient)
+        return out[0] if np.ndim(points) == 1 else out
 
 
 def gamma_field(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z,
@@ -159,11 +150,6 @@ def _ring_profile_weights(z: SpectralPoint, freqs: np.ndarray, radii, radial_wei
     return 2.0 * np.pi * rho, gr_last
 
 
-def _gauss_legendre(a: float, b: float, n: int):
-    x, w = _leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
 _OUTER_RADIUS = 8.0
 
 
@@ -197,7 +183,7 @@ def herglotz_residuals(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z
 
     if z.z.imag == 0.0:
         row = timed_check(
-            "herglotz.self_adjoint", params, 1e-8, lambda: np.abs(skew).max()
+            "herglotz.self_adjoint", params, 1e-8, lambda: worst(np.abs(skew))
         )
         return ResidualReport([row]).sorted()
 
@@ -218,14 +204,14 @@ def herglotz_residuals(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z
     freqs = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
 
     if side == "interior":
-        radii, rad_w = _gauss_legendre(0.0, 1.0, 64)
+        radii, rad_w = _leggauss(64, 0.0, 1.0)
     else:
-        radii, rad_w = _gauss_legendre(1.0, _OUTER_RADIUS, 96)
+        radii, rad_w = _leggauss(96, 1.0, _OUTER_RADIUS)
     rho, g_outer = _ring_profile_weights(z, freqs, radii, rad_w)
     gram = (coeffs.conj() * rho[None, :]) @ coeffs.T
 
     def identity():
-        return float(np.abs(block - (z.z - z.z.conjugate()) * gram).max())
+        return worst(np.abs(block - (z.z - z.z.conjugate()) * gram))
 
     rows.append(timed_check("herglotz.identity", params, tolerance, identity))
 

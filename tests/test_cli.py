@@ -313,6 +313,22 @@ def test_non_finite_or_non_positive_numbers_are_usage_errors(tmp_path, argv, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["jumps", "dtn", "green-identity", "indicator"])
+@pytest.mark.parametrize("spec", ["ellipse:nan,1", "ellipse:inf,1", "ellipse:1,nan"])
+def test_non_finite_ellipse_axes_are_usage_errors_before_any_grid(monkeypatch, command, spec):
+    # a NaN axis passed the positivity test and failed later on |w|, an infinite
+    # one printed numpy warnings from the pair layout first
+    from green3.geometry import QuadratureGrid
+
+    def no_grid(self):
+        raise AssertionError("quadrature grid built")
+
+    monkeypatch.setattr(QuadratureGrid, "__post_init__", no_grid)
+    code, stdout, stderr = main_capture([command, "--curve", spec, "--nodes", "32"])
+    assert (code, stdout) == (2, "")
+    assert stderr == f"green3: ellipse semi-axes must be finite and positive, got {spec}\n"
+
+
 @pytest.mark.parametrize("argv, flags", [
     (["jumps", "--c+", "5", "--seed", "9"], ("--c+", "--seed")),
     (["indicator", "--modes", "5"], ("--modes",)),

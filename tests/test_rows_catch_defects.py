@@ -3,7 +3,10 @@
 One table of (defect, CLI argv): each defect is monkeypatched into the
 package, the argv runs in process, and the run must end in exit 1, a failed
 identity.  The same argv without the defect must exit 0, so a catch is never
-a row that fails anyway.  Sizes are small, so the file adds a few seconds.
+a row that fails anyway.  A second table holds the known gaps, defects that a
+run still passes, as strict xfails named by their ROADMAP item: once a row
+catches one, its xfail fails and the entry moves to the first table.  Sizes
+are small, so the file adds a few seconds.
 """
 
 import contextlib
@@ -77,6 +80,22 @@ def _speed_dropped_from_s_diagonal(monkeypatch):
     monkeypatch.setattr(potentials._LayerOperators, "single_layer", property(planted))
 
 
+def _unweighted_rayleigh_quotients(monkeypatch):
+    # ⟨φ, Mφ⟩/⟨φ, φ⟩ as plain sums over the nodes, without the arc weights
+    def quotients(grid, phis, images):
+        return (np.einsum("ij,ij->j", phis.conj(), images)
+                / np.einsum("ij,ij->j", phis.conj(), phis))
+
+    monkeypatch.setattr(weyl, "_rayleigh_quotients", quotients)
+
+
+def _singular_values_doubled(monkeypatch):
+    # σ(S) at twice its value, so the indicator 1/σ_max(S) is halved
+    values = potentials._LayerOperators.single_layer_singular_values.func
+    monkeypatch.setattr(potentials._LayerOperators, "single_layer_singular_values",
+                        property(lambda self: 2.0 * values(self)))
+
+
 def _brackets_swapped(monkeypatch):
     # [Γ₀f] and [Γ₁f] trade places
     brackets = coupling.jump_brackets
@@ -102,8 +121,10 @@ DEFECTS = [
     *[(_speed_dropped_from_s_diagonal, [*run, "--curve", curve, *_PLANAR])
       for run in (["jumps"], ["dtn", "--side", "interior"], ["dtn", "--side", "exterior"])
       for curve in _CURVES[1:]],
+    (_unweighted_rayleigh_quotients, ["dtn", "--side", "exterior", "--curve", "kite", *_PLANAR]),
     *[(plant, ["green-identity", "--curve", curve, *_PLANAR])
       for plant in (_brackets_swapped, _gamma1_sign_flipped) for curve in _CURVES],
+    (_brackets_swapped, ["green-identity", "--curve", "disk", "--nodes", "128", "--z", "-100,0"]),
     (_krein_without_rank_one, ["krein", "--z", "2,1", "--mode", "1"]),
     (_krein_without_rank_one, ["interval", "--check", "krein"]),
     (_dirichlet_for_neumann, ["krein", "--z", "2,1", "--mode", "1"]),
@@ -112,14 +133,33 @@ DEFECTS = [
 ]
 
 
-@pytest.mark.parametrize("argv", sorted({tuple(argv) for _, argv in DEFECTS}))
+# (defect, argv, the ROADMAP item that would close the gap and why the run passes)
+GAPS = [
+    *[(_unweighted_rayleigh_quotients, [*run, "--curve", curve, *_PLANAR],
+       "item 12: the N/2 reference of the mode rows reads the same quotient")
+      for run, curve in ((["dtn", "--side", "interior"], "kite"),
+                         (["dtn", "--side", "interior"], "ellipse:1.5,0.8"),
+                         (["dtn", "--side", "exterior"], "ellipse:1.5,0.8"))],
+    (_singular_values_doubled, ["indicator", "--curve", "kite", "--nodes", "128", "--z", "-3,0"],
+     "item 1: the indicator row only compares its value with a floor"),
+    (_brackets_swapped, ["green-identity", "--curve", "disk", "--nodes", "128", "--z", "-400,0"],
+     "item 3: absolute residuals of fields that decay like e^{−|Im √z|·d}"),
+]
+
+
+@pytest.mark.parametrize("argv", sorted({tuple(argv) for _, argv, *_ in DEFECTS + GAPS}))
 def test_each_run_passes_without_a_defect(argv):
     code, _, stderr = _run(list(argv))
     assert code == 0, stderr
 
 
-@pytest.mark.parametrize("plant, argv", DEFECTS,
-                         ids=[f"{plant.__name__}-{' '.join(argv)}" for plant, argv in DEFECTS])
+@pytest.mark.parametrize("plant, argv", [
+    *[pytest.param(plant, argv, id=f"{plant.__name__}-{' '.join(argv)}")
+      for plant, argv in DEFECTS],
+    *[pytest.param(plant, argv, id=f"{plant.__name__}-{' '.join(argv)}",
+                   marks=pytest.mark.xfail(strict=True, reason=f"ROADMAP {gap}"))
+      for plant, argv, gap in GAPS],
+])
 def test_a_planted_defect_fails_its_rows(monkeypatch, plant, argv):
     plant(monkeypatch)
     code, stdout, stderr = _run(argv)

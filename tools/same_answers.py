@@ -6,9 +6,11 @@ Each directory is a checkout of this repository.  The jobs are those of the
 three workloads of ``bench/workloads.py`` (imported read-only from this
 checkout) at seeds 1–3, each distinct argv once, and ``REAL_Z``: ``jumps``
 and ``dtn`` at real z on each curve, where S is float64 and the densities
-are complex, a solve path no benchmark job takes.  Each tree runs all of them in
-one fresh interpreter, in process through ``green3.cli.main`` with
-``--omit-timing``, on one thread.  The tool prints:
+are complex, a solve path no benchmark job takes, and ``green-identity``
+there, whose off-curve fields reach ``hankel1`` on the imaginary axis (at
+z < 0) or the logarithm (at z = 0), as no benchmark job does.  Each tree
+runs all of them in one fresh interpreter, in process through
+``green3.cli.main`` with ``--omit-timing``, on one thread.  The tool prints:
 
 * every job whose exit code or verdict (``all_pass``) differs;
 * per job kind (the subcommand, with ``--check`` for ``interval``), how many
@@ -38,7 +40,8 @@ from pathlib import Path
 SEEDS = (1, 2, 3)
 SECONDS = 30.0  # the benchmark's run length, which sets the number of cycles per seed
 REAL_Z = [[*run, "--curve", curve, "--nodes", "128", "--z", f"{z},0", "--omit-timing"]
-          for run in (["jumps"], ["dtn", "--side", "interior"], ["dtn", "--side", "exterior"])
+          for run in (["jumps"], ["dtn", "--side", "interior"], ["dtn", "--side", "exterior"],
+                      ["green-identity"])
           for curve in ("disk", "kite", "ellipse:1.5,0.8") for z in (-2, 0)]
 
 
