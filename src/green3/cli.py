@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import coupling, interval_model, potentials
+from . import coupling, interval_model, potentials, weyl
 from ._pool import run_all
 from .errors import (
     AccuracyRegionError,
@@ -35,9 +35,7 @@ from .errors import (
     SpectralPoleError,
 )
 from .geometry import curve_from_spec
-from .potentials import _LayerOperators, _jump_rows, _point_source_sites, disk_mode_multipliers
 from .reports import ResidualReport, timed_check, worst
-from .weyl import _mode_quotients, _point_source_row
 
 _USAGE_ERRORS = (
     AccuracyRegionError, AnsatzResonanceError, ArgumentRangeError, BracketingError,
@@ -119,9 +117,17 @@ class RunConfig:
             raise ConfigurationError(f"unknown subcommand {self.subcommand!r}")
         if self.fmt not in ("json", "csv"):
             raise ConfigurationError(f"format must be 'json' or 'csv', got {self.fmt!r}")
+        # the parser's choices, for a config built in code or read back from JSON
+        if self.side not in ("interior", "exterior"):
+            raise ConfigurationError(f"--side must be interior or exterior, got {self.side!r}")
+        if self.check not in interval_model._TOLERANCE:
+            raise ConfigurationError(f"--check must be krein|mixed|green3|suite, got {self.check!r}")
         object.__setattr__(self, "zs", tuple(tuple(z) for z in self.zs))
         object.__setattr__(self, "mode_list", tuple(int(m) for m in self.mode_list))
         object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
+        for flag, value in (("--modes", self.modes), *(("--mode", m) for m in self.mode_list)):
+            if value < 0:  # an empty mode range must not pass vacuously
+                raise ConfigurationError(f"{flag} must be >= 0, got {value}")
         if self.zgrid is not None:
             object.__setattr__(self, "zgrid", tuple(self.zgrid))
         # a NaN or infinite number reaches no check it could fail: reject it here
@@ -165,91 +171,42 @@ def _reject_aliased_modes(cfg: RunConfig) -> None:
 
 
 def _jump_tasks(cfg: RunConfig) -> list:
-    """Trace and jump relations of S, K and K* at N, one layer bundle per z.
-
-    On every curve: the Calderón rows of both sides (S and K on the exact
-    traces of a point source, ``potentials.jump_relation_residuals``) and the
-    point-source DtN row of both sides (S and K*, ``weyl._point_source_row``),
-    from one LU of S.  On the disk also the six closed-form trace rows on the
-    modes |m| ≤ ``--modes``, which no other curve reads."""
+    """The rows of ``potentials.jump_relation_residuals``, one task per z;
+    ``--modes`` is read on the disk only, below N/2."""
     curve, grid = curve_from_spec(cfg.curve, cfg.nodes)
     if curve.shape == "disk":
         _reject_aliased_modes(cfg)
-        if cfg.modes < 0:
-            raise ConfigurationError(f"modes must be >= 0, got {cfg.modes}")
     tol = potentials._TOLERANCE[curve.shape] * cfg.tol_scale
-
-    def one_z(z):
-        ops = _LayerOperators(grid, z)
-        return _jump_rows(curve, ops, cfg.modes, tol) + [
-            _point_source_row(ops, side, tol) for side in ("interior", "exterior")]
-
-    return [lambda z=z: one_z(z) for z in cfg.z_values(default=(-1.0,))]
+    return [lambda z=z: potentials.jump_relation_residuals(curve, grid, z, cfg.modes, tol).checks
+            for z in cfg.z_values(default=(-1.0,))]
 
 
 def _dtn_tasks(cfg: RunConfig) -> list:
-    """Mode-eigenvalue tables of M_side at N, each entry with a reference, and
-    the side's point-source DtN row (``weyl._point_source_row``), one solve.
-
-    On the disk the reference is the closed-form symbol −κI_m′/I_m (interior)
-    or κK_m′/K_m (exterior) of ``disk_mode_multipliers``; elsewhere it is the
-    same quotient at N/2 nodes, a conservative bound that needs N a multiple
-    of 4 and at least 16, and ``--modes`` below N/4.  A run off the disk
-    outside that rule is rejected before any assembly, as are modes at or
-    above N/2 on any curve; a negative ``--modes`` asks for no row and builds
-    nothing.  The reported eigenvalue is the quotient at N."""
+    """The rows of ``weyl._dtn_rows``, one task per z.  Modes at or above N/2
+    are rejected before any assembly, as is a run off the disk outside the
+    rule of its N/2 reference."""
     _reject_aliased_modes(cfg)
-    if cfg.modes < 0:
-        return []
     curve, grid = curve_from_spec(cfg.curve, cfg.nodes)
-    on_disk = curve.shape == "disk"
-    if not on_disk and (cfg.nodes % 4 or cfg.nodes < 16 or 4 * cfg.modes >= cfg.nodes):
+    if curve.shape != "disk" and (cfg.nodes % 4 or cfg.nodes < 16 or 4 * cfg.modes >= cfg.nodes):
         raise ConfigurationError(
             f"dtn off the disk checks its modes against N/2 nodes: --nodes must be a multiple "
             f"of 4 and at least 16, and --modes below nodes/4; got --nodes {cfg.nodes} and "
             f"--modes {cfg.modes}")
-    half = None if on_disk else curve_from_spec(cfg.curve, cfg.nodes // 2)[1]
     tol = 1e-6 * cfg.tol_scale
-
-    def one_z(z):
-        ops = _LayerOperators(grid, z)
-        # N before N/2, so that a resonance is reported by the rcond₁ guard at N
-        source = ops.point_source(cfg.side).dirichlet  # one more column of the solve
-        quotients, image = _mode_quotients(ops, cfg.side, cfg.modes, source)
-        if on_disk:
-            reference = [disk_mode_multipliers(z, m)[f"M.{cfg.side}"] for m in range(cfg.modes + 1)]
-        else:
-            reference, _ = _mode_quotients(_LayerOperators(half, z), cfg.side, cfg.modes)
-        rows = [_point_source_row(ops, cfg.side, tol, image[:, 0])]
-        for m in range(cfg.modes + 1):
-            def entry(m=m):
-                lam, ref = complex(quotients[m]), complex(reference[m])
-                return abs(lam - ref) / (1.0 + abs(ref)), {"eigenvalue": lam}
-
-            rows.append(timed_check(
-                "weyl.dtn.mode",
-                {"side": cfg.side, "curve": curve.shape, "n": cfg.nodes,
-                 "z": [complex(z).real, complex(z).imag], "m": m},
-                tol, entry,
-            ))
-        return rows
-
-    return [lambda z=z: one_z(z) for z in cfg.z_values(default=(-1.0,))]
+    return [lambda z=z: weyl._dtn_rows(grid, z, cfg.side, cfg.modes, tol)
+            for z in cfg.z_values(default=(-1.0,))]
 
 
 def _green_identity_tasks(cfg: RunConfig) -> list:
     curve, grid = curve_from_spec(cfg.curve, cfg.nodes)
-    radii = np.linalg.norm(grid.points, axis=1)
-    r_min, r_max = float(radii.min()), float(radii.max())
-    interior = coupling.probe_ring(0.55 * r_min, 20)
-    exterior = coupling.probe_ring(1.45 * r_max, 20)
-    source_out, source_in = _point_source_sites(grid)
+    outside, inside, rings = potentials._placement(grid)
+    probes = [coupling.probe_ring(radius, count) for radius, count in rings]
     tol = coupling._TOLERANCE["homogeneous"] * cfg.tol_scale
 
     def one_z(z):
-        field = coupling.transmission_point_sources(z, source_out, source_in)
+        field = coupling.transmission_point_sources(z, outside, inside)
         return coupling.third_green_identity_residual(
-            field, z, curve, grid, (interior, exterior), tolerance=tol).checks
+            field, z, curve, grid, probes, tolerance=tol).checks
 
     return [lambda z=z: one_z(z) for z in cfg.z_values(default=(-1.0,))]
 
@@ -320,8 +277,6 @@ def _rellich_tasks(cfg: RunConfig) -> list:
 
 
 def _interval_tasks(cfg: RunConfig) -> list:
-    if cfg.check not in interval_model._TOLERANCE:
-        raise ConfigurationError(f"interval check must be krein|mixed|green3|suite, got {cfg.check!r}")
     cp = cfg.c_plus if cfg.c_plus is not None else (1.0 if cfg.check == "green3" else 0.0)
     cm = cfg.c_minus if cfg.c_minus is not None else cp
     tol = interval_model._TOLERANCE[cfg.check] * cfg.tol_scale
@@ -391,8 +346,12 @@ def _run(config: RunConfig) -> int:
     else:
         text = report.to_csv()
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"green3: cannot write --out {config.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report.all_pass else 1

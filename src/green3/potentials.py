@@ -14,11 +14,12 @@ S, K, K* and these traces come from one ``_LayerOperators`` bundle per
 (grid, z), which evaluates each kernel once; the ``assemble_*`` functions are
 thin wrappers around it.
 
-S⁻¹.  The bundle also owns S(z)⁻¹, which the γ-field and the Weyl maps of
-:mod:`green3.weyl` read: one LU of S per (grid, z), made on first use, and
-the singular values of S for the indicator, each guarded against a resonance
-of the ansatz with the floor ``_RCOND_FLOOR`` = 1e-12.  The LU guard reads
-LAPACK's estimate of rcond₁ = 1/(‖S‖₁‖S⁻¹‖₁), within a factor N of the SVD
+S⁻¹ and the Weyl maps.  The bundle also owns S(z)⁻¹, which the γ-field of
+:mod:`green3.weyl` reads, and forms the Weyl maps M_± = −(½I ∓ K*)S⁻¹
+(``weyl_action``, the only code that does): one LU of S per (grid, z), made
+on first use, and the singular values of S for the indicator, each guarded
+against a resonance of the ansatz with the floor ``_RCOND_FLOOR`` = 1e-12.
+The LU guard reads LAPACK's estimate of rcond₁ = 1/(‖S‖₁‖S⁻¹‖₁), within a factor N of the SVD
 guard's σ_min/σ_max.  On the unit disk at z = 0 (log capacity 1, S singular)
 rcond₁ is 2.4e-17 at N = 128 and 7.7e-18 at N = 512 (σ ratios 2.9e-17 and
 1.4e-17); on the kite at z = 0 it is 2.6e-3 and 6.4e-4, each estimate within
@@ -29,9 +30,10 @@ curve away from y, and its traces are exact.  Green's representation there,
 f = 𝒮[τ_N f] ± 𝒟[τ_D f] with τ_N along n^±, has the Dirichlet trace
 S·τ_N⁺f + K·φ − ½φ = 0 inside and S·τ_N⁻f − K·φ − ½φ = 0 outside, φ = τ_D f
 (the Calderón relations; Kress, *Linear Integral Equations*, §6 and §12.3).
-``_PointSourceTraces`` gives those traces for the sources that
-``_point_source_sites`` places, a bundle builds each side's on first use, and
-the ``jump.calderon.*`` rows check S and K with them at one N on every curve.
+On this side M_±φ = −τ_N^± f as well.  ``_PointSourceTraces`` gives those
+traces for the sources that ``_placement`` places, a bundle builds each
+side's on first use, and at one N on every curve the ``jump.calderon.*``
+rows check S and K with them and the ``weyl.dtn.point_source`` rows S and K*.
 
 Kernel tables.  At complex z off the negative real axis the kernels J_0, H_0,
 J_1 and H_1 (H = H^(1)) at k·r, k = √z, are functions of the pair distance r
@@ -276,7 +278,8 @@ def _resonance(detail: str) -> AnsatzResonanceError:
 
 class _LayerOperators:
     """S, K, K* and their traces on one (grid, z), each kernel evaluated once,
-    and S⁻¹ (module docstring) with the point-source traces of both sides.
+    S⁻¹ and the Weyl maps (module docstring), and the point-source traces of
+    both sides.
 
     The pair distance, the log-sin factor and the Kress weights are symmetric in
     the two nodes, so they and the Bessel/Hankel kernels on them are computed on
@@ -434,6 +437,12 @@ class _LayerOperators:
             self._lu[getrf.typecode] = lu, piv
         psi, _ = getrs(*self._lu[getrf.typecode], densities)
         return psi
+
+    def weyl_action(self, side: str, densities):
+        """M_side Φ = −(½I ∓ K*)S⁻¹Φ for a density or the columns Φ, with the
+        densities S⁻¹Φ; ``side`` is interior or exterior."""
+        psi = self.solve(densities)
+        return -self.apply_trace(f"single.neumann.{side}", psi), psi
 
     @_cached_property
     def single_layer_singular_values(self) -> np.ndarray:
@@ -623,24 +632,27 @@ def _point_source(z, location):
             lambda pts: _OffCurve(z, pts, site).gradient[:, 0])
 
 
-def _point_source_sites(grid: QuadratureGrid):
-    """The two point sources of the planar checks, (outside, inside): 2.1·r_max
-    at angle 0.4 and 0.3·r_min at angle −1.1, r the distances of the nodes
-    from the origin, which every supported curve encloses."""
+def _placement(grid: QuadratureGrid):
+    """The point sources and probe rings of the planar checks, (outside,
+    inside, rings): sources at 2.1·r_max, angle 0.4, and at 0.3·r_min, angle
+    −1.1, and rings of 20 probes at 0.55·r_min and 1.45·r_max as (radius,
+    count), r the distances of the nodes from the origin, which every
+    supported curve encloses."""
     radii = np.linalg.norm(grid.points, axis=1)
     r_min, r_max = float(radii.min()), float(radii.max())
     return ((2.1 * r_max * np.cos(0.4), 2.1 * r_max * np.sin(0.4)),
-            (0.3 * r_min * np.cos(-1.1), 0.3 * r_min * np.sin(-1.1)))
+            (0.3 * r_min * np.cos(-1.1), 0.3 * r_min * np.sin(-1.1)),
+            ((0.55 * r_min, 20), (1.45 * r_max, 20)))
 
 
 class _PointSourceTraces:
     """φ = τ_D f and τ_N f along n^side at the nodes of the point source
     f = E(z; · − y) that solves (−Δ − z)f = 0 on ``side``: y is the outside
-    site of ``_point_source_sites`` for the interior and the inside one for
-    the exterior."""
+    source of ``_placement`` for the interior and the inside one for the
+    exterior."""
 
     def __init__(self, grid: QuadratureGrid, z, side: str):
-        outside, inside = _point_source_sites(grid)
+        outside, inside, _ = _placement(grid)
         self.site = outside if side == "interior" else inside
         field, grad = _point_source(z, self.site)
         trace_side = "+" if side == "interior" else "-"
@@ -671,20 +683,51 @@ def _calderon_defect(ops: _LayerOperators, side: str):
     return source.defect(residual)
 
 
+def _point_source_row(ops: _LayerOperators, side: str, tolerance: float, image=None):
+    """The ``weyl.dtn.point_source`` row of ``side``: M_side φ + τ_N f for the
+    side's point source, relative to its largest trace.  ``image`` is M_side φ
+    where the caller's solve has it; without it the row solves for φ alone."""
+    source = ops.point_source(side)
+
+    def defect():
+        mphi = ops.weyl_action(side, source.dirichlet[:, None])[0][:, 0] if image is None else image
+        return source.defect(mphi + source.neumann)
+
+    z = ops.z.z
+    params = {"side": side, "curve": ops.grid.curve.shape, "n": ops.grid.n, "z": [z.real, z.imag]}
+    return timed_check("weyl.dtn.point_source", params, tolerance, defect)
+
+
 # the default tolerance of the jump rows per curve shape, which the CLI scales by --tol-scale
 _TOLERANCE = {"disk": 1e-6, "ellipse": 1e-5, "kite": 1e-5}
 
 
-def _jump_rows(curve: InterfaceCurve, ops: _LayerOperators, modes: int, tolerance: float) -> list:
-    """The closed-form trace rows (disk only) and both Calderón rows of one
-    bundle; the disk's Bessel factors are checked first, before any operator."""
-    z, grid = ops.z, ops.grid
-    params = {"curve": curve.shape, "n": grid.n, "z": [z.z.real, z.z.imag]}
+def jump_relation_residuals(curve: InterfaceCurve, grid: QuadratureGrid, z, modes: int = 8,
+                            tolerance: float | None = None) -> ResidualReport:
+    """Residuals of the trace/jump relations for S, K, K* at one N: the rows of
+    ``green3 jumps``, from one layer bundle and one LU of S.
+
+    On every curve, the rows ``jump.calderon.interior|exterior`` check S and K
+    and the rows ``weyl.dtn.point_source`` check S and K* on the exact traces
+    of a point source (module docstring), each relative to the largest trace
+    value.  On the disk the six ``jump.<trace>`` rows also compare each trace
+    of ``_TRACES`` on the Fourier densities |m| ≤ ``modes`` with the
+    closed-form Bessel multiplier; the disk's Bessel factors are checked
+    first, before any operator.  The default tolerance (``_TOLERANCE``) is
+    1e-6 on the disk and 1e-5 elsewhere.  A singular S raises
+    ``AnsatzResonanceError``.
+    """
+    if modes < 0:
+        raise ConfigurationError(f"modes must be >= 0, got {modes}")
+    if tolerance is None:
+        tolerance = _TOLERANCE[curve.shape]
+    ops = _LayerOperators(grid, z)
+    params = {"curve": curve.shape, "n": grid.n, "z": [ops.z.z.real, ops.z.z.imag]}
     rows = []
     if curve.shape == "disk":
         mlist = range(-modes, modes + 1)
         phis = np.column_stack([_mode_density(grid, m) for m in mlist])  # one column per mode
-        table = {m: disk_mode_multipliers(z, m) for m in range(modes + 1)}
+        table = {m: disk_mode_multipliers(ops.z, m) for m in range(modes + 1)}
 
         def reference(name):
             key = "single.dirichlet" if name.startswith("single.dirichlet") else name
@@ -700,23 +743,5 @@ def _jump_rows(curve: InterfaceCurve, ops: _LayerOperators, modes: int, toleranc
     for side in ("interior", "exterior"):
         rows.append(timed_check(f"jump.calderon.{side}", params, tolerance,
                                 lambda side=side: _calderon_defect(ops, side)))
-    return rows
-
-
-def jump_relation_residuals(curve: InterfaceCurve, grid: QuadratureGrid, z, modes: int = 8,
-                            tolerance: float | None = None) -> ResidualReport:
-    """Residuals of the trace/jump relations for S, K, K* at one N.
-
-    On every curve, the rows ``jump.calderon.interior|exterior`` check S and K
-    on the exact traces of a point source (module docstring), each relative to
-    the largest trace value.  On the disk the six ``jump.<trace>`` rows also
-    compare each trace of ``_TRACES`` on the Fourier densities |m| ≤ ``modes``
-    with the closed-form Bessel multiplier.  The default tolerance
-    (``_TOLERANCE``) is 1e-6 on the disk and 1e-5 elsewhere.
-    """
-    z = as_spectral_point(z)
-    if modes < 0:
-        raise ConfigurationError(f"modes must be >= 0, got {modes}")
-    if tolerance is None:
-        tolerance = _TOLERANCE[curve.shape]
-    return ResidualReport(_jump_rows(curve, _LayerOperators(grid, z), modes, tolerance)).sorted()
+    rows += [_point_source_row(ops, side, tolerance) for side in ("interior", "exterior")]
+    return ResidualReport(rows).sorted()

@@ -2,16 +2,16 @@
 
 The solution operator γ(z): boundary data → (−Δ−z)-solution is realized by a
 single-layer ansatz, so M_±(z) = −τ_N^± γ_±(z) becomes −(½I ∓ K*) S⁻¹ with
-the signs inherited from the jump relations in :mod:`green3.potentials`.
+the signs inherited from the jump relations in :mod:`green3.potentials`,
+whose layer bundle owns S⁻¹ and M_± (``_LayerOperators.weyl_action``).
 For Im z > 0 the maps are verified to be Herglotz: positive (weighted)
 imaginary part, and M(z) − M(z)* = (z − z̄)·γ(z)*γ(z) with the right-hand
 Gram computed by genuine domain quadrature of the fields.
 
-Every S⁻¹ is the layer bundle's guarded solve (``potentials``), for the
-densities a caller reads only.  The row ``weyl.dtn.point_source`` checks the
-map on every curve at one N: a point source on the far side of the curve
-solves on this side, so M_±φ = −τ_N^± f with φ = τ_D f.  It reads S and K*,
-as the ``jump.calderon.*`` rows read S and K.
+The rows of ``green3 dtn`` are built here (``_dtn_rows``): the mode
+quotients of M_± at N, each against a reference, and the row
+``weyl.dtn.point_source`` (``potentials``): a point source on the far side
+of the curve solves on this side, so M_±φ = −τ_N^± f with φ = τ_D f.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import InterfaceCurve, QuadratureGrid, _leggauss
-from .potentials import _LayerOperators, _OffCurve, eval_single_layer_field
+from .potentials import _LayerOperators, _OffCurve, _point_source_row, disk_mode_multipliers
+from .potentials import eval_single_layer_field
 from .reports import ResidualReport, timed_check, worst
 from .specfun import SpectralPoint, as_spectral_point, fundamental_solution
 
@@ -35,12 +36,6 @@ def _normalize_side(side: str) -> str:
         return _SIDES[side]
     except KeyError:
         raise ConfigurationError(f"side must be interior/exterior (or +/−), got {side!r}") from None
-
-
-def _weyl_action(ops: _LayerOperators, side: str, densities: np.ndarray):
-    """M_side Φ = −(½I ∓ K*) S⁻¹Φ for the columns Φ, with the densities S⁻¹Φ."""
-    psi = ops.solve(densities)
-    return -ops.apply_trace(f"single.neumann.{side}", psi), psi
 
 
 class SingleLayerField:
@@ -87,7 +82,7 @@ def dtn_map(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z) -> WeylMa
     """Weyl map M_side(z) = −τ_N^side γ_side(z) as a dense boundary matrix."""
     side = _normalize_side(side)
     ops = _LayerOperators(grid, z)
-    matrix, _ = _weyl_action(ops, side, np.eye(grid.n))
+    matrix, _ = ops.weyl_action(side, np.eye(grid.n))
     return WeylMap(side, ops.z, grid, matrix)
 
 
@@ -101,23 +96,36 @@ def _mode_quotients(ops: _LayerOperators, side: str, modes: int, *extra):
     """``mode_eigenvalue`` of M_side for m = 0..modes without forming M, and
     M_side on the ``extra`` densities, more columns of the same solve."""
     phis = np.exp(1j * np.outer(ops.grid.nodes, np.arange(modes + 1)))
-    images, _ = _weyl_action(ops, side, np.column_stack([phis, *extra]))
+    images, _ = ops.weyl_action(side, np.column_stack([phis, *extra]))
     return _rayleigh_quotients(ops.grid, phis, images[:, :modes + 1]), images[:, modes + 1:]
 
 
-def _point_source_row(ops: _LayerOperators, side: str, tolerance: float, image=None):
-    """The ``weyl.dtn.point_source`` row of ``side``: M_side φ + τ_N f for the
-    side's point source, relative to its largest trace.  ``image`` is M_side φ
-    where the caller's solve has it; without it the row solves for φ alone."""
-    source = ops.point_source(side)
+def _dtn_rows(grid: QuadratureGrid, z, side: str, modes: int, tolerance: float) -> list:
+    """A ``weyl.dtn.mode`` row per m = 0..``modes`` and the side's point-source
+    row at one z, from one solve at N.  A mode row reports the quotient λ at N
+    with residual |λ − ref|/(1 + |ref|): ref is the closed-form symbol
+    −κI_m′/I_m (interior) or κK_m′/K_m (exterior) on the disk, elsewhere the
+    same quotient at N/2 nodes, a conservative bound that needs N a multiple
+    of 4 and at least 16, and ``modes`` below N/4."""
+    ops = _LayerOperators(grid, z)
+    # N before N/2, so that a resonance is reported by the rcond₁ guard at N
+    source = ops.point_source(side).dirichlet  # one more column of the solve
+    quotients, image = _mode_quotients(ops, side, modes, source)
+    if grid.curve.shape == "disk":
+        reference = [disk_mode_multipliers(ops.z, m)[f"M.{side}"] for m in range(modes + 1)]
+    else:
+        half = QuadratureGrid(grid.curve, grid.n // 2)
+        reference, _ = _mode_quotients(_LayerOperators(half, ops.z), side, modes)
+    rows = [_point_source_row(ops, side, tolerance, image[:, 0])]
+    params = {"side": side, "curve": grid.curve.shape, "n": grid.n,
+              "z": [ops.z.z.real, ops.z.z.imag]}
+    for m in range(modes + 1):
+        def entry(m=m):
+            lam, ref = complex(quotients[m]), complex(reference[m])
+            return abs(lam - ref) / (1.0 + abs(ref)), {"eigenvalue": lam}
 
-    def defect():
-        mphi = _weyl_action(ops, side, source.dirichlet[:, None])[0][:, 0] if image is None else image
-        return source.defect(mphi + source.neumann)
-
-    z = ops.z.z
-    params = {"side": side, "curve": ops.grid.curve.shape, "n": ops.grid.n, "z": [z.real, z.imag]}
-    return timed_check("weyl.dtn.point_source", params, tolerance, defect)
+        rows.append(timed_check("weyl.dtn.mode", {**params, "m": m}, tolerance, entry))
+    return rows
 
 
 def mode_eigenvalue(weyl: WeylMap, m: int) -> complex:
@@ -174,7 +182,7 @@ def herglotz_residuals(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z
     mlist = np.arange(-modes, modes + 1)
     phis = np.exp(1j * np.outer(mlist, grid.nodes)) / math.sqrt(2.0 * np.pi)
     # one LU of S serves the whole map and the mode densities of the Gram
-    images, psis = _weyl_action(_LayerOperators(grid, z), side, np.hstack([np.eye(n), phis.T]))
+    images, psis = _LayerOperators(grid, z).weyl_action(side, np.hstack([np.eye(n), phis.T]))
     w = grid.arc_weights
     wm = w[:, None] * images[:, :n]
     skew = wm - wm.conj().T  # W M − M^H W, anti-Hermitian analytically

@@ -50,6 +50,23 @@ def test_run_config_rejects_unknown_subcommand_and_format():
         RunConfig(subcommand="jumps", fmt="yaml")
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(subcommand="dtn", side="bogus"), "--side must be interior or exterior, got 'bogus'"),
+    (dict(subcommand="dtn", side="+"), "--side must be interior or exterior, got '+'"),
+    (dict(subcommand="interval", check="green"), "--check must be krein|mixed|green3|suite, got 'green'"),
+    (dict(subcommand="krein", modes=-1), "--modes must be >= 0, got -1"),
+    (dict(subcommand="krein", mode_list=(2, -3)), "--mode must be >= 0, got -3"),
+])
+def test_run_config_checks_what_the_parser_checks(fields, message):
+    # a config built in code, or read back from JSON, fails as the CLI would
+    with pytest.raises(ConfigurationError) as info:
+        RunConfig(nodes=64, zs=[(-1.0, 0.0)], **fields)
+    assert str(info.value) == message
+    text = json.dumps({**RunConfig(subcommand=fields["subcommand"]).to_dict(), **fields})
+    with pytest.raises(ConfigurationError):
+        RunConfig.from_json(text)
+
+
 def test_z_value_defaults():
     assert RunConfig(subcommand="jumps").z_values(default=(-1.0,)) == [complex(-1.0)]
     cfg = RunConfig(subcommand="jumps", zs=((1.0, 2.0),))
@@ -164,26 +181,28 @@ def test_indicator_rejects_unequal_side_shifts():
     assert code == 0
 
 
-@pytest.mark.parametrize("command, message", [
-    ("jumps", "green3: modes must be >= 0, got -1"),
-    ("dtn", "green3: no checks ran"),
-    ("krein", "green3: no checks ran"),
+@pytest.mark.parametrize("command, flag, message", [
+    ("jumps", "--modes", "green3: --modes must be >= 0, got -1"),
+    ("dtn", "--modes", "green3: --modes must be >= 0, got -1"),
+    ("krein", "--modes", "green3: --modes must be >= 0, got -1"),
+    ("krein", "--mode", "green3: --mode must be >= 0, got -1"),
 ])
-def test_negative_modes_are_usage_error(command, message):
-    # an empty mode range must not pass vacuously
+def test_negative_modes_are_usage_error(command, flag, message):
+    # an empty mode range must not pass vacuously; one message names the flag
     nodes = ["--nodes", "32"] if command != "krein" else []
-    code, stdout, stderr = main_capture([command, "--modes", "-1", *nodes])
+    code, stdout, stderr = main_capture([command, flag, "-1", *nodes])
     assert code == 2
     assert stdout == ""
     assert stderr == message + "\n"
 
 
 @pytest.mark.parametrize("command, modes, message", [
-    # the dtn cases keep the ids they had before jumps joined them
-    pytest.param("dtn", "-1", "green3: no checks ran", id="-1-green3: no checks ran"),
+    # the dtn ids name no command, as before jumps joined the table
+    pytest.param("dtn", "-1", "green3: --modes must be >= 0, got -1",
+                 id="-1-green3: --modes must be >= 0, got -1"),
     pytest.param("dtn", "16", "green3: dtn modes must be below nodes/2 = 16, got 16",
                  id="16-green3: dtn modes must be below nodes/2 = 16, got 16"),
-    ("jumps", "-1", "green3: modes must be >= 0, got -1"),
+    ("jumps", "-1", "green3: --modes must be >= 0, got -1"),
     ("jumps", "16", "green3: jumps modes must be below nodes/2 = 16, got 16"),
     ("jumps", "40", "green3: jumps modes must be below nodes/2 = 16, got 40"),
 ])
@@ -438,6 +457,19 @@ def test_a_task_that_raises_is_exit_three(monkeypatch, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["jumps", "--curve", "disk", "--nodes", "64", "--z", "-1,0"], "missing/x.json"),
+    (["rellich", "--k", "1"], "."),
+])
+def test_an_unwritable_out_is_usage_error(tmp_path, argv, target):
+    # a directory that is missing, or a directory in place of a file
+    out = tmp_path / target
+    code, stdout, stderr = main_capture([*argv, "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert stderr.count("\n") == 1 and stderr.startswith(f"green3: cannot write --out {out}: ")
+    assert "internal error" not in stderr
+
+
 @pytest.mark.parametrize("argv, gib", [
     (["jumps", "--nodes", "2592"], "1.00"),
     (["dtn", "--nodes", "4096"], "2.50"),
@@ -475,6 +507,32 @@ def test_node_budget_keeps_every_documented_job():
     assert len(jobs) == 7
     for argv in jobs:
         config_from_args(build_parser().parse_args(_absorb_negative_values(argv)))
+
+
+def test_dtn_rows_echo_one_z():
+    # the mode rows and the point-source row echo the bundle's z, -0.0 normalized
+    code, stdout, stderr = main_capture(["dtn", "--curve", "disk", "--nodes", "64", "--modes", "1",
+                                         "--z", "-1,-0", "--omit-timing"])
+    assert code == 0, stderr
+    rows = json.loads(stdout)["checks"]
+    assert sorted(row["check"] for row in rows) == ["weyl.dtn.mode", "weyl.dtn.mode",
+                                                    "weyl.dtn.point_source"]
+    assert {json.dumps(row["params"]["z"]) for row in rows} == {"[-1.0, 0.0]"}
+
+
+@pytest.mark.parametrize("spec, modes", [("disk", 4), ("kite", 8)])
+def test_jumps_reports_the_library_rows(spec, modes):
+    # green3 jumps prints exactly the rows of jump_relation_residuals
+    from green3.geometry import curve_from_spec
+    from green3.potentials import jump_relation_residuals
+
+    argv = ["jumps", "--curve", spec, "--nodes", "64", "--z", "-1,0.5", "--omit-timing"]
+    code, stdout, stderr = main_capture(argv + (["--modes", str(modes)] if spec == "disk" else []))
+    assert code == 0, stderr
+    curve, grid = curve_from_spec(spec, 64)
+    report = jump_relation_residuals(curve, grid, complex(-1.0, 0.5), modes).without_timing()
+    assert json.loads(stdout)["checks"] == json.loads(report.to_json())["checks"]
+    assert len(report.checks) == (10 if spec == "disk" else 4)
 
 
 @pytest.mark.parametrize("spec", ["disk", "kite", "ellipse:1.5,0.8"])

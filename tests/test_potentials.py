@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from green3.errors import AccuracyRegionError, ConfigurationError
+from green3.errors import AccuracyRegionError, AnsatzResonanceError, ConfigurationError
 from green3.geometry import curve_from_spec, dirichlet_trace, make_curve, neumann_trace
 from green3.potentials import (
     _LayerOperators,
@@ -190,7 +190,9 @@ def test_jump_relations_disk(disk256):
     report = jump_relation_residuals(curve, grid, -1.0)
     assert report.all_pass
     assert report.max_residual <= 1e-6
-    assert len(report.checks) == 8  # six closed-form traces, two Calderón rows
+    assert len(report.checks) == 10  # six closed-form traces, two Calderón and two DtN rows
+    assert [row.params["side"] for row in report.checks
+            if row.check == "weyl.dtn.point_source"] == ["exterior", "interior"]
 
 
 def test_jump_relations_complex_z(disk256):
@@ -210,6 +212,11 @@ def test_jump_relation_guards():
     curve, grid = make_curve("kite", 64)
     with pytest.raises(ConfigurationError):
         jump_relation_residuals(curve, grid, -1.0, modes=-1)
+    # the point-source DtN rows factor S, which is singular at z = 0 on a curve
+    # of logarithmic capacity 1, such as this ellipse ((a + b)/2 = 1)
+    curve, grid = make_curve("ellipse", 64, a=1.5, b=0.5)
+    with pytest.raises(AnsatzResonanceError):
+        jump_relation_residuals(curve, grid, 0.0)
 
 
 def test_jump_relations_fail_on_a_nan_mode(monkeypatch):
@@ -221,9 +228,15 @@ def test_jump_relations_fail_on_a_nan_mode(monkeypatch):
                         lambda grid, m: mode_density(grid, m) * (np.nan if m == 1 else 1.0))
     curve, grid = make_curve("disk", 32)
     report = jump_relation_residuals(curve, grid, -1.0, modes=2)
-    assert len(report.checks) == 8
-    traces = [row for row in report.checks if not row.check.startswith("jump.calderon.")]
+    assert len(report.checks) == 10
+    traces = [row for row in report.checks if row.check.startswith("jump.")
+              and not row.check.startswith("jump.calderon.")]
     assert len(traces) == 6
+    # the point-source rows read no mode density
+    others = [row for row in report.checks if row not in traces]
+    assert sorted(row.check for row in others) == ["jump.calderon.exterior", "jump.calderon.interior",
+                                                   "weyl.dtn.point_source", "weyl.dtn.point_source"]
+    assert all(np.isfinite(row.residual) for row in others)
     for row in traces:
         assert np.isnan(row.residual) and not row.passed
         assert row.details["worst_mode"] == 1

@@ -56,9 +56,9 @@ def _unweighted_pairing(monkeypatch):
 
 def _side_ignored(monkeypatch):
     # every Weyl action takes the interior Neumann trace, whatever the side
-    action = weyl._weyl_action
-    monkeypatch.setattr(weyl, "_weyl_action",
-                        lambda ops, side, densities: action(ops, "interior", densities))
+    action = potentials._LayerOperators.weyl_action
+    monkeypatch.setattr(potentials._LayerOperators, "weyl_action",
+                        lambda self, side, densities: action(self, "interior", densities))
 
 
 def _exterior_k_sign_flipped(monkeypatch):
@@ -136,7 +136,7 @@ DEFECTS = [
 # (defect, argv, the ROADMAP item that would close the gap and why the run passes)
 GAPS = [
     *[(_unweighted_rayleigh_quotients, [*run, "--curve", curve, *_PLANAR],
-       "item 12: the N/2 reference of the mode rows reads the same quotient")
+       "item 17: the N/2 reference of the mode rows reads the same quotient")
       for run, curve in ((["dtn", "--side", "interior"], "kite"),
                          (["dtn", "--side", "interior"], "ellipse:1.5,0.8"),
                          (["dtn", "--side", "exterior"], "ellipse:1.5,0.8"))],

@@ -8,13 +8,17 @@ checkout) at seeds 1–3, each distinct argv once, and ``REAL_Z``: ``jumps``
 and ``dtn`` at real z on each curve, where S is float64 and the densities
 are complex, a solve path no benchmark job takes, and ``green-identity``
 there, whose off-curve fields reach ``hankel1`` on the imaginary axis (at
-z < 0) or the logarithm (at z = 0), as no benchmark job does.  Each tree
-runs all of them in one fresh interpreter, in process through
-``green3.cli.main`` with ``--omit-timing``, on one thread.  The tool prints:
+z < 0) or the logarithm (at z = 0), as no benchmark job does.  Last come
+the CLI examples of this checkout's README (seven), without ``--out PATH``,
+which reach the CSV writer and the N = 256 real-z ``jumps`` and ``dtn``
+paths; a CSV report carries no verdict, so its rows are read from the CSV
+and its bytes compared as they are.  Each tree runs all of them in one
+fresh interpreter, in process through ``green3.cli.main`` with
+``--omit-timing``, on one thread.  The tool prints:
 
 * every job whose exit code or verdict (``all_pass``) differs;
-* per job kind (the subcommand, with ``--check`` for ``interval``), how many
-  reports are byte-identical;
+* per job kind (the subcommand, with ``--check`` for ``interval`` and
+  ``README`` before a README example), how many reports are byte-identical;
 * per check name, how many rows moved out of the total, the largest
   |Δresidual| over them, and the worst residual/tolerance in each tree, over
   the rows (check name and params) that both reports hold;
@@ -28,10 +32,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from collections import defaultdict
@@ -43,6 +49,19 @@ REAL_Z = [[*run, "--curve", curve, "--nodes", "128", "--z", f"{z},0", "--omit-ti
           for run in (["jumps"], ["dtn", "--side", "interior"], ["dtn", "--side", "exterior"],
                       ["green-identity"])
           for curve in ("disk", "kite", "ellipse:1.5,0.8") for z in (-2, 0)]
+
+
+def readme_examples() -> list:
+    """The README's ``green3 ...`` lines as argv lists, each without ``--out PATH``."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    jobs = []
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("green3 "):
+            argv = shlex.split(line)[1:]
+            if "--out" in argv:
+                del argv[argv.index("--out"):argv.index("--out") + 2]
+            jobs.append([*argv, "--omit-timing"])
+    return jobs
 
 
 def distinct_jobs(workloads) -> list:
@@ -82,12 +101,28 @@ def run_tree(tree: Path, jobs: list) -> list:
     return json.loads(proc.stdout)
 
 
-def kind(argv) -> str:
-    return f"interval --check {argv[argv.index('--check') + 1]}" if argv[0] == "interval" else argv[0]
+def kind(argv, readme) -> str:
+    name = f"interval --check {argv[argv.index('--check') + 1]}" if argv[0] == "interval" else argv[0]
+    return f"README {name}" if argv in readme else name
 
 
-def verdict(text: str):
-    return json.loads(text)["all_pass"] if text else None
+def is_csv(argv) -> bool:
+    return "--format" in argv and argv[argv.index("--format") + 1] == "csv"
+
+
+def verdict(argv, text: str):
+    """``all_pass`` of a JSON report; None for no report or a CSV one."""
+    return json.loads(text)["all_pass"] if text and not is_csv(argv) else None
+
+
+def report_rows(argv, text: str) -> dict:
+    """(check name, params) -> row of a JSON or CSV report, in report order."""
+    if is_csv(argv):
+        rows = [{**row, "params": json.loads(row["params"])}
+                for row in csv.DictReader(io.StringIO(text))]
+    else:
+        rows = json.loads(text)["checks"]
+    return {(r["check"], json.dumps(r["params"], sort_keys=True)): r for r in rows}
 
 
 def _worse(old: float, new: float) -> float:
@@ -95,23 +130,23 @@ def _worse(old: float, new: float) -> float:
     return new if math.isnan(new) or new > old else old
 
 
-def compare(jobs, parent, change) -> bool:
-    """Print the three tables; True if every exit code, verdict and row list is kept."""
+def compare(jobs, parent, change, readme=()) -> bool:
+    """Print the three tables; True if every exit code, verdict and row list is
+    kept.  The jobs in ``readme`` are counted apart."""
     kept = True
     identical = defaultdict(lambda: [0, 0])
     moved = defaultdict(lambda: [0, 0, 0.0, 0.0, 0.0])  # moved, rows, largest |Δ|, worst r/tol × 2
     only = (defaultdict(int), defaultdict(int))  # rows per check name in one tree only
     for argv, (code0, out0), (code1, out1) in zip(jobs, parent, change):
-        if code0 != code1 or verdict(out0) != verdict(out1):
+        if code0 != code1 or verdict(argv, out0) != verdict(argv, out1):
             kept = False
-            print(f"CHANGED exit {code0} -> {code1}, all_pass {verdict(out0)} -> {verdict(out1)}: "
-                  f"green3 {' '.join(argv)}")
-        identical[kind(argv)][0] += out0 == out1
-        identical[kind(argv)][1] += 1
+            print(f"CHANGED exit {code0} -> {code1}, all_pass {verdict(argv, out0)} -> "
+                  f"{verdict(argv, out1)}: green3 {' '.join(argv)}")
+        identical[kind(argv, readme)][0] += out0 == out1
+        identical[kind(argv, readme)][1] += 1
         if not (out0 and out1):
             continue
-        rows0, rows1 = ({(r["check"], json.dumps(r["params"], sort_keys=True)): r
-                         for r in json.loads(out)["checks"]} for out in (out0, out1))
+        rows0, rows1 = report_rows(argv, out0), report_rows(argv, out1)
         if list(rows0) != list(rows1):
             print(f"ROWS DIFFER: green3 {' '.join(argv)}")
             kept = False
@@ -155,9 +190,10 @@ def main() -> int:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
     import workloads
 
-    jobs = distinct_jobs(workloads)
+    readme = readme_examples()
+    jobs = distinct_jobs(workloads) + readme
     parent, change = run_tree(args.parent, jobs), run_tree(args.change, jobs)
-    return 0 if compare(jobs, parent, change) else 1
+    return 0 if compare(jobs, parent, change, readme) else 1
 
 
 if __name__ == "__main__":
