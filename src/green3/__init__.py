@@ -12,11 +12,8 @@ from .coupling import (
     TransmissionField,
     eigenvalue_indicator,
     jump_brackets,
-    krein_resolvent_disk_mode,
-    mixed_resolvent_disk_mode,
     probe_ring,
     rellich_quotient,
-    resolvent_difference_disk_mode,
     third_green_identity_residual,
     transmission_point_sources,
 )
@@ -48,9 +45,6 @@ from .interval_model import (
     third_green_identity_1d,
 )
 from .potentials import (
-    assemble_adjoint_double_layer,
-    assemble_double_layer,
-    assemble_single_layer,
     disk_mode_multipliers,
     eval_double_layer_field,
     eval_single_layer_field,
@@ -58,7 +52,7 @@ from .potentials import (
 )
 from .reports import CheckResult, ResidualReport, check_row
 from .specfun import SpectralPoint, as_spectral_point, fundamental_solution
-from .weyl import WeylMap, dtn_map, gamma_field, herglotz_residuals, mode_eigenvalue
+from .weyl import herglotz_residuals
 
 __all__ = [
     "AccuracyRegionError",
@@ -76,36 +70,26 @@ __all__ = [
     "SpectralPoint",
     "SpectralPoleError",
     "TransmissionField",
-    "WeylMap",
     "abstract_identity_suite",
     "as_spectral_point",
-    "assemble_adjoint_double_layer",
-    "assemble_double_layer",
-    "assemble_single_layer",
     "check_row",
     "coupled_eigenvalues",
     "curve_from_spec",
     "dirichlet_trace",
     "disk_mode_multipliers",
-    "dtn_map",
     "eigenvalue_indicator",
     "eval_double_layer_field",
     "eval_single_layer_field",
     "fundamental_solution",
-    "gamma_field",
     "herglotz_residuals",
     "jump_brackets",
     "jump_relation_residuals",
     "krein_formula_check",
-    "krein_resolvent_disk_mode",
     "make_curve",
     "mixed_formula_check",
-    "mixed_resolvent_disk_mode",
-    "mode_eigenvalue",
     "neumann_trace",
     "probe_ring",
     "rellich_quotient",
-    "resolvent_difference_disk_mode",
     "scalar_weyl",
     "third_green_identity_1d",
     "third_green_identity_residual",

@@ -125,8 +125,11 @@ class RunConfig:
         object.__setattr__(self, "zs", tuple(tuple(z) for z in self.zs))
         object.__setattr__(self, "mode_list", tuple(int(m) for m in self.mode_list))
         object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
-        for flag, value in (("--modes", self.modes), *(("--mode", m) for m in self.mode_list)):
-            if value < 0:  # an empty mode range must not pass vacuously
+        # an empty mode range must not pass vacuously, and numpy's generator
+        # rejects a negative seed only once the run has started
+        for flag, value in (("--modes", self.modes), *(("--mode", m) for m in self.mode_list),
+                            ("--seed", self.seed)):
+            if value < 0:
                 raise ConfigurationError(f"{flag} must be >= 0, got {value}")
         if self.zgrid is not None:
             object.__setattr__(self, "zgrid", tuple(self.zgrid))

@@ -51,9 +51,6 @@ __all__ = [
     "jump_brackets",
     "probe_ring",
     "third_green_identity_residual",
-    "krein_resolvent_disk_mode",
-    "mixed_resolvent_disk_mode",
-    "resolvent_difference_disk_mode",
     "eigenvalue_indicator",
     "rellich_quotient",
 ]
@@ -70,15 +67,14 @@ class JumpData:
 
 @dataclass(frozen=True)
 class TransmissionField:
-    """A pair of side fields (f₊ interior, f₋ exterior), each a (k,2)→(k,) map.
-
-    Optional analytic gradients sharpen the Neumann traces; a source callable
-    marks the side as inhomogeneous, i.e. source_plus = (−Δ−z)f₊."""
+    """A pair of side fields (f₊ interior, f₋ exterior), each a (k,2)→(k,) map,
+    with their gradients, (k,2)→(k,2) maps that give the Neumann traces; a
+    source callable marks the side as inhomogeneous, i.e. source_plus = (−Δ−z)f₊."""
 
     plus: Callable
     minus: Callable
-    gradient_plus: Optional[Callable] = None
-    gradient_minus: Optional[Callable] = None
+    gradient_plus: Callable
+    gradient_minus: Callable
     source_plus: Optional[Callable] = None
     source_minus: Optional[Callable] = None
 
@@ -95,8 +91,8 @@ def transmission_point_sources(z, exterior_point, interior_point) -> Transmissio
 def jump_brackets(field: TransmissionField, curve: InterfaceCurve, grid: QuadratureGrid) -> JumpData:
     """Sample [Γ₀f] and [Γ₁f] on the quadrature nodes."""
     b0 = dirichlet_trace(field.plus, curve, grid, "+") - dirichlet_trace(field.minus, curve, grid, "-")
-    tn_plus = neumann_trace(field.plus, curve, grid, "+", gradient=field.gradient_plus)
-    tn_minus = neumann_trace(field.minus, curve, grid, "-", gradient=field.gradient_minus)
+    tn_plus = neumann_trace(field.gradient_plus, curve, grid, "+")
+    tn_minus = neumann_trace(field.gradient_minus, curve, grid, "-")
     return JumpData(np.asarray(b0, dtype=complex), -(tn_plus + tn_minus))
 
 
@@ -210,7 +206,8 @@ class _ModeScalars(_DiskMode):
     """Mode m of −Δ + c at z: the disk-mode factors at z − c, the Weyl values
     M±, and on the sample radii γ, the free radial kernel I_m(κr_<)K_m(κr_>)
     and the decoupled kernels, the columns a delta at each radius.  ``krein``,
-    ``mixed`` and ``difference`` are the defects of the three formulas."""
+    ``mixed`` and ``difference`` are the worst defects of the three formulas
+    (``_defect``); the rows of ``green3 krein`` read the first two."""
 
     def __init__(self, z, m, c):
         if c < 0:
@@ -261,32 +258,6 @@ class _ModeScalars(_DiskMode):
         lhs = self._decoupled(neumann=False) - self._decoupled(neumann=True)
         # γ₋ at the radii is zero inside, so it is its own pairing row
         return self._defect(lhs, _difference(*self.weyl, self.pairings[1], self.pairings[1]))
-
-
-def krein_resolvent_disk_mode(z, m: int, c: float = 1.0) -> float:
-    """Worst defect of the Krein formula for (−Δ+c−z)⁻¹ in mode m, relative
-    to the free kernel on each pair of sample radii.
-
-    Left side: the free radial kernel I_m(κr_<)K_m(κr_>).  Right side: the
-    decoupled Dirichlet kernels plus the rank-one correction
-    −γ(r)(M₊+M₋)⁻¹γ(r′), all of whose factors are scalars in mode m."""
-    return _ModeScalars(z, m, c).krein()
-
-
-def mixed_resolvent_disk_mode(z, m: int, c: float = 1.0) -> float:
-    """Worst defect of the Dirichlet ⊕ Neumann resolvent formula, relative as
-    in ``krein_resolvent_disk_mode``.
-
-    The decoupled block is Dirichlet on the interior but Neumann on the
-    exterior; the correction uses γ̂ = diag(γ₊, γ₋M₋⁻¹) and the 2×2 matrix
-    Σ = −[[M₊, 1], [1, −M₋⁻¹]]⁻¹."""
-    return _ModeScalars(z, m, c).mixed()
-
-
-def resolvent_difference_disk_mode(z, m: int, c: float = 1.0) -> float:
-    """Defect of (A₀₋−z)⁻¹ − (A₁₋−z)⁻¹ = γ₋ M₋⁻¹ γ₋* in exterior mode m,
-    relative as in ``krein_resolvent_disk_mode``."""
-    return _ModeScalars(z, m, c).difference()
 
 
 # ------------------------------------------------------------- curve-level ops

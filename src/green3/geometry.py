@@ -5,6 +5,8 @@ unbounded complement ("−").  All parametrizations are 2π-periodic and
 counterclockwise; ``normals`` always stores n⁺, the unit normal pointing out
 of the bounded side, and the "−" side uses n⁻ = −n⁺.  Quadrature is the
 periodic trapezoid rule, which is spectrally accurate for smooth integrands.
+The boundary traces read a field, or its gradient, at the nodes themselves:
+every field handed to them is smooth up to the curve on the traced side.
 
 A grid also holds the layout of its node pairs i < j that the layer bundles
 of :mod:`green3.potentials` read at every z: built once per grid, under a
@@ -23,10 +25,6 @@ from ._pool import _cached_property
 from .errors import ConfigurationError, EvaluationError
 
 _BUILTIN_SHAPES = ("disk", "ellipse", "kite")
-
-#: offset schedule (base, step, levels) used when a field can only be sampled
-#: off the curve: distances base + step*i, polynomial extrapolation to 0
-DEFAULT_OFFSET = (0.01, 0.01, 6)
 
 
 @dataclass(frozen=True)
@@ -230,15 +228,6 @@ def _check_side(side: str, what: str = "side") -> float:
     return 1.0 if side == "+" else -1.0
 
 
-def _offset_samples(field, grid: QuadratureGrid, sgn: float, offset):
-    base, step, levels = offset
-    if base <= 0 or step <= 0 or levels < 2:
-        raise ConfigurationError(f"offset schedule must be (base>0, step>0, levels>=2), got {offset!r}")
-    dists = base + step * np.arange(levels)
-    rows = [field(grid.points - sgn * d * grid.normals) for d in dists]
-    return dists, _check_finite(np.asarray(rows), "field")
-
-
 def _interp_at_zero(dists: np.ndarray, samples: np.ndarray):
     # interpolating polynomial through (d_i, f_i), evaluated and differentiated
     # at d = 0; distances are rescaled to keep the Vandermonde solve benign
@@ -247,36 +236,19 @@ def _interp_at_zero(dists: np.ndarray, samples: np.ndarray):
     return coef[0], coef[1] / scale
 
 
-def dirichlet_trace(field, curve: InterfaceCurve, grid: QuadratureGrid, side: str = "+", offset=None):
-    """Boundary values of a field on the given side of the curve.
+def dirichlet_trace(field, curve: InterfaceCurve, grid: QuadratureGrid, side: str = "+"):
+    """Boundary values of a field on the given side of the curve: ``field``
+    maps an (k, 2) array of points to k complex values and is sampled on the
+    curve itself."""
+    _check_side(side)
+    return _check_finite(np.asarray(field(grid.points)), "field")
 
-    ``field`` maps an (k, 2) array of points to k complex values.  With
-    ``offset=None`` it is sampled on the curve itself; otherwise it is sampled
-    at distances base+step*i along the inward (side "+") or outward ("−")
-    normal line and extrapolated to distance 0.
+
+def neumann_trace(gradient, curve: InterfaceCurve, grid: QuadratureGrid, side: str = "+"):
+    """Normal derivative ⟨n^side, ∇f⟩ on the curve, from the given side, given
+    the field's gradient as an (k, 2) → (k, 2) map.  Note n^− = −n⁺, so the
+    two sides differ in sign even for a smooth field.
     """
     sgn = _check_side(side)
-    if offset is None:
-        return _check_finite(np.asarray(field(grid.points)), "field")
-    dists, samples = _offset_samples(field, grid, sgn, offset)
-    return _interp_at_zero(dists, samples)[0]
-
-
-def neumann_trace(field, curve: InterfaceCurve, grid: QuadratureGrid, side: str = "+",
-                  gradient=None, offset=None):
-    """Normal derivative ⟨n^side, ∇f⟩ on the curve, from the given side.
-
-    Needs either a gradient callable (an (k, 2) → (k, 2) map; defaults to
-    ``field.gradient``) or an offset schedule for a values-only field.  Note
-    n^− = −n⁺, so the two sides differ in sign even for a smooth field.
-    """
-    sgn = _check_side(side)
-    if offset is None:
-        grad = gradient if gradient is not None else getattr(field, "gradient", None)
-        if grad is None:
-            raise ConfigurationError("direct Neumann trace needs a gradient; pass gradient= or offset=")
-        g = _check_finite(np.asarray(grad(grid.points)), "gradient")
-        return np.sum(sgn * grid.normals * g, axis=1)
-    dists, samples = _offset_samples(field, grid, sgn, offset)
-    # p(d) = f(x - sgn*d*n⁺) has p'(0) = -⟨n^side, ∇f⟩ for either side
-    return -_interp_at_zero(dists, samples)[1]
+    g = _check_finite(np.asarray(gradient(grid.points)), "gradient")
+    return np.sum(sgn * grid.normals * g, axis=1)

@@ -11,14 +11,14 @@ separation-of-variables oracle, not assumed):
   where "+" is the bounded side and n⁻ = −n⁺.
 
 S, K, K* and these traces come from one ``_LayerOperators`` bundle per
-(grid, z), which evaluates each kernel once; the ``assemble_*`` functions are
-thin wrappers around it.
+(grid, z), which evaluates each kernel once.
 
-S⁻¹ and the Weyl maps.  The bundle also owns S(z)⁻¹, which the γ-field of
-:mod:`green3.weyl` reads, and forms the Weyl maps M_± = −(½I ∓ K*)S⁻¹
-(``weyl_action``, the only code that does): one LU of S per (grid, z), made
-on first use, and the singular values of S for the indicator, each guarded
-against a resonance of the ansatz with the floor ``_RCOND_FLOOR`` = 1e-12.
+S⁻¹ and the Weyl maps.  The bundle also owns S(z)⁻¹ (``solve``), which gives
+the density of the single-layer γ-field, and forms the Weyl maps
+M_± = −(½I ∓ K*)S⁻¹ (``weyl_action``, the only code that does): one LU of S
+per (grid, z), made on first use, and the singular values of S for the
+indicator, each guarded against a resonance of the ansatz with the floor
+``_RCOND_FLOOR`` = 1e-12.
 The LU guard reads LAPACK's estimate of rcond₁ = 1/(‖S‖₁‖S⁻¹‖₁), within a factor N of the SVD
 guard's σ_min/σ_max.  On the unit disk at z = 0 (log capacity 1, S singular)
 rcond₁ is 2.4e-17 at N = 128 and 7.7e-18 at N = 512 (σ ratios 2.9e-17 and
@@ -96,7 +96,6 @@ for bit; the DtN path reads only S and K* and never forms K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -109,7 +108,6 @@ from .reports import ResidualReport, timed_check, worst
 from .specfun import (
     _K_TO_H,
     _OVERFLOW_RADIUS,
-    SpectralPoint,
     _modified_real,
     as_spectral_point,
     bessel_j,
@@ -121,29 +119,6 @@ from .specfun import (
     modified_k,
     modified_k_derivative,
 )
-
-
-@dataclass(frozen=True)
-class BoundaryOperator:
-    """Dense N×N boundary-to-boundary operator acting on node samples."""
-
-    label: str
-    z: SpectralPoint
-    grid: QuadratureGrid
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.matrix.flags.writeable = False
-
-    @property
-    def n(self) -> int:
-        return self.grid.n
-
-    def apply(self, density) -> np.ndarray:
-        density = np.asarray(density)
-        if density.shape[0] != self.n:
-            raise ConfigurationError(f"density length {density.shape[0]} != grid size {self.n}")
-        return self.matrix @ density
 
 
 def _unnormalized_normal(grid: QuadratureGrid) -> np.ndarray:
@@ -461,31 +436,13 @@ class _LayerOperators:
         return self._sources[side]
 
 
-def assemble_single_layer(curve: InterfaceCurve, grid: QuadratureGrid, z) -> BoundaryOperator:
-    """Boundary single-layer operator S(z), weakly singular kernel split per Kress."""
-    ops = _LayerOperators(grid, z)
-    return BoundaryOperator("S", ops.z, grid, ops.single_layer)
-
-
-def assemble_double_layer(curve: InterfaceCurve, grid: QuadratureGrid, z) -> BoundaryOperator:
-    """Principal-value double-layer operator K with the curvature diagonal."""
-    ops = _LayerOperators(grid, z)
-    return BoundaryOperator("K", ops.z, grid, ops.double_layer)
-
-
-def assemble_adjoint_double_layer(curve: InterfaceCurve, grid: QuadratureGrid, z) -> BoundaryOperator:
-    """K*, the quadrature-adjoint of K (normal attached to the target node)."""
-    ops = _LayerOperators(grid, z)
-    return BoundaryOperator("Kstar", ops.z, grid, ops.adjoint_double_layer)
-
-
 # ---------------------------------------------------------------- field evaluation
 
 class _OffCurve:
     """E(z; x − y) and ∇_x E away from the curve, on targets x × sources y:
     the (M, S, 2) offsets, the (M, S) distances, and E and ∇E each built on
-    first use.  The layer fields, γ-fields, point sources and the volume
-    potential all read one; a single target may be given as one point."""
+    first use.  The layer fields, point sources and the volume potential all
+    read one; a single target may be given as one point."""
 
     def __init__(self, z, targets, sources):
         self.z = z
@@ -657,7 +614,7 @@ class _PointSourceTraces:
         field, grad = _point_source(z, self.site)
         trace_side = "+" if side == "interior" else "-"
         self.dirichlet = dirichlet_trace(field, grid.curve, grid, trace_side)
-        self.neumann = neumann_trace(field, grid.curve, grid, trace_side, gradient=grad)
+        self.neumann = neumann_trace(grad, grid.curve, grid, trace_side)
 
     def defect(self, residual):
         """The largest |residual| over the largest |φ| or |τ_N f|, and the site."""

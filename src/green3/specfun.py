@@ -144,22 +144,6 @@ def hankel1(order, w):
     return complex(out[0]) if scalar else out
 
 
-def bessel_j_derivative(order, w):
-    """d/dw J_order(w)."""
-    order = _check_order(order)
-    if order == 0:
-        return -bessel_j(1, w)
-    return (bessel_j(order - 1, w) - bessel_j(order + 1, w)) / 2.0
-
-
-def hankel1_derivative(order, w):
-    """d/dw H^(1)_order(w)."""
-    order = _check_order(order)
-    if order == 0:
-        return -hankel1(1, w)
-    return (hankel1(order - 1, w) - hankel1(order + 1, w)) / 2.0
-
-
 def modified_i(order, w):
     """Modified Bessel I_order(w) = i^{-order} J_order(iw), |w| < 700."""
     order = _check_order(order)

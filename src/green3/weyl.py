@@ -1,12 +1,15 @@
-"""γ-fields and Dirichlet-to-Neumann (Weyl) maps for both sides of a curve.
+"""Dirichlet-to-Neumann (Weyl) maps of both sides of a curve: the rows of
+``green3 dtn`` and the Herglotz checks.
 
 The solution operator γ(z): boundary data → (−Δ−z)-solution is realized by a
-single-layer ansatz, so M_±(z) = −τ_N^± γ_±(z) becomes −(½I ∓ K*) S⁻¹ with
-the signs inherited from the jump relations in :mod:`green3.potentials`,
-whose layer bundle owns S⁻¹ and M_± (``_LayerOperators.weyl_action``).
-For Im z > 0 the maps are verified to be Herglotz: positive (weighted)
-imaginary part, and M(z) − M(z)* = (z − z̄)·γ(z)*γ(z) with the right-hand
-Gram computed by genuine domain quadrature of the fields.
+single-layer ansatz, γ(z)φ = 𝒮_z S⁻¹φ (the density from
+``_LayerOperators.solve``, the field from ``potentials.eval_single_layer_field``),
+so M_±(z) = −τ_N^± γ_±(z) becomes −(½I ∓ K*) S⁻¹ with the signs inherited
+from the jump relations in :mod:`green3.potentials`, whose layer bundle owns
+S⁻¹ and M_± (``_LayerOperators.weyl_action``).  For Im z > 0 the maps are
+verified to be Herglotz: positive (weighted) imaginary part, and
+M(z) − M(z)* = (z − z̄)·γ(z)*γ(z) with the right-hand Gram computed by
+genuine domain quadrature of the fields.
 
 The rows of ``green3 dtn`` are built here (``_dtn_rows``): the mode
 quotients of M_± at N, each against a reference, and the row
@@ -17,14 +20,12 @@ of the curve solves on this side, so M_±φ = −τ_N^± f with φ = τ_D f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import InterfaceCurve, QuadratureGrid, _leggauss
-from .potentials import _LayerOperators, _OffCurve, _point_source_row, disk_mode_multipliers
-from .potentials import eval_single_layer_field
+from .potentials import _LayerOperators, _point_source_row, disk_mode_multipliers
 from .reports import ResidualReport, timed_check, worst
 from .specfun import SpectralPoint, as_spectral_point, fundamental_solution
 
@@ -38,54 +39,6 @@ def _normalize_side(side: str) -> str:
         raise ConfigurationError(f"side must be interior/exterior (or +/−), got {side!r}") from None
 
 
-class SingleLayerField:
-    """Off-boundary field 𝒮_z ψ with an analytic gradient; callable on (k, 2) points."""
-
-    def __init__(self, curve: InterfaceCurve, grid: QuadratureGrid, z: SpectralPoint,
-                 density: np.ndarray):
-        self.curve, self.grid, self.z = curve, grid, z
-        self.density = np.asarray(density, dtype=complex)
-        self._weights = self.density * grid.arc_weights
-
-    def __call__(self, points) -> np.ndarray:
-        return eval_single_layer_field(self.curve, self.grid, self.z, self.density, points)
-
-    def gradient(self, points) -> np.ndarray:
-        kernel = _OffCurve.layer(self.grid, self.z, points, True)
-        out = np.einsum("j,ijk->ik", self._weights, kernel.gradient)
-        return out[0] if np.ndim(points) == 1 else out
-
-
-def gamma_field(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z,
-                density) -> SingleLayerField:
-    """Solve (−Δ − z)f = 0 on the chosen side with τ_D f = density."""
-    _normalize_side(side)  # the ansatz field is two-sided; side only validates intent
-    ops = _LayerOperators(grid, z)
-    return SingleLayerField(curve, grid, ops.z, ops.solve(density))
-
-
-@dataclass(frozen=True)
-class WeylMap:
-    side: str
-    z: SpectralPoint
-    grid: QuadratureGrid
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.matrix.flags.writeable = False
-
-    def apply(self, density) -> np.ndarray:
-        return self.matrix @ np.asarray(density, dtype=complex)
-
-
-def dtn_map(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z) -> WeylMap:
-    """Weyl map M_side(z) = −τ_N^side γ_side(z) as a dense boundary matrix."""
-    side = _normalize_side(side)
-    ops = _LayerOperators(grid, z)
-    matrix, _ = ops.weyl_action(side, np.eye(grid.n))
-    return WeylMap(side, ops.z, grid, matrix)
-
-
 def _rayleigh_quotients(grid: QuadratureGrid, phis: np.ndarray, images: np.ndarray) -> np.ndarray:
     """⟨φ, Mφ⟩_w / ⟨φ, φ⟩_w per column φ of ``phis``, given the columns Mφ."""
     weighted = phis.conj() * grid.arc_weights[:, None]
@@ -93,8 +46,10 @@ def _rayleigh_quotients(grid: QuadratureGrid, phis: np.ndarray, images: np.ndarr
 
 
 def _mode_quotients(ops: _LayerOperators, side: str, modes: int, *extra):
-    """``mode_eigenvalue`` of M_side for m = 0..modes without forming M, and
-    M_side on the ``extra`` densities, more columns of the same solve."""
+    """The arc-weighted Rayleigh quotients of M_side on e^{imθ}, m = 0..modes,
+    without forming M, and M_side on the ``extra`` densities, more columns of
+    the same solve.  On the disk M_side is Fourier-diagonal, so the quotient
+    of mode m is its symbol; elsewhere it is a weighted average."""
     phis = np.exp(1j * np.outer(ops.grid.nodes, np.arange(modes + 1)))
     images, _ = ops.weyl_action(side, np.column_stack([phis, *extra]))
     return _rayleigh_quotients(ops.grid, phis, images[:, :modes + 1]), images[:, modes + 1:]
@@ -126,15 +81,6 @@ def _dtn_rows(grid: QuadratureGrid, z, side: str, modes: int, tolerance: float) 
 
         rows.append(timed_check("weyl.dtn.mode", {**params, "m": m}, tolerance, entry))
     return rows
-
-
-def mode_eigenvalue(weyl: WeylMap, m: int) -> complex:
-    """Rayleigh quotient of e^{imθ} under the arc-weighted inner product.
-
-    On the disk the Weyl maps are Fourier-diagonal, so this extracts the m-th
-    symbol; elsewhere it is just a weighted average."""
-    phi = np.exp(1j * m * weyl.grid.nodes)[:, None]
-    return complex(_rayleigh_quotients(weyl.grid, phi, weyl.apply(phi))[0])
 
 
 # ---------------------------------------------------------------- Herglotz checks

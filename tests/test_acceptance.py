@@ -5,14 +5,17 @@ and asserts its wall-clock budget; `pytest -v tests/test_acceptance.py` prints
 one pass/fail line per criterion.
 """
 
+import contextlib
+import io
+import json
 import time
 
 import numpy as np
+from scipy import special as sp
 
 import oracles
+from green3.cli import main
 from green3.coupling import (
-    krein_resolvent_disk_mode,
-    mixed_resolvent_disk_mode,
     probe_ring,
     rellich_quotient,
     third_green_identity_residual,
@@ -27,17 +30,19 @@ from green3.interval_model import (
     third_green_identity_1d,
 )
 from green3.potentials import jump_relation_residuals
-from green3.specfun import (
-    bessel_j,
-    bessel_j_derivative,
-    fundamental_solution,
-    hankel1,
-    hankel1_derivative,
-)
-from green3.weyl import dtn_map, herglotz_residuals, mode_eigenvalue
+from green3.specfun import bessel_j, fundamental_solution, hankel1
+from green3.weyl import herglotz_residuals
 
 Z_SWEEP = (-1.0, 2j, 1 + 1j)
 SHIFT_SWEEP = ((0.0, 0.0), (0.0, 5.0))
+
+
+def cli_rows(*argv):
+    """The report rows of one in-process ``green3`` run, which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return json.loads(out.getvalue())["checks"]
 
 
 def test_A01_interval_krein_formula():
@@ -118,13 +123,14 @@ def test_A06_jump_relations():
 
 def test_A07_dtn_spectral_accuracy():
     tic = time.perf_counter()
-    curve, grid = make_curve("disk", 256)
-    weyl = dtn_map("interior", curve, grid, -1.0)
-    assert abs(mode_eigenvalue(weyl, 0) - oracles.NEG_I1_OVER_I0) <= 1e-8
-
-    steklov = dtn_map("interior", curve, grid, -1e-6)
-    for m in (1, 2, 3, 4):
-        assert abs(mode_eigenvalue(steklov, m) - (-m)) <= 1e-3
+    rows = cli_rows("dtn", "--curve", "disk", "--nodes", "256", "--side", "interior",
+                    "--modes", "4", "--z", "-1,0", "--z", "-1e-6,0")
+    eigenvalue = {(row["params"]["z"][0], row["params"]["m"]):
+                  complex(row["details"]["eigenvalue"]["re"], row["details"]["eigenvalue"]["im"])
+                  for row in rows if row["check"] == "weyl.dtn.mode"}
+    assert abs(eigenvalue[-1.0, 0] - oracles.NEG_I1_OVER_I0) <= 1e-8
+    for m in (1, 2, 3, 4):  # the Steklov limit
+        assert abs(eigenvalue[-1e-6, m] - (-m)) <= 1e-3
     assert time.perf_counter() - tic < 30.0
 
 
@@ -144,10 +150,11 @@ def test_A09_per_mode_resolvent_formulas():
     tic = time.perf_counter()
     rng = np.random.default_rng(20260823)
     zs = rng.uniform(-3.0, 3.0, 5) + 1j * rng.uniform(0.5, 3.0, 5)
-    for z in zs:
-        for m in range(17):
-            assert krein_resolvent_disk_mode(z, m, c=1.0) <= 1e-10
-            assert mixed_resolvent_disk_mode(z, m, c=1.0) <= 1e-10
+    for z in map(complex, zs):
+        rows = cli_rows("krein", "--z", f"{z.real!r},{z.imag!r}", "--modes", "16", "--c", "1")
+        assert len(rows) == 34  # the Krein and the mixed row of each mode m = 0..16
+        for row in rows:
+            assert row["residual"] <= 1e-10, row
     assert time.perf_counter() - tic < 5.0
 
 
@@ -165,8 +172,7 @@ def test_A12_special_function_invariants():
     w = rng.uniform(0.2, 40.0, 100) * np.exp(1j * rng.uniform(0.05, np.pi - 0.05, 100))
     target = 2j / (np.pi * w)
     for m in (0, 1, 5, 12, 20):
-        wron = bessel_j(m, w) * hankel1_derivative(m, w) \
-            - bessel_j_derivative(m, w) * hankel1(m, w)
+        wron = bessel_j(m, w) * sp.h1vp(m, w) - sp.jvp(m, w) * hankel1(m, w)
         assert (np.abs(wron - target) / np.abs(target)).max() <= 1e-10
     for m in (1, 4, 12):
         lhs = hankel1(m - 1, w) + hankel1(m + 1, w)

@@ -56,6 +56,7 @@ def test_run_config_rejects_unknown_subcommand_and_format():
     (dict(subcommand="interval", check="green"), "--check must be krein|mixed|green3|suite, got 'green'"),
     (dict(subcommand="krein", modes=-1), "--modes must be >= 0, got -1"),
     (dict(subcommand="krein", mode_list=(2, -3)), "--mode must be >= 0, got -3"),
+    (dict(subcommand="interval", seed=-1), "--seed must be >= 0, got -1"),
 ])
 def test_run_config_checks_what_the_parser_checks(fields, message):
     # a config built in code, or read back from JSON, fails as the CLI would
@@ -186,10 +187,12 @@ def test_indicator_rejects_unequal_side_shifts():
     ("dtn", "--modes", "green3: --modes must be >= 0, got -1"),
     ("krein", "--modes", "green3: --modes must be >= 0, got -1"),
     ("krein", "--mode", "green3: --mode must be >= 0, got -1"),
+    ("interval", "--seed", "green3: --seed must be >= 0, got -1"),
 ])
 def test_negative_modes_are_usage_error(command, flag, message):
-    # an empty mode range must not pass vacuously; one message names the flag
-    nodes = ["--nodes", "32"] if command != "krein" else []
+    # an empty mode range must not pass vacuously, and a negative seed must not
+    # reach numpy's generator; one message names the flag
+    nodes = ["--nodes", "32"] if command in ("jumps", "dtn") else []
     code, stdout, stderr = main_capture([command, flag, "-1", *nodes])
     assert code == 2
     assert stdout == ""
@@ -539,9 +542,11 @@ def test_jumps_reports_the_library_rows(spec, modes):
 @pytest.mark.parametrize("side", ["interior", "exterior"])
 def test_dtn_quotients_equal_the_dense_map(spec, side):
     # the CLI never forms the dense map; its quotients must be those of it
+    import numpy as np
+
     from green3.geometry import curve_from_spec
     from green3.potentials import _LayerOperators
-    from green3.weyl import _mode_quotients, dtn_map, mode_eigenvalue
+    from green3.weyl import _mode_quotients
 
     z = complex(-1.0, 0.5)
     code, stdout, _ = main_capture(["dtn", "--curve", spec, "--side", side, "--z", "-1,0.5",
@@ -551,12 +556,16 @@ def test_dtn_quotients_equal_the_dense_map(spec, side):
                                             row["details"]["eigenvalue"]["im"])
                 for row in json.loads(stdout)["checks"] if row["check"] == "weyl.dtn.mode"}
     assert sorted(reported) == list(range(7))
-    curve, grid = curve_from_spec(spec, 128)
-    weyl = dtn_map(side, curve, grid, z)
+    _, grid = curve_from_spec(spec, 128)
+    dense = _LayerOperators(grid, z).weyl_action(side, np.eye(grid.n))[0]
+    want = []
+    for m in range(7):  # the arc-weighted Rayleigh quotient ⟨φ, Mφ⟩_w / ⟨φ, φ⟩_w of e^{imθ}
+        phi = np.exp(1j * m * grid.nodes)
+        weighted = phi.conj() * grid.arc_weights
+        want.append(weighted @ dense @ phi / (weighted @ phi))
     for quotients in (_mode_quotients(_LayerOperators(grid, z), side, 6)[0], reported):
         for m in range(7):
-            want = mode_eigenvalue(weyl, m)
-            assert abs(quotients[m] - want) <= 1e-13 * abs(want)
+            assert abs(quotients[m] - want[m]) <= 1e-13 * abs(want[m])
 
 
 def test_indicator_nan_fails_the_row(monkeypatch):

@@ -8,12 +8,10 @@ import oracles
 from green3.coupling import (
     TransmissionField,
     eigenvalue_indicator,
+    _ModeScalars,
     jump_brackets,
-    krein_resolvent_disk_mode,
-    mixed_resolvent_disk_mode,
     probe_ring,
     rellich_quotient,
-    resolvent_difference_disk_mode,
     third_green_identity_residual,
     transmission_point_sources,
 )
@@ -32,39 +30,38 @@ def disk256():
 
 @pytest.mark.parametrize("z, m", [(-1.0, 0), (2j, 3), (1 + 1j, 7), (-0.5 + 0.8j, 16)])
 def test_krein_formula_per_mode(z, m):
-    assert krein_resolvent_disk_mode(z, m, c=1.0) <= 1e-10
+    assert _ModeScalars(z, m, 1.0).krein() <= 1e-10
 
 
 @pytest.mark.parametrize("z, m", [(-1.0, 0), (1 + 1j, 1), (2j, 5), (-2.0, 12)])
 def test_mixed_formula_per_mode(z, m):
-    assert mixed_resolvent_disk_mode(z, m, c=1.0) <= 1e-10
+    assert _ModeScalars(z, m, 1.0).mixed() <= 1e-10
 
 
 @pytest.mark.parametrize("m", [0, 2, 9])
 def test_dirichlet_neumann_resolvent_difference(m):
-    assert resolvent_difference_disk_mode(2j, m, c=1.0) <= 1e-10
+    assert _ModeScalars(2j, m, 1.0).difference() <= 1e-10
 
 
 def test_mode_formulas_reject_spectrum():
     # z on [c, ∞) is exactly where the resolvent set ends
     with pytest.raises(SpectralPoleError):
-        krein_resolvent_disk_mode(1.0 + oracles.J0_ZERO_1_SQ, 0, c=1.0)
+        _ModeScalars(1.0 + oracles.J0_ZERO_1_SQ, 0, 1.0).krein()
     with pytest.raises(SpectralPoleError):
-        mixed_resolvent_disk_mode(3.0, 1, c=1.0)
+        _ModeScalars(3.0, 1, 1.0).mixed()
 
 
 def test_mode_formulas_reject_negative_shift():
     with pytest.raises(ConfigurationError):
-        krein_resolvent_disk_mode(-1.0, 0, c=-0.5)
+        _ModeScalars(-1.0, 0, -0.5).krein()
 
 
-@pytest.mark.parametrize("formula", [krein_resolvent_disk_mode, mixed_resolvent_disk_mode,
-                                     resolvent_difference_disk_mode])
+@pytest.mark.parametrize("formula", ["krein", "mixed", "difference"])
 def test_mode_formulas_stop_where_the_bessel_factors_leave_the_double_range(formula):
     # at z − c = −2, K_m(κ)/I_m(κ) overflows and I_m(κ)/K_m(κ) is subnormal from m = 92
-    assert formula(-1.0, 91, c=1.0) <= 1e-10
+    assert getattr(_ModeScalars(-1.0, 91, 1.0), formula)() <= 1e-10
     with pytest.raises(ArgumentRangeError, match="mode 92 leaves the double-precision range"):
-        formula(-1.0, 92, c=1.0)
+        getattr(_ModeScalars(-1.0, 92, 1.0), formula)()
 
 
 @pytest.mark.parametrize("argv, mode", [
@@ -118,18 +115,17 @@ def test_indicator_with_shift(disk256):
 @pytest.mark.parametrize("c", [0.0, 1.0])
 @pytest.mark.parametrize("z", [-1.0, -1.0 + 0.5j])
 def test_indicator_is_sigma_min_of_the_weyl_pencil(z, c):
-    # the indicator takes 1/σ_max(S) for σ_min(M₊+M₋) and dtn_map solves with S
-    # in place of inverting it; both must agree with the plain formulas
-    from green3.potentials import assemble_adjoint_double_layer, assemble_single_layer
-    from green3.weyl import dtn_map
+    # the indicator takes 1/σ_max(S) for σ_min(M₊+M₋) and the Weyl action solves
+    # with S in place of inverting it; both must agree with the plain formulas
+    from green3.potentials import _LayerOperators
 
     curve, grid = make_curve("kite", 128)
-    s_mat = assemble_single_layer(curve, grid, z - c).matrix
-    ks_mat = assemble_adjoint_double_layer(curve, grid, z - c).matrix
+    ops = _LayerOperators(grid, z - c)
+    s_mat, ks_mat = ops.single_layer, ops.adjoint_double_layer
     half = 0.5 * np.eye(grid.n)
     pencil = 0
     for side, trace in (("interior", half - ks_mat), ("exterior", half + ks_mat)):
-        weyl = dtn_map(side, curve, grid, z - c).matrix
+        weyl = ops.weyl_action(side, np.eye(grid.n))[0]
         reference = -trace @ np.linalg.inv(s_mat)
         assert np.abs(weyl - reference).max() <= 1e-12 * np.abs(reference).max()
         pencil = pencil + weyl
@@ -141,13 +137,13 @@ def test_coupling_pencil_solves_flux_data(disk256):
     # (M₊+M₋)ψ = Γ₁-trace data is solvable with a well-bounded ψ: the range
     # condition behind the coupled resolvent is non-vacuous at matrix level
     from green3.geometry import neumann_trace
-    from green3.weyl import dtn_map
+    from green3.potentials import _LayerOperators
 
     curve, grid = disk256
     field = transmission_point_sources(-1.0, (2.3, 0.9), (0.2, -0.1))
-    data = neumann_trace(field.plus, curve, grid, "+", gradient=field.gradient_plus)
-    pencil = dtn_map("interior", curve, grid, -1.0).matrix \
-        + dtn_map("exterior", curve, grid, -1.0).matrix
+    data = neumann_trace(field.gradient_plus, curve, grid, "+")
+    ops = _LayerOperators(grid, -1.0)
+    pencil = sum(ops.weyl_action(side, np.eye(grid.n))[0] for side in ("interior", "exterior"))
     psi = np.linalg.solve(pencil, data)
     scale = np.linalg.norm(data)
     assert scale > 1e-3  # genuinely nonzero flux data
@@ -315,8 +311,7 @@ def test_third_green_rejects_exterior_source(disk256):
         third_green_identity_residual(tf, -1.0, curve, grid, (None, None))
 
 
-@pytest.mark.parametrize("formula", [krein_resolvent_disk_mode, mixed_resolvent_disk_mode,
-                                     resolvent_difference_disk_mode])
+@pytest.mark.parametrize("formula", ["krein", "mixed", "difference"])
 def test_mode_formulas_propagate_nan(monkeypatch, formula):
     # Python's max(worst, nan) keeps worst, so one NaN sample used to vanish
     import green3.coupling as coupling
@@ -328,7 +323,7 @@ def test_mode_formulas_propagate_nan(monkeypatch, formula):
         self.free[-1, -1] = complex("nan")
 
     monkeypatch.setattr(coupling._ModeScalars, "__init__", poisoned)
-    assert math.isnan(formula(2 + 1j, 1, c=1.0))
+    assert math.isnan(getattr(coupling._ModeScalars(2 + 1j, 1, 1.0), formula)())
     code, stdout, _ = _cli(["krein", "--z", "2,1", "--mode", "1"])
     assert code == 1
     assert not any(row["passed"] for row in json.loads(stdout)["checks"])

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import oracles
 from green3.errors import ConfigurationError, EvaluationError
 from green3.geometry import (
-    DEFAULT_OFFSET,
     InterfaceCurve,
     QuadratureGrid,
     curve_from_spec,
@@ -15,19 +14,6 @@ from green3.geometry import (
     neumann_trace,
 )
 from green3.specfun import fundamental_solution, fundamental_solution_gradient
-
-
-class PointSource:
-    """Field x ↦ E(z; x − y0) for a source y0 placed off the curve."""
-
-    def __init__(self, z, y0):
-        self.z, self.y0 = z, np.asarray(y0, float)
-
-    def __call__(self, pts):
-        return fundamental_solution(2, self.z, np.linalg.norm(pts - self.y0, axis=-1))
-
-    def gradient(self, pts):
-        return fundamental_solution_gradient(2, self.z, pts - self.y0)
 
 
 def winding_number(grid, q):
@@ -148,42 +134,30 @@ def test_constant_field_traces():
     curve, grid = make_curve("disk", 32)
     ones = dirichlet_trace(lambda p: np.ones(len(p)), curve, grid)
     assert np.array_equal(ones, np.ones(32))
-    zeros = neumann_trace(
-        lambda p: np.ones(len(p)), curve, grid, gradient=lambda p: np.zeros_like(p)
-    )
+    zeros = neumann_trace(lambda p: np.zeros_like(p), curve, grid)
     assert np.array_equal(zeros, np.zeros(32))
 
 
 def test_linear_field_neumann_trace_both_sides():
     curve, grid = make_curve("disk", 32)
-    fld = lambda p: p[:, 0]
-    grad = lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))])
-    plus = neumann_trace(fld, curve, grid, side="+", gradient=grad)
-    minus = neumann_trace(fld, curve, grid, side="-", gradient=grad)
+    grad = lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))])  # of f = x
+    plus = neumann_trace(grad, curve, grid, side="+")
+    minus = neumann_trace(grad, curve, grid, side="-")
     assert np.abs(plus - np.cos(grid.nodes)).max() <= 1e-14
     assert np.array_equal(minus, -plus)  # n⁻ = −n⁺
 
 
-def test_offset_traces_match_direct_evaluation():
-    """The extrapolated off-boundary route reproduces direct sampling."""
-    curve, grid = make_curve("disk", 64)
-    src = PointSource(-1.0, (3.0, 0.0))
-    d_direct = dirichlet_trace(src, curve, grid)
-    d_offset = dirichlet_trace(src, curve, grid, offset=DEFAULT_OFFSET)
-    assert np.abs(d_direct - d_offset).max() <= 1e-10
-    n_direct = neumann_trace(src, curve, grid)
-    n_offset = neumann_trace(src, curve, grid, offset=DEFAULT_OFFSET)
-    assert np.abs(n_direct - n_offset).max() <= 1e-7
-
-
-def test_offset_traces_exterior_side():
-    curve, grid = make_curve("disk", 64)
-    src = PointSource(2j, (0.2, -0.1))  # source inside: field smooth outside
-    d_offset = dirichlet_trace(src, curve, grid, side="-", offset=DEFAULT_OFFSET)
-    assert np.abs(d_offset - dirichlet_trace(src, curve, grid)).max() <= 1e-9
-    n_offset = neumann_trace(src, curve, grid, side="-", offset=DEFAULT_OFFSET)
-    n_direct = neumann_trace(src, curve, grid, side="-")
-    assert np.abs(n_offset - n_direct).max() <= 1e-6
+@pytest.mark.parametrize("side, y0, z", [("+", (3.0, 0.0), -1.0), ("-", (0.2, -0.1), 2j)])
+def test_neumann_trace_is_the_normal_difference_quotient(side, y0, z):
+    """⟨n^side, ∇f⟩ matches the central difference of f along n^side, for a
+    point source on the far side of the curve, so f is smooth across it."""
+    curve, grid = make_curve("kite", 64)
+    y0 = np.asarray(y0)
+    field = lambda p: fundamental_solution(2, z, np.linalg.norm(p - y0, axis=-1))
+    trace = neumann_trace(lambda p: fundamental_solution_gradient(2, z, p - y0), curve, grid, side)
+    step = 1e-5 * (grid.normals if side == "+" else -grid.normals)
+    quotient = (field(grid.points + step) - field(grid.points - step)) / 2e-5
+    assert np.abs(trace - quotient).max() <= 1e-7
 
 
 def test_trace_guards():
@@ -191,11 +165,11 @@ def test_trace_guards():
     with pytest.raises(ConfigurationError):
         dirichlet_trace(lambda p: np.ones(len(p)), curve, grid, side="x")
     with pytest.raises(ConfigurationError):
-        neumann_trace(lambda p: np.ones(len(p)), curve, grid)  # no gradient, no offset
-    with pytest.raises(ConfigurationError):
-        dirichlet_trace(lambda p: np.ones(len(p)), curve, grid, offset=(0.0, 0.01, 4))
+        neumann_trace(lambda p: np.zeros_like(p), curve, grid, side="x")
     with pytest.raises(EvaluationError):
         dirichlet_trace(lambda p: np.full(len(p), np.nan), curve, grid)
+    with pytest.raises(EvaluationError):
+        neumann_trace(lambda p: np.full_like(p, np.nan), curve, grid)
 
 
 def test_pair_layout_is_built_once_and_read_only():

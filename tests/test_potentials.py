@@ -6,9 +6,6 @@ from green3.errors import AccuracyRegionError, AnsatzResonanceError, Configurati
 from green3.geometry import curve_from_spec, dirichlet_trace, make_curve, neumann_trace
 from green3.potentials import (
     _LayerOperators,
-    assemble_adjoint_double_layer,
-    assemble_double_layer,
-    assemble_single_layer,
     disk_mode_multipliers,
     eval_double_layer_field,
     eval_single_layer_field,
@@ -22,62 +19,37 @@ def disk256():
     return make_curve("disk", 256)
 
 
-@pytest.fixture(scope="module")
-def disk_ops(disk256):
-    curve, grid = disk256
-    return (
-        assemble_single_layer(curve, grid, -1.0),
-        assemble_double_layer(curve, grid, -1.0),
-        assemble_adjoint_double_layer(curve, grid, -1.0),
-    )
-
-
-def test_disk_mode_table(disk256, disk_ops):
+def test_disk_mode_table(disk256):
     """S, K, K* reproduce the frozen Bessel-product eigenvalues on e^{imθ}."""
     _, grid = disk256
-    S, K, Ks = disk_ops
+    ops = _LayerOperators(grid, -1.0)
     for m, (s_ref, k_ref, _, _) in oracles.DISK_MODES_ZM1.items():
         phi = np.exp(1j * m * grid.nodes)
-        assert np.abs(S.apply(phi) - s_ref * phi).max() <= 1e-12
-        assert np.abs(K.apply(phi) - k_ref * phi).max() <= 1e-12
-        assert np.abs(Ks.apply(phi) - k_ref * phi).max() <= 1e-12
+        assert np.abs(ops.single_layer @ phi - s_ref * phi).max() <= 1e-12
+        assert np.abs(ops.double_layer @ phi - k_ref * phi).max() <= 1e-12
+        assert np.abs(ops.adjoint_double_layer @ phi - k_ref * phi).max() <= 1e-12
 
 
 def test_gauss_identity_laplace(disk256):
-    curve, grid = disk256
-    K = assemble_double_layer(curve, grid, 0.0)
-    lhs = 0.5 * np.ones(grid.n) + K.apply(np.ones(grid.n))
+    _, grid = disk256
+    lhs = 0.5 * np.ones(grid.n) + _LayerOperators(grid, 0.0).double_layer @ np.ones(grid.n)
     assert np.abs(lhs - 1.0).max() <= 1e-13
 
 
 def test_single_layer_weighted_symmetry(disk256):
     """E(x,y) = E(y,x): S is symmetric under the arc-length quadrature weights."""
-    curve, grid = disk256
+    _, grid = disk256
     D = np.diag(grid.arc_weights)
     for z in (-2.5, 0.0, 1j):
-        S = assemble_single_layer(curve, grid, z)
-        ws = D @ S.matrix
+        ws = D @ _LayerOperators(grid, z).single_layer
         assert np.abs(ws - ws.T).max() <= 1e-12
 
 
 def test_adjoint_is_weighted_transpose():
-    curve, grid = make_curve("kite", 128)
+    _, grid = make_curve("kite", 128)
     D = np.diag(grid.arc_weights)
-    K = assemble_double_layer(curve, grid, -1.0)
-    Ks = assemble_adjoint_double_layer(curve, grid, -1.0)
-    assert np.abs(D @ Ks.matrix - (D @ K.matrix).T).max() <= 1e-14
-
-
-def test_apply_validates_length(disk_ops):
-    S, _, _ = disk_ops
-    with pytest.raises(ConfigurationError):
-        S.apply(np.ones(17))
-
-
-def test_operator_matrix_immutable(disk_ops):
-    S, _, _ = disk_ops
-    with pytest.raises(ValueError):
-        S.matrix[0, 0] = 0.0
+    ops = _LayerOperators(grid, -1.0)
+    assert np.abs(D @ ops.adjoint_double_layer - (D @ ops.double_layer).T).max() <= 1e-14
 
 
 # ---------------------------------------------------------------- mode multipliers
@@ -175,7 +147,7 @@ def test_green_representation(disk256):
     u = lambda pts: fundamental_solution(2, z, np.linalg.norm(pts - y0, axis=-1))
     u_grad = lambda pts: fundamental_solution_gradient(2, z, pts - y0)
     tau_d = dirichlet_trace(u, curve, grid)
-    tau_n = neumann_trace(u, curve, grid, gradient=u_grad)
+    tau_n = neumann_trace(u_grad, curve, grid)
     probes = np.array([[0.0, 0.0], [0.5, 0.2], [-0.4, -0.6]])
     rebuilt = eval_double_layer_field(curve, grid, z, tau_d, probes) + eval_single_layer_field(
         curve, grid, z, tau_n, probes

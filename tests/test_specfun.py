@@ -17,12 +17,10 @@ from green3.specfun import (
     SpectralPoint,
     as_spectral_point,
     bessel_j,
-    bessel_j_derivative,
     bessel_j_zero,
     fundamental_solution,
     fundamental_solution_gradient,
     hankel1,
-    hankel1_derivative,
     modified_i,
     modified_i_derivative,
     modified_k,
@@ -134,13 +132,6 @@ def test_j_parity(w, m):
     assert abs(a - b) <= 1e-11 * max(abs(a), 1e-280)
 
 
-def test_j_derivative_is_difference_formula():
-    w = 2.3 + 0.7j
-    assert bessel_j_derivative(0, w) == -bessel_j(1, w)
-    d = bessel_j_derivative(5, w)
-    assert d == (bessel_j(4, w) - bessel_j(6, w)) / 2
-
-
 def test_first_two_j_zeros():
     assert bessel_j_zero(1) == pytest.approx(oracles.J0_ZERO_1, rel=1e-13)
     assert bessel_j_zero(2) == pytest.approx(oracles.J0_ZERO_2, rel=1e-13)
@@ -208,14 +199,14 @@ def test_wronskian_on_random_grid():
     w = _random_upper_half(100, rng)
     target = 2j / (np.pi * w)
     for m in (0, 1, 2, 5, 9, 14, 20):
-        lhs = bessel_j(m, w) * hankel1_derivative(m, w) - bessel_j_derivative(m, w) * hankel1(m, w)
+        lhs = bessel_j(m, w) * sp.h1vp(m, w) - sp.jvp(m, w) * hankel1(m, w)
         assert (np.abs(lhs - target) / np.abs(target)).max() <= 1e-10
 
 
 def test_wronskian_at_spec_point():
     w = 1.7 + 0.3j
     for m in (0, 3):
-        lhs = bessel_j(m, w) * hankel1_derivative(m, w) - bessel_j_derivative(m, w) * hankel1(m, w)
+        lhs = bessel_j(m, w) * sp.h1vp(m, w) - sp.jvp(m, w) * hankel1(m, w)
         assert abs(lhs - 2j / (np.pi * w)) <= 1e-12 * abs(2j / (np.pi * w))
 
 
@@ -257,6 +248,14 @@ def test_modified_derivatives_match_scipy():
         relK = np.abs(modified_k_derivative(m, w) - sp.kvp(m, w)) / np.abs(sp.kvp(m, w))
         assert relI.max() <= 1e-11
         assert relK.max() <= 1e-10
+
+
+def test_modified_derivatives_are_difference_formulas():
+    w = 2.3 + 0.7j
+    assert modified_i_derivative(0, w) == modified_i(1, w)
+    assert modified_i_derivative(5, w) == (modified_i(4, w) + modified_i(6, w)) / 2
+    assert modified_k_derivative(0, w) == -modified_k(1, w)
+    assert modified_k_derivative(5, w) == -(modified_k(4, w) + modified_k(6, w)) / 2
 
 
 # ---------------------------------------------------------------- SpectralPoint

@@ -8,14 +8,13 @@ import scipy.special
 import oracles
 from green3.errors import AccuracyRegionError, AnsatzResonanceError, ConfigurationError
 from green3.geometry import make_curve
-from green3.potentials import _LayerOperators
-from green3.weyl import (
-    _mode_quotients,
-    dtn_map,
-    gamma_field,
-    herglotz_residuals,
-    mode_eigenvalue,
+from green3.potentials import (
+    _LayerOperators,
+    _OffCurve,
+    eval_double_layer_field,
+    eval_single_layer_field,
 )
+from green3.weyl import _mode_quotients, herglotz_residuals
 
 
 @pytest.fixture(scope="module")
@@ -28,94 +27,97 @@ def disk128():
     return make_curve("disk", 128)
 
 
-@pytest.fixture(scope="module")
-def weyl_pair(disk256):
-    curve, grid = disk256
-    return (
-        dtn_map("interior", curve, grid, -1.0),
-        dtn_map("exterior", curve, grid, -1.0),
-    )
+def _quotients(side, grid, z, modes):
+    """The mode quotients of M_side(z) for m = 0..modes, as the dtn rows read them."""
+    return _mode_quotients(_LayerOperators(grid, z), side, modes)[0]
+
+
+def _dense(side, grid, z):
+    """M_side(z) as a dense matrix: the bundle's Weyl action on the identity."""
+    return _LayerOperators(grid, z).weyl_action(side, np.eye(grid.n))[0]
+
+
+def _gamma(grid, z, density, points):
+    """γ(z)·density at off-curve points of either side: the single-layer field
+    of S⁻¹·density, which solves on both sides and has the trace density."""
+    psi = _LayerOperators(grid, z).solve(density)
+    return eval_single_layer_field(grid.curve, grid, z, psi, points)
 
 
 # ------------------------------------------------------------------ Weyl maps
 
 
-def test_weyl_symbols_match_bessel_table(weyl_pair):
+def test_weyl_symbols_match_bessel_table(disk256):
     """Interior/exterior mode eigenvalues agree with the frozen ratio oracle."""
-    mi, me = weyl_pair
+    _, grid = disk256
+    mi, me = (_quotients(side, grid, -1.0, max(oracles.DISK_MODES_ZM1))
+              for side in ("interior", "exterior"))
     for m, (_, _, mu_plus, mu_minus) in oracles.DISK_MODES_ZM1.items():
-        assert abs(mode_eigenvalue(mi, m) - mu_plus) <= 1e-12
-        assert abs(mode_eigenvalue(me, m) - mu_minus) <= 1e-12
+        assert abs(mi[m] - mu_plus) <= 1e-12
+        assert abs(me[m] - mu_minus) <= 1e-12
 
 
-def test_weyl_mode0_frozen_values(weyl_pair):
-    mi, me = weyl_pair
-    assert abs(mode_eigenvalue(mi, 0) - oracles.NEG_I1_OVER_I0) <= 1e-12
+def test_weyl_mode0_frozen_values(disk256):
+    _, grid = disk256
+    assert abs(_quotients("interior", grid, -1.0, 0)[0] - oracles.NEG_I1_OVER_I0) <= 1e-12
     # exterior sign comes out negative: -K_1(1)/K_0(1)
-    assert abs(mode_eigenvalue(me, 0) + oracles.K1_OVER_K0) <= 1e-12
+    assert abs(_quotients("exterior", grid, -1.0, 0)[0] + oracles.K1_OVER_K0) <= 1e-12
 
 
 def test_steklov_limit(disk256):
     # z → 0⁻ proxy: harmonic r^{|m|} gives M₊ ≈ −|m|
-    curve, grid = disk256
-    weyl = dtn_map("interior", curve, grid, -1e-6)
+    _, grid = disk256
+    quotients = _quotients("interior", grid, -1e-6, 4)
     for m in (1, 2, 3, 4):
-        assert abs(mode_eigenvalue(weyl, m) + m) <= 1e-3
+        assert abs(quotients[m] + m) <= 1e-3
 
 
 def test_exterior_steklov_mode0(disk256):
-    curve, grid = disk256
-    weyl = dtn_map("exterior", curve, grid, -1e-6)
-    lam = mode_eigenvalue(weyl, 0)
+    _, grid = disk256
+    lam = _quotients("exterior", grid, -1e-6, 0)[0]
     assert abs(lam - oracles.EXT_STEKLOV_MODE0_K1EM3) <= 1e-6
 
 
 def test_symbols_saturate_at_coarse_grids():
     # trig-polynomial exactness of the scheme: already at machine floor by N=32
     for n in (32, 128):
-        curve, grid = make_curve("disk", n)
-        weyl = dtn_map("interior", curve, grid, -1.0)
-        assert abs(mode_eigenvalue(weyl, 4) - oracles.DISK_MODES_ZM1[4][2]) <= 1e-12
+        _, grid = make_curve("disk", n)
+        assert abs(_quotients("interior", grid, -1.0, 4)[4] - oracles.DISK_MODES_ZM1[4][2]) <= 1e-12
 
 
 def test_conjugate_point_gives_weighted_adjoint(disk256):
-    curve, grid = disk256
+    _, grid = disk256
     z = 1.0 + 2.0j
-    m_z = dtn_map("interior", curve, grid, z).matrix
-    m_zbar = dtn_map("interior", curve, grid, np.conj(z)).matrix
+    m_z = _dense("interior", grid, z)
+    m_zbar = _dense("interior", grid, np.conj(z))
     w = grid.arc_weights
     adjoint = (w[:, None] * m_z).conj().T / w[:, None]
     assert np.abs(m_zbar - adjoint).max() <= 1e-8
 
 
+def test_apply_matches_matrix(disk256):
+    """M applied to one density is the dense map's product with it, on both sides."""
+    _, grid = disk256
+    ops = _LayerOperators(grid, -1.0)
+    phi = np.random.default_rng(5).normal(size=grid.n)
+    for side in ("interior", "exterior"):
+        assert np.allclose(ops.weyl_action(side, phi)[0], _dense(side, grid, -1.0) @ phi)
+
+
 def test_rotation_invariance(disk256):
-    curve, grid = disk256
-    mat = dtn_map("exterior", curve, grid, 1.0 + 2.0j).matrix
+    _, grid = disk256
+    mat = _dense("exterior", grid, 1.0 + 2.0j)
     shift = np.roll(np.eye(grid.n), 7, axis=0)
     assert np.abs(mat @ shift - shift @ mat).max() <= 1e-8
 
 
 def test_side_aliases_and_validation(disk128):
     curve, grid = disk128
-    assert np.array_equal(
-        dtn_map("+", curve, grid, -1.0).matrix,
-        dtn_map("interior", curve, grid, -1.0).matrix,
-    )
+    plus, interior = (herglotz_residuals(side, curve, grid, -1.0).without_timing()
+                      for side in ("+", "interior"))
+    assert plus == interior
     with pytest.raises(ConfigurationError):
-        dtn_map("inside", curve, grid, -1.0)
-
-
-def test_weyl_matrix_is_frozen(weyl_pair):
-    mi, _ = weyl_pair
-    with pytest.raises(ValueError):
-        mi.matrix[0, 0] = 0.0
-
-
-def test_apply_matches_matrix(weyl_pair):
-    mi, _ = weyl_pair
-    rng = np.random.default_rng(5)
-    phi = rng.normal(size=mi.grid.n)
-    assert np.allclose(mi.apply(phi), mi.matrix @ phi)
+        herglotz_residuals("inside", curve, grid, -1.0)
 
 
 def _bundle_with(single_layer):
@@ -134,18 +136,18 @@ def test_resonance_guard():
 @pytest.mark.parametrize("n", [128, 512])
 def test_lu_guard_catches_the_singular_disk_at_zero(n):
     # log capacity 1: S of the unit disk is singular at z = 0, rcond₁ ~ 1e-17
-    curve, grid = make_curve("disk", n)
+    _, grid = make_curve("disk", n)
     with pytest.raises(AnsatzResonanceError, match="rcond"):
-        dtn_map("interior", curve, grid, 0.0)
+        _dense("interior", grid, 0.0)
     with pytest.raises(AnsatzResonanceError, match="rcond"):
-        gamma_field("exterior", curve, grid, 0.0, np.ones(grid.n))
+        _gamma(grid, 0.0, np.ones(grid.n), [[2.0, 0.0]])
 
 
 @pytest.mark.parametrize("n", [128, 512])
 def test_lu_guard_passes_the_kite_at_zero(n):
     # rcond₁ 2.6e-3 (N=128) and 6.4e-4 (N=512): far above the floor
-    curve, grid = make_curve("kite", n)
-    assert np.isfinite(dtn_map("interior", curve, grid, 0.0).matrix).all()
+    _, grid = make_curve("kite", n)
+    assert np.isfinite(_dense("interior", grid, 0.0)).all()
 
 
 @pytest.mark.parametrize("matrix, message", [
@@ -165,51 +167,50 @@ def test_lu_guard_fails_closed(matrix, message):
 
 
 def test_gamma_interior_point_value(disk256):
-    curve, grid = disk256
-    field = gamma_field("interior", curve, grid, -1.0, np.ones(grid.n))
-    val = field(np.array([[0.5, 0.0]]))[0]
+    _, grid = disk256
+    val = _gamma(grid, -1.0, np.ones(grid.n), np.array([[0.5, 0.0]]))[0]
     assert abs(val - oracles.I0_RATIO_HALF) <= 1e-10
 
 
 def test_gamma_interior_gradient(disk256):
     # d/dr I_0(r)/I_0(1) = I_1(r)/I_0(1); at (0.5, 0) the gradient is radial
-    curve, grid = disk256
-    field = gamma_field("interior", curve, grid, -1.0, np.ones(grid.n))
-    grad = field.gradient(np.array([0.5, 0.0]))
+    _, grid = disk256
+    psi = _LayerOperators(grid, -1.0).solve(np.ones(grid.n))
+    kernel = _OffCurve.layer(grid, -1.0, np.array([0.5, 0.0]), True)
+    grad = np.einsum("j,ijk->ik", psi * grid.arc_weights, kernel.gradient)[0]
     assert abs(grad[0] - oracles.I1_AT_HALF / oracles.I0_AT_1) <= 1e-10
     assert abs(grad[1]) <= 1e-12
 
 
 def test_gamma_exterior_decay_profile(disk256):
-    curve, grid = disk256
-    field = gamma_field("exterior", curve, grid, -1.0, np.ones(grid.n))
-    val = field(np.array([[2.0, 0.0]]))[0]
+    _, grid = disk256
+    val = _gamma(grid, -1.0, np.ones(grid.n), np.array([[2.0, 0.0]]))[0]
     assert abs(val - oracles.K0_AT_2 / oracles.K0_AT_1) <= 1e-10
 
 
 def test_gamma_mode_profile(disk256):
     # φ = e^{i3θ} → I_3(r)/I_3(1) e^{i3θ}; check off-axis where the phase bites
-    curve, grid = disk256
-    field = gamma_field("interior", curve, grid, -1.0, np.exp(3j * grid.nodes))
+    _, grid = disk256
     r, theta = 0.7, 1.1
-    val = field(np.array([[r * np.cos(theta), r * np.sin(theta)]]))[0]
+    point = np.array([[r * np.cos(theta), r * np.sin(theta)]])
+    val = _gamma(grid, -1.0, np.exp(3j * grid.nodes), point)[0]
     ref = scipy.special.iv(3, r) / scipy.special.iv(3, 1.0) * np.exp(3j * theta)
     assert abs(val - ref) <= 1e-10
 
 
 def test_gamma_zero_density(disk128):
-    curve, grid = disk128
-    field = gamma_field("interior", curve, grid, 2.0j, np.zeros(grid.n))
-    assert np.abs(field(np.array([[0.3, 0.1], [0.0, -0.4]]))).max() == 0.0
+    _, grid = disk128
+    vals = _gamma(grid, 2.0j, np.zeros(grid.n), np.array([[0.3, 0.1], [0.0, -0.4]]))
+    assert np.abs(vals).max() == 0.0
 
 
 def test_gamma_near_boundary_guard(disk128):
     curve, grid = disk128
-    field = gamma_field("interior", curve, grid, -1.0, np.ones(grid.n))
+    near = np.array([[0.9999, 0.0]])
     with pytest.raises(AccuracyRegionError):
-        field(np.array([[0.9999, 0.0]]))
+        _gamma(grid, -1.0, np.ones(grid.n), near)
     with pytest.raises(AccuracyRegionError):
-        field.gradient(np.array([0.9999, 0.0]))
+        eval_double_layer_field(curve, grid, -1.0, np.ones(grid.n), near)
 
 
 # ------------------------------------------------------------- Herglotz suite
@@ -274,9 +275,9 @@ def test_herglotz_exterior_positivity_near_the_negative_axis(n):
 
 def test_herglotz_scalar_identity_mode0(disk128):
     # Im μ_0(z) = Im z · ∫₀¹ |I_0(κ̂r)/I_0(κ̂)|² r dr  (radial quadrature oracle)
-    curve, grid = disk128
+    _, grid = disk128
     z = 2j
-    mu0 = mode_eigenvalue(dtn_map("interior", curve, grid, z), 0)
+    mu0 = _quotients("interior", grid, z, 0)[0]
     kap = -1j * np.sqrt(z)
     den = abs(scipy.special.iv(0, kap)) ** 2
     integral, _ = scipy.integrate.quad(
@@ -306,13 +307,13 @@ def test_herglotz_positivity_fails_on_nan(monkeypatch):
 def test_real_z_solve_keeps_complex_densities():
     """S is float64 at real z; complex densities keep their imaginary parts
     (a real getrs would drop them), and the mode table agrees with the dense map."""
-    curve, grid = make_curve("kite", 64)
+    _, grid = make_curve("kite", 64)
     ops = _LayerOperators(grid, -2.0)
     assert ops.single_layer.dtype == np.float64
     phis = np.exp(1j * np.outer(grid.nodes, np.arange(4)))
     psi = ops.solve(phis)
     assert np.abs(ops.single_layer @ psi - phis).max() <= 1e-12
-    quotients, _ = _mode_quotients(_LayerOperators(grid, -2.0), "interior", 3)
-    weyl = dtn_map("+", curve, grid, -2.0)
-    dense = np.array([mode_eigenvalue(weyl, m) for m in range(4)])
+    weighted = phis.conj() * grid.arc_weights[:, None]
+    dense = np.diag(weighted.T @ _dense("interior", grid, -2.0) @ phis) / np.diag(weighted.T @ phis)
+    quotients = _quotients("interior", grid, -2.0, 3)
     assert np.abs(quotients - dense).max() <= 1e-12 * np.abs(dense).max()

@@ -91,11 +91,15 @@ def _run_jobs() -> None:
     json.dump(results, sys.stdout)
 
 
+def tree_env(tree: Path) -> dict:
+    """The environment of a child that imports ``tree``'s green3 and runs on one thread."""
+    return {**os.environ, "PYTHONPATH": str(tree / "src"), "GREEN3_THREADS": "1",
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
 def run_tree(tree: Path, jobs: list) -> list:
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "GREEN3_THREADS": "1",
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, __file__, "--run-jobs"], input=json.dumps(jobs),
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=tree_env(tree))
     if proc.returncode:
         sys.exit(f"the jobs of {tree} did not run:\n{proc.stderr}")
     return json.loads(proc.stdout)
