@@ -44,12 +44,7 @@ from .interval_model import (
     scalar_weyl,
     third_green_identity_1d,
 )
-from .potentials import (
-    disk_mode_multipliers,
-    eval_double_layer_field,
-    eval_single_layer_field,
-    jump_relation_residuals,
-)
+from .potentials import disk_mode_multipliers, jump_relation_residuals
 from .reports import CheckResult, ResidualReport, check_row
 from .specfun import SpectralPoint, as_spectral_point, fundamental_solution
 from .weyl import herglotz_residuals
@@ -78,8 +73,6 @@ __all__ = [
     "dirichlet_trace",
     "disk_mode_multipliers",
     "eigenvalue_indicator",
-    "eval_double_layer_field",
-    "eval_single_layer_field",
     "fundamental_solution",
     "herglotz_residuals",
     "jump_brackets",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 import time
@@ -90,8 +89,8 @@ def _parse_zgrid(text: str):
 class RunConfig:
     """Everything a run needs, in JSON-stable form (z values as [re, im] pairs).
 
-    The round-trip ``RunConfig.from_json(cfg.to_json()).to_json() == cfg.to_json()``
-    holds byte-for-byte; reports echo the config so results are reproducible."""
+    Reports echo ``to_dict()`` so results are reproducible: the echoed config,
+    read back as ``RunConfig(**config)``, equals the one that ran."""
 
     subcommand: str
     curve: str = "disk"
@@ -151,13 +150,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
-
     def z_values(self, default=()):
         pairs = self.zs if self.zs else tuple((complex(z).real, complex(z).imag) for z in default)
         return [complex(re, im) for re, im in pairs]
@@ -176,11 +168,11 @@ def _reject_aliased_modes(cfg: RunConfig) -> None:
 def _jump_tasks(cfg: RunConfig) -> list:
     """The rows of ``potentials.jump_relation_residuals``, one task per z;
     ``--modes`` is read on the disk only, below N/2."""
-    curve, grid = curve_from_spec(cfg.curve, cfg.nodes)
-    if curve.shape == "disk":
+    grid = curve_from_spec(cfg.curve, cfg.nodes)
+    if grid.curve.shape == "disk":
         _reject_aliased_modes(cfg)
-    tol = potentials._TOLERANCE[curve.shape] * cfg.tol_scale
-    return [lambda z=z: potentials.jump_relation_residuals(curve, grid, z, cfg.modes, tol).checks
+    tol = potentials._TOLERANCE[grid.curve.shape] * cfg.tol_scale
+    return [lambda z=z: potentials.jump_relation_residuals(grid, z, cfg.modes, tol).checks
             for z in cfg.z_values(default=(-1.0,))]
 
 
@@ -189,8 +181,8 @@ def _dtn_tasks(cfg: RunConfig) -> list:
     are rejected before any assembly, as is a run off the disk outside the
     rule of its N/2 reference."""
     _reject_aliased_modes(cfg)
-    curve, grid = curve_from_spec(cfg.curve, cfg.nodes)
-    if curve.shape != "disk" and (cfg.nodes % 4 or cfg.nodes < 16 or 4 * cfg.modes >= cfg.nodes):
+    grid = curve_from_spec(cfg.curve, cfg.nodes)
+    if grid.curve.shape != "disk" and (cfg.nodes % 4 or cfg.nodes < 16 or 4 * cfg.modes >= cfg.nodes):
         raise ConfigurationError(
             f"dtn off the disk checks its modes against N/2 nodes: --nodes must be a multiple "
             f"of 4 and at least 16, and --modes below nodes/4; got --nodes {cfg.nodes} and "
@@ -201,7 +193,7 @@ def _dtn_tasks(cfg: RunConfig) -> list:
 
 
 def _green_identity_tasks(cfg: RunConfig) -> list:
-    curve, grid = curve_from_spec(cfg.curve, cfg.nodes)
+    grid = curve_from_spec(cfg.curve, cfg.nodes)
     outside, inside, rings = potentials._placement(grid)
     probes = [coupling.probe_ring(radius, count) for radius, count in rings]
     tol = coupling._TOLERANCE["homogeneous"] * cfg.tol_scale
@@ -209,7 +201,7 @@ def _green_identity_tasks(cfg: RunConfig) -> list:
     def one_z(z):
         field = coupling.transmission_point_sources(z, outside, inside)
         return coupling.third_green_identity_residual(
-            field, z, curve, grid, probes, tolerance=tol).checks
+            field, z, grid, probes, tolerance=tol).checks
 
     return [lambda z=z: one_z(z) for z in cfg.z_values(default=(-1.0,))]
 
@@ -243,7 +235,7 @@ def _indicator_tasks(cfg: RunConfig) -> list:
     if cfg.c_minus is not None and cfg.c_minus != shift:
         raise ConfigurationError(
             f"indicator needs equal side shifts; got --c+ {shift} and --c- {cfg.c_minus}")
-    curve, grid = curve_from_spec(cfg.curve, cfg.nodes)
+    grid = curve_from_spec(cfg.curve, cfg.nodes)
     floor = 1e-6 * cfg.tol_scale
     zs = cfg.z_values()
     if cfg.zgrid is not None:
@@ -254,12 +246,12 @@ def _indicator_tasks(cfg: RunConfig) -> list:
 
     def one_z(z):
         def entry():
-            value = coupling.eigenvalue_indicator(z, curve, grid, c=shift)
+            value = coupling.eigenvalue_indicator(z, grid, c=shift)
             return worst((0.0, floor - value)), {"indicator": value, "floor": floor}
 
         return [timed_check(
             "coupling.indicator",
-            {"z": [z.real, z.imag], "c": shift, "curve": curve.shape, "n": cfg.nodes},
+            {"z": [z.real, z.imag], "c": shift, "curve": grid.curve.shape, "n": cfg.nodes},
             0.0, entry)]
 
     return [lambda z=z: one_z(z) for z in zs]
@@ -426,7 +418,7 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
     raises ``ConfigurationError``."""
     config = RunConfig(**vars(ns))
     if ("modes" in ns and config.subcommand == "jumps"
-            and curve_from_spec(config.curve, config.nodes)[0].shape != "disk"):
+            and curve_from_spec(config.curve, config.nodes).curve.shape != "disk"):
         raise ConfigurationError(
             f"jumps reads --modes only on the disk; drop it for --curve {config.curve}")
     return config

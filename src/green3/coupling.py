@@ -25,22 +25,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, SpectralPoleError
-from .geometry import (
-    InterfaceCurve,
-    QuadratureGrid,
-    _leggauss,
-    dirichlet_trace,
-    make_curve,
-    neumann_trace,
-)
-from .potentials import (
-    _DiskMode,
-    _LayerOperators,
-    _OffCurve,
-    _point_source,
-    eval_double_layer_field,
-    eval_single_layer_field,
-)
+from .geometry import QuadratureGrid, _leggauss, dirichlet_trace, make_curve, neumann_trace
+from .potentials import _DiskMode, _LayerOperators, _OffCurve, _point_source
 from .reports import ResidualReport, timed_check, worst
 from .specfun import as_spectral_point, bessel_j, bessel_j_zero
 
@@ -88,11 +74,11 @@ def transmission_point_sources(z, exterior_point, interior_point) -> Transmissio
     return TransmissionField(plus=fp, minus=fm, gradient_plus=gp, gradient_minus=gm)
 
 
-def jump_brackets(field: TransmissionField, curve: InterfaceCurve, grid: QuadratureGrid) -> JumpData:
+def jump_brackets(field: TransmissionField, grid: QuadratureGrid) -> JumpData:
     """Sample [Γ₀f] and [Γ₁f] on the quadrature nodes."""
-    b0 = dirichlet_trace(field.plus, curve, grid, "+") - dirichlet_trace(field.minus, curve, grid, "-")
-    tn_plus = neumann_trace(field.gradient_plus, curve, grid, "+")
-    tn_minus = neumann_trace(field.gradient_minus, curve, grid, "-")
+    b0 = dirichlet_trace(field.plus, grid, "+") - dirichlet_trace(field.minus, grid, "-")
+    tn_plus = neumann_trace(field.gradient_plus, grid, "+")
+    tn_minus = neumann_trace(field.gradient_minus, grid, "-")
     return JumpData(np.asarray(b0, dtype=complex), -(tn_plus + tn_minus))
 
 
@@ -121,37 +107,36 @@ def _volume_potential(z, source, points):
 _TOLERANCE = {"homogeneous": 1e-7, "source": 1e-5}
 
 
-def third_green_identity_residual(field: TransmissionField, z, curve: InterfaceCurve,
-                                  grid: QuadratureGrid, probes, tolerance: float = None,
+def third_green_identity_residual(field: TransmissionField, z, grid: QuadratureGrid, probes,
+                                  tolerance: float = None,
                                   enforce_accuracy_region: bool = True) -> ResidualReport:
     """Residual of f = 𝒢_z(−Δ−z)f + 𝒟_z[Γ₀f] − 𝒮_z[Γ₁f] at probe points.
 
     ``probes`` is a pair (interior_points, exterior_points); either entry may be
-    None.  The volume term 𝒢_z exists only for an interior source on the disk
-    (tensor polar quadrature); exterior sources are out of scope.
+    None.  One off-curve kernel per probe set gives both layer fields.  The
+    volume term 𝒢_z exists only for an interior source on the disk (tensor
+    polar quadrature); exterior sources are out of scope.
     """
     z = as_spectral_point(z)
     if field.source_minus is not None:
         raise ConfigurationError("volume quadrature over the unbounded exterior is not supported")
-    if field.source_plus is not None and curve.shape != "disk":
+    if field.source_plus is not None and grid.curve.shape != "disk":
         raise ConfigurationError("interior volume quadrature is polar and needs the disk")
     mode = "source" if field.source_plus is not None else "homogeneous"
     if tolerance is None:
         tolerance = _TOLERANCE[mode]
-    jumps = jump_brackets(field, curve, grid)
+    jumps = jump_brackets(field, grid)
     inner, outer = probes
 
     def side_residual(pts, side_field):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        rhs = eval_double_layer_field(curve, grid, z, jumps.bracket0, pts,
-                                      enforce_accuracy_region=enforce_accuracy_region)
-        rhs = rhs - eval_single_layer_field(curve, grid, z, jumps.bracket1, pts,
-                                            enforce_accuracy_region=enforce_accuracy_region)
+        kernel = _OffCurve.layer(grid, z, pts, enforce_accuracy_region)
+        rhs = kernel.double_layer(jumps.bracket0) - kernel.single_layer(jumps.bracket1)
         if field.source_plus is not None:
             rhs = rhs + _volume_potential(z, field.source_plus, pts)
         return worst(np.abs(np.asarray(side_field(pts), dtype=complex) - rhs))
 
-    params = {"curve": curve.shape, "n": grid.n, "z": [z.z.real, z.z.imag], "mode": mode}
+    params = {"curve": grid.curve.shape, "n": grid.n, "z": [z.z.real, z.z.imag], "mode": mode}
     rows = []
     if inner is not None and len(inner):
         rows.append(timed_check("green.third.interior", {**params, "probes": len(inner)},
@@ -262,7 +247,7 @@ class _ModeScalars(_DiskMode):
 
 # ------------------------------------------------------------- curve-level ops
 
-def eigenvalue_indicator(z, curve: InterfaceCurve, grid: QuadratureGrid, c: float = 0.0) -> float:
+def eigenvalue_indicator(z, grid: QuadratureGrid, c: float = 0.0) -> float:
     """σ_min of M₊(z−c)+M₋(z−c) for A = −Δ + c, the same shift c on both sides.
 
     With the single-layer ansatz of both Weyl maps and equal side shifts the
@@ -278,7 +263,7 @@ def rellich_quotient(k: int):
     For u = J₀(j_{0,k} r): λ = (1/4‖u‖²) ∮ (∂u/∂ν)² ∂|x|²/∂ν dω, compared to
     the reference j_{0,k}².  Returns (λ_computed, λ_reference)."""
     j0k = bessel_j_zero(k)
-    _, grid = make_curve("disk", 256)
+    grid = make_curve("disk", 256)
     du_dnu = -j0k * bessel_j(1, np.full(grid.n, j0k, dtype=complex)).real
     nu_weight = 2.0 * np.einsum("ij,ij->i", grid.points, grid.normals)
     boundary = float(np.sum(du_dnu**2 * nu_weight * grid.arc_weights))

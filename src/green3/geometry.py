@@ -33,6 +33,7 @@ class InterfaceCurve:
 
     Shapes: the unit ``disk``; an axis-aligned ``ellipse`` with semi-axes
     (a, b); the standard ``kite`` (cos t + 0.65 cos 2t − 0.65, 1.5 sin t).
+    Only the ellipse reads (a, b); the disk and the kite take a = b = 1 alone.
     """
 
     shape: str
@@ -42,6 +43,9 @@ class InterfaceCurve:
     def __post_init__(self) -> None:
         if self.shape not in _BUILTIN_SHAPES:
             raise ConfigurationError(f"unknown shape {self.shape!r}; expected one of {_BUILTIN_SHAPES}")
+        if self.shape != "ellipse" and (self.a, self.b) != (1.0, 1.0):
+            raise ConfigurationError(f"shape {self.shape!r} takes no semi-axes, "
+                                     f"got a = {self.a:g}, b = {self.b:g}")
         if not (0.0 < self.a < np.inf and 0.0 < self.b < np.inf):  # NaN fails too
             raise ConfigurationError("ellipse semi-axes must be finite and positive, "
                                      f"got ellipse:{self.a:g},{self.b:g}")
@@ -181,14 +185,15 @@ class _PairLayout:
                 arr.flags.writeable = False
 
 
-def make_curve(shape: str, n: int, a: float = 1.0, b: float = 1.0):
-    """Build (InterfaceCurve, QuadratureGrid) for a named shape with N nodes."""
-    curve = InterfaceCurve(shape, a, b)
-    return curve, QuadratureGrid(curve, n)
+def make_curve(shape: str, n: int, a: float = 1.0, b: float = 1.0) -> QuadratureGrid:
+    """The N-node grid on a named shape; its curve is ``grid.curve``, the one
+    every planar function reads."""
+    return QuadratureGrid(InterfaceCurve(shape, a, b), n)
 
 
-def curve_from_spec(text: str, n: int):
-    """Parse a CLI-style curve description: ``disk``, ``kite``, or ``ellipse:a,b``."""
+def curve_from_spec(text: str, n: int) -> QuadratureGrid:
+    """The N-node grid on a CLI-style curve description: ``disk``, ``kite``,
+    or ``ellipse:a,b``."""
     name, _, params = text.partition(":")
     name = name.strip()
     if name == "ellipse":
@@ -236,7 +241,7 @@ def _interp_at_zero(dists: np.ndarray, samples: np.ndarray):
     return coef[0], coef[1] / scale
 
 
-def dirichlet_trace(field, curve: InterfaceCurve, grid: QuadratureGrid, side: str = "+"):
+def dirichlet_trace(field, grid: QuadratureGrid, side: str = "+"):
     """Boundary values of a field on the given side of the curve: ``field``
     maps an (k, 2) array of points to k complex values and is sampled on the
     curve itself."""
@@ -244,7 +249,7 @@ def dirichlet_trace(field, curve: InterfaceCurve, grid: QuadratureGrid, side: st
     return _check_finite(np.asarray(field(grid.points)), "field")
 
 
-def neumann_trace(gradient, curve: InterfaceCurve, grid: QuadratureGrid, side: str = "+"):
+def neumann_trace(gradient, grid: QuadratureGrid, side: str = "+"):
     """Normal derivative ⟨n^side, ∇f⟩ on the curve, from the given side, given
     the field's gradient as an (k, 2) → (k, 2) map.  Note n^− = −n⁺, so the
     two sides differ in sign even for a smooth field.

@@ -103,7 +103,7 @@ import numpy as np
 from . import _pool
 from ._pool import _cached_property
 from .errors import AccuracyRegionError, AnsatzResonanceError, ArgumentRangeError, ConfigurationError
-from .geometry import InterfaceCurve, QuadratureGrid, dirichlet_trace, neumann_trace
+from .geometry import QuadratureGrid, dirichlet_trace, neumann_trace
 from .reports import ResidualReport, timed_check, worst
 from .specfun import (
     _K_TO_H,
@@ -441,8 +441,9 @@ class _LayerOperators:
 class _OffCurve:
     """E(z; x − y) and ∇_x E away from the curve, on targets x × sources y:
     the (M, S, 2) offsets, the (M, S) distances, and E and ∇E each built on
-    first use.  The layer fields, point sources and the volume potential all
-    read one; a single target may be given as one point."""
+    first use.  Point sources and the volume potential read one; one built by
+    ``layer`` on a grid also gives the single- and double-layer fields of
+    densities on that grid.  A single target may be given as one point."""
 
     def __init__(self, z, targets, sources):
         self.z = z
@@ -452,8 +453,9 @@ class _OffCurve:
 
     @classmethod
     def layer(cls, grid: QuadratureGrid, z, points, enforce: bool) -> _OffCurve:
-        """Targets ``points`` × the nodes of ``grid``; with ``enforce``, a point
-        nearer the curve than the trapezoid rule is trusted raises
+        """Targets ``points`` × the nodes of ``grid``, for the layer fields
+        ``single_layer`` and ``double_layer`` on that grid; with ``enforce``, a
+        point nearer the curve than the trapezoid rule is trusted raises
         ``AccuracyRegionError``."""
         kernel = cls(z, points, grid.points)
         floor = 5.0 * 2.0 * np.pi / grid.n
@@ -462,6 +464,7 @@ class _OffCurve:
                 f"evaluation point within {kernel.r.min():.3g} of the curve; the plain "
                 f"trapezoid rule is only trusted beyond {floor:.3g} at N={grid.n}"
             )
+        kernel.grid = grid
         return kernel
 
     @_cached_property
@@ -473,20 +476,14 @@ class _OffCurve:
         flat = self.offsets.reshape(-1, 2)
         return fundamental_solution_gradient(2, self.z, flat).reshape(self.offsets.shape)
 
+    def single_layer(self, density) -> np.ndarray:
+        """𝒮_z φ at the targets of a ``layer`` kernel by the plain trapezoid rule."""
+        return self.value @ (np.asarray(density) * self.grid.arc_weights)
 
-def eval_single_layer_field(curve: InterfaceCurve, grid: QuadratureGrid, z, density, points,
-                            enforce_accuracy_region: bool = True) -> np.ndarray:
-    """𝒮_z φ at off-boundary points by the plain trapezoid rule."""
-    kernel = _OffCurve.layer(grid, as_spectral_point(z), points, enforce_accuracy_region)
-    return kernel.value @ (np.asarray(density) * grid.arc_weights)
-
-
-def eval_double_layer_field(curve: InterfaceCurve, grid: QuadratureGrid, z, density, points,
-                            enforce_accuracy_region: bool = True) -> np.ndarray:
-    """𝒟_z φ at off-boundary points by the plain trapezoid rule."""
-    kernel = _OffCurve.layer(grid, as_spectral_point(z), points, enforce_accuracy_region)
-    normal_derivative = np.einsum("jk,ijk->ij", _unnormalized_normal(grid), kernel.gradient)
-    return (2.0 * np.pi / grid.n) * (normal_derivative @ np.asarray(density))
+    def double_layer(self, density) -> np.ndarray:
+        """𝒟_z φ at the targets of a ``layer`` kernel by the plain trapezoid rule."""
+        normal_derivative = np.einsum("jk,ijk->ij", _unnormalized_normal(self.grid), self.gradient)
+        return (2.0 * np.pi / self.grid.n) * (normal_derivative @ np.asarray(density))
 
 
 # ---------------------------------------------------------------- disk oracle
@@ -613,8 +610,8 @@ class _PointSourceTraces:
         self.site = outside if side == "interior" else inside
         field, grad = _point_source(z, self.site)
         trace_side = "+" if side == "interior" else "-"
-        self.dirichlet = dirichlet_trace(field, grid.curve, grid, trace_side)
-        self.neumann = neumann_trace(grad, grid.curve, grid, trace_side)
+        self.dirichlet = dirichlet_trace(field, grid, trace_side)
+        self.neumann = neumann_trace(grad, grid, trace_side)
 
     def defect(self, residual):
         """The largest |residual| over the largest |φ| or |τ_N f|, and the site."""
@@ -659,7 +656,7 @@ def _point_source_row(ops: _LayerOperators, side: str, tolerance: float, image=N
 _TOLERANCE = {"disk": 1e-6, "ellipse": 1e-5, "kite": 1e-5}
 
 
-def jump_relation_residuals(curve: InterfaceCurve, grid: QuadratureGrid, z, modes: int = 8,
+def jump_relation_residuals(grid: QuadratureGrid, z, modes: int = 8,
                             tolerance: float | None = None) -> ResidualReport:
     """Residuals of the trace/jump relations for S, K, K* at one N: the rows of
     ``green3 jumps``, from one layer bundle and one LU of S.
@@ -677,11 +674,11 @@ def jump_relation_residuals(curve: InterfaceCurve, grid: QuadratureGrid, z, mode
     if modes < 0:
         raise ConfigurationError(f"modes must be >= 0, got {modes}")
     if tolerance is None:
-        tolerance = _TOLERANCE[curve.shape]
+        tolerance = _TOLERANCE[grid.curve.shape]
     ops = _LayerOperators(grid, z)
-    params = {"curve": curve.shape, "n": grid.n, "z": [ops.z.z.real, ops.z.z.imag]}
+    params = {"curve": grid.curve.shape, "n": grid.n, "z": [ops.z.z.real, ops.z.z.imag]}
     rows = []
-    if curve.shape == "disk":
+    if grid.curve.shape == "disk":
         mlist = range(-modes, modes + 1)
         phis = np.column_stack([_mode_density(grid, m) for m in mlist])  # one column per mode
         table = {m: disk_mode_multipliers(ops.z, m) for m in range(modes + 1)}

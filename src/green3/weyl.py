@@ -3,7 +3,7 @@
 
 The solution operator γ(z): boundary data → (−Δ−z)-solution is realized by a
 single-layer ansatz, γ(z)φ = 𝒮_z S⁻¹φ (the density from
-``_LayerOperators.solve``, the field from ``potentials.eval_single_layer_field``),
+``_LayerOperators.solve``, the field from ``potentials._OffCurve.single_layer``),
 so M_±(z) = −τ_N^± γ_±(z) becomes −(½I ∓ K*) S⁻¹ with the signs inherited
 from the jump relations in :mod:`green3.potentials`, whose layer bundle owns
 S⁻¹ and M_± (``_LayerOperators.weyl_action``).  For Im z > 0 the maps are
@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import InterfaceCurve, QuadratureGrid, _leggauss
+from .geometry import QuadratureGrid, _leggauss
 from .potentials import _LayerOperators, _point_source_row, disk_mode_multipliers
 from .reports import ResidualReport, timed_check, worst
 from .specfun import SpectralPoint, as_spectral_point, fundamental_solution
@@ -107,8 +107,8 @@ def _ring_profile_weights(z: SpectralPoint, freqs: np.ndarray, radii, radial_wei
 _OUTER_RADIUS = 8.0
 
 
-def herglotz_residuals(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z,
-                       modes: int = 12, tolerance: float = 1e-6) -> ResidualReport:
+def herglotz_residuals(side: str, grid: QuadratureGrid, z, modes: int = 12,
+                       tolerance: float = 1e-6) -> ResidualReport:
     """Positivity and the γ*γ identity for the Weyl map at nonreal z.
 
     Real z degenerates to self-adjointness (M = M*), reported as a single row.
@@ -119,7 +119,7 @@ def herglotz_residuals(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z
     """
     side = _normalize_side(side)
     z = as_spectral_point(z)
-    if curve.shape != "disk" and z.z.imag != 0.0:
+    if grid.curve.shape != "disk" and z.z.imag != 0.0:
         raise ConfigurationError(
             "the γ*γ identity check integrates over disk-adapted polar grids; "
             "only curve 'disk' is supported (positivity alone works on any curve)"
@@ -132,7 +132,7 @@ def herglotz_residuals(side: str, curve: InterfaceCurve, grid: QuadratureGrid, z
     w = grid.arc_weights
     wm = w[:, None] * images[:, :n]
     skew = wm - wm.conj().T  # W M − M^H W, anti-Hermitian analytically
-    params = {"side": side, "curve": curve.shape, "n": grid.n,
+    params = {"side": side, "curve": grid.curve.shape, "n": grid.n,
               "z": [z.z.real, z.z.imag], "modes": modes}
 
     if z.z.imag == 0.0:

@@ -94,12 +94,12 @@ def test_A05_third_green_identity_planar():
     probes = (probe_ring(0.875, 20), probe_ring(1.125, 20))
     field = transmission_point_sources(-1.0, (2.3, 0.9), (0.2, -0.1))
 
-    curve, grid = make_curve("disk", 256)
-    fine = third_green_identity_residual(field, -1.0, curve, grid, probes, tolerance=1e-7)
+    grid = make_curve("disk", 256)
+    fine = third_green_identity_residual(field, -1.0, grid, probes, tolerance=1e-7)
     assert fine.all_pass and fine.max_residual <= 1e-7
 
-    curve64, grid64 = make_curve("disk", 64)
-    coarse = third_green_identity_residual(field, -1.0, curve64, grid64, probes,
+    grid64 = make_curve("disk", 64)
+    coarse = third_green_identity_residual(field, -1.0, grid64, probes,
                                            tolerance=1e-7, enforce_accuracy_region=False)
     assert coarse.max_residual / fine.max_residual >= 1e3
     assert time.perf_counter() - tic < 30.0
@@ -107,12 +107,12 @@ def test_A05_third_green_identity_planar():
 
 def test_A06_jump_relations():
     tic = time.perf_counter()
-    curve, grid = make_curve("disk", 256)
-    disk_report = jump_relation_residuals(curve, grid, -1.0, modes=8)
+    grid = make_curve("disk", 256)
+    disk_report = jump_relation_residuals(grid, -1.0, modes=8)
     assert disk_report.all_pass and disk_report.max_residual <= 1e-6
 
-    kite, kite_grid = make_curve("kite", 256)
-    kite_report = jump_relation_residuals(kite, kite_grid, -1.0, modes=8)
+    kite_grid = make_curve("kite", 256)
+    kite_report = jump_relation_residuals(kite_grid, -1.0, modes=8)
     assert [row.check for row in kite_report.checks] == ["jump.calderon.exterior",
                                                          "jump.calderon.interior",
                                                          "weyl.dtn.point_source",
@@ -136,9 +136,9 @@ def test_A07_dtn_spectral_accuracy():
 
 def test_A08_herglotz_suite():
     tic = time.perf_counter()
-    curve, grid = make_curve("disk", 128)
+    grid = make_curve("disk", 128)
     for z in (1j, 2j):
-        report = herglotz_residuals("interior", curve, grid, z)
+        report = herglotz_residuals("interior", grid, z)
         rows = {row.check: row for row in report.checks}
         assert rows["herglotz.psd"].residual <= 1e-6  # max(0, −λ_min) of the symmetrized part
         assert rows["herglotz.identity"].residual <= 1e-6

@@ -90,8 +90,8 @@ def test_krein_at_the_bottom_of_the_spectrum_is_a_usage_error():
 
 def test_indicator_matches_mode0_closed_form(disk256):
     # discrete M₊+M₋ = −S⁻¹ on the disk, so σ_min = 1/s_0
-    curve, grid = disk256
-    value = eigenvalue_indicator(-1.0, curve, grid)
+    grid = disk256
+    value = eigenvalue_indicator(-1.0, grid)
     assert abs(value - 1.0 / oracles.DISK_MODES_ZM1[0][0]) <= 1e-10
     assert value >= 0.5
 
@@ -99,16 +99,16 @@ def test_indicator_matches_mode0_closed_form(disk256):
 def test_indicator_stable_in_discretization():
     values = []
     for n in (64, 128, 256):
-        curve, grid = make_curve("disk", n)
-        values.append(eigenvalue_indicator(2j, curve, grid))
+        grid = make_curve("disk", n)
+        values.append(eigenvalue_indicator(2j, grid))
     assert min(values) >= 0.5
     assert max(values) - min(values) <= 1e-8
 
 
 def test_indicator_with_shift(disk256):
-    curve, grid = disk256
-    shifted = eigenvalue_indicator(-1.0, curve, grid, c=1.0)
-    plain = eigenvalue_indicator(-2.0, curve, grid)
+    grid = disk256
+    shifted = eigenvalue_indicator(-1.0, grid, c=1.0)
+    plain = eigenvalue_indicator(-2.0, grid)
     assert abs(shifted - plain) <= 1e-12
 
 
@@ -119,7 +119,7 @@ def test_indicator_is_sigma_min_of_the_weyl_pencil(z, c):
     # with S in place of inverting it; both must agree with the plain formulas
     from green3.potentials import _LayerOperators
 
-    curve, grid = make_curve("kite", 128)
+    grid = make_curve("kite", 128)
     ops = _LayerOperators(grid, z - c)
     s_mat, ks_mat = ops.single_layer, ops.adjoint_double_layer
     half = 0.5 * np.eye(grid.n)
@@ -130,7 +130,7 @@ def test_indicator_is_sigma_min_of_the_weyl_pencil(z, c):
         assert np.abs(weyl - reference).max() <= 1e-12 * np.abs(reference).max()
         pencil = pencil + weyl
     smin = np.linalg.svd(pencil, compute_uv=False)[-1]
-    assert abs(eigenvalue_indicator(z, curve, grid, c=c) - smin) <= 1e-12 * smin
+    assert abs(eigenvalue_indicator(z, grid, c=c) - smin) <= 1e-12 * smin
 
 
 def test_coupling_pencil_solves_flux_data(disk256):
@@ -139,9 +139,9 @@ def test_coupling_pencil_solves_flux_data(disk256):
     from green3.geometry import neumann_trace
     from green3.potentials import _LayerOperators
 
-    curve, grid = disk256
+    grid = disk256
     field = transmission_point_sources(-1.0, (2.3, 0.9), (0.2, -0.1))
-    data = neumann_trace(field.gradient_plus, curve, grid, "+")
+    data = neumann_trace(field.gradient_plus, grid, "+")
     ops = _LayerOperators(grid, -1.0)
     pencil = sum(ops.weyl_action(side, np.eye(grid.n))[0] for side in ("interior", "exterior"))
     psi = np.linalg.solve(pencil, data)
@@ -165,28 +165,28 @@ def test_rellich_quotient(k, ref):
 
 
 def test_brackets_vanish_for_global_field(disk256):
-    curve, grid = disk256
+    grid = disk256
     tf = transmission_point_sources(-1.0, (3.5, -1.2), (3.5, -1.2))
-    jumps = jump_brackets(tf, curve, grid)
+    jumps = jump_brackets(tf, grid)
     assert np.abs(jumps.bracket0).max() <= 1e-10
     assert np.abs(jumps.bracket1).max() <= 1e-10
 
 
 def test_brackets_of_constant_one_side(disk256):
-    curve, grid = disk256
+    grid = disk256
     one = TransmissionField(
         plus=lambda p: np.ones(len(np.atleast_2d(p))),
         minus=lambda p: np.zeros(len(np.atleast_2d(p))),
         gradient_plus=lambda p: np.zeros_like(np.atleast_2d(p)),
         gradient_minus=lambda p: np.zeros_like(np.atleast_2d(p)),
     )
-    jumps = jump_brackets(one, curve, grid)
+    jumps = jump_brackets(one, grid)
     assert np.array_equal(jumps.bracket0, np.ones(grid.n))
     assert np.abs(jumps.bracket1).max() == 0.0
 
 
 def test_brackets_single_sided_kernel_samples(disk256):
-    curve, grid = disk256
+    grid = disk256
     z = as_spectral_point(-1.0)
     source = np.array([1.7, 0.9])
     tf = transmission_point_sources(z, source, (0.0, 0.0))
@@ -196,7 +196,7 @@ def test_brackets_single_sided_kernel_samples(disk256):
         gradient_plus=tf.gradient_plus,
         gradient_minus=lambda p: np.zeros_like(np.atleast_2d(p)),
     )
-    jumps = jump_brackets(zero, curve, grid)
+    jumps = jump_brackets(zero, grid)
     expected = fundamental_solution(2, z, np.linalg.norm(grid.points - source, axis=1))
     assert np.abs(jumps.bracket0 - expected).max() <= 1e-14
 
@@ -246,10 +246,10 @@ def _zero_gradient(pts):
 
 
 def test_third_green_homogeneous(disk256):
-    curve, grid = disk256
+    grid = disk256
     tf = transmission_point_sources(-1.0, (2.5, 0.7), (0.2, -0.3))
     report = third_green_identity_residual(
-        tf, -1.0, curve, grid, (probe_ring(0.875, 20), probe_ring(1.125, 20))
+        tf, -1.0, grid, (probe_ring(0.875, 20), probe_ring(1.125, 20))
     )
     assert report.all_pass
     assert report.max_residual <= 1e-7
@@ -257,19 +257,19 @@ def test_third_green_homogeneous(disk256):
 
 
 def test_third_green_refines_spectrally(disk256):
-    curve, grid = disk256
+    grid = disk256
     tf = transmission_point_sources(-1.0, (2.5, 0.7), (0.2, -0.3))
     probes = (probe_ring(0.875, 20), probe_ring(1.125, 20))
-    coarse_curve, coarse_grid = make_curve("disk", 64)
+    coarse_grid = make_curve("disk", 64)
     coarse = third_green_identity_residual(
-        tf, -1.0, coarse_curve, coarse_grid, probes, enforce_accuracy_region=False
+        tf, -1.0, coarse_grid, probes, enforce_accuracy_region=False
     ).max_residual
-    fine = third_green_identity_residual(tf, -1.0, curve, grid, probes).max_residual
+    fine = third_green_identity_residual(tf, -1.0, grid, probes).max_residual
     assert coarse / fine >= 1e3
 
 
 def test_third_green_with_volume_source(disk256):
-    curve, grid = disk256
+    grid = disk256
     z = -1.0
     tf = TransmissionField(
         plus=_bump, minus=_zero_field,
@@ -277,38 +277,38 @@ def test_third_green_with_volume_source(disk256):
         source_plus=_bump_source(z),
     )
     report = third_green_identity_residual(
-        tf, z, curve, grid, (probe_ring(0.875, 20), probe_ring(1.125, 20))
+        tf, z, grid, (probe_ring(0.875, 20), probe_ring(1.125, 20))
     )
     assert report.all_pass
     assert report.max_residual <= 1e-5
 
 
 def test_third_green_zero_field(disk256):
-    curve, grid = disk256
+    grid = disk256
     tf = TransmissionField(plus=_zero_field, minus=_zero_field,
                            gradient_plus=_zero_gradient, gradient_minus=_zero_gradient)
     report = third_green_identity_residual(
-        tf, 2j, curve, grid, (probe_ring(0.5, 8), probe_ring(1.5, 8))
+        tf, 2j, grid, (probe_ring(0.5, 8), probe_ring(1.5, 8))
     )
     assert report.max_residual == 0.0
 
 
 def test_third_green_source_needs_disk():
-    curve, grid = make_curve("kite", 64)
+    grid = make_curve("kite", 64)
     tf = TransmissionField(plus=_bump, minus=_zero_field,
                            gradient_plus=_bump_gradient, gradient_minus=_zero_gradient,
                            source_plus=_bump_source(-1.0))
     with pytest.raises(ConfigurationError):
-        third_green_identity_residual(tf, -1.0, curve, grid, (None, None))
+        third_green_identity_residual(tf, -1.0, grid, (None, None))
 
 
 def test_third_green_rejects_exterior_source(disk256):
-    curve, grid = disk256
+    grid = disk256
     tf = TransmissionField(plus=_zero_field, minus=_zero_field,
                            gradient_plus=_zero_gradient, gradient_minus=_zero_gradient,
                            source_minus=_bump_source(-1.0))
     with pytest.raises(ConfigurationError):
-        third_green_identity_residual(tf, -1.0, curve, grid, (None, None))
+        third_green_identity_residual(tf, -1.0, grid, (None, None))
 
 
 @pytest.mark.parametrize("formula", ["krein", "mixed", "difference"])

@@ -25,23 +25,23 @@ def winding_number(grid, q):
 # ---------------------------------------------------------------- construction
 
 def test_disk_length_is_exactly_two_pi():
-    _, grid = make_curve("disk", 16)
+    grid = make_curve("disk", 16)
     assert abs(grid.length - 2 * np.pi) <= 1e-14
 
 
 def test_ellipse_length_matches_adaptive_oracle():
-    _, grid = make_curve("ellipse", 256, a=2.0, b=1.0)
+    grid = make_curve("ellipse", 256, a=2.0, b=1.0)
     assert grid.length == pytest.approx(oracles.ELLIPSE_2_1_LENGTH, rel=1e-12)
 
 
 def test_kite_length_matches_adaptive_oracle():
-    _, grid = make_curve("kite", 256)
+    grid = make_curve("kite", 256)
     assert grid.length == pytest.approx(oracles.KITE_LENGTH, rel=1e-10)
 
 
 def test_kite_length_converges_spectrally():
     """Doubling N=64 → 128 must buy at least four orders of magnitude."""
-    err = [abs(make_curve("kite", n)[1].length - oracles.KITE_LENGTH) for n in (64, 128)]
+    err = [abs(make_curve("kite", n).length - oracles.KITE_LENGTH) for n in (64, 128)]
     assert err[0] / max(err[1], 1e-15) >= 1e4
 
 
@@ -62,10 +62,19 @@ def test_bad_ellipse_axes_rejected():
         InterfaceCurve("ellipse", a=0.0, b=1.0)
 
 
+@pytest.mark.parametrize("shape, a, b", [("disk", 2.0, 3.0), ("kite", 5.0, 0.1),
+                                         ("disk", 1.0, np.nan), ("kite", 2.0, 1.0)])
+def test_semi_axes_rejected_off_the_ellipse(shape, a, b):
+    """Only the ellipse reads (a, b): a 2×3 'disk' would fail its closed-form
+    rows under the disk's label, and a 'kite' would ignore them silently."""
+    with pytest.raises(ConfigurationError, match="takes no semi-axes"):
+        make_curve(shape, 64, a, b)
+
+
 def test_curve_from_spec_parsing():
-    curve, _ = curve_from_spec("ellipse:2,1", 64)
+    curve = curve_from_spec("ellipse:2,1", 64).curve
     assert (curve.shape, curve.a, curve.b) == ("ellipse", 2.0, 1.0)
-    assert curve_from_spec("kite", 64)[0].shape == "kite"
+    assert curve_from_spec("kite", 64).curve.shape == "kite"
     with pytest.raises(ConfigurationError):
         curve_from_spec("ellipse:2", 64)
     with pytest.raises(ConfigurationError):
@@ -73,7 +82,7 @@ def test_curve_from_spec_parsing():
 
 
 def test_grid_arrays_are_immutable():
-    _, grid = make_curve("disk", 16)
+    grid = make_curve("disk", 16)
     with pytest.raises(ValueError):
         grid.points[0, 0] = 5.0
 
@@ -81,7 +90,7 @@ def test_grid_arrays_are_immutable():
 # ---------------------------------------------------------------- differential data
 
 def test_kite_normals_orthogonal_to_tangents():
-    _, grid = make_curve("kite", 128)
+    grid = make_curve("kite", 128)
     dots = np.sum(grid.normals * grid.velocity, axis=1)
     assert np.abs(dots).max() <= 1e-12
     assert np.abs(np.linalg.norm(grid.normals, axis=1) - 1).max() <= 1e-12
@@ -90,22 +99,22 @@ def test_kite_normals_orthogonal_to_tangents():
 @given(st.lists(st.floats(min_value=0.0, max_value=2 * np.pi - 1e-9), min_size=1, max_size=20))
 def test_normal_unit_and_orthogonal_everywhere(ts):
     t = np.asarray(ts)
-    for shape in ("disk", "ellipse", "kite"):
-        curve = InterfaceCurve(shape, a=2.0, b=0.7)
+    for curve in (InterfaceCurve("disk"), InterfaceCurve("ellipse", a=2.0, b=0.7),
+                  InterfaceCurve("kite")):
         n, v = curve.normal(t), curve.velocity(t)
         assert np.abs(np.sum(n * v, axis=-1)).max() <= 1e-12
         assert np.abs(np.linalg.norm(n, axis=-1) - 1).max() <= 1e-12
 
 
 def test_orientation_counterclockwise():
-    for shape in ("disk", "ellipse", "kite"):
-        _, grid = make_curve(shape, 128, a=2.0, b=1.0)
+    for grid in (make_curve("disk", 128), make_curve("ellipse", 128, a=2.0, b=1.0),
+                 make_curve("kite", 128)):
         assert grid.signed_area() > 0
 
 
 def test_disk_and_ellipse_areas():
-    assert make_curve("disk", 64)[1].signed_area() == pytest.approx(np.pi, rel=1e-13)
-    assert make_curve("ellipse", 64, a=2.0, b=1.0)[1].signed_area() == pytest.approx(
+    assert make_curve("disk", 64).signed_area() == pytest.approx(np.pi, rel=1e-13)
+    assert make_curve("ellipse", 64, a=2.0, b=1.0).signed_area() == pytest.approx(
         2 * np.pi, rel=1e-13
     )
 
@@ -113,7 +122,7 @@ def test_disk_and_ellipse_areas():
 def test_normals_point_away_from_bounded_side():
     # winding number 1 just inside along -n⁺, 0 just outside along +n⁺
     for shape in ("disk", "kite"):
-        _, grid = make_curve(shape, 512)
+        grid = make_curve(shape, 512)
         for j in (0, 97, 240):
             x, n = grid.points[j], grid.normals[j]
             assert winding_number(grid, x - 0.08 * n) == pytest.approx(1.0, abs=1e-3)
@@ -121,7 +130,7 @@ def test_normals_point_away_from_bounded_side():
 
 
 def test_curvature_closed_forms():
-    disk, _ = make_curve("disk", 16)
+    disk = make_curve("disk", 16).curve
     assert np.abs(disk.curvature(np.linspace(0, 6, 7)) - 1.0).max() <= 1e-14
     ell = InterfaceCurve("ellipse", a=2.0, b=1.0)
     assert ell.curvature(0.0) == pytest.approx(2.0, rel=1e-14)  # a/b²
@@ -131,18 +140,18 @@ def test_curvature_closed_forms():
 # ---------------------------------------------------------------- traces
 
 def test_constant_field_traces():
-    curve, grid = make_curve("disk", 32)
-    ones = dirichlet_trace(lambda p: np.ones(len(p)), curve, grid)
+    grid = make_curve("disk", 32)
+    ones = dirichlet_trace(lambda p: np.ones(len(p)), grid)
     assert np.array_equal(ones, np.ones(32))
-    zeros = neumann_trace(lambda p: np.zeros_like(p), curve, grid)
+    zeros = neumann_trace(lambda p: np.zeros_like(p), grid)
     assert np.array_equal(zeros, np.zeros(32))
 
 
 def test_linear_field_neumann_trace_both_sides():
-    curve, grid = make_curve("disk", 32)
+    grid = make_curve("disk", 32)
     grad = lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))])  # of f = x
-    plus = neumann_trace(grad, curve, grid, side="+")
-    minus = neumann_trace(grad, curve, grid, side="-")
+    plus = neumann_trace(grad, grid, side="+")
+    minus = neumann_trace(grad, grid, side="-")
     assert np.abs(plus - np.cos(grid.nodes)).max() <= 1e-14
     assert np.array_equal(minus, -plus)  # n⁻ = −n⁺
 
@@ -151,29 +160,29 @@ def test_linear_field_neumann_trace_both_sides():
 def test_neumann_trace_is_the_normal_difference_quotient(side, y0, z):
     """⟨n^side, ∇f⟩ matches the central difference of f along n^side, for a
     point source on the far side of the curve, so f is smooth across it."""
-    curve, grid = make_curve("kite", 64)
+    grid = make_curve("kite", 64)
     y0 = np.asarray(y0)
     field = lambda p: fundamental_solution(2, z, np.linalg.norm(p - y0, axis=-1))
-    trace = neumann_trace(lambda p: fundamental_solution_gradient(2, z, p - y0), curve, grid, side)
+    trace = neumann_trace(lambda p: fundamental_solution_gradient(2, z, p - y0), grid, side)
     step = 1e-5 * (grid.normals if side == "+" else -grid.normals)
     quotient = (field(grid.points + step) - field(grid.points - step)) / 2e-5
     assert np.abs(trace - quotient).max() <= 1e-7
 
 
 def test_trace_guards():
-    curve, grid = make_curve("disk", 16)
+    grid = make_curve("disk", 16)
     with pytest.raises(ConfigurationError):
-        dirichlet_trace(lambda p: np.ones(len(p)), curve, grid, side="x")
+        dirichlet_trace(lambda p: np.ones(len(p)), grid, side="x")
     with pytest.raises(ConfigurationError):
-        neumann_trace(lambda p: np.zeros_like(p), curve, grid, side="x")
+        neumann_trace(lambda p: np.zeros_like(p), grid, side="x")
     with pytest.raises(EvaluationError):
-        dirichlet_trace(lambda p: np.full(len(p), np.nan), curve, grid)
+        dirichlet_trace(lambda p: np.full(len(p), np.nan), grid)
     with pytest.raises(EvaluationError):
-        neumann_trace(lambda p: np.full_like(p, np.nan), curve, grid)
+        neumann_trace(lambda p: np.full_like(p, np.nan), grid)
 
 
 def test_pair_layout_is_built_once_and_read_only():
-    _, grid = curve_from_spec("kite", 16)
+    grid = curve_from_spec("kite", 16)
     pairs = grid._pairs
     assert grid._pairs is pairs
     assert pairs.r.size == 16 * 15 // 2
@@ -198,7 +207,7 @@ def test_pair_layout_is_built_once_by_many_threads_at_once(monkeypatch):
             super().__init__(grid)
 
     monkeypatch.setattr(geometry, "_PairLayout", Counted)
-    _, grid = curve_from_spec("kite", 64)
+    grid = curve_from_spec("kite", 64)
     start = threading.Barrier(8, timeout=10.0)
     seen = []
 

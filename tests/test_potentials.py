@@ -6,9 +6,8 @@ from green3.errors import AccuracyRegionError, AnsatzResonanceError, Configurati
 from green3.geometry import curve_from_spec, dirichlet_trace, make_curve, neumann_trace
 from green3.potentials import (
     _LayerOperators,
+    _OffCurve,
     disk_mode_multipliers,
-    eval_double_layer_field,
-    eval_single_layer_field,
     jump_relation_residuals,
 )
 from green3.specfun import fundamental_solution, fundamental_solution_gradient
@@ -21,7 +20,7 @@ def disk256():
 
 def test_disk_mode_table(disk256):
     """S, K, K* reproduce the frozen Bessel-product eigenvalues on e^{imθ}."""
-    _, grid = disk256
+    grid = disk256
     ops = _LayerOperators(grid, -1.0)
     for m, (s_ref, k_ref, _, _) in oracles.DISK_MODES_ZM1.items():
         phi = np.exp(1j * m * grid.nodes)
@@ -31,14 +30,14 @@ def test_disk_mode_table(disk256):
 
 
 def test_gauss_identity_laplace(disk256):
-    _, grid = disk256
+    grid = disk256
     lhs = 0.5 * np.ones(grid.n) + _LayerOperators(grid, 0.0).double_layer @ np.ones(grid.n)
     assert np.abs(lhs - 1.0).max() <= 1e-13
 
 
 def test_single_layer_weighted_symmetry(disk256):
     """E(x,y) = E(y,x): S is symmetric under the arc-length quadrature weights."""
-    _, grid = disk256
+    grid = disk256
     D = np.diag(grid.arc_weights)
     for z in (-2.5, 0.0, 1j):
         ws = D @ _LayerOperators(grid, z).single_layer
@@ -46,7 +45,7 @@ def test_single_layer_weighted_symmetry(disk256):
 
 
 def test_adjoint_is_weighted_transpose():
-    _, grid = make_curve("kite", 128)
+    grid = make_curve("kite", 128)
     D = np.diag(grid.arc_weights)
     ops = _LayerOperators(grid, -1.0)
     assert np.abs(D @ ops.adjoint_double_layer - (D @ ops.double_layer).T).max() <= 1e-14
@@ -89,30 +88,29 @@ def test_gamma_profile_closed_form():
 # ---------------------------------------------------------------- field evaluation
 
 def test_zero_density_gives_zero_field(disk256):
-    curve, grid = disk256
+    grid = disk256
     pts = np.array([[0.3, 0.1], [2.5, 1.0]])
     zero = np.zeros(grid.n)
-    assert np.all(eval_single_layer_field(curve, grid, -1.0, zero, pts) == 0)
-    assert np.all(eval_double_layer_field(curve, grid, -1.0, zero, pts) == 0)
+    kernel = _OffCurve.layer(grid, -1.0, pts, True)
+    assert np.all(kernel.single_layer(zero) == 0)
+    assert np.all(kernel.double_layer(zero) == 0)
 
 
 def test_single_layer_value_at_origin(disk256):
     """Mode-0 field at the disk center: 𝒮1(0) = I_0(0)K_0(1) = K_0(1)."""
-    curve, grid = disk256
-    val = eval_single_layer_field(curve, grid, -1.0, np.ones(grid.n), [0.0, 0.0])[0]
+    grid = disk256
+    val = _OffCurve.layer(grid, -1.0, [0.0, 0.0], True).single_layer(np.ones(grid.n))[0]
     assert val.real == pytest.approx(oracles.K0_AT_1, rel=1e-12)
     assert abs(val.imag) <= 1e-15
 
 
 def test_clearance_guard(disk256):
-    curve, grid = disk256
+    grid = disk256
     too_close = np.array([[1.0 - 0.01, 0.0]])
     with pytest.raises(AccuracyRegionError):
-        eval_single_layer_field(curve, grid, -1.0, np.ones(grid.n), too_close)
+        _OffCurve.layer(grid, -1.0, too_close, True)
     # explicit override evaluates anyway
-    val = eval_single_layer_field(
-        curve, grid, -1.0, np.ones(grid.n), too_close, enforce_accuracy_region=False
-    )
+    val = _OffCurve.layer(grid, -1.0, too_close, False).single_layer(np.ones(grid.n))
     assert np.isfinite(val).all()
 
 
@@ -121,45 +119,44 @@ def test_field_consistency_under_refinement():
     pts = np.array([[0.25, 0.1], [-0.3, 0.35]])
     vals = []
     for n in (128, 256):
-        curve, grid = make_curve("kite", n)
+        grid = make_curve("kite", n)
         phi = np.cos(grid.nodes)
-        vals.append(eval_single_layer_field(curve, grid, -1.0, phi, pts))
+        vals.append(_OffCurve.layer(grid, -1.0, pts, True).single_layer(phi))
     assert np.abs(vals[0] - vals[1]).max() <= 1e-8
 
 
 def test_potentials_satisfy_pde(disk256):
     """5-point stencil of (−Δ−z) on 𝒮φ and 𝒟φ vanishes off the curve."""
-    curve, grid = disk256
+    grid = disk256
     z, h = -1.0, 1e-3
     phi = np.exp(1j * grid.nodes) + 0.3
     for x0 in (np.array([0.4, 0.2]), np.array([1.9, 1.1])):
         stencil = np.array([x0, x0 + [h, 0], x0 - [h, 0], x0 + [0, h], x0 - [0, h]])
-        for ev in (eval_single_layer_field, eval_double_layer_field):
-            u = ev(curve, grid, z, phi, stencil)
+        kernel = _OffCurve.layer(grid, z, stencil, True)
+        for u in (kernel.single_layer(phi), kernel.double_layer(phi)):
             lap = (u[1] + u[2] + u[3] + u[4] - 4 * u[0]) / h**2
             assert abs(-lap - z * u[0]) <= 1e-5
 
 
 def test_green_representation(disk256):
     """Interior solution u = 𝒟(τ_D u) + 𝒮(τ_N⁺ u) recovered at interior probes."""
-    curve, grid = disk256
+    grid = disk256
     z, y0 = -1.0, np.asarray([3.0, 0.0])
     u = lambda pts: fundamental_solution(2, z, np.linalg.norm(pts - y0, axis=-1))
     u_grad = lambda pts: fundamental_solution_gradient(2, z, pts - y0)
-    tau_d = dirichlet_trace(u, curve, grid)
-    tau_n = neumann_trace(u_grad, curve, grid)
+    tau_d = dirichlet_trace(u, grid)
+    tau_n = neumann_trace(u_grad, grid)
     probes = np.array([[0.0, 0.0], [0.5, 0.2], [-0.4, -0.6]])
-    rebuilt = eval_double_layer_field(curve, grid, z, tau_d, probes) + eval_single_layer_field(
-        curve, grid, z, tau_n, probes
-    )
+    kernel = _OffCurve.layer(grid, z, probes, True)
+    rebuilt = kernel.double_layer(tau_d) + kernel.single_layer(tau_n)
     assert np.abs(rebuilt - u(probes)).max() <= 1e-8
 
 
 # ---------------------------------------------------------------- jump relations
 
 def test_jump_relations_disk(disk256):
-    curve, grid = disk256
-    report = jump_relation_residuals(curve, grid, -1.0)
+    grid = disk256
+    report = jump_relation_residuals(grid, -1.0)
     assert report.all_pass
     assert report.max_residual <= 1e-6
     assert len(report.checks) == 10  # six closed-form traces, two Calderón and two DtN rows
@@ -168,27 +165,27 @@ def test_jump_relations_disk(disk256):
 
 
 def test_jump_relations_complex_z(disk256):
-    curve, grid = disk256
-    report = jump_relation_residuals(curve, grid, 1 + 2j, modes=4)
+    grid = disk256
+    report = jump_relation_residuals(grid, 1 + 2j, modes=4)
     assert report.all_pass
 
 
 def test_jump_relations_ellipse_self_convergence():
-    curve, grid = make_curve("ellipse", 512, a=2.0, b=1.0)
-    report = jump_relation_residuals(curve, grid, -2.0, modes=1)
+    grid = make_curve("ellipse", 512, a=2.0, b=1.0)
+    report = jump_relation_residuals(grid, -2.0, modes=1)
     assert report.all_pass
     assert report.max_residual <= 1e-6
 
 
 def test_jump_relation_guards():
-    curve, grid = make_curve("kite", 64)
+    grid = make_curve("kite", 64)
     with pytest.raises(ConfigurationError):
-        jump_relation_residuals(curve, grid, -1.0, modes=-1)
+        jump_relation_residuals(grid, -1.0, modes=-1)
     # the point-source DtN rows factor S, which is singular at z = 0 on a curve
     # of logarithmic capacity 1, such as this ellipse ((a + b)/2 = 1)
-    curve, grid = make_curve("ellipse", 64, a=1.5, b=0.5)
+    grid = make_curve("ellipse", 64, a=1.5, b=0.5)
     with pytest.raises(AnsatzResonanceError):
-        jump_relation_residuals(curve, grid, 0.0)
+        jump_relation_residuals(grid, 0.0)
 
 
 def test_jump_relations_fail_on_a_nan_mode(monkeypatch):
@@ -198,8 +195,8 @@ def test_jump_relations_fail_on_a_nan_mode(monkeypatch):
     mode_density = potentials._mode_density
     monkeypatch.setattr(potentials, "_mode_density",
                         lambda grid, m: mode_density(grid, m) * (np.nan if m == 1 else 1.0))
-    curve, grid = make_curve("disk", 32)
-    report = jump_relation_residuals(curve, grid, -1.0, modes=2)
+    grid = make_curve("disk", 32)
+    report = jump_relation_residuals(grid, -1.0, modes=2)
     assert len(report.checks) == 10
     traces = [row for row in report.checks if row.check.startswith("jump.")
               and not row.check.startswith("jump.calderon.")]
@@ -232,7 +229,7 @@ def _scipy_kernels(k, r):
 @pytest.mark.parametrize("n", [64, 256, 512])
 def test_kernel_tables_match_scipy(spec, n):
     """J_0, H_0, J_1/(kr), H_1 from the tables against scipy.special on the pairs."""
-    _, grid = curve_from_spec(spec, n)
+    grid = curve_from_spec(spec, n)
     for z in _TABLE_ZS:
         ops = _LayerOperators(grid, z)
         k = ops.z.sqrt_z
@@ -258,7 +255,7 @@ def test_kernel_table_evaluates_each_guarded_routine_once_per_function(monkeypat
 
     monkeypatch.setattr(potentials, "bessel_j", recorded("J", potentials.bessel_j))
     monkeypatch.setattr(potentials, "hankel1", recorded("H", potentials.hankel1))
-    _, grid = curve_from_spec("kite", 256)
+    grid = curve_from_spec("kite", 256)
     for z in (-1.0 + 0.5j, -31.0 + 0.65j, 4.11 + 26.6j, 0.7 + 3.1j):
         calls.clear()
         ops = _LayerOperators(grid, z)
@@ -274,7 +271,7 @@ def test_kernel_table_halves_a_coarse_layout_until_resolved(monkeypatch):
     import green3.potentials as potentials
     from green3.errors import ArgumentRangeError
 
-    _, grid = curve_from_spec("kite", 128)
+    grid = curve_from_spec("kite", 128)
     ops = _LayerOperators(grid, -19.2 - 1.75j)
     k, r = ops.z.sqrt_z, grid._pairs.r
     default = potentials._KernelTable(k, r.min(), r.max())
@@ -298,7 +295,7 @@ def test_real_negative_z_never_reaches_the_tables(monkeypatch):
         raise AssertionError("kernel table built")
 
     monkeypatch.setattr(potentials, "_KernelTable", no_table)
-    _, grid = curve_from_spec("kite", 64)
+    grid = curve_from_spec("kite", 64)
     for z in (-2.5, -31.0, 0.0):
         ops = _LayerOperators(grid, z)
         ops.single_layer, ops.adjoint_double_layer
@@ -309,7 +306,7 @@ def test_real_negative_z_never_reaches_the_tables(monkeypatch):
 @pytest.mark.parametrize("spec", ["disk", "kite", "ellipse:1.5,0.8"])
 def test_single_layer_is_real_at_real_nonpositive_z(spec):
     # single_layer_singular_values takes the real SVD on exactly this
-    _, grid = curve_from_spec(spec, 64)
+    grid = curve_from_spec(spec, 64)
     for z in (0.0, -1e-3, -1.0, -30.0):
         assert not _LayerOperators(grid, z).single_layer.imag.any()
 
@@ -383,7 +380,7 @@ def test_chunked_pair_pass_changes_no_bit(monkeypatch, spec, n):
 
     import green3.potentials as potentials
 
-    _, grid = curve_from_spec(spec, n)
+    grid = curve_from_spec(spec, n)
     pairs = n * (n - 1) // 2
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # many thread switches inside each chunk task
@@ -410,7 +407,7 @@ def test_chunked_pair_pass_changes_no_bit(monkeypatch, spec, n):
 def test_real_z_operators_are_the_complex_route_to_the_bit(spec, n):
     """At real z < 0, S, K and K* are float64 and equal the real parts of the
     complex route through ``bessel_j``/``hankel1``, whose imaginary parts are 0."""
-    _, grid = curve_from_spec(spec, n)
+    grid = curve_from_spec(spec, n)
     for z in (-1e-3, -1.0, -30.0):
         ops = _LayerOperators(grid, z)
         reference = _whole_array_operators(ops, _guarded_kernels(ops.z.sqrt_z))
@@ -424,7 +421,7 @@ def test_real_z_operators_are_the_complex_route_to_the_bit(spec, n):
 @pytest.mark.parametrize("spec", ["disk", "kite"])
 def test_laplace_operators_are_real(spec):
     """At z = 0 (the Laplace branch, no Bessel kernels) the bundle is float64 as well."""
-    _, grid = curve_from_spec(spec, 64)
+    grid = curve_from_spec(spec, 64)
     ops = _LayerOperators(grid, 0.0)
     for mat in (ops.single_layer, ops.double_layer, ops.adjoint_double_layer):
         assert mat.dtype == np.float64 and np.all(np.isfinite(mat))
@@ -446,7 +443,7 @@ def test_two_bundles_build_s_at_the_same_time(monkeypatch):
         return over_pairs(self, order, write)
 
     monkeypatch.setattr(potentials._LayerOperators, "_over_pairs", meeting)
-    _, grid = curve_from_spec("kite", 64)
+    grid = curve_from_spec("kite", 64)
     zs = (-1.0, -2.0)
     got, errors = {}, []
 
@@ -464,14 +461,14 @@ def test_two_bundles_build_s_at_the_same_time(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     monkeypatch.undo()
-    _, fresh = curve_from_spec("kite", 64)
+    fresh = curve_from_spec("kite", 64)
     for z in zs:
         assert np.array_equal(got[z], _LayerOperators(fresh, z).single_layer)
 
 
 @pytest.mark.parametrize("z", [-1.0 + 0.5j, -2.5, 0.0])
 def test_adjoint_double_layer_never_forms_k(z):
-    _, grid = curve_from_spec("kite", 96)
+    grid = curve_from_spec("kite", 96)
     ops = _LayerOperators(grid, z)
     adjoint = ops.adjoint_double_layer
     assert "double_layer" not in ops.__dict__
