@@ -57,9 +57,9 @@ class _cached_property:
     the value and stores it in the instance ``__dict__``, which serves every
     later read.  Python 3.11 takes one lock per attribute shared by all
     instances, so two check tasks, each with its own layer bundle, took turns
-    on S and its SVD.  Two threads that read one instance's attribute for the
-    first time may each compute it; every use here is a pure function of the
-    instance, so both get equal values."""
+    on S and its singular values.  Two threads that read one instance's
+    attribute for the first time may each compute it; every use here is a pure
+    function of the instance, so both get equal values."""
 
     def __init__(self, func):
         self.func = func

@@ -227,7 +227,8 @@ def _krein_tasks(cfg: RunConfig) -> list:
 def _indicator_tasks(cfg: RunConfig) -> list:
     """Scan the coupled-eigenvalue indicator; a row fails where it collapses.
 
-    The indicator is σ_min(M₊+M₋) = 1/σ_max(S(z − c)), an identity of the
+    The indicator is σ_min(M₊+M₋) = 1/σ_max(S(z − c)) in L²(Γ), one
+    ``eigvalsh`` at real z − c ≤ 0 and one SVD elsewhere, an identity of the
     single-layer Weyl maps that needs the same shift c on both sides, so
     ``--c-`` must equal ``--c+`` when given.  A failing row marks a value below
     the floor rather than a broken identity."""

@@ -252,8 +252,10 @@ def eigenvalue_indicator(z, grid: QuadratureGrid, c: float = 0.0) -> float:
 
     With the single-layer ansatz of both Weyl maps and equal side shifts the
     sum is exactly M₊+M₋ = −(½I − K*)S⁻¹ − (½I + K*)S⁻¹ = −S⁻¹, for the
-    Nyström matrices as in the continuum, so the value is 1/σ_max(S(z−c)):
-    one assembly of S and one guarded SVD.  Unequal shifts break the identity."""
+    Nyström matrices as in the continuum, so the value is 1/σ_max(S(z−c)) in
+    the arc-length inner product of L²(Γ): one assembly of S and its guarded
+    singular values there, one ``eigvalsh`` at real z − c ≤ 0 and one SVD
+    elsewhere.  Unequal shifts break the identity."""
     return float(1.0 / _LayerOperators(grid, complex(z) - c).single_layer_singular_values[0])
 
 

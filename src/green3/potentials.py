@@ -16,11 +16,17 @@ S, K, K* and these traces come from one ``_LayerOperators`` bundle per
 S⁻¹ and the Weyl maps.  The bundle also owns S(z)⁻¹ (``solve``), which gives
 the density of the single-layer γ-field, and forms the Weyl maps
 M_± = −(½I ∓ K*)S⁻¹ (``weyl_action``, the only code that does): one LU of S
-per (grid, z), made on first use, and the singular values of S for the
-indicator, each guarded against a resonance of the ansatz with the floor
-``_RCOND_FLOOR`` = 1e-12.
-The LU guard reads LAPACK's estimate of rcond₁ = 1/(‖S‖₁‖S⁻¹‖₁), within a factor N of the SVD
-guard's σ_min/σ_max.  On the unit disk at z = 0 (log capacity 1, S singular)
+per (grid, z), made on first use, and the singular values of S in the
+arc-length inner product of L²(Γ) for the indicator, each guarded against a
+resonance of the ansatz with the floor ``_RCOND_FLOOR`` = 1e-12.  S = A·D
+with A symmetric and D = diag(speed), so H = D^{1/2}SD^{−1/2} is symmetric,
+and its singular values are those of S in L²(Γ): at real z ≤ 0 the |λ| of
+one real ``eigvalsh`` of H (2–3× faster than the SVD at N = 256 and 512),
+elsewhere the SVD of H, which is complex symmetric but not Hermitian.  At
+real z the LU is real too: complex densities are solved as twice as many
+real columns (``solve``).
+The LU guard reads LAPACK's estimate of rcond₁ = 1/(‖S‖₁‖S⁻¹‖₁), within a factor N of the
+spectral guard's σ_min/σ_max.  On the unit disk at z = 0 (log capacity 1, S singular)
 rcond₁ is 2.4e-17 at N = 128 and 7.7e-18 at N = 512 (σ ratios 2.9e-17 and
 1.4e-17); on the kite at z = 0 it is 2.6e-3 and 6.4e-4, each estimate within
 three digits of the exact rcond₁.  An exactly zero pivot raises first.
@@ -65,7 +71,7 @@ through the operations of the complex route in the same order, so it is the
 real part of the complex one to the bit, and the imaginary parts the complex
 route gives are exactly 0; the diagonal of S is the real part of its complex
 expression, since numpy's complex log may differ from the real one by an
-ulp.  The real SVD of S is about three times faster than the complex one.
+ulp.
 ``_LayerOperators._over_pairs`` hands either route's kernels to S and K, so
 each has one Helmholtz branch beside the logarithm at z = 0.
 
@@ -270,7 +276,7 @@ class _LayerOperators:
         self.z = as_spectral_point(z)
         self._pairs = grid._pairs
         self._dtype = float if self.z.sqrt_z.real == 0.0 else complex
-        self._lu, self._sources = {}, {}  # (LU, pivots) per LAPACK type; traces per side
+        self._sources = {}  # point-source traces per side
 
     @_cached_property
     def _table(self) -> _KernelTable:
@@ -393,24 +399,36 @@ class _LayerOperators:
         attr, sign, half = _TRACES[name]
         return sign * (getattr(self, attr) @ densities) + half * densities
 
-    def solve(self, densities) -> np.ndarray:
-        """S⁻¹Φ for a density or the columns Φ, by the LU of S once its rcond₁
-        passes the guard.  The LAPACK type follows S and Φ together (S is real
-        at real z ≤ 0, and a real ``getrs`` would drop the imaginary part of
-        complex densities); S is factored once per type, and callers use one."""
+    @_cached_property
+    def _lu(self):
+        """The LU of S and its pivots, once rcond₁ passes the guard; the LAPACK
+        type follows S alone, so at real z ≤ 0 it is one real ``dgetrf``."""
         from scipy.linalg.lapack import get_lapack_funcs  # ~50 ms, paid on first use only
 
-        mat, densities = self.single_layer, np.asarray(densities)
-        getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (mat, densities))
-        if getrf.typecode not in self._lu:
-            lu, piv, info = getrf(mat)
-            if info > 0:
-                raise _resonance(f"pivot {info} of its LU is exactly zero")
-            rcond, _ = gecon(lu, np.abs(mat).sum(axis=0).max())
-            if not rcond >= _RCOND_FLOOR:  # a NaN estimate fails too
-                raise _resonance(f"rcond₁ = {rcond:.2e}")
-            self._lu[getrf.typecode] = lu, piv
-        psi, _ = getrs(*self._lu[getrf.typecode], densities)
+        mat = self.single_layer
+        getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (mat,))
+        lu, piv, info = getrf(mat)
+        if info > 0:
+            raise _resonance(f"pivot {info} of its LU is exactly zero")
+        rcond, _ = gecon(lu, np.abs(mat).sum(axis=0).max())
+        if not rcond >= _RCOND_FLOOR:  # a NaN estimate fails too
+            raise _resonance(f"rcond₁ = {rcond:.2e}")
+        return lu, piv
+
+    def solve(self, densities) -> np.ndarray:
+        """S⁻¹Φ for a density or the columns Φ, by the one LU of S (``_lu``).
+        Where S is real and Φ complex, one real ``getrs`` solves for the real
+        and imaginary parts of every column at once."""
+        from scipy.linalg.lapack import get_lapack_funcs
+
+        lu, piv = self._lu
+        (getrs,) = get_lapack_funcs(("getrs",), (lu,))
+        densities = np.asarray(densities)
+        if lu.dtype == float and np.iscomplexobj(densities):
+            columns = np.ascontiguousarray(densities.reshape(len(densities), -1), dtype=complex)
+            psi, _ = getrs(lu, piv, columns.view(float))  # (N, 2m): Re and Im of each column
+            return np.ascontiguousarray(psi).view(complex).reshape(densities.shape)
+        psi, _ = getrs(lu, piv, densities)
         return psi
 
     def weyl_action(self, side: str, densities):
@@ -421,10 +439,19 @@ class _LayerOperators:
 
     @_cached_property
     def single_layer_singular_values(self) -> np.ndarray:
-        """Singular values of S, largest first, once σ_min/σ_max passes the
-        guard; at real z ≤ 0 S is float64, and the real SVD is about three
-        times faster than the complex one."""
-        values = np.linalg.svd(self.single_layer, compute_uv=False)
+        """Singular values of S in the arc-length inner product, largest first,
+        once σ_min/σ_max passes the guard: those of H = D^{1/2}SD^{−1/2},
+        D = diag(speed), which is symmetric because S = A·D with A symmetric.
+        At real z ≤ 0 H is real, and they are the |λ| of one ``eigvalsh``;
+        elsewhere H is complex symmetric, not Hermitian, and they come from
+        its SVD."""
+        root = np.sqrt(self.grid.speed)
+        sym = self.single_layer * root[:, None]
+        sym /= root
+        if self._dtype is float:
+            values = np.sort(np.abs(np.linalg.eigvalsh(sym)))[::-1]
+        else:
+            values = np.linalg.svd(sym, compute_uv=False)
         if values[-1] < _RCOND_FLOOR * values[0]:
             raise _resonance(f"σ_min/σ_max = {values[-1] / values[0]:.2e}")
         return values

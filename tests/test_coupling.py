@@ -115,11 +115,13 @@ def test_indicator_with_shift(disk256):
 @pytest.mark.parametrize("c", [0.0, 1.0])
 @pytest.mark.parametrize("z", [-1.0, -1.0 + 0.5j])
 def test_indicator_is_sigma_min_of_the_weyl_pencil(z, c):
-    # the indicator takes 1/σ_max(S) for σ_min(M₊+M₋) and the Weyl action solves
-    # with S in place of inverting it; both must agree with the plain formulas
+    # the indicator takes 1/σ_max(S) in L²(Γ) for σ_min(M₊+M₋) there, and the
+    # Weyl action solves with S in place of inverting it; both must agree with
+    # the plain formulas, the pencil weighted as D^{1/2}(M₊+M₋)D^{−1/2}
     from green3.potentials import _LayerOperators
 
     grid = make_curve("kite", 128)
+    root = np.sqrt(grid.speed)
     ops = _LayerOperators(grid, z - c)
     s_mat, ks_mat = ops.single_layer, ops.adjoint_double_layer
     half = 0.5 * np.eye(grid.n)
@@ -129,8 +131,23 @@ def test_indicator_is_sigma_min_of_the_weyl_pencil(z, c):
         reference = -trace @ np.linalg.inv(s_mat)
         assert np.abs(weyl - reference).max() <= 1e-12 * np.abs(reference).max()
         pencil = pencil + weyl
-    smin = np.linalg.svd(pencil, compute_uv=False)[-1]
+    smin = np.linalg.svd(root[:, None] * pencil / root, compute_uv=False)[-1]
     assert abs(eigenvalue_indicator(z, grid, c=c) - smin) <= 1e-12 * smin
+
+
+@pytest.mark.parametrize("spec", ["kite", "ellipse:1.5,0.8"])
+@pytest.mark.parametrize("z", [-3.0, 2.0 + 1.0j])
+def test_indicator_is_one_over_sigma_max_of_s_in_arc_length(spec, z):
+    # H = D^{1/2}SD^{−1/2}, D = diag(speed), is S in L²(Γ); at real z the
+    # indicator reads it through eigvalsh, at complex z through its SVD
+    from green3.geometry import curve_from_spec
+    from green3.potentials import _LayerOperators
+
+    grid = curve_from_spec(spec, 128)
+    root = np.sqrt(grid.speed)
+    weighted = root[:, None] * _LayerOperators(grid, z).single_layer / root
+    want = 1.0 / np.linalg.svd(weighted, compute_uv=False)[0]
+    assert abs(eigenvalue_indicator(z, grid) - want) <= 1e-12 * want
 
 
 def test_coupling_pencil_solves_flux_data(disk256):

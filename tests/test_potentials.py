@@ -305,7 +305,8 @@ def test_real_negative_z_never_reaches_the_tables(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["disk", "kite", "ellipse:1.5,0.8"])
 def test_single_layer_is_real_at_real_nonpositive_z(spec):
-    # single_layer_singular_values takes the real SVD on exactly this
+    # on exactly this single_layer_singular_values takes one real eigvalsh,
+    # and solve one real LU
     grid = curve_from_spec(spec, 64)
     for z in (0.0, -1e-3, -1.0, -30.0):
         assert not _LayerOperators(grid, z).single_layer.imag.any()

@@ -165,3 +165,17 @@ def test_a_planted_defect_fails_its_rows(monkeypatch, plant, argv):
     code, stdout, stderr = _run(argv)
     assert code == 1, stderr
     assert not json.loads(stdout)["all_pass"]
+
+
+def test_the_doubled_singular_values_halve_the_indicator(monkeypatch):
+    # the GAPS plant moves the value the row reports, so its xfail is a real gap
+    argv = ["indicator", "--curve", "kite", "--nodes", "128", "--z", "-3,0"]
+
+    def indicator():
+        code, stdout, stderr = _run(argv)
+        assert code == 0, stderr
+        return json.loads(stdout)["checks"][0]["details"]["indicator"]
+
+    plain = indicator()
+    _singular_values_doubled(monkeypatch)
+    assert indicator() == 0.5 * plain

@@ -123,9 +123,10 @@ def _bundle_with(single_layer):
 
 
 def test_resonance_guard():
-    assert _bundle_with(np.diag([1.0, 1e-11])).single_layer_singular_values[0] == 1.0
+    # the bundle's grid has 8 nodes, and S is weighted by their speeds
+    assert _bundle_with(np.diag([1.0] * 7 + [1e-11])).single_layer_singular_values[0] == 1.0
     with pytest.raises(AnsatzResonanceError):
-        _bundle_with(np.diag([1.0, 1e-13])).single_layer_singular_values
+        _bundle_with(np.diag([1.0] * 7 + [1e-13])).single_layer_singular_values
 
 
 @pytest.mark.parametrize("n", [128, 512])
@@ -143,6 +144,27 @@ def test_lu_guard_passes_the_kite_at_zero(n):
     # rcond₁ 2.6e-3 (N=128) and 6.4e-4 (N=512): far above the floor
     grid = make_curve("kite", n)
     assert np.isfinite(_dense("interior", grid, 0.0)).all()
+
+
+@pytest.mark.parametrize("spec", ["disk", "kite"])
+def test_real_z_solve_is_one_real_lu(spec):
+    # S is float64 at real z: complex densities, one column or many, go
+    # through one real LU as (N, 2m) real columns, which a complex LU matches
+    from scipy.linalg import lu_factor, lu_solve
+
+    ops = _LayerOperators(make_curve(spec, 128), -2.0)
+    rng = np.random.default_rng(3)
+    phis = rng.normal(size=(128, 5)) + 1j * rng.normal(size=(128, 5))
+    reference = lu_solve(lu_factor(ops.single_layer.astype(complex)), phis)
+    psi = ops.solve(phis)
+    lu = ops.__dict__["_lu"]
+    assert lu[0].dtype == np.float64
+    assert np.abs(psi - reference).max() <= 1e-13 * np.abs(reference).max()
+    column = ops.solve(phis[:, 1])
+    assert column.shape == (128,)
+    assert np.abs(column - reference[:, 1]).max() <= 1e-13 * np.abs(reference[:, 1]).max()
+    assert ops.solve(phis.real).dtype == np.float64
+    assert ops.__dict__["_lu"] is lu
 
 
 @pytest.mark.parametrize("matrix, message", [

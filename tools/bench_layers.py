@@ -1,0 +1,198 @@
+"""Time the layers of a green3 source tree and replay the benchmark's jobs, into BENCH_<tag>.json.
+
+    python3 tools/bench_layers.py TREE --tag TAG
+
+TREE is a checkout of this repository; the file goes to the root of the
+checkout this tool sits in.  Everything runs in one fresh interpreter that
+imports TREE's green3, on one core: one BLAS thread and GREEN3_THREADS = 1.
+
+* **Layer rows**, on the disk and the kite at N in ``NODES`` and z in
+  ``ZS``, each timed ``REPEATS`` times after one untimed call, with the
+  best, the median and the interquartile range of the samples:
+
+  - ``S``: a fresh bundle's S, the kernel table build included at complex z;
+  - ``spectrum.svd``: ``np.linalg.svd`` of S, the values alone;
+  - ``spectrum.eigvalsh``: at real z, H = D^{1/2}SD^{−1/2} (D = diag(speed))
+    scaled from S and ``np.linalg.eigvalsh`` of H;
+  - ``spectrum.bundle``: the tree's own ``single_layer_singular_values`` on a
+    bundle whose S is already built, the route the ``indicator`` rows take;
+  - ``lu+solve8``: the tree's guarded LU of that S plus ``solve`` of 8
+    complex columns, the route of the Weyl maps.
+
+* **Replay rows**: the seed-1 job list of each workload of
+  ``bench/workloads.py`` (imported read-only from this checkout) at the
+  benchmark's 30 s, run in process through ``green3.cli.main`` after the
+  workload's warm-up jobs, timed as a whole ``REPEATS`` times, with the exit
+  codes of the first run.
+
+* **Provenance**: Python, numpy, scipy, the BLAS, the CPU count, the thread
+  caps, TREE's git revision (null outside a git work tree), whether its
+  ``src/`` differs from that revision, and a hash of its ``src/green3``
+  modules.
+
+The file carries numbers only, no verdict; it changes no report and nothing
+under ``bench/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+CURVES = ("disk", "kite")
+NODES = (128, 256, 512)
+ZS = (-3.0, 2.0 + 1.0j)
+COLUMNS = 8  # densities per solve, as in a dtn run's mode columns
+REPEATS = 7  # timed samples per row
+HERE = Path(__file__).resolve().parent
+
+
+def _stats(samples: list) -> dict:
+    q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"best_s": min(samples), "median_s": statistics.median(samples), "iqr_s": q3 - q1,
+            "repeats": len(samples)}
+
+
+def _timed(work) -> dict:
+    work()
+    samples = []
+    for _ in range(REPEATS):
+        tic = time.perf_counter()
+        work()
+        samples.append(time.perf_counter() - tic)
+    return _stats(samples)
+
+
+def _layer_rows() -> list:
+    import numpy as np
+    from green3.geometry import curve_from_spec
+    from green3.potentials import _LayerOperators
+
+    rows, rng = [], np.random.default_rng(0)
+    for curve in CURVES:
+        for n in NODES:
+            grid = curve_from_spec(curve, n)
+            root = np.sqrt(grid.speed)
+            phis = rng.normal(size=(n, COLUMNS)) + 1j * rng.normal(size=(n, COLUMNS))
+            for z in ZS:
+                s = _LayerOperators(grid, z).single_layer
+
+                def built(z=z, s=s):  # a bundle whose S is s
+                    ops = _LayerOperators(grid, z)
+                    ops.single_layer = s
+                    return ops
+
+                def eigvalsh(s=s):
+                    h = s * root[:, None]
+                    h /= root
+                    return np.linalg.eigvalsh(h)
+
+                work = {"S": lambda z=z: _LayerOperators(grid, z).single_layer,
+                        "spectrum.svd": lambda s=s: np.linalg.svd(s, compute_uv=False),
+                        "spectrum.eigvalsh": eigvalsh if s.dtype == float else None,
+                        "spectrum.bundle": lambda: built().single_layer_singular_values,
+                        "lu+solve8": lambda: built().solve(phis)}
+                for layer, call in work.items():
+                    if call is not None:
+                        rows.append({"layer": layer, "curve": curve, "n": n,
+                                     "z": [z.real, z.imag], **_timed(call)})
+    return rows
+
+
+def _replay_rows() -> list:
+    import same_answers
+    import workloads
+    from green3.cli import main
+
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+
+    rows = []
+    for name in workloads.WORKLOADS:
+        for argv in workloads.WARMUP[name]:
+            run(argv)
+        jobs = workloads.jobs(name, 1, same_answers.SECONDS)
+        codes = Counter(str(run(argv)) for argv in jobs)
+        rows.append({"workload": name, "seed": 1, "jobs": len(jobs), "exit_codes": dict(codes),
+                     **_timed(lambda: [run(argv) for argv in jobs])})
+    return rows
+
+
+def _measure() -> None:
+    """In the child: print the layer rows, the replay rows and the child's
+    library versions as one JSON object."""
+    import numpy
+    import scipy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    json.dump({"layers": _layer_rows(), "replay": _replay_rows(),
+               "versions": {"python": platform.python_version(), "numpy": numpy.__version__,
+                            "scipy": scipy.__version__,
+                            "blas": f"{blas.get('name')} {blas.get('version')}"}},
+              sys.stdout)
+
+
+def _git(tree: Path, *args):
+    """The output of ``git args`` in ``tree``, or None outside a git work tree."""
+    try:
+        out = subprocess.run(["git", *args], cwd=tree, capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _src_sha256(tree: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src" / "green3").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def main() -> int:
+    sys.dont_write_bytecode = True  # leave bench/ and tools/ as they are
+    sys.path[:0] = [str(HERE), str(HERE.parent / "bench")]
+    if sys.argv[1:] == ["--measure"]:
+        _measure()
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree", type=Path, help="checkout of this repository")
+    parser.add_argument("--tag", required=True, help="the file is BENCH_<tag>.json")
+    args = parser.parse_args()
+    import same_answers
+
+    env = {**same_answers.tree_env(args.tree), "PYTHONDONTWRITEBYTECODE": "1"}
+    tic = time.perf_counter()
+    proc = subprocess.run([sys.executable, __file__, "--measure"], capture_output=True, text=True,
+                          env=env)
+    if proc.returncode:
+        sys.exit(f"the measurements of {args.tree} did not run:\n{proc.stderr}")
+    result = json.loads(proc.stdout)
+    provenance = {**result.pop("versions"), "platform": platform.platform(),
+                  "nproc": len(os.sched_getaffinity(0)),
+                  "threads": {var: env[var] for var in ("GREEN3_THREADS", "OPENBLAS_NUM_THREADS",
+                                                        "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+                  "git_rev": _git(args.tree, "rev-parse", "HEAD"),
+                  "src_changed_since_rev": bool(_git(args.tree, "status", "--porcelain", "src")),
+                  "src_sha256": _src_sha256(args.tree),
+                  "wall_s": time.perf_counter() - tic}
+    out = HERE.parent / f"BENCH_{args.tag}.json"
+    out.write_text(json.dumps({"provenance": provenance, **result}, indent=1) + "\n",
+                   encoding="utf-8")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
