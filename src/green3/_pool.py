@@ -1,13 +1,13 @@
-"""The process-wide worker pool behind the CLI's check tasks and the layer bundles.
+"""The process-wide worker pool behind the CLI's check tasks.
 
 ``GREEN3_THREADS`` caps the threads that work at once, the calling thread
 included: the pool has cap − 1 workers, and whoever hands work to it runs the
 first callable itself and afterwards every callable the pool has not started.
 A thread therefore only ever waits for work that is already running, so work
-handed in from a pool worker (a check task splitting a bundle's pair pass
-into chunks) cannot deadlock.  The pool is one per process because the pair
-passes run deep below the check tasks, and it is created on first use, so
-importing the package starts no thread.
+handed in from a pool worker cannot deadlock either.  ``cli._run`` is the one
+caller: each check task builds its layer bundles in its own thread.  The pool
+is one per process, shared by every run in it, and it is created on first
+use, so importing the package starts no thread.
 """
 
 from __future__ import annotations

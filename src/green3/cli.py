@@ -2,8 +2,9 @@
 
 Each subcommand assembles a list of independent check tasks, runs them on the
 process-wide worker pool (``green3._pool``: at most ``GREEN3_THREADS``
-threads, the calling thread included, which runs the first task itself), and
-emits a single report in JSON (versioned schema) or flat CSV.  Exit status is
+threads, the calling thread included, which runs the first task itself; a
+task does all of its work, its layer bundles included, in its own thread),
+and emits a single report in JSON (versioned schema) or flat CSV.  Exit status is
 the verdict: 0 all pass, 1 at least one residual above tolerance, 2 for
 unusable input or when no check ran, 3 for an internal error.  Reports are
 deterministic for a fixed config and seed once timing fields are omitted,
@@ -179,7 +180,7 @@ def _jump_tasks(cfg: RunConfig) -> list:
 def _dtn_tasks(cfg: RunConfig) -> list:
     """The rows of ``weyl._dtn_rows``, one task per z.  Modes at or above N/2
     are rejected before any assembly, as is a run off the disk outside the
-    rule of its N/2 reference."""
+    rule of its N/2 reference, whose grid the tasks share."""
     _reject_aliased_modes(cfg)
     grid = curve_from_spec(cfg.curve, cfg.nodes)
     if grid.curve.shape != "disk" and (cfg.nodes % 4 or cfg.nodes < 16 or 4 * cfg.modes >= cfg.nodes):
@@ -187,8 +188,9 @@ def _dtn_tasks(cfg: RunConfig) -> list:
             f"dtn off the disk checks its modes against N/2 nodes: --nodes must be a multiple "
             f"of 4 and at least 16, and --modes below nodes/4; got --nodes {cfg.nodes} and "
             f"--modes {cfg.modes}")
+    half = None if grid.curve.shape == "disk" else replace(grid, n=grid.n // 2)
     tol = 1e-6 * cfg.tol_scale
-    return [lambda z=z: weyl._dtn_rows(grid, z, cfg.side, cfg.modes, tol)
+    return [lambda z=z: weyl._dtn_rows(grid, half, z, cfg.side, cfg.modes, tol)
             for z in cfg.z_values(default=(-1.0,))]
 
 

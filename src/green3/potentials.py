@@ -72,29 +72,26 @@ real part of the complex one to the bit, and the imaginary parts the complex
 route gives are exactly 0; the diagonal of S is the real part of its complex
 expression, since numpy's complex log may differ from the real one by an
 ulp.
-``_LayerOperators._over_pairs`` hands either route's kernels to S and K, so
-each has one Helmholtz branch beside the logarithm at z = 0.
+Real z also keeps that route rather than the tables, for accuracy: the tables
+bound their error by each function's maximum, and K_0 decays away from it,
+so S from the tables differs from S from I and K by up to 1.3e-8 of an
+entry at z = −12 (kite, N = 256) and 5.8e-7 at z = −60 (kite, N = 512).
 
 The pair pass.  The pair layout (the pairs i < j, their offsets and
 distances, the Kress weights and the log-sin factor) depends on the grid
-alone and is built once per grid (``geometry._PairLayout``).  At complex z
-a bundle streams its pairs through the worker pool in chunks of
-``_TABLE_CHUNK`` pairs.  One task looks its chunk up in the table, does all
-of the Kress-split arithmetic there and writes the S core, or the two K
-values of each pair, straight into the bundle's pair arrays: the
-temporaries of a chunk stay in cache, and no kernel array over all pairs is
-made.  Each element goes through the same operations in the same order as in
-one pass over all pairs, so S, K and K* are the same to the bit for every
-chunk size and thread cap.  Real z < 0 and z = 0 keep one pass over all
-pairs: a variant that chunked the I/K route too raised the peak RSS of the
-benchmark's real-z indicator scans (N = 256 and 512) from 90 to 122 MB in
-three runs, and to 117 MB with a single malloc arena, while its throughput
-moved by 2% at most.  Real z also keeps the I/K route rather than the
-tables: a variant that read the tables at real z too was 23 lines shorter
-and its S pair pass 1.1–1.8× faster on one thread, but over 10 alternated
-runs of those scans (two z-tasks at once) its median job time rose from
-0.076 to 0.086 s, better in only 2 of the 10 pairs, while the N = 512 tail
-fell from 0.190 to 0.164 s.  K* is scattered from the pair values of K,
+alone and is built once per grid (``geometry._PairLayout``).
+``_LayerOperators._pair_core`` is the one place that builds the kernel core
+of S and K on it: the logarithm's closed forms at z = 0, and at every other
+z one loop in the calling thread over chunks of ``_PAIR_CHUNK`` pairs.  Each
+chunk takes its kernels from the table or from the I/K route and does all of
+the Kress-split arithmetic before the next, so its temporaries stay in cache
+and no kernel array over all pairs is made.  Each element goes through the
+same operations in the same order as in one pass over all pairs, so S, K and
+K* are the same to the bit for every chunk size.  The pass hands nothing to
+the worker pool: a check task builds its bundle in its own thread.  Since
+the tables landed, chunks on idle workers no longer paid on the benchmark's
+complex-z jobs (one z each, at N = 256); they only sped up a single z at
+large N.  K* is scattered from the pair values of K,
 K*_ij = K_ji·(s_j/s_i) with s the node speed, which equals K.T·(s_j/s_i) bit
 for bit; the DtN path reads only S and K* and never forms K.
 """
@@ -106,7 +103,6 @@ from functools import cache
 
 import numpy as np
 
-from . import _pool
 from ._pool import _cached_property
 from .errors import AccuracyRegionError, AnsatzResonanceError, ArgumentRangeError, ConfigurationError
 from .geometry import QuadratureGrid, dirichlet_trace, neumann_trace
@@ -151,7 +147,8 @@ _TABLE_RADIANS = 0.25  # widest panel, in radians of |k|·r
 _TABLE_TAIL = 1e-15    # last two coefficients against the function's table maximum
 _TABLE_SHRINK = 16     # a truncation tail shrinks far more than this when its panel is halved
 _TABLE_ROUNDS = 8      # halvings a panel may need before the table gives up
-_TABLE_CHUNK = 8192    # pairs per pool task of a bundle's pair pass at complex z
+
+_PAIR_CHUNK = 8192  # pairs per step of a bundle's pair pass at z != 0
 
 
 @cache
@@ -282,53 +279,60 @@ class _LayerOperators:
     def _table(self) -> _KernelTable:
         return _KernelTable(self.z.sqrt_z, self._pairs.r.min(), self._pairs.r.max())
 
-    def _over_pairs(self, order: int, write) -> None:
-        """``write(s, core)`` for slices s covering the pairs, k = √z ≠ 0, with
-        the Kress-split kernel core = R·smooth + (2π/N)·(split − smooth·ln(4 sin²))
-        on them: smooth = −J_0(kr)/(4π) and split = (i/4)H_0(kr) for S (order
-        0), smooth = −k²/(4π)·J_1(kr)/(kr) and split = (i/4)k·H_1(kr)/r for K
-        without its normal factor (order 1).  At complex z the table gives the
-        kernels a chunk of ``_TABLE_CHUNK`` pairs at a time, one pool task per
-        chunk; at real z < 0 the real I/K route gives them on all pairs in one
-        pass."""
+    def _pair_core(self, order: int) -> np.ndarray:
+        """The Kress-split kernel core on the pairs, R·smooth + (2π/N)·(split −
+        smooth·ln(4 sin²)): smooth = −J_0(kr)/(4π) and split = (i/4)H_0(kr) for
+        S (order 0), smooth = −k²/(4π)·J_1(kr)/(kr) and split = (i/4)k·H_1(kr)/r
+        for K without its normal factors (order 1).  At z = 0 it is the
+        logarithm's closed form; elsewhere one loop in the calling thread takes
+        ``_PAIR_CHUNK`` pairs at a time, their kernels from the table at complex
+        z and from the real I/K route at real z < 0."""
         n, k, pairs = self.grid.n, self.z.sqrt_z, self._pairs
         r = pairs.r
-
-        def combine(s, smooth, split):
-            split -= smooth * pairs.lsin[s]
-            write(s, pairs.kress[s] * smooth + (2.0 * np.pi / n) * split)
-
+        if self.z.is_laplace:
+            if order:
+                return 1.0 / (n * r * r)
+            split = -(np.log(r) - 0.5 * pairs.lsin) / (2.0 * np.pi)
+            return pairs.kress * (-1.0 / (4.0 * np.pi)) + (2.0 * np.pi / n) * split
         if self._dtype is complex:
             table = self._table
             smooth_scale, split_scale = ((-1.0 / (4.0 * np.pi), 0.25j) if order == 0
                                          else (-k * k / (4.0 * np.pi), 0.25j * k))
 
-            def chunk(s):
+            def kernels(s):
                 smooth, split = table(order, r[s])
-                smooth *= smooth_scale
-                split *= split_scale
+                # not in place: numpy rounds an in-place complex product of a
+                # one-pair chunk differently
+                smooth, split = smooth * smooth_scale, split * split_scale
                 if order:
                     split /= r[s]
-                combine(s, smooth, split)
-
-            _pool.run_all([lambda a=a: chunk(slice(a, a + _TABLE_CHUNK))
-                           for a in range(0, r.size, _TABLE_CHUNK)])
-            return
-        # k = iκ, y = κr: each value below is the real part of the complex
-        # route's, by the same roundings (the imaginary parts are exactly 0)
-        kappa = k.imag
-        y = kappa * r
-        i_y, k_y = _modified_real(order, y)
-        split = _K_TO_H * k_y  # H_0(iy)/i or H_1(iy)
-        if order == 0:
-            smooth = i_y * (-1.0 / (4.0 * np.pi))
-            split *= -0.25  # (i/4)·i
+                return smooth, split
         else:
-            smooth = i_y * (1.0 / y)  # J_1(iy)/(iy); a complex quotient rounds 1/y first
-            smooth *= kappa * kappa / (4.0 * np.pi)  # −k²/(4π)
-            split *= -0.25 * kappa  # (i/4)·k
-            split *= 1.0 / r
-        combine(slice(None), smooth, split)
+            # k = iκ, y = κr: each value below is the real part of the complex
+            # route's, by the same roundings (the imaginary parts are exactly 0)
+            kappa = k.imag
+
+            def kernels(s):
+                y = kappa * r[s]
+                i_y, k_y = _modified_real(order, y)
+                split = _K_TO_H * k_y  # H_0(iy)/i or H_1(iy)
+                if order == 0:
+                    smooth = i_y * (-1.0 / (4.0 * np.pi))
+                    split *= -0.25  # (i/4)·i
+                else:
+                    smooth = i_y * (1.0 / y)  # J_1(iy)/(iy); a complex quotient rounds 1/y first
+                    smooth *= kappa * kappa / (4.0 * np.pi)  # −k²/(4π)
+                    split *= -0.25 * kappa  # (i/4)·k
+                    split *= 1.0 / r[s]
+                return smooth, split
+
+        core = np.empty(r.size, dtype=self._dtype)
+        for a in range(0, r.size, _PAIR_CHUNK):
+            s = slice(a, a + _PAIR_CHUNK)
+            smooth, split = kernels(s)
+            split -= smooth * pairs.lsin[s]
+            core[s] = pairs.kress[s] * smooth + (2.0 * np.pi / n) * split
+        return core
 
     def _square(self, upper, lower, diagonal) -> np.ndarray:
         out = np.empty((self.grid.n, self.grid.n), dtype=self._dtype)
@@ -341,14 +345,10 @@ class _LayerOperators:
     def single_layer(self) -> np.ndarray:
         """S(z), the weakly singular kernel split per Kress."""
         n, z, pairs, speed = self.grid.n, self.z, self._pairs, self.grid.speed
+        core = self._pair_core(0)
         if z.is_laplace:
-            smooth = -1.0 / (4.0 * np.pi)
-            split = -(np.log(pairs.r) - 0.5 * pairs.lsin) / (2.0 * np.pi)
             split_diagonal = -np.log(speed) / (2.0 * np.pi)
-            core = pairs.kress * smooth + (2.0 * np.pi / n) * split
         else:
-            core = np.empty(pairs.r.size, dtype=self._dtype)
-            self._over_pairs(0, core.__setitem__)
             split_diagonal = 0.25j - (np.euler_gamma + np.log(z.sqrt_z * speed / 2.0)) / (2.0 * np.pi)
         # the smooth part is -J_0(k·0)/(4π) = -1/(4π) on the diagonal
         diagonal = -pairs.kress_diagonal / (4.0 * np.pi) + (2.0 * np.pi / n) * split_diagonal
@@ -361,22 +361,13 @@ class _LayerOperators:
     @_cached_property
     def _double_layer_pairs(self):
         """K on the pairs i < j, as (K_ij, K_ji), and its curvature diagonal."""
-        n, pairs = self.grid.n, self._pairs
+        pairs = self._pairs
         nu_x, nu_y = _unnormalized_normal(self.grid).T
-        rows, cols, dx, dy = pairs.rows, pairs.cols, pairs.dx, pairs.dy
-        upper = np.empty(pairs.r.size, dtype=self._dtype)
-        lower = np.empty(pairs.r.size, dtype=self._dtype)
-
-        def write_pairs(s, core):  # core times ⟨n_u[j], x_j − x_i⟩ and ⟨n_u[i], x_i − x_j⟩
-            rs, cs, dxs, dys = rows[s], cols[s], dx[s], dy[s]
-            np.multiply(nu_x[cs] * dxs + nu_y[cs] * dys, core, out=upper[s])
-            np.multiply(-(nu_x[rs] * dxs + nu_y[rs] * dys), core, out=lower[s])
-
-        if self.z.is_laplace:
-            write_pairs(slice(None), 1.0 / (n * pairs.r * pairs.r))
-        else:
-            self._over_pairs(1, write_pairs)
-        return upper, lower, self.grid.curvature * self.grid.speed / (2.0 * n)
+        core = self._pair_core(1)
+        # core times ⟨n_u[j], x_j − x_i⟩ and ⟨n_u[i], x_i − x_j⟩
+        upper = (nu_x[pairs.cols] * pairs.dx + nu_y[pairs.cols] * pairs.dy) * core
+        lower = -(nu_x[pairs.rows] * pairs.dx + nu_y[pairs.rows] * pairs.dy) * core
+        return upper, lower, self.grid.curvature * self.grid.speed / (2.0 * self.grid.n)
 
     @_cached_property
     def double_layer(self) -> np.ndarray:

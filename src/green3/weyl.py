@@ -55,21 +55,22 @@ def _mode_quotients(ops: _LayerOperators, side: str, modes: int, *extra):
     return _rayleigh_quotients(ops.grid, phis, images[:, :modes + 1]), images[:, modes + 1:]
 
 
-def _dtn_rows(grid: QuadratureGrid, z, side: str, modes: int, tolerance: float) -> list:
+def _dtn_rows(grid: QuadratureGrid, half: QuadratureGrid | None, z, side: str, modes: int,
+              tolerance: float) -> list:
     """A ``weyl.dtn.mode`` row per m = 0..``modes`` and the side's point-source
     row at one z, from one solve at N.  A mode row reports the quotient λ at N
     with residual |λ − ref|/(1 + |ref|): ref is the closed-form symbol
-    −κI_m′/I_m (interior) or κK_m′/K_m (exterior) on the disk, elsewhere the
-    same quotient at N/2 nodes, a conservative bound that needs N a multiple
-    of 4 and at least 16, and ``modes`` below N/4."""
+    −κI_m′/I_m (interior) or κK_m′/K_m (exterior) where ``half`` is None (the
+    disk), elsewhere the same quotient on ``half``, the grid of N/2 nodes on
+    the same curve, a conservative bound that needs N a multiple of 4 and at
+    least 16, and ``modes`` below N/4."""
     ops = _LayerOperators(grid, z)
     # N before N/2, so that a resonance is reported by the rcond₁ guard at N
     source = ops.point_source(side).dirichlet  # one more column of the solve
     quotients, image = _mode_quotients(ops, side, modes, source)
-    if grid.curve.shape == "disk":
+    if half is None:
         reference = [disk_mode_multipliers(ops.z, m)[f"M.{side}"] for m in range(modes + 1)]
     else:
-        half = QuadratureGrid(grid.curve, grid.n // 2)
         reference, _ = _mode_quotients(_LayerOperators(half, ops.z), side, modes)
     rows = [_point_source_row(ops, side, tolerance, image[:, 0])]
     params = {"side": side, "curve": grid.curve.shape, "n": grid.n,

@@ -690,7 +690,7 @@ def test_cli_import_starts_no_thread():
 @pytest.mark.parametrize("cap", ["2", "4"])
 def test_indicator_scan_with_kernel_chunks_finishes(cap):
     # off the real axis, 192 nodes give 18 336 kernel pairs, three pair chunks
-    # each scan point hands to the pool while other scan points still hold it
+    # that each scan point runs in its own thread while other scan points run
     proc = subprocess.run(
         [sys.executable, "-m", "green3.cli", "indicator", "--zgrid", "-3:-1:6:0.5",
          "--nodes", "192"],
@@ -760,7 +760,7 @@ def test_thread_cap_does_not_change_output(monkeypatch):
 
     jobs = [
         ["krein", "--z", "2,1", "--z", "-1,0", "--modes", "3", "--omit-timing"],
-        # one task each: at cap 2 and 8 it hands its pair chunks to idle workers
+        # one task each, which builds its bundle in the calling thread at every cap
         ["dtn", "--curve", "kite", "--z", "-1,0.5", "--nodes", "160", "--omit-timing"],
         ["jumps", "--curve", "kite", "--z", "2,1", "--nodes", "160", "--omit-timing"],
         # four z-tasks on one grid, two or more of them at once
@@ -792,6 +792,26 @@ def test_indicator_scan_builds_the_pair_layout_once(monkeypatch, cap):
                                "--zgrid", "-6:-1:4", "--omit-timing"])
     assert code == 0
     assert builds == [96]
+
+
+@pytest.mark.parametrize("cap", ["1", "2"])
+def test_dtn_builds_each_pair_layout_once(monkeypatch, cap):
+    # the N/2 reference grid off the disk is made once per run, not once per z
+    import green3.geometry as geometry
+
+    builds = []
+
+    class Counted(geometry._PairLayout):
+        def __init__(self, grid):
+            builds.append(grid.n)
+            super().__init__(grid)
+
+    monkeypatch.setattr(geometry, "_PairLayout", Counted)
+    monkeypatch.setenv("GREEN3_THREADS", cap)
+    code, _, stderr = main_capture(["dtn", "--curve", "kite", "--nodes", "128", "--z", "-1,0.5",
+                                    "--z", "-3,0", "--z", "2,1", "--omit-timing"])
+    assert code == 0, stderr
+    assert builds == [128, 64]
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-3", "1.5"])

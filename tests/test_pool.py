@@ -9,7 +9,8 @@ from green3.errors import ConfigurationError
 
 def test_nested_submission_finishes_and_settles_the_count(monkeypatch):
     # more workers than cores, a short switch interval, and tasks that hand
-    # work back into the pool they run on, as check tasks do with pair chunks
+    # work back into the pool they run on: a waiting thread only ever waits
+    # for work that is already running
     monkeypatch.setenv("GREEN3_THREADS", "8")
 
     def task(i):

@@ -327,7 +327,8 @@ def _whole_array_operators(ops, kernels):
     """S, K, K* in complex arithmetic on all pairs at once, by the same
     per-element operations as the bundle's complex route, scattered into dense
     matrices here.  ``kernels(order, r)`` gives (J_0(kr), H_0(kr)) and
-    (J_1(kr)/(kr), H_1(kr))."""
+    (J_1(kr)/(kr), H_1(kr)); without it (z = 0) the cores are the logarithm's
+    closed forms."""
     n, k, pairs = ops.grid.n, ops.z.sqrt_z, ops.grid._pairs
     speed, rows, cols, r = ops.grid.speed, pairs.rows, pairs.cols, pairs.r
 
@@ -337,22 +338,30 @@ def _whole_array_operators(ops, kernels):
         mat[np.arange(n), np.arange(n)] = diagonal
         return mat
 
-    smooth, split = kernels(0, r)
-    smooth *= -1.0 / (4.0 * np.pi)
-    split *= 0.25j
-    split -= smooth * pairs.lsin
-    core = pairs.kress * smooth + (2.0 * np.pi / n) * split
-    split_diagonal = 0.25j - (np.euler_gamma + np.log(k * speed / 2.0)) / (2.0 * np.pi)
+    if kernels is None:
+        split = -(np.log(r) - 0.5 * pairs.lsin) / (2.0 * np.pi)
+        core = pairs.kress * (-1.0 / (4.0 * np.pi)) + (2.0 * np.pi / n) * split
+        split_diagonal = -np.log(speed) / (2.0 * np.pi)
+    else:
+        smooth, split = kernels(0, r)
+        smooth *= -1.0 / (4.0 * np.pi)
+        split *= 0.25j
+        split -= smooth * pairs.lsin
+        core = pairs.kress * smooth + (2.0 * np.pi / n) * split
+        split_diagonal = 0.25j - (np.euler_gamma + np.log(k * speed / 2.0)) / (2.0 * np.pi)
     diagonal = -pairs.kress_diagonal / (4.0 * np.pi) + (2.0 * np.pi / n) * split_diagonal
     single = dense(core, core, diagonal)
     single *= speed
 
-    smooth, split = kernels(1, r)
-    smooth *= -k * k / (4.0 * np.pi)
-    split *= 0.25j * k
-    split /= r
-    split -= smooth * pairs.lsin
-    core = pairs.kress * smooth + (2.0 * np.pi / n) * split
+    if kernels is None:
+        core = 1.0 / (n * r * r)
+    else:
+        smooth, split = kernels(1, r)
+        smooth *= -k * k / (4.0 * np.pi)
+        split *= 0.25j * k
+        split /= r
+        split -= smooth * pairs.lsin
+        core = pairs.kress * smooth + (2.0 * np.pi / n) * split
     v = ops.grid.velocity
     nu_x, nu_y = v[:, 1], -v[:, 0]
     upper = (nu_x[cols] * pairs.dx + nu_y[cols] * pairs.dy) * core
@@ -376,31 +385,47 @@ def _guarded_kernels(k):
 @pytest.mark.parametrize("spec", ["disk", "kite", "ellipse:1.5,0.8"])
 @pytest.mark.parametrize("n", [64, 256])
 def test_chunked_pair_pass_changes_no_bit(monkeypatch, spec, n):
-    """S, K, K* whatever the thread cap and chunk size, equal to whole-array assembly."""
-    import sys
-
+    """S, K, K* at every chunk size, equal to whole-array assembly: the
+    table's kernels at complex z, the real parts of the guarded complex route
+    at real z < 0, and the logarithm's closed forms at z = 0."""
     import green3.potentials as potentials
 
     grid = curve_from_spec(spec, n)
     pairs = n * (n - 1) // 2
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # many thread switches inside each chunk task
-    try:
-        for z in (-1.0 + 0.5j, -24.9 - 1.8j, 4.11 + 26.6j):
+    for z in (-1.0 + 0.5j, -24.9 - 1.8j, 4.11 + 26.6j, -1e-3, -1.0, -30.0, 0.0):
+        ops = _LayerOperators(grid, z)
+        if ops.z.is_laplace:
+            kernels = None
+        elif ops._dtype is complex:
+            kernels = ops._table
+        else:
+            kernels = _guarded_kernels(ops.z.sqrt_z)
+        reference = _whole_array_operators(ops, kernels)
+        # the default, a ragged last chunk, a last chunk of one pair, and one
+        # chunk for all pairs
+        for chunk in (potentials._PAIR_CHUNK, 1000, pairs - 1, pairs):
+            monkeypatch.setattr(potentials, "_PAIR_CHUNK", chunk)
             ops = _LayerOperators(grid, z)
-            reference = _whole_array_operators(ops, ops._table)
-            for cap in ("1", "2", "8"):
-                # the default, a ragged last chunk, and one chunk for all pairs
-                for chunk in (potentials._TABLE_CHUNK, 1000, pairs):
-                    monkeypatch.setenv("GREEN3_THREADS", cap)
-                    monkeypatch.setattr(potentials, "_TABLE_CHUNK", chunk)
-                    ops = _LayerOperators(grid, z)
-                    got = (ops.single_layer, ops.double_layer, ops.adjoint_double_layer)
-                    for mat, ref in zip(got, reference):
-                        assert np.array_equal(mat, ref), (z, cap, chunk)
-                    monkeypatch.undo()
-    finally:
-        sys.setswitchinterval(interval)
+            got = (ops.single_layer, ops.double_layer, ops.adjoint_double_layer)
+            for mat, ref in zip(got, reference):
+                # at real z the reference's imaginary parts are exactly 0
+                assert np.array_equal(mat, ref), (z, chunk)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("z", [-1.0 + 0.5j, -3.0])
+def test_pair_pass_hands_nothing_to_the_pool(monkeypatch, z):
+    """S, K and K* are built in the calling thread, whatever the thread cap."""
+    from green3 import _pool
+
+    def refuse(fns):
+        raise AssertionError("the pair pass handed work to the pool")
+
+    monkeypatch.setenv("GREEN3_THREADS", "8")
+    monkeypatch.setattr(_pool, "run_all", refuse)
+    ops = _LayerOperators(curve_from_spec("kite", 256), z)
+    for mat in (ops.single_layer, ops.double_layer, ops.adjoint_double_layer):
+        assert np.all(np.isfinite(mat))
 
 
 @pytest.mark.parametrize("spec", ["disk", "kite", "ellipse:1.5,0.8"])
@@ -435,15 +460,14 @@ def test_two_bundles_build_s_at_the_same_time(monkeypatch):
 
     import green3.potentials as potentials
 
-    monkeypatch.setenv("GREEN3_THREADS", "1")
     meet = threading.Barrier(2, timeout=5.0)
-    over_pairs = _LayerOperators._over_pairs
+    pair_core = _LayerOperators._pair_core
 
-    def meeting(self, order, write):
+    def meeting(self, order):
         meet.wait()  # broken unless the other thread gets into single_layer as well
-        return over_pairs(self, order, write)
+        return pair_core(self, order)
 
-    monkeypatch.setattr(potentials._LayerOperators, "_over_pairs", meeting)
+    monkeypatch.setattr(potentials._LayerOperators, "_pair_core", meeting)
     grid = curve_from_spec("kite", 64)
     zs = (-1.0, -2.0)
     got, errors = {}, []

@@ -1,12 +1,13 @@
 """Every row family catches a planted defect.
 
-One table of (defect, CLI argv): each defect is monkeypatched into the
-package, the argv runs in process, and the run must end in exit 1, a failed
-identity.  The same argv without the defect must exit 0, so a catch is never
-a row that fails anyway.  A second table holds the known gaps, defects that a
-run still passes, as strict xfails named by their ROADMAP item: once a row
-catches one, its xfail fails and the entry moves to the first table.  Sizes
-are small, so the file adds a few seconds.
+One table of (defect, CLI argv, check names): each defect is monkeypatched
+into the package, the argv runs in process, and the run must end in exit 1, a
+failed identity, with exactly the named checks failing.  The same argv
+without the defect must exit 0, so a catch is never a row that fails anyway.
+A second table holds the known gaps, defects that a run still passes, as
+strict xfails named by their ROADMAP item: once a row catches one, its xfail
+fails and the entry moves to the first table with the names of the checks it
+fails.  Sizes are small, so the file adds a few seconds.
 """
 
 import contextlib
@@ -113,25 +114,38 @@ def _gamma1_sign_flipped(monkeypatch):
 _CURVES = ("disk", "kite", "ellipse:1.5,0.8")
 _PLANAR = ["--nodes", "128", "--z", "-5,1"]
 
-# dtn reads S and K* only, so the K entry runs jumps alone
-DEFECTS = [
-    *[(_side_ignored, [*run, "--curve", curve, *_PLANAR])
-      for run in (["dtn", "--side", "exterior"], ["jumps"]) for curve in _CURVES],
-    *[(_exterior_k_sign_flipped, ["jumps", "--curve", curve, *_PLANAR]) for curve in _CURVES],
-    *[(_speed_dropped_from_s_diagonal, [*run, "--curve", curve, *_PLANAR])
-      for run in (["jumps"], ["dtn", "--side", "interior"], ["dtn", "--side", "exterior"])
-      for curve in _CURVES[1:]],
-    (_unweighted_rayleigh_quotients, ["dtn", "--side", "exterior", "--curve", "kite", *_PLANAR]),
-    *[(plant, ["green-identity", "--curve", curve, *_PLANAR])
-      for plant in (_brackets_swapped, _gamma1_sign_flipped) for curve in _CURVES],
-    (_brackets_swapped, ["green-identity", "--curve", "disk", "--nodes", "128", "--z", "-100,0"]),
-    (_krein_without_rank_one, ["krein", "--z", "2,1", "--mode", "1"]),
-    (_krein_without_rank_one, ["interval", "--check", "krein"]),
-    (_dirichlet_for_neumann, ["krein", "--z", "2,1", "--mode", "1"]),
-    (_dirichlet_for_neumann, ["interval", "--check", "mixed"]),
-    (_unweighted_pairing, ["interval", "--check", "krein"]),
-]
+_GREEN = {"green.third.interior", "green.third.exterior"}
+_DTN = {"weyl.dtn.mode", "weyl.dtn.point_source"}
+_CALDERON = {"jump.calderon.interior", "jump.calderon.exterior"}
 
+# (defect, argv, the check names that fail); dtn reads S and K* only, so the
+# K entry runs jumps alone
+DEFECTS = [
+    (_side_ignored, ["dtn", "--side", "exterior", "--curve", "disk", *_PLANAR], _DTN),
+    *[(_side_ignored, ["dtn", "--side", "exterior", "--curve", curve, *_PLANAR],
+       {"weyl.dtn.point_source"}) for curve in _CURVES[1:]],
+    *[(_side_ignored, ["jumps", "--curve", curve, *_PLANAR], {"weyl.dtn.point_source"})
+      for curve in _CURVES],
+    (_exterior_k_sign_flipped, ["jumps", "--curve", "disk", *_PLANAR],
+     {"jump.calderon.exterior", "jump.double.dirichlet.exterior"}),
+    *[(_exterior_k_sign_flipped, ["jumps", "--curve", curve, *_PLANAR], {"jump.calderon.exterior"})
+      for curve in _CURVES[1:]],
+    *[(_speed_dropped_from_s_diagonal, ["jumps", "--curve", curve, *_PLANAR],
+       _CALDERON | {"weyl.dtn.point_source"}) for curve in _CURVES[1:]],
+    *[(_speed_dropped_from_s_diagonal, ["dtn", "--side", side, "--curve", curve, *_PLANAR], _DTN)
+      for side in ("interior", "exterior") for curve in _CURVES[1:]],
+    (_unweighted_rayleigh_quotients, ["dtn", "--side", "exterior", "--curve", "kite", *_PLANAR],
+     {"weyl.dtn.mode"}),
+    *[(plant, ["green-identity", "--curve", curve, *_PLANAR], _GREEN)
+      for plant in (_brackets_swapped, _gamma1_sign_flipped) for curve in _CURVES],
+    (_brackets_swapped, ["green-identity", "--curve", "disk", "--nodes", "128", "--z", "-100,0"],
+     _GREEN),
+    (_krein_without_rank_one, ["krein", "--z", "2,1", "--mode", "1"], {"coupling.krein.mode"}),
+    (_krein_without_rank_one, ["interval", "--check", "krein"], {"interval.krein"}),
+    (_dirichlet_for_neumann, ["krein", "--z", "2,1", "--mode", "1"], {"coupling.mixed.mode"}),
+    (_dirichlet_for_neumann, ["interval", "--check", "mixed"], {"interval.mixed", "interval.res01"}),
+    (_unweighted_pairing, ["interval", "--check", "krein"], {"interval.krein"}),
+]
 
 # (defect, argv, the ROADMAP item that would close the gap and why the run passes)
 GAPS = [
@@ -153,18 +167,21 @@ def test_each_run_passes_without_a_defect(argv):
     assert code == 0, stderr
 
 
-@pytest.mark.parametrize("plant, argv", [
-    *[pytest.param(plant, argv, id=f"{plant.__name__}-{' '.join(argv)}")
-      for plant, argv in DEFECTS],
-    *[pytest.param(plant, argv, id=f"{plant.__name__}-{' '.join(argv)}",
+@pytest.mark.parametrize("plant, argv, names", [
+    *[pytest.param(plant, argv, names, id=f"{plant.__name__}-{' '.join(argv)}")
+      for plant, argv, names in DEFECTS],
+    # a gap names no checks: its run passes
+    *[pytest.param(plant, argv, None, id=f"{plant.__name__}-{' '.join(argv)}",
                    marks=pytest.mark.xfail(strict=True, reason=f"ROADMAP {gap}"))
       for plant, argv, gap in GAPS],
 ])
-def test_a_planted_defect_fails_its_rows(monkeypatch, plant, argv):
+def test_a_planted_defect_fails_its_rows(monkeypatch, plant, argv, names):
     plant(monkeypatch)
     code, stdout, stderr = _run(argv)
     assert code == 1, stderr
-    assert not json.loads(stdout)["all_pass"]
+    report = json.loads(stdout)
+    assert not report["all_pass"]
+    assert {row["check"] for row in report["checks"] if not row["passed"]} == names
 
 
 def test_the_doubled_singular_values_halve_the_indicator(monkeypatch):

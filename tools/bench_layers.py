@@ -11,6 +11,8 @@ imports TREE's green3, on one core: one BLAS thread and GREEN3_THREADS = 1.
   best, the median and the interquartile range of the samples:
 
   - ``S``: a fresh bundle's S, the kernel table build included at complex z;
+  - ``S+K+K*``: a fresh bundle's S, K and K*, the one pair pass of each of
+    the two kernel orders;
   - ``spectrum.svd``: ``np.linalg.svd`` of S, the values alone;
   - ``spectrum.eigvalsh``: at real z, H = D^{1/2}SD^{−1/2} (D = diag(speed))
     scaled from S and ``np.linalg.eigvalsh`` of H;
@@ -98,7 +100,12 @@ def _layer_rows() -> list:
                     h /= root
                     return np.linalg.eigvalsh(h)
 
+                def operators(z=z):
+                    ops = _LayerOperators(grid, z)
+                    return ops.single_layer, ops.double_layer, ops.adjoint_double_layer
+
                 work = {"S": lambda z=z: _LayerOperators(grid, z).single_layer,
+                        "S+K+K*": operators,
                         "spectrum.svd": lambda s=s: np.linalg.svd(s, compute_uv=False),
                         "spectrum.eigvalsh": eigvalsh if s.dtype == float else None,
                         "spectrum.bundle": lambda: built().single_layer_singular_values,
