@@ -183,12 +183,13 @@ def _dtn_tasks(cfg: RunConfig) -> list:
     rule of its N/2 reference, whose grid the tasks share."""
     _reject_aliased_modes(cfg)
     grid = curve_from_spec(cfg.curve, cfg.nodes)
-    if grid.curve.shape != "disk" and (cfg.nodes % 4 or cfg.nodes < 16 or 4 * cfg.modes >= cfg.nodes):
+    off_disk = grid.curve.shape != "disk"
+    if off_disk and (cfg.nodes % 4 or cfg.nodes < 16 or 4 * cfg.modes >= cfg.nodes):
         raise ConfigurationError(
             f"dtn off the disk checks its modes against N/2 nodes: --nodes must be a multiple "
             f"of 4 and at least 16, and --modes below nodes/4; got --nodes {cfg.nodes} and "
             f"--modes {cfg.modes}")
-    half = None if grid.curve.shape == "disk" else replace(grid, n=grid.n // 2)
+    half = replace(grid, n=grid.n // 2) if off_disk else None
     tol = 1e-6 * cfg.tol_scale
     return [lambda z=z: weyl._dtn_rows(grid, half, z, cfg.side, cfg.modes, tol)
             for z in cfg.z_values(default=(-1.0,))]

@@ -85,7 +85,8 @@ of S and K on it: the logarithm's closed forms at z = 0, and at every other
 z one loop in the calling thread over chunks of ``_PAIR_CHUNK`` pairs.  Each
 chunk takes its kernels from the table or from the I/K route and does all of
 the Kress-split arithmetic before the next, so its temporaries stay in cache
-and no kernel array over all pairs is made.  Each element goes through the
+and no kernel array over all pairs is made; K applies its normal factors over
+the same chunks, K_ij in place on the core.  Each element goes through the
 same operations in the same order as in one pass over all pairs, so S, K and
 K* are the same to the bit for every chunk size.  The pass hands nothing to
 the worker pool: a check task builds its bundle in its own thread.  Since
@@ -363,10 +364,14 @@ class _LayerOperators:
         """K on the pairs i < j, as (K_ij, K_ji), and its curvature diagonal."""
         pairs = self._pairs
         nu_x, nu_y = _unnormalized_normal(self.grid).T
-        core = self._pair_core(1)
-        # core times ⟨n_u[j], x_j − x_i⟩ and ⟨n_u[i], x_i − x_j⟩
-        upper = (nu_x[pairs.cols] * pairs.dx + nu_y[pairs.cols] * pairs.dy) * core
-        lower = -(nu_x[pairs.rows] * pairs.dx + nu_y[pairs.rows] * pairs.dy) * core
+        upper = self._pair_core(1)
+        lower = np.empty_like(upper)
+        # per chunk, K_ji = core·⟨n_u[i], x_i − x_j⟩, then K_ij = core·⟨n_u[j], x_j − x_i⟩ in place
+        for a in range(0, upper.size, _PAIR_CHUNK):
+            s = slice(a, a + _PAIR_CHUNK)
+            rows, cols, dx, dy = pairs.rows[s], pairs.cols[s], pairs.dx[s], pairs.dy[s]
+            np.multiply(-(nu_x[rows] * dx + nu_y[rows] * dy), upper[s], out=lower[s])
+            upper[s] *= nu_x[cols] * dx + nu_y[cols] * dy
         return upper, lower, self.grid.curvature * self.grid.speed / (2.0 * self.grid.n)
 
     @_cached_property
