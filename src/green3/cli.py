@@ -47,16 +47,21 @@ _SUBCOMMANDS = ("jumps", "dtn", "green-identity", "krein", "indicator", "rellich
 # Dense work arrays of a run that assembles S, K, K*: about ten complex N×N
 # matrices (the operators, a trace or LU, the pair arrays and kernel
 # temporaries) for jumps, dtn and indicator, which build every operator at
-# the N of --nodes (dtn's N/2 reference off the disk adds a quarter);
-# green-identity evaluates fields at probes and assembles nothing.  A --nodes
-# whose estimate exceeds the budget (N > 2590) is rejected before any work.
+# the N of --nodes (dtn's N/2 reference off the disk adds a quarter).
+# green-identity assembles nothing; its off-curve arrays over the 40 probes
+# take at most 2.2 kB a node (tracemalloc peak, kite, N = 4096 and 16 384,
+# z = 2 + i).  A --nodes whose estimate exceeds the budget (N > 2590, or
+# N > 447 392 for green-identity) is rejected before any work.
 _WORK_ARRAYS = 10
+_FIELD_BYTES_PER_NODE = 2400
 _WORK_BUDGET_BYTES = 2**30
 _WORK_SUBCOMMANDS = ("jumps", "dtn", "indicator")
 
 
 def _work_bytes(subcommand: str, nodes: int) -> int:
-    """The dense-array estimate for ``--nodes``; 0 where the subcommand ignores it."""
+    """The work-array estimate for ``--nodes``; 0 where the subcommand ignores it."""
+    if subcommand == "green-identity":
+        return _FIELD_BYTES_PER_NODE * nodes
     if subcommand not in _WORK_SUBCOMMANDS:
         return 0
     return _WORK_ARRAYS * 16 * nodes**2

@@ -63,10 +63,11 @@ pointwise to 6.9e-15 for |z| ≤ 32 (|Im k|·r_max up to 16.7) and 7.8e-14 at
 z = 1e4 + i, where the rounding of k·r alone moves H by ε·|k|·r ≈ 3e-14.
 
 Real z ≤ 0.  There k = √z is 0 or iκ, and every factor of the kernels is
-real: J_0(iκr) = I_0(κr), (i/4)H_0(iκr) = K_0(κr)/(2π), J_1(iκr)/(iκr) =
-I_1(κr)/(κr), H_1(iκr) = −(2/π)K_1(κr), and the scales −k²/(4π) = κ²/(4π)
-and (i/4)k = −κ/4 of K.  So a bundle builds S, K and K* there in float64,
-from I and K of ``specfun._modified_real`` on the pairs.  Each value goes
+real: J_0(iκr) = I_0(κr), J_1(iκr)/(iκr) = I_1(κr)/(κr), the scale
+−k²/(4π) = κ²/(4π) of K, and the split parts of ``specfun._kernel``, whose
+route z picks.  So a bundle builds S, K and K* there in float64, from one
+``specfun._modified_real`` call per chunk for I and K, and the ``_OffCurve``
+fields are float64 too.  Each value goes
 through the operations of the complex route in the same order, so it is the
 real part of the complex one to the bit, and the imaginary parts the complex
 route gives are exactly 0; the diagonal of S is the real part of its complex
@@ -105,17 +106,21 @@ from functools import cache
 import numpy as np
 
 from ._pool import _cached_property
-from .errors import AccuracyRegionError, AnsatzResonanceError, ArgumentRangeError, ConfigurationError
+from .errors import (
+    AccuracyRegionError,
+    AnsatzResonanceError,
+    ArgumentRangeError,
+    ConfigurationError,
+    SingularityError,
+)
 from .geometry import QuadratureGrid, dirichlet_trace, neumann_trace
 from .reports import ResidualReport, timed_check, worst
 from .specfun import (
-    _K_TO_H,
     _OVERFLOW_RADIUS,
+    _kernel,
     _modified_real,
     as_spectral_point,
     bessel_j,
-    fundamental_solution,
-    fundamental_solution_gradient,
     hankel1,
     modified_i,
     modified_i_derivative,
@@ -286,28 +291,24 @@ class _LayerOperators:
         S (order 0), smooth = −k²/(4π)·J_1(kr)/(kr) and split = (i/4)k·H_1(kr)/r
         for K without its normal factors (order 1).  At z = 0 it is the
         logarithm's closed form; elsewhere one loop in the calling thread takes
-        ``_PAIR_CHUNK`` pairs at a time, their kernels from the table at complex
-        z and from the real I/K route at real z < 0."""
-        n, k, pairs = self.grid.n, self.z.sqrt_z, self._pairs
+        ``_PAIR_CHUNK`` pairs at a time, smooth from the table at complex z and
+        from the real I/K route at real z < 0, and split from
+        ``specfun._kernel`` on the H or K that came with it."""
+        n, z, pairs = self.grid.n, self.z, self._pairs
         r = pairs.r
-        if self.z.is_laplace:
+        if z.is_laplace:
             if order:
                 return 1.0 / (n * r * r)
             split = -(np.log(r) - 0.5 * pairs.lsin) / (2.0 * np.pi)
             return pairs.kress * (-1.0 / (4.0 * np.pi)) + (2.0 * np.pi / n) * split
+        k = z.sqrt_z
         if self._dtype is complex:
             table = self._table
-            smooth_scale, split_scale = ((-1.0 / (4.0 * np.pi), 0.25j) if order == 0
-                                         else (-k * k / (4.0 * np.pi), 0.25j * k))
+            smooth_scale = -1.0 / (4.0 * np.pi) if order == 0 else -k * k / (4.0 * np.pi)
 
             def kernels(s):
-                smooth, split = table(order, r[s])
-                # not in place: numpy rounds an in-place complex product of a
-                # one-pair chunk differently
-                smooth, split = smooth * smooth_scale, split * split_scale
-                if order:
-                    split /= r[s]
-                return smooth, split
+                smooth, h = table(order, r[s])
+                return smooth * smooth_scale, _kernel(z, order, r[s], h)
         else:
             # k = iκ, y = κr: each value below is the real part of the complex
             # route's, by the same roundings (the imaginary parts are exactly 0)
@@ -316,16 +317,12 @@ class _LayerOperators:
             def kernels(s):
                 y = kappa * r[s]
                 i_y, k_y = _modified_real(order, y)
-                split = _K_TO_H * k_y  # H_0(iy)/i or H_1(iy)
                 if order == 0:
                     smooth = i_y * (-1.0 / (4.0 * np.pi))
-                    split *= -0.25  # (i/4)·i
                 else:
                     smooth = i_y * (1.0 / y)  # J_1(iy)/(iy); a complex quotient rounds 1/y first
                     smooth *= kappa * kappa / (4.0 * np.pi)  # −k²/(4π)
-                    split *= -0.25 * kappa  # (i/4)·k
-                    split *= 1.0 / r[s]
-                return smooth, split
+                return smooth, _kernel(z, order, r[s], k_y)
 
         core = np.empty(r.size, dtype=self._dtype)
         for a in range(0, r.size, _PAIR_CHUNK):
@@ -463,16 +460,19 @@ class _LayerOperators:
 
 class _OffCurve:
     """E(z; x − y) and ∇_x E away from the curve, on targets x × sources y:
-    the (M, S, 2) offsets, the (M, S) distances, and E and ∇E each built on
-    first use.  Point sources and the volume potential read one; one built by
-    ``layer`` on a grid also gives the single- and double-layer fields of
-    densities on that grid.  A single target may be given as one point."""
+    the (M, S, 2) offsets, the (M, S) distances, which must not vanish, and E
+    and ∇E from ``specfun._kernel`` on them, each built on first use.  Point
+    sources and the volume potential read one; one built by ``layer`` on a
+    grid also gives the single- and double-layer fields of densities on that
+    grid.  A single target may be given as one point."""
 
     def __init__(self, z, targets, sources):
-        self.z = z
+        self.z = as_spectral_point(z)
         targets = np.asarray(targets, dtype=float).reshape(-1, 2)
         self.offsets = targets[:, None, :] - np.asarray(sources, dtype=float)[None, :, :]
         self.r = np.linalg.norm(self.offsets, axis=2)
+        if not self.r.all():
+            raise SingularityError("E_z is singular where a target meets a source (r = 0)")
 
     @classmethod
     def layer(cls, grid: QuadratureGrid, z, points, enforce: bool) -> _OffCurve:
@@ -492,12 +492,11 @@ class _OffCurve:
 
     @_cached_property
     def value(self) -> np.ndarray:
-        return fundamental_solution(2, self.z, self.r.ravel()).reshape(self.r.shape)
+        return _kernel(self.z, 0, self.r)
 
     @_cached_property
     def gradient(self) -> np.ndarray:
-        flat = self.offsets.reshape(-1, 2)
-        return fundamental_solution_gradient(2, self.z, flat).reshape(self.offsets.shape)
+        return -_kernel(self.z, 1, self.r)[..., None] * self.offsets
 
     def single_layer(self, density) -> np.ndarray:
         """𝒮_z φ at the targets of a ``layer`` kernel by the plain trapezoid rule."""

@@ -3,13 +3,15 @@
 The cylinder functions are thin, guarded wrappers over ``scipy.special``
 (``jv``, ``hankel1``, ``iv``, ``kv``, ``jn_zeros``), which deliver about
 machine-precision relative accuracy (a few 1e-16) on the whole range the
-package uses.  One branch is selected by the input: when every argument lies on
-the positive imaginary axis, w = iy with y > 0, and the order is 0 or 1, J and
-H^(1) come from the real-argument routines I_0, I_1, K_0, K_1, which are
-several times faster than the complex-argument ones.  That is exactly the
-kernel argument sqrt(z)·r at real z < 0, where the layer bundles of
-:mod:`green3.potentials` read the same guarded helper, ``_modified_real``,
-and build their operators in float64.
+package uses; each is a guard and one scipy call.  The planar kernel, E_z and
+the radial factor of ∇E_z, has one home, ``_kernel``, and z alone picks its
+route there: the logarithm at z = 0, the complex Hankel function at complex z,
+and at real z < 0, where the argument √z·r = iκr lies on the positive
+imaginary axis, the real-argument K_0 and K_1 of ``_modified_real``, several
+times faster than the complex routines and real.  The layer bundles of
+:mod:`green3.potentials` read the same two helpers on the node pairs, so
+they build their operators in float64 there, and the off-curve fields read
+``_kernel`` too.
 
 The guards stay ahead of scipy: a nonnegative integer order, |w| < 700 for J,
 I and H^(1) (J and I grow like e^{|Im w|}, H^(1) decays into underflow or
@@ -29,12 +31,7 @@ from scipy import special as sp
 from .errors import ArgumentRangeError, ConfigurationError, SingularityError, SpectralPoleError
 
 _OVERFLOW_RADIUS = 700.0  # e^{±|Im w|} of J, I and H^(1) must stay in the double range
-
-# at w = iy, y > 0: J_order(iy) = i^order I_order(y), H_order(iy) = i^(1-order)·(-2/pi)·K_order(y)
-_K_TO_H = -2.0 / np.pi
 _MODIFIED_ROUTINES = ((sp.i0, sp.k0), (sp.i1, sp.k1))  # order -> (I_order, K_order)
-_J_IMAGINARY_AXIS = (1.0 + 0j, 1j)                     # order -> factor of I_order
-_H_IMAGINARY_AXIS = (_K_TO_H * 1j, _K_TO_H + 0j)       # order -> factor of K_order
 
 
 @dataclass(frozen=True)
@@ -91,15 +88,12 @@ def _check_overflow(arr: np.ndarray) -> None:
         raise ArgumentRangeError(f"|w| must be finite and < {_OVERFLOW_RADIUS:g} (overflow guard)")
 
 
-def _on_imaginary_axis(order: int, arr: np.ndarray) -> bool:
-    """Whether the real-argument I/K forms apply: order <= 1 and every w = iy, y > 0."""
-    return order <= 1 and bool(np.all(arr.real == 0.0)) and bool(np.all(arr.imag > 0.0))
-
-
 def _modified_real(order: int, y):
     """(I_order(y), K_order(y)) for order 0 or 1 and real 0 < y < 700, the
-    kernels of J and H^(1) at w = iy.  ``bessel_j`` and ``hankel1`` keep one
-    of the two; both together still cost less than one complex routine."""
+    kernels of J and H^(1) at w = iy: J_order(iy) = i^order·I_order(y) and
+    H_order(iy) = i^(1−order)·(−2/π)·K_order(y).  A layer bundle reads both on
+    its pairs and hands K to ``_kernel``; both together still cost less than
+    one complex routine."""
     y = np.asarray(y, dtype=float)
     _check_overflow(y)
     if not np.all(y > 0.0):
@@ -113,10 +107,7 @@ def bessel_j(order, w):
     order = _check_order(order)
     arr, scalar = _as_complex_array(w)
     _check_overflow(arr)
-    if _on_imaginary_axis(order, arr):
-        out = _J_IMAGINARY_AXIS[order] * _modified_real(order, arr.imag)[0]
-    else:
-        out = sp.jv(order, arr)
+    out = sp.jv(order, arr)
     return complex(out[0]) if scalar else out
 
 
@@ -136,11 +127,7 @@ def hankel1(order, w):
         raise SingularityError("H^(1) is singular at w = 0")
     if np.any(arr.imag < -1e-9 * (1.0 + np.abs(arr))):
         raise ArgumentRangeError("hankel1 requires Im(w) >= 0")
-    arr = _normalize_upper(arr)
-    if _on_imaginary_axis(order, arr):
-        out = _H_IMAGINARY_AXIS[order] * _modified_real(order, arr.imag)[1]
-    else:
-        out = sp.hankel1(order, arr)
+    out = sp.hankel1(order, _normalize_upper(arr))
     return complex(out[0]) if scalar else out
 
 
@@ -184,6 +171,31 @@ def bessel_j_zero(k: int) -> float:
     return float(sp.jn_zeros(0, k)[-1])
 
 
+def _kernel(z: SpectralPoint, order: int, r, h=None):
+    """E_z(r) for order 0; for order 1 the radial factor g of ∇E_z(x) =
+    −g(|x|)·x, g = (i/4)k·H_1(kr)/r with k = √z, or 1/(2πr²) at z = 0.
+    z alone picks the route: the logarithm at z = 0, float64 K_0 and K_1 of
+    ``_modified_real`` at real z < 0 (k = iκ), the complex H^(1) elsewhere.
+    A caller that holds the Hankel factor passes it as ``h``: H_order(kr),
+    or K_order(κr) at real z.  The real route is the complex one's real part
+    to the bit, by the same operations in the same order."""
+    k = z.sqrt_z
+    if z.is_laplace:
+        return -np.log(r) / (2.0 * np.pi) if order == 0 else 1.0 / (2.0 * np.pi * r * r)
+    if k.real == 0.0:  # H_order(iκr) = i^(1−order)·(−2/π)·K_order(κr)
+        if h is None:
+            h = _modified_real(order, k.imag * r)[1]
+        out = (-2.0 / np.pi) * h
+        out *= -0.25 if order == 0 else -0.25 * k.imag  # (i/4)·i or (i/4)·k
+        if order:
+            out *= 1.0 / r
+        return out
+    if h is None:
+        h = hankel1(order, k * r)
+    # out of place: numpy rounds an in-place complex product of one pair differently
+    return h * 0.25j if order == 0 else h * (0.25j * k) / r
+
+
 def fundamental_solution(n: int, z, r):
     """Fundamental solution E of (-Laplace - z) in dimension n at distance r > 0."""
     zp = as_spectral_point(z)
@@ -192,10 +204,7 @@ def fundamental_solution(n: int, z, r):
     if np.any(rr <= 0.0):
         raise SingularityError("fundamental_solution requires r > 0")
     if n == 2:
-        if zp.is_laplace:
-            out = (-np.log(rr) / (2.0 * np.pi)).astype(np.complex128)
-        else:
-            out = 0.25j * hankel1(0, zp.sqrt_z * rr)
+        out = np.asarray(_kernel(zp, 0, rr), dtype=np.complex128)
     elif n == 3:
         if zp.is_laplace:
             out = (1.0 / (4.0 * np.pi * rr)).astype(np.complex128)
@@ -204,23 +213,3 @@ def fundamental_solution(n: int, z, r):
     else:
         raise ConfigurationError("fundamental_solution supports n in {2, 3}")
     return complex(out[0]) if scalar else out
-
-
-def fundamental_solution_gradient(n: int, z, x):
-    """Gradient of the planar fundamental solution at x != 0 (n = 2 only)."""
-    if n != 2:
-        raise ConfigurationError("gradient is implemented for n = 2 only")
-    zp = as_spectral_point(z)
-    pts = np.asarray(x, dtype=float)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    r = np.hypot(pts[..., 0], pts[..., 1])
-    if np.any(r == 0.0):
-        raise SingularityError("gradient singular at x = 0")
-    if zp.is_laplace:
-        coef = -1.0 / (2.0 * np.pi * r * r) + 0j
-    else:
-        k = zp.sqrt_z
-        coef = -(0.25j * k) * hankel1(1, k * r) / r
-    out = coef[..., None] * pts
-    return out[0] if scalar else out

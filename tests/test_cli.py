@@ -496,12 +496,30 @@ def test_node_count_over_the_memory_budget_is_usage_error(monkeypatch, tmp_path,
     assert not out.exists()
 
 
+def test_green_identity_nodes_count_against_the_budget(monkeypatch):
+    import green3.cli as cli
+
+    def no_task(cfg):
+        raise AssertionError("green-identity tasks built")
+
+    # a small budget, so the rejected count allocates nothing large
+    monkeypatch.setattr(cli, "_WORK_BUDGET_BYTES", 10**6)
+    monkeypatch.setitem(cli._TASK_BUILDERS, "green-identity", no_task)
+    assert cli._work_bytes("green-identity", 1024) > 10**6
+    code, stdout, stderr = main_capture(["green-identity", "--nodes", "1024"])
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("green3: --nodes 1024 needs about ")
+    assert stderr.endswith(" GiB of dense work arrays for green-identity, over the 0.000931323 "
+                           "GiB budget\n")
+
+
 def test_node_budget_keeps_every_documented_job():
     from green3.cli import _absorb_negative_values, _work_bytes, build_parser, config_from_args
 
     # the largest accepted counts, and every subcommand at N = 512
     assert _work_bytes("jumps", 2590) <= 2**30 < _work_bytes("jumps", 2592)
     assert _work_bytes("indicator", 2590) <= 2**30 < _work_bytes("indicator", 2592)
+    assert _work_bytes("green-identity", 447392) <= 2**30 < _work_bytes("green-identity", 447393)
     for command in ("jumps", "dtn", "green-identity", "indicator", "krein", "rellich",
                     "interval"):
         assert RunConfig(subcommand=command, nodes=512).nodes == 512

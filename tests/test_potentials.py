@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from green3.errors import AccuracyRegionError, AnsatzResonanceError, ConfigurationError
+from green3.errors import AccuracyRegionError, AnsatzResonanceError, ConfigurationError, SingularityError
 from green3.geometry import curve_from_spec, dirichlet_trace, make_curve, neumann_trace
 from green3.potentials import (
     _LayerOperators,
@@ -10,7 +10,7 @@ from green3.potentials import (
     disk_mode_multipliers,
     jump_relation_residuals,
 )
-from green3.specfun import fundamental_solution, fundamental_solution_gradient
+from green3.specfun import fundamental_solution
 
 
 @pytest.fixture(scope="module")
@@ -143,13 +143,22 @@ def test_green_representation(disk256):
     grid = disk256
     z, y0 = -1.0, np.asarray([3.0, 0.0])
     u = lambda pts: fundamental_solution(2, z, np.linalg.norm(pts - y0, axis=-1))
-    u_grad = lambda pts: fundamental_solution_gradient(2, z, pts - y0)
+    u_grad = lambda pts: _OffCurve(z, pts - y0, [(0, 0)]).gradient[:, 0]
     tau_d = dirichlet_trace(u, grid)
     tau_n = neumann_trace(u_grad, grid)
     probes = np.array([[0.0, 0.0], [0.5, 0.2], [-0.4, -0.6]])
     kernel = _OffCurve.layer(grid, z, probes, True)
     rebuilt = kernel.double_layer(tau_d) + kernel.single_layer(tau_n)
     assert np.abs(rebuilt - u(probes)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("z", [0.0, -1.0, 2.0 + 1.0j])
+def test_a_target_on_a_source_is_singular(z):
+    """E and ∇E raise SingularityError at r = 0 on every route of the kernel:
+    the logarithm, the real K route and the complex Hankel route."""
+    for part in ("value", "gradient"):
+        with pytest.raises(SingularityError):
+            getattr(_OffCurve(z, [[0.5, 0.0], [1.0, 2.0]], [(1.0, 2.0), (3.0, 0.0)]), part)
 
 
 # ---------------------------------------------------------------- jump relations
@@ -370,14 +379,18 @@ def _whole_array_operators(ops, kernels):
     return single, double, double.T * (speed[None, :] / speed[:, None])
 
 
-def _guarded_kernels(k):
-    """The kernels of ``_whole_array_operators`` from ``bessel_j``/``hankel1`` at w = k·r."""
-    from green3.specfun import bessel_j, hankel1
+def _real_axis_kernels(k):
+    """The kernels of ``_whole_array_operators`` at w = k·r = iy, y = κr > 0,
+    from the real-axis forms J_m(iy) = i^m·I_m(y) and
+    H_m(iy) = i^(1−m)·(−2/π)·K_m(y), m = 0, 1."""
+    from scipy import special as sp
 
     def kernels(order, r):
         w = k * r
-        j = bessel_j(order, w)
-        return (j / w if order else j), hankel1(order, w)
+        y = w.imag
+        if order == 0:
+            return (1.0 + 0j) * sp.i0(y), (-2.0 / np.pi * 1j) * sp.k0(y)
+        return 1j * sp.i1(y) / w, (-2.0 / np.pi + 0j) * sp.k1(y)
 
     return kernels
 
@@ -386,8 +399,9 @@ def _guarded_kernels(k):
 @pytest.mark.parametrize("n", [64, 256])
 def test_chunked_pair_pass_changes_no_bit(monkeypatch, spec, n):
     """S, K, K* at every chunk size, equal to whole-array assembly: the
-    table's kernels at complex z, the real parts of the guarded complex route
-    at real z < 0, and the logarithm's closed forms at z = 0."""
+    table's kernels at complex z, the real parts of the complex route on the
+    real-axis forms of J and H at real z < 0, and the logarithm's closed
+    forms at z = 0."""
     import green3.potentials as potentials
 
     grid = curve_from_spec(spec, n)
@@ -399,7 +413,7 @@ def test_chunked_pair_pass_changes_no_bit(monkeypatch, spec, n):
         elif ops._dtype is complex:
             kernels = ops._table
         else:
-            kernels = _guarded_kernels(ops.z.sqrt_z)
+            kernels = _real_axis_kernels(ops.z.sqrt_z)
         reference = _whole_array_operators(ops, kernels)
         # the default, a ragged last chunk, a last chunk of one pair, and one
         # chunk for all pairs
@@ -432,11 +446,11 @@ def test_pair_pass_hands_nothing_to_the_pool(monkeypatch, z):
 @pytest.mark.parametrize("n", [64, 256])
 def test_real_z_operators_are_the_complex_route_to_the_bit(spec, n):
     """At real z < 0, S, K and K* are float64 and equal the real parts of the
-    complex route through ``bessel_j``/``hankel1``, whose imaginary parts are 0."""
+    complex route on the real-axis forms of J and H, whose imaginary parts are 0."""
     grid = curve_from_spec(spec, n)
     for z in (-1e-3, -1.0, -30.0):
         ops = _LayerOperators(grid, z)
-        reference = _whole_array_operators(ops, _guarded_kernels(ops.z.sqrt_z))
+        reference = _whole_array_operators(ops, _real_axis_kernels(ops.z.sqrt_z))
         got = (ops.single_layer, ops.double_layer, ops.adjoint_double_layer)
         for mat, ref in zip(got, reference):
             assert mat.dtype == np.float64

@@ -111,6 +111,30 @@ def _gamma1_sign_flipped(monkeypatch):
         lambda jumps: coupling.JumpData(jumps.bracket0, -jumps.bracket1))(brackets(*args)))
 
 
+def _scale_gradient_factor(monkeypatch, regime):
+    # ∇E's radial factor from specfun._kernel times 1.001 at the z of one regime;
+    # the bundle's K and K* and the off-curve fields read it through potentials
+    kernel = potentials._kernel
+
+    def planted(z, order, r, h=None):
+        out = kernel(z, order, r, h)
+        return out * 1.001 if order == 1 and regime(z) else out
+
+    monkeypatch.setattr(potentials, "_kernel", planted)
+
+
+def _laplace_gradient_scaled(monkeypatch):
+    _scale_gradient_factor(monkeypatch, lambda z: z.is_laplace)
+
+
+def _real_gradient_scaled(monkeypatch):
+    _scale_gradient_factor(monkeypatch, lambda z: z.z.imag == 0.0 and not z.is_laplace)
+
+
+def _complex_gradient_scaled(monkeypatch):
+    _scale_gradient_factor(monkeypatch, lambda z: z.z.imag != 0.0)
+
+
 _CURVES = ("disk", "kite", "ellipse:1.5,0.8")
 _PLANAR = ["--nodes", "128", "--z", "-5,1"]
 
@@ -140,6 +164,16 @@ DEFECTS = [
       for plant in (_brackets_swapped, _gamma1_sign_flipped) for curve in _CURVES],
     (_brackets_swapped, ["green-identity", "--curve", "disk", "--nodes", "128", "--z", "-100,0"],
      _GREEN),
+    # ∇E scaled in one regime of the kernel: the off-curve fields at every z, and K and K*
+    # too away from z = 0, where the bundle keeps the logarithm's closed form
+    *[(plant, [*run, "--curve", "kite", "--nodes", "128", "--z", z], names)
+      for plant, z, dtn in ((_laplace_gradient_scaled, "0,0", {"weyl.dtn.point_source"}),
+                            (_real_gradient_scaled, "-1,0", _DTN),
+                            (_complex_gradient_scaled, "-5,1", _DTN))
+      for run, names in ((["jumps"], _CALDERON | {"weyl.dtn.point_source"}),
+                         (["dtn", "--side", "interior"], dtn),
+                         (["green-identity"],
+                          {"green.third.exterior"} if z == "-5,1" else _GREEN))],
     (_krein_without_rank_one, ["krein", "--z", "2,1", "--mode", "1"], {"coupling.krein.mode"}),
     (_krein_without_rank_one, ["interval", "--check", "krein"], {"interval.krein"}),
     (_dirichlet_for_neumann, ["krein", "--z", "2,1", "--mode", "1"], {"coupling.mixed.mode"}),

@@ -19,7 +19,10 @@ imports TREE's green3, on one core: one BLAS thread and GREEN3_THREADS = 1.
   - ``spectrum.bundle``: the tree's own ``single_layer_singular_values`` on a
     bundle whose S is already built, the route the ``indicator`` rows take;
   - ``lu+solve8``: the tree's guarded LU of that S plus ``solve`` of 8
-    complex columns, the route of the Weyl maps.
+    complex columns, the route of the Weyl maps;
+  - ``E+∇E``: a fresh ``_OffCurve.layer`` on the grid and the 40 probes of
+    ``potentials._placement``, its E and its ∇E: the off-curve kernel of a
+    ``green-identity`` row.
 
 * **Replay rows**: the seed-1 job list of each workload of
   ``bench/workloads.py`` (imported read-only from this checkout) at the
@@ -78,14 +81,16 @@ def _timed(work) -> dict:
 
 def _layer_rows() -> list:
     import numpy as np
+    from green3.coupling import probe_ring
     from green3.geometry import curve_from_spec
-    from green3.potentials import _LayerOperators
+    from green3.potentials import _LayerOperators, _OffCurve, _placement
 
     rows, rng = [], np.random.default_rng(0)
     for curve in CURVES:
         for n in NODES:
             grid = curve_from_spec(curve, n)
             root = np.sqrt(grid.speed)
+            probes = np.concatenate([probe_ring(*ring) for ring in _placement(grid)[2]])
             phis = rng.normal(size=(n, COLUMNS)) + 1j * rng.normal(size=(n, COLUMNS))
             for z in ZS:
                 s = _LayerOperators(grid, z).single_layer
@@ -104,12 +109,17 @@ def _layer_rows() -> list:
                     ops = _LayerOperators(grid, z)
                     return ops.single_layer, ops.double_layer, ops.adjoint_double_layer
 
+                def fields(z=z):
+                    kernel = _OffCurve.layer(grid, z, probes, True)
+                    return kernel.value, kernel.gradient
+
                 work = {"S": lambda z=z: _LayerOperators(grid, z).single_layer,
                         "S+K+K*": operators,
                         "spectrum.svd": lambda s=s: np.linalg.svd(s, compute_uv=False),
                         "spectrum.eigvalsh": eigvalsh if s.dtype == float else None,
                         "spectrum.bundle": lambda: built().single_layer_singular_values,
-                        "lu+solve8": lambda: built().solve(phis)}
+                        "lu+solve8": lambda: built().solve(phis),
+                        "E+∇E": fields}
                 for layer, call in work.items():
                     if call is not None:
                         rows.append({"layer": layer, "curve": curve, "n": n,

@@ -7,8 +7,8 @@ three workloads of ``bench/workloads.py`` (imported read-only from this
 checkout) at seeds 1–3, each distinct argv once, and ``REAL_Z``: ``jumps``
 and ``dtn`` at real z on each curve, where S is float64 and the densities
 are complex, a solve path no benchmark job takes, and ``green-identity``
-there, whose off-curve fields reach ``hankel1`` on the imaginary axis (at
-z < 0) or the logarithm (at z = 0), as no benchmark job does.  Last come
+there, whose off-curve fields take the real K route of ``specfun._kernel``
+(at z < 0) or the logarithm (at z = 0), as no benchmark job does.  Last come
 the CLI examples of this checkout's README (seven), without ``--out PATH``,
 which reach the CSV writer and the N = 256 real-z ``jumps`` and ``dtn``
 paths; a CSV report carries no verdict, so its rows are read from the CSV
