@@ -50,7 +50,7 @@ _SUBCOMMANDS = ("jumps", "dtn", "green-identity", "krein", "indicator", "rellich
 # the N of --nodes (dtn's N/2 reference off the disk adds a quarter).
 # green-identity assembles nothing; its off-curve arrays over the 40 probes
 # take at most 2.2 kB a node (tracemalloc peak, kite, N = 4096 and 16 384,
-# z = 2 + i).  A --nodes whose estimate exceeds the budget (N > 2590, or
+# z = 2 + i), counted as 2.4 kB.  A --nodes whose estimate exceeds the budget (N > 2590, or
 # N > 447 392 for green-identity) is rejected before any work.
 _WORK_ARRAYS = 10
 _FIELD_BYTES_PER_NODE = 2400

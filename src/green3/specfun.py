@@ -3,15 +3,15 @@
 The cylinder functions are thin, guarded wrappers over ``scipy.special``
 (``jv``, ``hankel1``, ``iv``, ``kv``, ``jn_zeros``), which deliver about
 machine-precision relative accuracy (a few 1e-16) on the whole range the
-package uses; each is a guard and one scipy call.  The planar kernel, E_z and
-the radial factor of ∇E_z, has one home, ``_kernel``, and z alone picks its
-route there: the logarithm at z = 0, the complex Hankel function at complex z,
-and at real z < 0, where the argument √z·r = iκr lies on the positive
-imaginary axis, the real-argument K_0 and K_1 of ``_modified_real``, several
-times faster than the complex routines and real.  The layer bundles of
-:mod:`green3.potentials` read the same two helpers on the node pairs, so
-they build their operators in float64 there, and the off-curve fields read
-``_kernel`` too.
+package uses; ``bessel_j``, ``hankel1``, ``modified_i`` and ``modified_k`` are
+each a guard and one scipy call.  The planar kernel, E_z and the radial
+factor of ∇E_z, has one home, ``_kernel``, and z alone picks its route there:
+the logarithm at z = 0, the complex Hankel function at complex z, and at real
+z < 0, where the argument √z·r = iκr lies on the positive imaginary axis, the
+real-argument K_0 and K_1 of ``_modified_real``, several times faster than
+the complex routines and real.  The layer bundles of :mod:`green3.potentials`
+read the same two helpers on the node pairs, so they build their operators in
+float64 there, and the off-curve fields read ``_kernel`` too.
 
 The guards stay ahead of scipy: a nonnegative integer order, |w| < 700 for J,
 I and H^(1) (J and I grow like e^{|Im w|}, H^(1) decays into underflow or
