@@ -1,14 +1,14 @@
 """Batch verification harness: every check suite behind one ``green3`` binary.
 
-Each subcommand assembles a list of independent check tasks, runs them on the
-process-wide worker pool (``green3._pool``: at most ``GREEN3_THREADS``
-threads, the calling thread included, which runs the first task itself; a
-task does all of its work, its layer bundles included, in its own thread),
-and emits a single report in JSON (versioned schema) or flat CSV.  Exit status is
-the verdict: 0 all pass, 1 at least one residual above tolerance, 2 for
-unusable input or when no check ran, 3 for an internal error.  Reports are
-deterministic for a fixed config and seed once timing fields are omitted,
-whatever the thread cap.
+Each subcommand assembles a list of independent check tasks (one per z in a
+scan), runs them with ``run_all`` and emits a single report in JSON
+(versioned schema) or flat CSV.  A run of one task runs it in the calling
+thread; a run of several gets an executor of its own with at most
+``GREEN3_THREADS`` threads, and a task does all of its work, its layer
+bundles included, in its own thread.  Exit status is the verdict: 0 all
+pass, 1 at least one residual above tolerance, 2 for unusable input or when
+no check ran, 3 for an internal error.  Reports are deterministic for a fixed
+config and seed once timing fields are omitted, whatever the thread cap.
 """
 
 from __future__ import annotations
@@ -16,14 +16,15 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import coupling, interval_model, potentials, weyl
-from ._pool import run_all
 from .errors import (
     AccuracyRegionError,
     AnsatzResonanceError,
@@ -331,6 +332,36 @@ def run(config: RunConfig) -> int:
         message = str(exc).replace("\n", " ")
         print(f"green3: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
+
+
+def thread_cap() -> int:
+    """``GREEN3_THREADS`` as a count >= 1; 4 when it is unset."""
+    cap = os.environ.get("GREEN3_THREADS")
+    if cap is None:
+        return 4
+    message = f"GREEN3_THREADS must be an integer >= 1, got {cap!r}"
+    try:
+        limit = int(cap)
+    except ValueError:
+        raise ConfigurationError(message) from None
+    if limit < 1:
+        raise ConfigurationError(message)
+    return limit
+
+
+def run_all(fns) -> list:
+    """The results of ``fns`` in order; the first error in that order is raised.
+
+    One task, or a cap of 1, runs in the calling thread.  Otherwise the run
+    gets an executor of its own with min(cap, tasks) threads, and the caller
+    waits; after an error ``Executor.map`` cancels the tasks not yet started,
+    and the executor is shut down once the running ones end."""
+    fns = list(fns)
+    width = min(thread_cap(), len(fns))
+    if width < 2:
+        return [fn() for fn in fns]
+    with ThreadPoolExecutor(width, thread_name_prefix="green3") as pool:
+        return list(pool.map(lambda fn: fn(), fns))
 
 
 def _run(config: RunConfig) -> int:

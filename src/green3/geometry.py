@@ -21,10 +21,32 @@ from functools import cache
 
 import numpy as np
 
-from ._pool import _cached_property
 from .errors import ConfigurationError, EvaluationError
 
 _BUILTIN_SHAPES = ("disk", "ellipse", "kite")
+
+
+class _cached_property:
+    """``functools.cached_property`` as in Python 3.12: the first read computes
+    the value and stores it in the instance ``__dict__``, which serves every
+    later read.  Python 3.11 takes one lock per attribute shared by all
+    instances, so two check tasks, each with its own layer bundle, took turns
+    on S and its singular values.  Two threads that read one instance's
+    attribute for the first time may each compute it; every use here is a pure
+    function of the instance, so both get equal values."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)

@@ -78,10 +78,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._pool import _cached_property
 from .coupling import _difference, _krein, _mixed
 from .errors import AccuracyRegionError, BracketingError, ConfigurationError, SpectralPoleError
-from .geometry import _check_side, _interp_at_zero, _leggauss
+from .geometry import _cached_property, _check_side, _interp_at_zero, _leggauss
 from .reports import ResidualReport, timed_check, worst
 
 _BUMP_CENTERS = (0.3, 0.7, 1.0, 1.35, 1.8)
@@ -515,12 +514,11 @@ def _dd_quartic(x):
 _ZERO = _constant(0.0)
 
 # The reference fields of the 1D third Green identity, by label, with the
-# brackets ([Γ₀f], [Γ₁f]) they have: smooth (0, 0), jump (1, −1), zero (0, 0).
+# brackets ([Γ₀f], [Γ₁f]) they have: smooth (0, 0) and jump (1, −1).
 GREEN3_FAMILIES = {
     "smooth": IntervalField(_quartic, _quartic, _d_quartic, _d_quartic, _dd_quartic, _dd_quartic),
     "jump": IntervalField(lambda x: np.asarray(x, dtype=float), _ZERO,
                           _constant(1.0), _ZERO, _ZERO, _ZERO),
-    "zero": IntervalField(_ZERO, _ZERO, _ZERO, _ZERO, _ZERO, _ZERO),
 }
 
 

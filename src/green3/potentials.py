@@ -89,13 +89,11 @@ the Kress-split arithmetic before the next, so its temporaries stay in cache
 and no kernel array over all pairs is made; K applies its normal factors over
 the same chunks, K_ij in place on the core.  Each element goes through the
 same operations in the same order as in one pass over all pairs, so S, K and
-K* are the same to the bit for every chunk size.  The pass hands nothing to
-the worker pool: a check task builds its bundle in its own thread.  Since
-the tables landed, chunks on idle workers no longer paid on the benchmark's
-complex-z jobs (one z each, at N = 256); they only sped up a single z at
-large N.  K* is scattered from the pair values of K,
-K*_ij = K_ji·(s_j/s_i) with s the node speed, which equals K.T·(s_j/s_i) bit
-for bit; the DtN path reads only S and K* and never forms K.
+K* are the same to the bit for every chunk size.  The pass starts no
+thread: a check task builds its bundle in its own thread.  K* is scattered
+from the pair values of K, K*_ij = K_ji·(s_j/s_i) with s the node speed,
+which equals K.T·(s_j/s_i) bit for bit; the DtN path reads only S and K* and
+never forms K.
 """
 
 from __future__ import annotations
@@ -105,7 +103,6 @@ from functools import cache
 
 import numpy as np
 
-from ._pool import _cached_property
 from .errors import (
     AccuracyRegionError,
     AnsatzResonanceError,
@@ -113,7 +110,7 @@ from .errors import (
     ConfigurationError,
     SingularityError,
 )
-from .geometry import QuadratureGrid, dirichlet_trace, neumann_trace
+from .geometry import QuadratureGrid, _cached_property, dirichlet_trace, neumann_trace
 from .reports import ResidualReport, timed_check, worst
 from .specfun import (
     _OVERFLOW_RADIUS,

@@ -8,15 +8,16 @@ each a guard and one scipy call.  The planar kernel, E_z and the radial
 factor of ∇E_z, has one home, ``_kernel``, and z alone picks its route there:
 the logarithm at z = 0, the complex Hankel function at complex z, and at real
 z < 0, where the argument √z·r = iκr lies on the positive imaginary axis, the
-real-argument K_0 and K_1 of ``_modified_real``, several times faster than
-the complex routines and real.  The layer bundles of :mod:`green3.potentials`
-read the same two helpers on the node pairs, so they build their operators in
-float64 there, and the off-curve fields read ``_kernel`` too.
+real-argument K_0 and K_1, several times faster than the complex routines
+and real.  The layer bundles of :mod:`green3.potentials` take I and K
+together from ``_modified_real`` on the node pairs and hand K to ``_kernel``,
+so they build their operators in float64 there; the off-curve fields read
+``_kernel`` alone, which evaluates K only.
 
 The guards stay ahead of scipy: a nonnegative integer order, |w| < 700 for J,
 I and H^(1) (J and I grow like e^{|Im w|}, H^(1) decays into underflow or
 loses its phase to the rounding of w; NaN fails it too), Im w >= 0 and
-w != 0 for H^(1), Re w > 0 for K, and 0 < y < 700 for the real I/K helper.
+w != 0 for H^(1), Re w > 0 for K, and 0 < y < 700 for the real I/K route.
 All functions accept scalars or numpy arrays in the argument and are pure
 (thread-safe).
 """
@@ -88,16 +89,22 @@ def _check_overflow(arr: np.ndarray) -> None:
         raise ArgumentRangeError(f"|w| must be finite and < {_OVERFLOW_RADIUS:g} (overflow guard)")
 
 
+def _real_argument(y) -> np.ndarray:
+    """y as a float array, guarded for the real I/K route: 0 < y < 700."""
+    y = np.asarray(y, dtype=float)
+    _check_overflow(y)
+    if not np.all(y > 0.0):
+        raise ArgumentRangeError("the real I/K route needs w = iy with y > 0")
+    return y
+
+
 def _modified_real(order: int, y):
     """(I_order(y), K_order(y)) for order 0 or 1 and real 0 < y < 700, the
     kernels of J and H^(1) at w = iy: J_order(iy) = i^order·I_order(y) and
     H_order(iy) = i^(1−order)·(−2/π)·K_order(y).  A layer bundle reads both on
     its pairs and hands K to ``_kernel``; both together still cost less than
     one complex routine."""
-    y = np.asarray(y, dtype=float)
-    _check_overflow(y)
-    if not np.all(y > 0.0):
-        raise ArgumentRangeError("the real I/K route needs w = iy with y > 0")
+    y = _real_argument(y)
     i_fn, k_fn = _MODIFIED_ROUTINES[order]
     return i_fn(y), k_fn(y)
 
@@ -174,8 +181,8 @@ def bessel_j_zero(k: int) -> float:
 def _kernel(z: SpectralPoint, order: int, r, h=None):
     """E_z(r) for order 0; for order 1 the radial factor g of ∇E_z(x) =
     −g(|x|)·x, g = (i/4)k·H_1(kr)/r with k = √z, or 1/(2πr²) at z = 0.
-    z alone picks the route: the logarithm at z = 0, float64 K_0 and K_1 of
-    ``_modified_real`` at real z < 0 (k = iκ), the complex H^(1) elsewhere.
+    z alone picks the route: the logarithm at z = 0, float64 K_0 and K_1 at
+    real z < 0 (k = iκ), the complex H^(1) elsewhere.
     A caller that holds the Hankel factor passes it as ``h``: H_order(kr),
     or K_order(κr) at real z.  The real route is the complex one's real part
     to the bit, by the same operations in the same order."""
@@ -184,7 +191,7 @@ def _kernel(z: SpectralPoint, order: int, r, h=None):
         return -np.log(r) / (2.0 * np.pi) if order == 0 else 1.0 / (2.0 * np.pi * r * r)
     if k.real == 0.0:  # H_order(iκr) = i^(1−order)·(−2/π)·K_order(κr)
         if h is None:
-            h = _modified_real(order, k.imag * r)[1]
+            h = _MODIFIED_ROUTINES[order][1](_real_argument(k.imag * r))
         out = (-2.0 / np.pi) * h
         out *= -0.25 if order == 0 else -0.25 * k.imag  # (i/4)·i or (i/4)·k
         if order:

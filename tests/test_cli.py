@@ -8,8 +8,7 @@ import sys
 import pytest
 
 import green3
-from green3 import _pool
-from green3.cli import RunConfig, _parse_z, _parse_zgrid, main
+from green3.cli import RunConfig, _parse_z, _parse_zgrid, main, thread_cap
 from green3.errors import ConfigurationError
 
 
@@ -637,7 +636,7 @@ def test_interval_green3_families_are_labelled():
     code, stdout, _ = main_capture(["interval", "--check", "green3"])
     assert code == 0
     doc = json.loads(stdout)
-    assert {row["params"]["family"] for row in doc["checks"]} == {"smooth", "jump", "zero"}
+    assert {row["params"]["family"] for row in doc["checks"]} == {"smooth", "jump"}
 
 
 def test_interval_pole_z_is_usage_error():
@@ -836,7 +835,7 @@ def test_dtn_builds_each_pair_layout_once(monkeypatch, cap):
 def test_invalid_thread_cap_is_usage_error(monkeypatch, cap):
     monkeypatch.setenv("GREEN3_THREADS", cap)
     with pytest.raises(ConfigurationError):
-        _pool.thread_cap()
+        thread_cap()
     code, stdout, stderr = main_capture(["rellich", "--k", "1"])
     assert code == 2
     assert stdout == ""

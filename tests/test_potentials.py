@@ -430,13 +430,13 @@ def test_chunked_pair_pass_changes_no_bit(monkeypatch, spec, n):
 @pytest.mark.parametrize("z", [-1.0 + 0.5j, -3.0])
 def test_pair_pass_hands_nothing_to_the_pool(monkeypatch, z):
     """S, K and K* are built in the calling thread, whatever the thread cap."""
-    from green3 import _pool
+    from concurrent.futures import ThreadPoolExecutor
 
-    def refuse(fns):
-        raise AssertionError("the pair pass handed work to the pool")
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the pair pass built an executor")
 
     monkeypatch.setenv("GREEN3_THREADS", "8")
-    monkeypatch.setattr(_pool, "run_all", refuse)
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", refuse)
     ops = _LayerOperators(curve_from_spec("kite", 256), z)
     for mat in (ops.single_layer, ops.double_layer, ops.adjoint_double_layer):
         assert np.all(np.isfinite(mat))

@@ -55,6 +55,13 @@ def _unweighted_pairing(monkeypatch):
     monkeypatch.setattr(interval_model._Side, "pairing", pairing)
 
 
+def _resolvent_negated(monkeypatch):
+    # the 1D model's 𝒢 = (A − z)⁻¹ applied with the wrong sign
+    apply_resolvent = interval_model.apply_resolvent
+    monkeypatch.setattr(interval_model, "apply_resolvent",
+                        lambda kernel, phi, xs: -apply_resolvent(kernel, phi, xs))
+
+
 def _side_ignored(monkeypatch):
     # every Weyl action takes the interior Neumann trace, whatever the side
     action = potentials._LayerOperators.weyl_action
@@ -179,6 +186,8 @@ DEFECTS = [
     (_dirichlet_for_neumann, ["krein", "--z", "2,1", "--mode", "1"], {"coupling.mixed.mode"}),
     (_dirichlet_for_neumann, ["interval", "--check", "mixed"], {"interval.mixed", "interval.res01"}),
     (_unweighted_pairing, ["interval", "--check", "krein"], {"interval.krein"}),
+    (_resolvent_negated, ["interval", "--check", "green3"],
+     {"interval.green3.minus", "interval.green3.plus"}),
 ]
 
 # (defect, argv, the ROADMAP item that would close the gap and why the run passes)
