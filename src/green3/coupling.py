@@ -12,8 +12,9 @@ The right sides of the Krein, mixed and difference formulas are written once
 here, for scalar M±; the disk modes and the 1D model (``interval_model``) call
 them.  The rows are check points of both sides, with a side index (0 for +, 1
 for −), and the columns are densities φ: a delta at each sample radius on the
-disk, one bump in 1D.  The inputs are M±, γ at the rows, γ₊*φ and γ₋*φ per
-column, and the decoupled resolvent applied to φ as one block-diagonal array.
+disk, the five bumps in 1D.  The inputs are M±, γ at the rows, γ₊*φ and γ₋*φ
+per column, and the decoupled resolvent applied to φ as one block-diagonal
+array.
 One pole rule guards M₊ + M₋ and M₋: a pole below 1e-10·(|M₊| + |M₋|).
 """
 

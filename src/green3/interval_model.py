@@ -14,17 +14,15 @@ The model has one quadrature rule, ``_pieces``: sorted points cut (a, b)
 into gaps, each gap into equal pieces no longer than ``_PIECE_LENGTH`` with
 one ``_PIECE_N``-point Gauss–Legendre rule each.
 
-Each Green kernel lives for one check call and is applied to many densities φ
-at the same few point sets.  ``apply_resolvent`` evaluates the Green's-function
-representation by running sums (Greengard & Rokhlin, CPAM 44, 1991): the
-evaluation points, the ends and the kernel's breaks are the points of the
-rule, and ∫_a^x and ∫_x^b are forward and backward sums of the piece
-integrals, so every node is visited once for all points.  The first call at a
-point set builds the nodes, u₁·w and u₂·w there and u₁/u₂ at the points, and
-keeps them on the kernel; every later φ there evaluates only φ itself, once
-on all nodes.  This changes no bit of any result: each piece sum is the same
-elementwise product on the same nodes, reduced in the same order, as when
-everything is evaluated afresh.
+Each check hands ``apply_resolvent`` all of its densities at once, as the
+rows of one φ, so each Green kernel is applied once per point set.
+``apply_resolvent`` evaluates the Green's-function representation by running
+sums (Greengard & Rokhlin, CPAM 44, 1991): the evaluation points, the ends and
+the kernel's breaks are the points of the rule, and ∫_a^x and ∫_x^b are
+forward and backward sums of the piece integrals, so every node is visited
+once for all points and all densities.  Densities stay on the leading axis
+and each piece's nodes are contiguous, so every density's piece sums and
+running sums are the same, bit for bit, as when it is applied alone.
 
 Everything the checks read of one side — m(z), γ, the Dirichlet kernel, the
 kernel with a Neumann condition at the junction, the check points — comes from
@@ -34,7 +32,8 @@ the side's own ends (16 pieces of 16 nodes), with the nodes and γ·w built once
 per side.
 
 The Krein, mixed and difference formulas, and their pole rule, are those of
-``coupling``, which the disk modes use too; a column there is one bump here.
+``coupling``, which the disk modes use too; its columns are the five bumps
+here.
 
 Unlike the planar operators, z may be any complex number away from the
 relevant poles — the 1D spectra are discrete, so real z in spectral gaps is a
@@ -73,8 +72,8 @@ Every z with |Re z| ≤ 5 and c± ∈ [0, 3] has |ω| ≤ 2.93, far inside.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -83,8 +82,12 @@ from .errors import AccuracyRegionError, BracketingError, ConfigurationError, Sp
 from .geometry import _cached_property, _check_side, _interp_at_zero, _leggauss
 from .reports import ResidualReport, timed_check, worst
 
-_BUMP_CENTERS = (0.3, 0.7, 1.0, 1.35, 1.8)
+# the densities of the krein and mixed checks: five Gaussian bumps spread over
+# (0,2), one straddling the junction
+_BUMP_CENTERS = np.array([0.3, 0.7, 1.0, 1.35, 1.8])
 _BUMP_WIDTH = 0.12
+_FORMULA_POINTS, _GREEN3_POINTS = 200, 100  # check points per side
+_TRIALS = 5  # random densities per (z, side) of the suite's gsgs rows
 
 # ``_pieces``: at most this long, with this many nodes each
 _PIECE_LENGTH = 1.0 / 16.0
@@ -134,8 +137,7 @@ class _Kernel:
     """G(x,y) = −u₁(x_<)u₂(x_>)/W on (a,b), the standard Sturm–Liouville form.
 
     ``breaks`` lists interior points where u₁/u₂ lose smoothness (the coupled
-    kernel's junction); no quadrature piece may straddle them.
-    ``_factors`` keeps what ``apply_resolvent`` reuses per point set xs."""
+    kernel's junction); no quadrature piece may straddle them."""
 
     a: float
     b: float
@@ -143,7 +145,6 @@ class _Kernel:
     u2: Callable
     wronskian: complex
     breaks: tuple = ()
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 class _Side:
@@ -221,10 +222,10 @@ class _Side:
         weights = weights.ravel()
         return nodes, weights, self.gamma(nodes) * weights
 
-    def pairing(self, phi: Callable) -> complex:
-        """∫γφ over the side."""
+    def pairing(self, phi: Callable):
+        """∫γφ over the side, one value per density (a row of φ)."""
         nodes, _, gamma_w = self._rule
-        return complex(np.sum(gamma_w * phi(nodes)))
+        return np.sum(gamma_w * phi(nodes), axis=-1)
 
     def gram(self) -> float:
         """∫|γ|² over the side."""
@@ -277,24 +278,12 @@ def _pieces(points: np.ndarray):
     return nodes, np.outer(lengths, 0.5 * w), first
 
 
-class _ResolventFactors:
-    """Everything ``apply_resolvent`` needs of one (kernel, xs) but φ: the
-    nodes, u₁·w and u₂·w there, the pieces left of each x, and u₁/u₂ at xs."""
-
-    def __init__(self, kernel: _Kernel, xs: np.ndarray):
-        points = np.unique(np.concatenate([[kernel.a, *kernel.breaks, kernel.b], xs.ravel()]))
-        self.nodes, weights, first = _pieces(points)
-        self.u1w = kernel.u1(self.nodes).reshape(weights.shape) * weights
-        self.u2w = kernel.u2(self.nodes).reshape(weights.shape) * weights
-        self.left_pieces = first[np.searchsorted(points, xs)]
-        self.u1_xs, self.u2_xs = kernel.u1(xs), kernel.u2(xs)
-
-
 def apply_resolvent(kernel: _Kernel, phi: Callable, xs) -> np.ndarray:
     """(A−z)⁻¹φ at points xs of [a, b]: u(x) = −[u₂(x)∫_a^x u₁φ + u₁(x)∫_x^b u₂φ]/W.
 
-    φ must be an evaluable callable (closed-form bases keep this exact).  It
-    is evaluated once on the pieces of the module docstring, which end at
+    φ must be an evaluable callable (closed-form bases keep this exact); its
+    leading axes are densities, so φ of shape (C, nodes) gives (C, len(xs)).
+    It is evaluated once on the pieces of the module docstring, which end at
     every x and break, and ∫_a^x, ∫_x^b are forward and backward running sums
     of the piece integrals.  A point outside [a, b] or NaN raises
     ``ConfigurationError``."""
@@ -303,24 +292,25 @@ def apply_resolvent(kernel: _Kernel, phi: Callable, xs) -> np.ndarray:
     if outside.size:
         raise ConfigurationError(
             f"resolvent point {float(outside[0])!r} is not in [{kernel.a:g}, {kernel.b:g}]")
-    key = (xs.shape, xs.tobytes())
-    fac = kernel._factors.get(key)
-    if fac is None:
-        fac = kernel._factors[key] = _ResolventFactors(kernel, xs)
-    phi_nodes = np.asarray(phi(fac.nodes)).reshape(fac.u1w.shape)
-    left = np.concatenate([[0.0], np.cumsum((fac.u1w * phi_nodes).sum(axis=1))])
-    right = np.concatenate([np.cumsum((fac.u2w * phi_nodes).sum(axis=1)[::-1])[::-1], [0.0]])
-    return -(fac.u2_xs * left[fac.left_pieces] + fac.u1_xs * right[fac.left_pieces]) \
-        / kernel.wronskian
+    points = np.unique(np.concatenate([[kernel.a, *kernel.breaks, kernel.b], xs.ravel()]))
+    nodes, weights, first = _pieces(points)
+    phi_nodes = np.asarray(phi(nodes))
+    phi_nodes = phi_nodes.reshape(phi_nodes.shape[:-1] + weights.shape)
+
+    def piece_integrals(u):
+        return (u(nodes).reshape(weights.shape) * weights * phi_nodes).sum(axis=-1)
+
+    zero = np.zeros(phi_nodes.shape[:-2] + (1,))
+    left = np.concatenate([zero, np.cumsum(piece_integrals(kernel.u1), axis=-1)], axis=-1)
+    right = np.concatenate([np.cumsum(piece_integrals(kernel.u2)[..., ::-1], axis=-1)[..., ::-1],
+                            zero], axis=-1)
+    at = first[np.searchsorted(points, xs)]  # the pieces left of each x
+    return -(kernel.u2(xs) * left[..., at] + kernel.u1(xs) * right[..., at]) / kernel.wronskian
 
 
-def _gaussian_bump(center: float, width: float) -> Callable:
-    return lambda x: np.exp(-(((np.asarray(x) - center) / width) ** 2))
-
-
-def default_basis() -> list:
-    """Five Gaussian bumps spread over (0,2), one straddling the junction."""
-    return [_gaussian_bump(c, _BUMP_WIDTH) for c in _BUMP_CENTERS]
+def _bumps(x) -> np.ndarray:
+    """The five bumps of ``_BUMP_CENTERS`` at x, one row each."""
+    return np.exp(-(((np.asarray(x) - _BUMP_CENTERS[:, None]) / _BUMP_WIDTH) ** 2))
 
 
 # ----------------------------------------------------------- resolvent formulas
@@ -328,34 +318,36 @@ def default_basis() -> list:
 class _ResolventFormula:
     """What the Krein and mixed checks share at (z, c₊, c₋): the region check,
     both sides with m±, the coupled and Dirichlet kernels, the params echo,
-    and the rows of ``coupling``'s formulas (each side's check points, +
-    first) with their side index and γ there."""
+    the rows of ``coupling``'s formulas (each side's check points, + first)
+    with their side index and γ there, and the γ pairings γ₊*φ and γ₋*φ of
+    the five bumps, its columns."""
 
-    def __init__(self, check: str, z, c_plus: float, c_minus: float, grid_n: int):
+    def __init__(self, check: str, z, c_plus: float, c_minus: float):
         _check_accuracy_region(check, z, c_plus, c_minus)
         self.sides = (_Side("+", z, c_plus), _Side("-", z, c_minus))
         self.weyl = tuple(side.weyl() for side in self.sides)
         self.coupled = coupled_kernel(z, c_plus, c_minus)
         self.dirichlet = tuple(side.dirichlet() for side in self.sides)
-        self.points = tuple(side.points(grid_n) for side in self.sides)
-        self.side = np.repeat([0, 1], grid_n)
+        self.points = tuple(side.points(_FORMULA_POINTS) for side in self.sides)
+        self.side = np.repeat([0, 1], _FORMULA_POINTS)
         self.gamma = np.concatenate([side.gamma(xs) for side, xs in zip(self.sides, self.points)])
+        self.pairings = np.array([side.pairing(_bumps) for side in self.sides])
         self.params = {"z": [complex(z).real, complex(z).imag], "c_plus": c_plus,
-                       "c_minus": c_minus, "grid_n": grid_n}
+                       "c_minus": c_minus, "grid_n": _FORMULA_POINTS}
 
-    def pairings(self, phi: Callable) -> np.ndarray:
-        """γ₊*φ and γ₋*φ, one column."""
-        return np.array([[side.pairing(phi)] for side in self.sides])
+    def apply(self, kernels) -> np.ndarray:
+        """Each side's kernel of ``kernels`` applied to the bumps at its rows,
+        one column per bump."""
+        return np.concatenate([apply_resolvent(kernel, _bumps, xs)
+                               for kernel, xs in zip(kernels, self.points)], axis=1).T
 
-    def apply(self, kernels, phi: Callable) -> np.ndarray:
-        """Each side's kernel of ``kernels`` applied to φ at its rows, one column."""
-        return np.concatenate([apply_resolvent(kernel, phi, xs)
-                               for kernel, xs in zip(kernels, self.points)])[:, None]
-
-    def defect(self, phi: Callable, rhs, decoupled) -> float:
-        """The relative defect of (A − z)⁻¹φ = rhs, A the coupled operator and
-        ``decoupled`` the decoupled resolvent term of rhs."""
-        return _relative_defect(self.apply((self.coupled,) * 2, phi), rhs, decoupled)
+    def rows(self, check: str, tolerance: float, lhs, rhs, term) -> list:
+        """One row per bump: the relative defect of lhs = rhs in its column,
+        ``term`` the largest other term there."""
+        return [timed_check(check, {**self.params, "basis": j}, tolerance,
+                            lambda j=j: _relative_defect(lhs[:, j:j + 1], rhs[:, j:j + 1],
+                                                         term[:, j:j + 1]))
+                for j in range(len(_BUMP_CENTERS))]
 
 
 def _relative_defect(lhs, rhs, term) -> float:
@@ -371,59 +363,35 @@ def _relative_defect(lhs, rhs, term) -> float:
 
 
 def krein_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
-                        grid_n: int = 200, basis: Sequence[Callable] = None,
                         tolerance: float = _TOLERANCE["krein"]) -> ResidualReport:
     """Krein formula against the coupled closed-form resolvent, bump by bump.
 
     Left side: coupled kernel on (0,2).  Right side: decoupled Dirichlet
     resolvents plus the rank-one correction −γ(z)(m₊+m₋)⁻¹[γ₊*, γ₋*] with the
     no-conjugation adjoints of a dual pairing."""
-    setup = _ResolventFormula("krein", z, c_plus, c_minus, grid_n)
-    basis = default_basis() if basis is None else list(basis)
-    rows = []
-    for idx, phi in enumerate(basis):
-        def residual():
-            decoupled = setup.apply(setup.dirichlet, phi)
-            return setup.defect(phi, _krein(*setup.weyl, setup.gamma, setup.pairings(phi),
-                                            decoupled), decoupled)
-
-        rows.append(timed_check("interval.krein", {**setup.params, "basis": idx},
-                                tolerance, residual))
-    return ResidualReport(rows).sorted()
+    setup = _ResolventFormula("krein", z, c_plus, c_minus)
+    decoupled = setup.apply(setup.dirichlet)
+    rhs = _krein(*setup.weyl, setup.gamma, setup.pairings, decoupled)
+    coupled = setup.apply((setup.coupled,) * 2)
+    return ResidualReport(setup.rows("interval.krein", tolerance, coupled, rhs,
+                                     decoupled)).sorted()
 
 
 def mixed_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
-                        grid_n: int = 200, basis: Sequence[Callable] = None,
                         tolerance: float = _TOLERANCE["mixed"]) -> ResidualReport:
     """Dirichlet ⊕ Neumann resolvent formula, plus the standalone kernel
     difference (A₀₋−z)⁻¹ − (A₁₋−z)⁻¹ = γ₋ m₋⁻¹ γ₋*."""
-    setup = _ResolventFormula("mixed", z, c_plus, c_minus, grid_n)
-    basis = default_basis() if basis is None else list(basis)
-    kernels = (setup.dirichlet[0], setup.sides[1].neumann())
+    setup = _ResolventFormula("mixed", z, c_plus, c_minus)
+    # R₀₊φ ⊕ R₁₋φ and the γ pairings enter both formulas
+    decoupled = setup.apply((setup.dirichlet[0], setup.sides[1].neumann()))
+    rhs = _mixed(*setup.weyl, setup.side, setup.gamma, setup.pairings, decoupled)
+    coupled = setup.apply((setup.coupled,) * 2)
     minus = setup.side == 1
-
-    rows = []
-    for idx, phi in enumerate(basis):
-        # R₀₊φ ⊕ R₁₋φ and the γ pairings enter both rows of the bump
-        decoupled = setup.apply(kernels, phi)
-        pairings = setup.pairings(phi)
-
-        def residual():
-            return setup.defect(phi, _mixed(*setup.weyl, setup.side, setup.gamma, pairings,
-                                            decoupled), decoupled)
-
-        rows.append(timed_check("interval.mixed", {**setup.params, "basis": idx}, tolerance,
-                                residual))
-
-        def res01():
-            direct = apply_resolvent(setup.dirichlet[1], phi, setup.points[1])[:, None] \
-                - decoupled[minus]
-            return _relative_defect(direct, _difference(*setup.weyl, setup.gamma[minus],
-                                                        pairings[1]), decoupled[minus])
-
-        rows.append(timed_check("interval.res01", {**setup.params, "basis": idx}, tolerance,
-                                res01))
-    return ResidualReport(rows).sorted()
+    direct = apply_resolvent(setup.dirichlet[1], _bumps, setup.points[1]).T - decoupled[minus]
+    difference = _difference(*setup.weyl, setup.gamma[minus], setup.pairings[1])
+    return ResidualReport(setup.rows("interval.mixed", tolerance, coupled, rhs, decoupled)
+                          + setup.rows("interval.res01", tolerance, direct, difference,
+                                       decoupled[minus])).sorted()
 
 
 # ------------------------------------------------------------------ eigenvalues
@@ -522,7 +490,7 @@ GREEN3_FAMILIES = {
 }
 
 
-def third_green_identity_1d(field: IntervalField, c: float = 1.0, grid_n: int = 100,
+def third_green_identity_1d(field: IntervalField, c: float = 1.0,
                             tolerance: float = _TOLERANCE["green3"]) -> ResidualReport:
     """Residual of f = 𝒢Tf + 𝒟[Γ₀f] − 𝒮[Γ₁f] on both intervals.
 
@@ -571,21 +539,21 @@ def third_green_identity_1d(field: IntervalField, c: float = 1.0, grid_n: int = 
             + double_layer(xs) * bracket0 - single_layer(xs) * bracket1
         return worst(np.abs(np.asarray(f_side(xs)) - rhs))
 
-    params = {"c": c, "grid_n": grid_n,
+    params = {"c": c, "grid_n": _GREEN3_POINTS,
               "bracket0": [bracket0.real, bracket0.imag],
               "bracket1": [bracket1.real, bracket1.imag]}
     rows = [
         timed_check("interval.green3.plus", params, tolerance,
-                    lambda: side_residual(plus.points(grid_n), field.plus)),
+                    lambda: side_residual(plus.points(_GREEN3_POINTS), field.plus)),
         timed_check("interval.green3.minus", params, tolerance,
-                    lambda: side_residual(minus.points(grid_n), field.minus)),
+                    lambda: side_residual(minus.points(_GREEN3_POINTS), field.minus)),
     ]
     return ResidualReport(rows).sorted()
 
 
 # ------------------------------------------------------------ abstract identities
 
-def abstract_identity_suite(zs, c_plus: float = 0.0, c_minus: float = 0.0, trials: int = 5,
+def abstract_identity_suite(zs, c_plus: float = 0.0, c_minus: float = 0.0,
                             seed: int = 7, tolerance: float = _TOLERANCE["suite"]) -> ResidualReport:
     """Direct checks of the γ*/Weyl calculus at nonreal z, side by side.
 
@@ -612,25 +580,22 @@ def abstract_identity_suite(zs, c_plus: float = 0.0, c_minus: float = 0.0, trial
 
             rows.append(timed_check("interval.jaok2", params, tolerance, jaok2))
 
-            coefs = rng.normal(size=(trials, 4))
+            coefs = rng.normal(size=(_TRIALS, 4)).T[:, :, None]
 
             def gsgs():
-                defects = []
-                for ck in coefs:
-                    def f(y):
-                        y = np.asarray(y)
-                        return (ck[0] + ck[1] * y + ck[2] * np.sin(2.0 * y)
-                                + ck[3] * np.cos(3.0 * y))
+                def f(y):  # the trials, one row each
+                    y = np.asarray(y)
+                    return coefs[0] + coefs[1] * y + coefs[2] * np.sin(2.0 * y) \
+                        + coefs[3] * np.cos(3.0 * y)
 
-                    pairing = here.pairing(f)
-                    # Γ₁ of u = (A₀−z)⁻¹f by one-sided polynomial extrapolation
-                    dists = 0.002 * np.arange(1, 8)
-                    pts = 1.0 + dists if side == "-" else 1.0 - dists
-                    # du/d(dist), dist growing away from x=1
-                    _, slope = _interp_at_zero(dists, apply_resolvent(kern, f, pts))
-                    # Γ₁⁺ = −u'(1⁻) = +slope on the left; Γ₁⁻ = +u'(1⁺) = +slope on the right
-                    defects.append(abs(pairing - slope))
-                return worst(defects)
+                pairing = here.pairing(f)
+                # Γ₁ of u = (A₀−z)⁻¹f by one-sided polynomial extrapolation
+                dists = 0.002 * np.arange(1, 8)
+                pts = 1.0 + dists if side == "-" else 1.0 - dists
+                # du/d(dist), dist growing away from x=1
+                _, slope = _interp_at_zero(dists, apply_resolvent(kern, f, pts).T)
+                # Γ₁⁺ = −u'(1⁻) = +slope on the left; Γ₁⁻ = +u'(1⁺) = +slope on the right
+                return worst(np.abs(pairing - slope))
 
             rows.append(timed_check("interval.gsgs", params, tolerance, gsgs))
     return ResidualReport(rows).sorted()

@@ -49,7 +49,7 @@ def test_A01_interval_krein_formula():
     tic = time.perf_counter()
     for z in Z_SWEEP:
         for c_plus, c_minus in SHIFT_SWEEP:
-            report = krein_formula_check(z, c_plus, c_minus, grid_n=200)
+            report = krein_formula_check(z, c_plus, c_minus)
             assert len(report.checks) == 5
             assert report.max_residual <= 1e-8, (z, c_plus, c_minus, report.max_residual)
     assert time.perf_counter() - tic < 5.0
@@ -59,7 +59,7 @@ def test_A02_interval_mixed_formula_and_res01():
     tic = time.perf_counter()
     for z in Z_SWEEP:
         for c_plus, c_minus in SHIFT_SWEEP:
-            report = mixed_formula_check(z, c_plus, c_minus, grid_n=200)
+            report = mixed_formula_check(z, c_plus, c_minus)
             names = [row.check for row in report.checks]
             assert names.count("interval.mixed") == 5
             assert names.count("interval.res01") == 5
@@ -82,7 +82,7 @@ def test_A03_coupled_eigenvalue_criterion():
 def test_A04_third_green_identity_1d():
     tic = time.perf_counter()
     for field in GREEN3_FAMILIES.values():
-        report = third_green_identity_1d(field, c=1.0, grid_n=100)
+        report = third_green_identity_1d(field, c=1.0)
         assert report.max_residual <= 1e-8
     assert time.perf_counter() - tic < 2.0
 

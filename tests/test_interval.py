@@ -15,11 +15,11 @@ from green3.interval_model import (
     GREEN3_FAMILIES,
     IntervalField,
     _Side,
+    _bumps,
     abstract_identity_suite,
     apply_resolvent,
     coupled_eigenvalues,
     coupled_kernel,
-    default_basis,
     krein_formula_check,
     mixed_formula_check,
     scalar_weyl,
@@ -152,17 +152,22 @@ def test_resolvent_vanishes_at_the_dirichlet_ends():
     assert np.abs(u).max() < 1e-15
 
 
-@pytest.mark.parametrize("make, xs", [
-    (lambda: coupled_kernel(0.5 + 1j, 0.0, 2.0), np.linspace(0.05, 1.95, 40)),
-    (lambda: _Side("-", 2j, 1.0).dirichlet(), np.linspace(1.05, 1.95, 19)),
-], ids=["coupled-both-sides-of-the-break", "dirichlet"])
-def test_reused_resolvent_factors_change_no_bit(make, xs):
-    phi1, phi2 = default_basis()[2], default_basis()[4]
-    shared = make()
-    first = apply_resolvent(shared, phi1, xs)
-    second = apply_resolvent(shared, phi2, xs)
-    assert np.array_equal(first, apply_resolvent(make(), phi1, xs))
-    assert np.array_equal(second, apply_resolvent(make(), phi2, xs))
+@pytest.mark.parametrize("kernel, side, xs", [
+    (coupled_kernel(0.5 + 1j, 0.0, 2.0), _Side("+", 0.5 + 1j), np.linspace(0.05, 1.95, 40)),
+    (_Side("-", 2j, 1.0).dirichlet(), _Side("-", 2j, 1.0), np.linspace(1.05, 1.95, 19)),
+    (_Side("+", -3.0 + 0.5j, 0.3).neumann(), _Side("+", -3.0 + 0.5j, 0.3),
+     np.linspace(0.0, 1.0, 202)[1:-1]),
+], ids=["coupled-both-sides-of-the-break", "dirichlet", "neumann"])
+def test_each_density_of_a_batch_keeps_its_bits(kernel, side, xs):
+    # densities on the leading axis reduce each piece as a density applied alone
+    batch, pairings = apply_resolvent(kernel, _bumps, xs), side.pairing(_bumps)
+    assert batch.shape == (5, xs.size) and pairings.shape == (5,)
+    for j in range(5):
+        def alone(x):
+            return _bumps(x)[j]
+
+        assert np.array_equal(batch[j], apply_resolvent(kernel, alone, xs))
+        assert pairings[j] == side.pairing(alone)
 
 
 @pytest.mark.parametrize("z, c_plus, c_minus", [(1j, 0.0, 0.0), (-2.0 + 1.0j, 0.5, 2.0),
@@ -188,16 +193,20 @@ def test_coupled_kernel_branches_match_the_where_form(z, c_plus, c_minus):
         assert kernel.u1(x) == u1[i] and kernel.u2(float(x)) == u2[i]
 
 
-@pytest.mark.parametrize("formula", [krein_formula_check, mixed_formula_check])
-def test_resolvent_formulas_evaluate_each_kernel_once_per_point_set(monkeypatch, formula):
-    # u₁/u₂ depend on the kernel and the points, never on the density
+@pytest.mark.parametrize("formula, applications", [(krein_formula_check, 4),
+                                                   (mixed_formula_check, 5)],
+                         ids=["krein_formula_check", "mixed_formula_check"])
+def test_resolvent_formulas_evaluate_each_kernel_once_per_point_set(monkeypatch, formula,
+                                                                    applications):
+    # all five bumps go through one application per (kernel, point set), and
+    # each evaluates u₁ and u₂ once on its nodes and once on its points
     import green3.interval_model as interval_model
 
-    calls = []
+    calls, applied = [], []
 
     def counted(u):
         def wrapped(x):
-            calls.append(1)
+            calls.append(np.size(x))
             return u(x)
         return wrapped
 
@@ -210,13 +219,17 @@ def test_resolvent_formulas_evaluate_each_kernel_once_per_point_set(monkeypatch,
     for owner, name in ((interval_model, "coupled_kernel"), (interval_model._Side, "dirichlet"),
                         (interval_model._Side, "neumann")):
         monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
+    resolvent = interval_model.apply_resolvent
 
-    def evaluations(bumps):
-        calls.clear()
-        formula(1j, grid_n=50, basis=default_basis()[:bumps])
-        return len(calls)
+    def counted_resolvent(kernel, phi, xs):
+        applied.append(np.size(xs))
+        return resolvent(kernel, phi, xs)
 
-    assert evaluations(1) == evaluations(5) > 0
+    monkeypatch.setattr(interval_model, "apply_resolvent", counted_resolvent)
+    formula(1j)
+    assert applied == [200] * applications
+    # per application: u₁ and u₂ on the nodes, then u₂ and u₁ at the 200 points
+    assert len(calls) == 4 * applications and calls.count(200) == 2 * applications
 
 
 # ------------------------------------------------------------- resolvent formulas
@@ -225,17 +238,17 @@ def test_resolvent_formulas_evaluate_each_kernel_once_per_point_set(monkeypatch,
 @pytest.mark.parametrize("z", [-1.0, 2j, 1 + 1j])
 @pytest.mark.parametrize("c_plus, c_minus", [(0.0, 0.0), (0.0, 5.0)])
 def test_krein_formula_closed_form(z, c_plus, c_minus):
-    report = krein_formula_check(z, c_plus, c_minus, grid_n=200)
+    report = krein_formula_check(z, c_plus, c_minus)
     assert report.all_pass
     assert report.max_residual <= 1e-8
-    assert len(report.checks) == len(default_basis())
+    assert len(report.checks) == 5
     assert {row.check for row in report.checks} == {"interval.krein"}
     assert all(row.params["grid_n"] == 200 for row in report.checks)
 
 
 def test_krein_formula_real_z_in_spectral_gap():
     # z = 1 < (π/2)² sits below the coupled spectrum: real z is legitimate here
-    report = krein_formula_check(1.0, grid_n=200)
+    report = krein_formula_check(1.0)
     assert report.all_pass and report.max_residual <= 1e-8
 
 
@@ -246,12 +259,12 @@ def test_krein_formula_rejects_coupled_eigenvalue():
 
 @pytest.mark.parametrize("z, c_plus, c_minus", [(2j, 0.0, 5.0), (-1.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
 def test_mixed_formula_closed_form(z, c_plus, c_minus):
-    report = mixed_formula_check(z, c_plus, c_minus, grid_n=200)
+    report = mixed_formula_check(z, c_plus, c_minus)
     assert report.all_pass
     assert report.max_residual <= 1e-8
     names = [row.check for row in report.checks]
-    assert names.count("interval.mixed") == len(default_basis())
-    assert names.count("interval.res01") == len(default_basis())
+    assert names.count("interval.mixed") == 5
+    assert names.count("interval.res01") == 5
 
 
 def test_mixed_formula_rejects_neumann_eigenvalue():
@@ -324,7 +337,7 @@ def test_coupled_eigenvalues_rejects_bad_count():
 
 def test_third_green_identity_smooth_field():
     # globally C² with f(0)=f(2)=0: both brackets vanish and f = 𝒢(Af)
-    report = third_green_identity_1d(GREEN3_FAMILIES["smooth"], c=1.0, grid_n=100)
+    report = third_green_identity_1d(GREEN3_FAMILIES["smooth"], c=1.0)
     assert report.all_pass and report.max_residual <= 1e-9
     row = report.checks[0]
     assert row.params["bracket0"] == [0.0, 0.0] and row.params["bracket1"] == [0.0, 0.0]
@@ -332,7 +345,7 @@ def test_third_green_identity_smooth_field():
 
 def test_third_green_identity_jump_field():
     # f₊ = x, f₋ = 0 jumps by 1 in the trace and −1 in the flux bracket
-    report = third_green_identity_1d(GREEN3_FAMILIES["jump"], c=1.0, grid_n=100)
+    report = third_green_identity_1d(GREEN3_FAMILIES["jump"], c=1.0)
     assert report.all_pass and report.max_residual <= 1e-8
     row = report.checks[0]
     assert row.params["bracket0"] == [1.0, 0.0] and row.params["bracket1"] == [-1.0, 0.0]
@@ -391,26 +404,27 @@ def test_abstract_identity_suite_rejects_real_z():
 @settings(max_examples=20, deadline=None)
 def test_jaok2_identity_random_z(re, imag):
     z = complex(re, imag)
-    report = abstract_identity_suite([z], trials=1)
+    report = abstract_identity_suite([z])
     jaok = [row for row in report.checks if row.check == "interval.jaok2"]
     assert all(row.residual <= 1e-9 for row in jaok)
 
 
 def test_gsgs_fails_on_a_nan_trial(monkeypatch):
-    # the first trial's NaN used to lose against the running maximum 0.0
+    # the first trial's NaN used to lose against the running maximum 0.0; only
+    # that trial's row of the one application of each (z, side) is poisoned
     import green3.interval_model as interval_model
 
-    calls = []
     resolvent = interval_model.apply_resolvent
 
     def poisoned(*args):
-        calls.append(1)
-        return resolvent(*args) * (np.nan if len(calls) == 1 else 1.0)
+        out = resolvent(*args)
+        out[0] = np.nan
+        return out
 
     monkeypatch.setattr(interval_model, "apply_resolvent", poisoned)
-    report = abstract_identity_suite([1j], trials=2)
+    report = abstract_identity_suite([1j])
     gsgs = [r for r in report.checks if r.check == "interval.gsgs"]
-    assert any(np.isnan(r.residual) and not r.passed for r in gsgs)
+    assert gsgs and all(np.isnan(r.residual) and not r.passed for r in gsgs)
     assert not report.all_pass
 
 
@@ -423,7 +437,7 @@ def test_resolvent_formulas_fail_on_a_nan_side(monkeypatch, formula, check):
     resolvent = interval_model.apply_resolvent
     monkeypatch.setattr(interval_model, "apply_resolvent", lambda kernel, phi, xs, *rest: (
         resolvent(kernel, phi, xs, *rest) * (np.nan if np.min(xs) > 1.0 else 1.0)))
-    rows = [r for r in formula(1j, grid_n=50).checks if r.check == check]
+    rows = [r for r in formula(1j).checks if r.check == check]
     assert rows and all(np.isnan(r.residual) and not r.passed for r in rows)
 
 

@@ -50,9 +50,18 @@ def _unweighted_pairing(monkeypatch):
     # ∫γφ as a plain sum over the quadrature nodes
     def pairing(self, phi):
         nodes, _, _ = self._rule
-        return complex(np.sum(self.gamma(nodes) * phi(nodes)))
+        return np.sum(self.gamma(nodes) * phi(nodes), axis=-1)
 
     monkeypatch.setattr(interval_model._Side, "pairing", pairing)
+
+
+def _gram_without_conjugate(monkeypatch):
+    # ∫γ² for ∫|γ|², the Gram value of a bilinear pairing
+    def gram(self):
+        nodes, weights, _ = self._rule
+        return float(np.sum(self.gamma(nodes) ** 2 * weights).real)
+
+    monkeypatch.setattr(interval_model._Side, "gram", gram)
 
 
 def _resolvent_negated(monkeypatch):
@@ -186,6 +195,8 @@ DEFECTS = [
     (_dirichlet_for_neumann, ["krein", "--z", "2,1", "--mode", "1"], {"coupling.mixed.mode"}),
     (_dirichlet_for_neumann, ["interval", "--check", "mixed"], {"interval.mixed", "interval.res01"}),
     (_unweighted_pairing, ["interval", "--check", "krein"], {"interval.krein"}),
+    (_unweighted_pairing, ["interval", "--check", "suite"], {"interval.gsgs"}),
+    (_gram_without_conjugate, ["interval", "--check", "suite"], {"interval.jaok2"}),
     (_resolvent_negated, ["interval", "--check", "green3"],
      {"interval.green3.minus", "interval.green3.plus"}),
 ]
