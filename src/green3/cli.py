@@ -215,22 +215,29 @@ def _green_identity_tasks(cfg: RunConfig) -> list:
     return [lambda z=z: one_z(z) for z in cfg.z_values(default=(-1.0,))]
 
 
-def _krein_tasks(cfg: RunConfig) -> list:
-    modes = cfg.mode_list if cfg.mode_list else tuple(range(cfg.modes + 1))
-    tol = 1e-10 * cfg.tol_scale
-    tasks = []
-    for z in cfg.z_values(default=(-1.0,)):
-        def one_z(z=z):
-            rows = []
-            for m in modes:
-                params = {"z": [z.real, z.imag], "m": m, "c": cfg.c_shift}
-                mode = coupling._ModeScalars(z, m, cfg.c_shift)  # both rows read it
-                rows.append(timed_check("coupling.krein.mode", params, tol, mode.krein))
-                rows.append(timed_check("coupling.mixed.mode", params, tol, mode.mixed))
-            return rows
+# modes per ``coupling._ModeScalars`` family of a krein task: a run whose mode
+# leaves the double range stops within one block of it, whatever --modes says
+_MODE_BLOCK = 64
 
-        tasks.append(one_z)
-    return tasks
+
+def _krein_tasks(cfg: RunConfig) -> list:
+    """One task per z: a mode family per ``_MODE_BLOCK`` modes, whose krein and
+    mixed defects give each mode its two rows."""
+    modes = cfg.mode_list if cfg.mode_list else range(cfg.modes + 1)
+    tol = 1e-10 * cfg.tol_scale
+
+    def one_z(z):
+        rows = []
+        for start in range(0, len(modes), _MODE_BLOCK):
+            block = modes[start:start + _MODE_BLOCK]
+            family = coupling._ModeScalars(z, block, cfg.c_shift)
+            for m, krein, mixed in zip(block, family.krein(), family.mixed()):
+                params = {"z": [z.real, z.imag], "m": m, "c": cfg.c_shift}
+                rows.append(timed_check("coupling.krein.mode", params, tol, lambda k=krein: k))
+                rows.append(timed_check("coupling.mixed.mode", params, tol, lambda x=mixed: x))
+        return rows
+
+    return [lambda z=z: one_z(z) for z in cfg.z_values(default=(-1.0,))]
 
 
 def _indicator_tasks(cfg: RunConfig) -> list:

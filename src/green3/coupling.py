@@ -9,12 +9,14 @@ Green identity, eigenvalue indicator, Rellich quotient) work through the
 assembled boundary operators instead.
 
 The right sides of the Krein, mixed and difference formulas are written once
-here, for scalar M±; the disk modes and the 1D model (``interval_model``) call
-them.  The rows are check points of both sides, with a side index (0 for +, 1
-for −), and the columns are densities φ: a delta at each sample radius on the
-disk, the five bumps in 1D.  The inputs are M±, γ at the rows, γ₊*φ and γ₋*φ
-per column, and the decoupled resolvent applied to φ as one block-diagonal
-array.
+here, for M± with an optional leading mode axis: the disk's mode family
+(``_ModeScalars``, one per block of modes) calls them with one, the 1D model
+(``interval_model``) with scalar M±.  The rows are check points of both
+sides, with a side index (0 for +, 1 for −), and the columns are densities
+φ: a delta at each sample radius on the disk, the five bumps in 1D.  The
+inputs are M±, γ at the rows, γ₊*φ and γ₋*φ per column, and the decoupled
+resolvent applied to φ as one block-diagonal array, each behind the mode
+axis if there is one.
 One pole rule guards M₊ + M₋ and M₋: a pole below 1e-10·(|M₊| + |M₋|).
 """
 
@@ -25,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, SpectralPoleError
+from .errors import ArgumentRangeError, ConfigurationError, SpectralPoleError
 from .geometry import QuadratureGrid, _leggauss, dirichlet_trace, make_curve, neumann_trace
 from .potentials import _DiskMode, _LayerOperators, _OffCurve, _point_source
 from .reports import ResidualReport, timed_check, worst
@@ -151,36 +153,51 @@ def third_green_identity_residual(field: TransmissionField, z, grid: QuadratureG
 # ------------------------------------------------------- resolvent formulas
 
 _POLE = 1e-10  # the pole rule of the module docstring
+_POLE_ERROR = "{} = {:.3g} makes z a pole of the resolvent formula"
+
+
+def _poles(value, m_plus, m_minus):
+    """Where ``value`` is a pole by the one rule; NaN is none."""
+    return np.abs(value) < _POLE * (np.abs(m_plus) + np.abs(m_minus))
 
 
 def _pivot(name, value, m_plus, m_minus):
-    """``value`` unless it is a pole by the one rule; NaN passes on."""
-    if abs(value) < _POLE * (abs(m_plus) + abs(m_minus)):
-        raise SpectralPoleError(f"{name} = {value:.3g} makes z a pole of the resolvent formula")
+    """``value`` unless an entry is a pole by the one rule, the first of
+    which raises; NaN passes on."""
+    poles = np.ravel(_poles(value, m_plus, m_minus))
+    if poles.any():
+        raise SpectralPoleError(_POLE_ERROR.format(name, np.ravel(value)[poles.argmax()]))
     return value
 
 
 def _krein(m_plus, m_minus, gamma, pairings, decoupled):
     """R₀₊ ⊕ R₀₋ − γ(M₊ + M₋)⁻¹γ* on the columns; ``decoupled`` is R₀₊ ⊕ R₀₋."""
     denom = _pivot("M₊ + M₋", m_plus + m_minus, m_plus, m_minus)
-    return decoupled - gamma[:, None] * pairings.sum(axis=0) / denom
+    return decoupled - (gamma[..., :, None] * pairings.sum(axis=-2)[..., None, :]
+                        / np.asarray(denom)[..., None, None])
 
 
 def _mixed(m_plus, m_minus, side, gamma, pairings, decoupled):
     """R₀₊ ⊕ R₁₋ + γ̂Σγ̂* on the columns, with γ̂ = diag(γ₊, γ₋M₋⁻¹) and
-    Σ = −[[M₊, 1], [1, −M₋⁻¹]]⁻¹; ``decoupled`` is R₀₊ ⊕ R₁₋ (Neumann on −)."""
+    Σ = −[[M₊, 1], [1, −M₋⁻¹]]⁻¹ (one stacked inverse over the modes);
+    ``decoupled`` is R₀₊ ⊕ R₁₋ (Neumann on −)."""
     _pivot("M₊ + M₋", m_plus + m_minus, m_plus, m_minus)  # Σ's determinant is −(M₊+M₋)/M₋
     _pivot("M₋", m_minus, m_plus, m_minus)
-    sigma = -np.linalg.inv(np.array([[m_plus, 1.0], [1.0, -1.0 / m_minus]], dtype=complex))
-    divisor = np.array([1.0, m_minus])  # γ̂ and γ̂* divide the − side by M₋
-    hat = gamma / divisor[side]
-    return decoupled + hat[:, None] * (sigma @ (pairings / divisor[:, None]))[side]
+    m_plus, m_minus, inverse = np.broadcast_arrays(m_plus, m_minus, -1.0 / m_minus)
+    one = np.ones_like(m_plus)
+    sigma = -np.linalg.inv(np.stack([m_plus, one, one, inverse], axis=-1)
+                           .reshape(m_plus.shape + (2, 2)))
+    divisor = np.stack([one, m_minus], axis=-1)  # γ̂ and γ̂* divide the − side by M₋
+    hat = gamma / divisor[..., side]
+    return decoupled + hat[..., :, None] * (sigma @ (pairings / divisor[..., :, None]))[..., side, :]
 
 
 def _difference(m_plus, m_minus, gamma_minus, pairing_minus):
     """γ₋M₋⁻¹γ₋* on the columns, the right side of R₀₋ − R₁₋; ``gamma_minus``
     is γ₋ at the rows, zero on + rows."""
-    return gamma_minus[:, None] * pairing_minus / _pivot("M₋", m_minus, m_plus, m_minus)
+    pivot = _pivot("M₋", m_minus, m_plus, m_minus)
+    return (gamma_minus[..., :, None] * pairing_minus[..., None, :]
+            / np.asarray(pivot)[..., None, None])
 
 
 # three sample radii inside the unit circle, then three outside
@@ -189,61 +206,79 @@ _SIDE = np.repeat([0, 1], 3)  # 0 interior, 1 exterior, per sample radius
 
 
 class _ModeScalars(_DiskMode):
-    """Mode m of −Δ + c at z: the disk-mode factors at z − c, the Weyl values
-    M±, and on the sample radii γ, the free radial kernel I_m(κr_<)K_m(κr_>)
-    and the decoupled kernels, the columns a delta at each radius.  ``krein``,
-    ``mixed`` and ``difference`` are the worst defects of the three formulas
-    (``_defect``); the rows of ``green3 krein`` read the first two."""
+    """The modes ``modes`` of −Δ + c at z, one family: the disk-mode factors
+    at z − c, the Weyl values M±, and on the sample radii γ, the free radial
+    kernel I_m(κr_<)K_m(κr_>) and the decoupled kernels, each with a leading
+    mode axis, the columns a delta at each radius.  ``krein``, ``mixed`` and
+    ``difference`` give each mode's worst defect of the three formulas
+    (``_defect``); the rows of ``green3 krein`` read the first two, and the
+    constructor checks the guards of both rows (``_DiskMode.check``)."""
 
-    def __init__(self, z, m, c):
+    @np.errstate(all="ignore")  # a factor out of range is reported by ``check``
+    def __init__(self, z, modes, c):
         if c < 0:
             raise ConfigurationError(f"coupling shift c must be >= 0, got {c}")
         shifted = complex(z) - c
         if shifted.imag == 0.0 and shifted.real >= 0.0:
             raise SpectralPoleError(
                 f"z - c = {abs(shifted.real):g} lies on [0, ∞), the spectrum of −Δ + c")
-        super().__init__(shifted, m)
+        super().__init__(shifted, modes)
+        i_m, k_m, di_m, dk_m = self.i_m, self.k_m, self.di_m, self.dk_m
+        pole = lambda text: lambda mode, _: SpectralPoleError(text.format(self.modes.flat[mode]))
         # a zero of I_m/K_m sits within O(ulp) of one of its own derivative's
         # scale; comparing across the I/K families would misfire at large m
-        if abs(self.i_m) < 1e-12 * abs(self.di_m) or abs(self.k_m) < 1e-12 * abs(self.dk_m):
-            raise SpectralPoleError(f"z - c = {shifted} sits at a Dirichlet pole of mode {m}")
-        self.weyl = (-self.kappa * self.di_m / self.i_m, self.kappa * self.dk_m / self.k_m)
-        i_r, k_r = self.i_at(_SAMPLES), self.k_at(_SAMPLES)
+        self._guard((abs(i_m) < 1e-12 * abs(di_m)) | (abs(k_m) < 1e-12 * abs(dk_m)),
+                    pole(f"z - c = {shifted} sits at a Dirichlet pole of mode {{}}"))
+        try:
+            i_r, k_r = self.i_at(_SAMPLES), self.k_at(_SAMPLES)
+        except ArgumentRangeError as error:  # |κr| past the overflow guard, at every mode
+            self._guard(np.ones(self.modes.size, bool), lambda *_: error)
+            self.check()  # raises: the first mode fails here, if not before
+        self.weyl = m_plus, m_minus = (-self.kappa * di_m / i_m, self.kappa * dk_m / k_m)
+        pivot = lambda name, value: (_poles(value, m_plus, m_minus), lambda mode, _: (
+            SpectralPoleError(_POLE_ERROR.format(name, np.ravel(value)[mode]))))
+        # the krein row's guards in ``_decoupled`` and ``_krein``, then the mixed row's
+        self._k_by_i = self._normal("K_m(κ)/I_m(κ)", k_m / i_m)
+        self._i_by_k = self._normal("I_m(κ)/K_m(κ)", i_m / k_m)
+        self._guard(*pivot("M₊ + M₋", m_plus + m_minus))
+        self._guard(abs(dk_m) < 1e-12 * abs(k_m), pole("z sits at a Neumann pole of exterior mode {}"))
+        self._di_by_dk = self._normal("I_m'(κ)/K_m'(κ)", di_m / dk_m)
+        self._guard(*pivot("M₋", m_minus))
+        self.check()
         self._profile = np.where(_SIDE == 0, i_r, k_r)  # I_m(κr) inside, K_m(κr) outside
-        self.gamma = self._profile / np.array([self.i_m, self.k_m])[_SIDE]
-        self.pairings = np.where(_SIDE == np.array([[0], [1]]), self.gamma, 0.0)  # γ±*δ_r′
-        self.free = np.where(_SAMPLES[:, None] <= _SAMPLES, i_r[:, None] * k_r, i_r * k_r[:, None])
+        self.gamma = self._profile / np.stack([i_m, k_m], axis=-1)[..., _SIDE]
+        self.pairings = np.where(_SIDE == np.array([[0], [1]]), self.gamma[..., None, :], 0.0)
+        self.free = np.where(_SAMPLES[:, None] <= _SAMPLES, i_r[..., :, None] * k_r[..., None, :],
+                             i_r[..., None, :] * k_r[..., :, None])
 
     def _decoupled(self, neumann: bool):
         """R₀₊ ⊕ R₋, Dirichlet inside and Dirichlet or Neumann outside: zero
         across the circle, and on each side's block the free kernel minus
         ratio·v(r)v(r′), v the side's profile."""
-        if neumann and abs(self.dk_m) < 1e-12 * abs(self.k_m):
-            raise SpectralPoleError(f"z sits at a Neumann pole of exterior mode {self.m}")
-        outer = (("I_m'(κ)/K_m'(κ)", self.di_m / self.dk_m) if neumann
-                 else ("I_m(κ)/K_m(κ)", self.i_m / self.k_m))
-        ratio = np.array([self._normal("K_m(κ)/I_m(κ)", self.k_m / self.i_m),
-                          self._normal(*outer)])[_SIDE]
-        scaled = ratio * self._profile
-        return np.where(_SIDE[:, None] == _SIDE, self.free - scaled[:, None] * self._profile, 0.0)
+        outer = self._di_by_dk if neumann else self._i_by_k
+        scaled = np.stack([self._k_by_i, outer], axis=-1)[..., _SIDE] * self._profile
+        return np.where(_SIDE[:, None] == _SIDE,
+                        self.free - scaled[..., :, None] * self._profile[..., None, :], 0.0)
 
-    def _defect(self, lhs, rhs) -> float:
-        """The worst |lhs − rhs| over the sample pairs, each relative to the
-        free kernel there, which falls like e^{−κ|r−r′|} and (r_</r_>)^m."""
-        return worst(np.abs(lhs - rhs) / np.abs(self.free))
+    def _defect(self, lhs, rhs):
+        """The worst |lhs − rhs| over each mode's sample pairs, each relative
+        to the free kernel there, which falls like e^{−κ|r−r′|} and (r_</r_>)^m."""
+        relative = np.reshape(np.abs(lhs - rhs) / np.abs(self.free), (self.modes.size, -1))
+        return np.array([worst(mode) for mode in relative]).reshape(self.modes.shape)
 
-    def krein(self) -> float:
+    def krein(self):
         return self._defect(self.free, _krein(*self.weyl, self.gamma, self.pairings,
                                               self._decoupled(neumann=False)))
 
-    def mixed(self) -> float:
+    def mixed(self):
         return self._defect(self.free, _mixed(*self.weyl, _SIDE, self.gamma, self.pairings,
                                               self._decoupled(neumann=True)))
 
-    def difference(self) -> float:
+    def difference(self):
         lhs = self._decoupled(neumann=False) - self._decoupled(neumann=True)
         # γ₋ at the radii is zero inside, so it is its own pairing row
-        return self._defect(lhs, _difference(*self.weyl, self.pairings[1], self.pairings[1]))
+        minus = self.pairings[..., 1, :]
+        return self._defect(lhs, _difference(*self.weyl, minus, minus))
 
 
 # ------------------------------------------------------------- curve-level ops

@@ -120,9 +120,7 @@ from .specfun import (
     bessel_j,
     hankel1,
     modified_i,
-    modified_i_derivative,
     modified_k,
-    modified_k_derivative,
 )
 
 
@@ -512,63 +510,86 @@ _SMALLEST, _LARGEST = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
 class _DiskMode:
-    """Fourier mode m of the unit disk at z: κ = −i√z (Re κ > 0) and the
-    modified Bessel factors I_m, K_m, I_m′, K_m′ at κ.
+    """The Fourier modes ``modes`` (a mode or a sequence) of the unit disk at
+    z, one family: κ = −i√z (Re κ > 0) and the modified Bessel factors I_m,
+    K_m, I_m′ = (I_{m−1} + I_{m+1})/2 and K_m′ = −(K_{m−1} + K_{m+1})/2 at κ
+    (I_0′ = I_1, K_0′ = −K_1), each of the shape of ``modes``, from one scipy
+    call for I and one for K on the orders that the modes need.
 
-    Every factor, here and in the γ-profiles, must be a normal finite double:
-    the first that is not raises ``ArgumentRangeError`` naming the mode, where
-    it would otherwise become a NaN, a division by zero or a false pole."""
+    Every factor, here and in the profiles, must be a normal finite double,
+    or ``ArgumentRangeError`` names the mode, where it would otherwise become
+    a NaN, a division by zero or a false pole.  Each factor adds its guard,
+    and a consumer adds its own, in the order one mode meets them; ``check``
+    raises the error of the first mode in list order that fails any, as a
+    loop over the modes would."""
 
-    def __init__(self, z, m: int):
-        self.m = m
+    @np.errstate(all="ignore")  # a factor out of range is reported by ``check``
+    def __init__(self, z, modes):
+        self.modes = m = np.asarray(modes)
         z = as_spectral_point(z)
         self.kappa = -1j * z.sqrt_z
         if not self.kappa.real > 0.0:  # a subnormal Im z just above (0, ∞) rounds it away
             raise ArgumentRangeError(
-                f"mode {m} at z = {z.z}: κ = −i√z = {self.kappa:.6g} has no positive "
+                f"mode {m.flat[0]} at z = {z.z}: κ = −i√z = {self.kappa:.6g} has no positive "
                 "real part, so K_m(κ) is undefined; move z off [0, ∞)")
-        self.i_m = self._normal("I_m(κ)", modified_i(m, self.kappa))
-        self.k_m = self._normal("K_m(κ)", modified_k(m, self.kappa))
-        self.di_m = self._normal("I_m'(κ)", modified_i_derivative(m, self.kappa))
-        self.dk_m = self._normal("K_m'(κ)", modified_k_derivative(m, self.kappa))
+        orders = np.unique(np.concatenate([m[m != 0] - 1, m.ravel(), m.ravel() + 1]))
+        i_o, k_o = modified_i(orders, self.kappa), modified_k(orders, self.kappa)
+        here, up, down = (np.searchsorted(orders, m + step) for step in (0, 1, -1))
+        self._failed = (m.size, None)  # the first failing mode and its error
+        self.i_m = self._normal("I_m(κ)", i_o[here])
+        self.k_m = self._normal("K_m(κ)", k_o[here])
+        self.di_m = self._normal("I_m'(κ)", np.where(m == 0, i_o[up], (i_o[down] + i_o[up]) / 2.0))
+        self.dk_m = self._normal("K_m'(κ)",
+                                 np.where(m == 0, -k_o[up], -(k_o[down] + k_o[up]) / 2.0))
+
+    def _guard(self, bad, error):
+        """Keep ``error(mode, entry)`` for the first mode and its first entry
+        that ``bad`` (a row per mode) marks, unless an earlier mode failed."""
+        rows = np.reshape(bad, (self.modes.size, -1))
+        failing = np.flatnonzero(rows.any(axis=1))
+        if failing.size and failing[0] < self._failed[0]:
+            mode = failing[0]
+            self._failed = (mode, error(mode, np.flatnonzero(rows[mode])[0]))
+
+    def check(self, value=None):
+        """``value``, unless a mode fails a guard added since the last check:
+        then the first such mode's error."""
+        (_, error), self._failed = self._failed, (self.modes.size, None)
+        if error is not None:
+            raise error
+        return value
 
     def _normal(self, name, value, radii=None):
-        """``value`` if each of its entries is a normal finite double, else
-        ArgumentRangeError; ``radii`` names the radius of an array entry."""
-        size = np.abs(value)
-        bad = np.flatnonzero(~((size >= _SMALLEST) & (size <= _LARGEST)))  # NaN fails too
-        if bad.size:
-            first = bad[0]
-            at = "" if radii is None else f" at r = {np.ravel(radii)[first]:g}"
-            raise ArgumentRangeError(
-                f"mode {self.m} leaves the double-precision range at κ = {self.kappa:.6g}: "
-                f"{name}{at} = {np.ravel(value)[first]:.3g} is outside "
-                f"{_SMALLEST:.3g} <= |x| <= {_LARGEST:.3g}; use fewer modes")
+        """``value``, each entry guarded to be a normal finite double;
+        ``radii`` names the radius of an entry."""
+        rows = np.reshape(value, (self.modes.size, -1))
+        self._guard(~((np.abs(rows) >= _SMALLEST) & (np.abs(rows) <= _LARGEST)),  # NaN too
+                    lambda mode, entry: ArgumentRangeError(
+                        f"mode {self.modes.flat[mode]} leaves the double-precision range at "
+                        f"κ = {self.kappa:.6g}: {name}"
+                        f"{'' if radii is None else f' at r = {np.ravel(radii)[entry]:g}'} = "
+                        f"{rows[mode, entry]:.3g} is outside {_SMALLEST:.3g} <= |x| <= "
+                        f"{_LARGEST:.3g}; use fewer modes"))
         return value
 
     def i_at(self, r):
-        """I_m(κr) at a radius or an array of radii, in one guarded call."""
-        return self._normal("I_m(κr)", modified_i(self.m, self.kappa * r), r)
+        """I_m(κr) at a radius or an array of radii, a row per mode, guarded."""
+        return self._normal("I_m(κr)", modified_i(self.modes[..., None], self.kappa * np.ravel(r))
+                            .reshape(self.modes.shape + np.shape(r)), r)
 
     def k_at(self, r):
-        """K_m(κr) at a radius or an array of radii, in one guarded call."""
-        return self._normal("K_m(κr)", modified_k(self.m, self.kappa * r), r)
-
-    def gamma_interior(self, r):
-        """The interior γ-profile I_m(κr)/I_m(κ)."""
-        return self.i_at(r) / self.i_m
-
-    def gamma_exterior(self, r):
-        """The exterior γ-profile K_m(κr)/K_m(κ)."""
-        return self.k_at(r) / self.k_m
+        """K_m(κr) at a radius or an array of radii, a row per mode, guarded."""
+        return self._normal("K_m(κr)", modified_k(self.modes[..., None], self.kappa * np.ravel(r))
+                            .reshape(self.modes.shape + np.shape(r)), r)
 
 
-def disk_mode_multipliers(z, m: int) -> dict:
+def disk_mode_multipliers(z, m) -> dict:
     """Separation-of-variables multipliers on the unit circle for density e^{imθ}.
 
     Everything reduces to the modified Bessel factors of ``_DiskMode`` at
     κ = −i√z: the returned dict maps trace names to the scalar each boundary
-    operator multiplies the mode by.  This is the closed-form reference the
+    operator multiplies the mode by.  For a sequence ``m`` each is an array
+    over one ``_DiskMode`` family.  This is the closed-form reference the
     planar Nyström operators are checked against; it never touches the
     matrices.  A factor outside the normal double range raises
     ``ArgumentRangeError`` naming the mode.
@@ -576,12 +597,13 @@ def disk_mode_multipliers(z, m: int) -> dict:
     z = as_spectral_point(z)
     if z.is_laplace:
         raise ConfigurationError("mode multipliers need z off [0, ∞); use small negative z instead")
-    mode = _DiskMode(z, abs(int(m)))
+    mode = _DiskMode(z, np.abs(np.asarray(m, dtype=int)))
+    mode.check()
     kappa, i_m, k_m, di_m, dk_m = mode.kappa, mode.i_m, mode.k_m, mode.di_m, mode.dk_m
     s = i_m * k_m
     a_plus = kappa * di_m * k_m           # τ_N⁺ 𝒮
     a_minus = -kappa * i_m * dk_m         # τ_N⁻ 𝒮
-    return {
+    multipliers = {
         "single.dirichlet": s,
         "single.neumann.interior": a_plus,
         "single.neumann.exterior": a_minus,
@@ -591,9 +613,11 @@ def disk_mode_multipliers(z, m: int) -> dict:
         "Kstar": 0.5 - a_plus,            # equals K on the disk (Wronskian)
         "M.interior": -a_plus / s,        # −κ I'_m/I_m
         "M.exterior": -a_minus / s,       # κ K'_m/K_m
-        "gamma.interior": mode.gamma_interior,
-        "gamma.exterior": mode.gamma_exterior,
     }
+    # the γ-profiles I_m(κr)/I_m(κ) and K_m(κr)/K_m(κ), the mode axis first
+    profiles = {"gamma.interior": lambda r: (mode.check(mode.i_at(r)).T / i_m.T).T,
+                "gamma.exterior": lambda r: (mode.check(mode.k_at(r)).T / k_m.T).T}
+    return {**{name: value[()] for name, value in multipliers.items()}, **profiles}
 
 
 # ---------------------------------------------------------------- point sources
@@ -700,11 +724,11 @@ def jump_relation_residuals(grid: QuadratureGrid, z, modes: int = 8,
     if grid.curve.shape == "disk":
         mlist = range(-modes, modes + 1)
         phis = np.column_stack([_mode_density(grid, m) for m in mlist])  # one column per mode
-        table = {m: disk_mode_multipliers(ops.z, m) for m in range(modes + 1)}
+        table = disk_mode_multipliers(ops.z, range(modes + 1))
 
         def reference(name):
             key = "single.dirichlet" if name.startswith("single.dirichlet") else name
-            return np.array([table[abs(m)][key] for m in mlist]) * phis
+            return table[key][np.abs(mlist)] * phis
 
         for name in _TRACES:
             def run(name=name):

@@ -18,8 +18,9 @@ The guards stay ahead of scipy: a nonnegative integer order, |w| < 700 for J,
 I and H^(1) (J and I grow like e^{|Im w|}, H^(1) decays into underflow or
 loses its phase to the rounding of w; NaN fails it too), Im w >= 0 and
 w != 0 for H^(1), Re w > 0 for K, and 0 < y < 700 for the real I/K route.
-All functions accept scalars or numpy arrays in the argument and are pure
-(thread-safe).
+All functions accept scalars or numpy arrays in the argument, and the
+cylinder functions an integer array of orders too, which scipy broadcasts
+against the argument; all are pure (thread-safe).
 """
 
 from __future__ import annotations
@@ -71,17 +72,21 @@ def as_spectral_point(z) -> SpectralPoint:
     return z if isinstance(z, SpectralPoint) else SpectralPoint(z)
 
 
-def _as_complex_array(w):
+def _as_complex_array(w, order=0):
+    """w as a complex array, and whether the result is one Python complex:
+    w and ``order`` are both scalars."""
     arr = np.asarray(w, dtype=np.complex128)
     if arr.ndim == 0:
-        return arr.reshape(1), True
+        return arr.reshape(1), np.ndim(order) == 0
     return arr, False
 
 
-def _check_order(order) -> int:
-    if not isinstance(order, (int, np.integer)) or order < 0:
-        raise ArgumentRangeError(f"order must be a nonnegative integer, got {order!r}")
-    return int(order)
+def _check_order(order):
+    """``order``, a nonnegative integer or an integer array of them."""
+    if isinstance(order, (int, np.integer, np.ndarray)) and np.asarray(order).dtype.kind in "iu":
+        if np.all(order >= 0):
+            return order if isinstance(order, np.ndarray) else int(order)
+    raise ArgumentRangeError(f"order must be a nonnegative integer, got {order!r}")
 
 
 def _check_overflow(arr: np.ndarray) -> None:
@@ -112,7 +117,7 @@ def _modified_real(order: int, y):
 def bessel_j(order, w):
     """Bessel function J_order(w) for complex w, |w| < 700."""
     order = _check_order(order)
-    arr, scalar = _as_complex_array(w)
+    arr, scalar = _as_complex_array(w, order)
     _check_overflow(arr)
     out = sp.jv(order, arr)
     return complex(out[0]) if scalar else out
@@ -128,7 +133,7 @@ def _normalize_upper(arr: np.ndarray) -> np.ndarray:
 def hankel1(order, w):
     """Hankel function of the first kind H^(1)_order(w), Im(w) >= 0, 0 < |w| < 700."""
     order = _check_order(order)
-    arr, scalar = _as_complex_array(w)
+    arr, scalar = _as_complex_array(w, order)
     _check_overflow(arr)
     if np.any(arr == 0):
         raise SingularityError("H^(1) is singular at w = 0")
@@ -141,7 +146,7 @@ def hankel1(order, w):
 def modified_i(order, w):
     """Modified Bessel I_order(w) = i^{-order} J_order(iw), |w| < 700."""
     order = _check_order(order)
-    arr, scalar = _as_complex_array(w)
+    arr, scalar = _as_complex_array(w, order)
     _check_overflow(arr)
     out = sp.iv(order, arr)
     return complex(out[0]) if scalar else out
@@ -150,25 +155,11 @@ def modified_i(order, w):
 def modified_k(order, w):
     """Modified Bessel K_order(w) = (pi/2) i^{order+1} H^(1)_order(iw), Re(w) > 0."""
     order = _check_order(order)
-    arr, scalar = _as_complex_array(w)
+    arr, scalar = _as_complex_array(w, order)
     if np.any(arr.real <= 0):
         raise ArgumentRangeError("modified_k requires Re(w) > 0")
     out = sp.kv(order, arr)
     return complex(out[0]) if scalar else out
-
-
-def modified_i_derivative(order, w):
-    order = _check_order(order)
-    if order == 0:
-        return modified_i(1, w)
-    return (modified_i(order - 1, w) + modified_i(order + 1, w)) / 2.0
-
-
-def modified_k_derivative(order, w):
-    order = _check_order(order)
-    if order == 0:
-        return -modified_k(1, w)
-    return -(modified_k(order - 1, w) + modified_k(order + 1, w)) / 2.0
 
 
 def bessel_j_zero(k: int) -> float:

@@ -69,7 +69,7 @@ def _dtn_rows(grid: QuadratureGrid, half: QuadratureGrid | None, z, side: str, m
     source = ops.point_source(side).dirichlet  # one more column of the solve
     quotients, image = _mode_quotients(ops, side, modes, source)
     if half is None:
-        reference = [disk_mode_multipliers(ops.z, m)[f"M.{side}"] for m in range(modes + 1)]
+        reference = disk_mode_multipliers(ops.z, range(modes + 1))[f"M.{side}"]
     else:
         reference, _ = _mode_quotients(_LayerOperators(half, ops.z), side, modes)
     rows = [_point_source_row(ops, side, tolerance, image[:, 0])]

@@ -155,6 +155,39 @@ def test_krein_subcommand_runs_selected_modes():
     assert doc["max_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("argv", [
+    ["krein", "--c", "1"],
+    ["jumps", "--curve", "disk", "--nodes", "128"],
+    ["dtn", "--side", "exterior", "--curve", "disk", "--nodes", "128"],
+])
+def test_a_disk_job_builds_one_mode_family_per_z(monkeypatch, argv):
+    # one _DiskMode per z, and as many Bessel calls at 4 modes as at 40
+    import green3.potentials as potentials
+
+    monkeypatch.setenv("GREEN3_THREADS", "1")  # the counts are plain dict updates
+    counts = {}
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return function(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(potentials._DiskMode, "__init__",
+                        counted("families", potentials._DiskMode.__init__))
+    for name in ("modified_i", "modified_k"):
+        monkeypatch.setattr(potentials, name, counted(name, getattr(potentials, name)))
+    calls = []
+    for modes in ("4", "40"):
+        counts.clear()
+        code, _, stderr = main_capture([*argv, "--z", "-1,1", "--z", "2,1", "--modes", modes,
+                                        "--omit-timing"])
+        assert code == 0, stderr
+        assert counts.pop("families") == 2
+        calls.append(counts)
+    assert calls[0] == calls[1]
+
+
 def test_indicator_scan_reports_values():
     code, stdout, _ = main_capture(["indicator", "--zgrid", "-3:-1:3", "--nodes", "96"])
     assert code == 0

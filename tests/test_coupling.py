@@ -78,6 +78,46 @@ def test_krein_modes_beyond_the_double_range_are_usage_errors(argv, mode):
     assert code == 0 and json.loads(stdout)["all_pass"]
 
 
+def test_krein_names_the_first_failing_mode_in_list_order():
+    # mode 3 passes; the family of both modes still names mode 95, as a loop would
+    code, stdout, stderr = _cli(["krein", "--z", "-1,0", "--mode", "95", "--mode", "3",
+                                 "--c", "1", "--omit-timing"])
+    assert (code, stdout) == (2, "")
+    assert stderr == ("green3: mode 95 leaves the double-precision range at κ = 1.41421-0j: "
+                      "K_m(κ)/I_m(κ) = inf+0j is outside 2.23e-308 <= |x| <= 1.8e+308; "
+                      "use fewer modes\n")
+
+
+@pytest.mark.parametrize("modes, message", [
+    (["2000"], "mode 2000 leaves the double-precision range at κ = 316.228-0j: I_m(κ) = 0+0j"),
+    (["3000", "20"], "mode 3000 leaves the double-precision range at κ = 316.228-0j: I_m(κ)"),
+    (["20"], "|w| must be finite and < 700 (overflow guard)"),
+])
+def test_krein_at_radii_past_the_overflow_guard_names_the_first_mode(modes, message):
+    # κ·2.5 >= 700 fails every mode at its radii, after the first mode's factors at κ
+    argv = ["krein", "--z", "-100000,0", "--c", "0", "--omit-timing"]
+    code, stdout, stderr = _cli([*argv, *(arg for m in modes for arg in ("--mode", m))])
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith(f"green3: {message}")
+
+
+def test_krein_stops_within_a_block_of_the_first_failing_mode():
+    # the cost follows mode 92, not --modes: all 100 001 modes at once would
+    # hold 57.6 MB in their free kernels alone
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, stdout, stderr = _cli(["krein", "--z", "-1,0", "--modes", "100000",
+                                     "--omit-timing"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, stdout) == (2, "")
+    assert "green3: mode 92 leaves the double-precision range" in stderr
+    assert peak < 16 * 2**20
+
+
 def test_krein_at_the_bottom_of_the_spectrum_is_a_usage_error():
     # z − c = 0 used to be reported as I_m(0) leaving the double range
     code, stdout, stderr = _cli(["krein", "--mode", "3", "--c", "2", "--z", "2,0"])

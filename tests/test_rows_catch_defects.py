@@ -97,6 +97,44 @@ def _speed_dropped_from_s_diagonal(monkeypatch):
     monkeypatch.setattr(potentials._LayerOperators, "single_layer", property(planted))
 
 
+def _euler_constant_off(monkeypatch):
+    # the Euler constant of S's split diagonal off by 1e-3: S_ii + 1e-3·s_i/N
+    single_layer = potentials._LayerOperators.single_layer.func
+
+    def planted(self):
+        mat = single_layer(self)
+        mat[np.diag_indices_from(mat)] += 1e-3 * self.grid.speed / self.grid.n
+        return mat
+
+    monkeypatch.setattr(potentials._LayerOperators, "single_layer", property(planted))
+
+
+def _scale_operator(monkeypatch, name):
+    # one layer operator of the bundle times 1.001
+    operator = getattr(potentials._LayerOperators, name).func
+    monkeypatch.setattr(potentials._LayerOperators, name,
+                        property(lambda self: 1.001 * operator(self)))
+
+
+def _double_layer_scaled(monkeypatch):
+    _scale_operator(monkeypatch, "double_layer")
+
+
+def _adjoint_double_layer_scaled(monkeypatch):
+    _scale_operator(monkeypatch, "adjoint_double_layer")
+
+
+def _k_derivative_scaled(monkeypatch):
+    # K_m′(κ) of the disk-mode family times 1.001; every disk closed form reads it
+    init = potentials._DiskMode.__init__
+
+    def planted(self, *args):
+        init(self, *args)
+        self.dk_m = self.dk_m * 1.001
+
+    monkeypatch.setattr(potentials._DiskMode, "__init__", planted)
+
+
 def _unweighted_rayleigh_quotients(monkeypatch):
     # ⟨φ, Mφ⟩/⟨φ, φ⟩ as plain sums over the nodes, without the arc weights
     def quotients(grid, phis, images):
@@ -174,6 +212,20 @@ DEFECTS = [
        _CALDERON | {"weyl.dtn.point_source"}) for curve in _CURVES[1:]],
     *[(_speed_dropped_from_s_diagonal, ["dtn", "--side", side, "--curve", curve, *_PLANAR], _DTN)
       for side in ("interior", "exterior") for curve in _CURVES[1:]],
+    # the disk's jump rows against the closed-form Bessel multipliers
+    (_euler_constant_off, ["jumps", "--curve", "disk", *_PLANAR],
+     _CALDERON | {"jump.single.dirichlet.interior", "jump.single.dirichlet.exterior",
+                  "weyl.dtn.point_source"}),
+    (_adjoint_double_layer_scaled, ["jumps", "--curve", "disk", *_PLANAR],
+     {"jump.single.neumann.interior", "jump.single.neumann.exterior", "weyl.dtn.point_source"}),
+    (_double_layer_scaled, ["jumps", "--curve", "disk", *_PLANAR],
+     _CALDERON | {"jump.double.dirichlet.interior", "jump.double.dirichlet.exterior"}),
+    (_k_derivative_scaled, ["jumps", "--curve", "disk", *_PLANAR],
+     {"jump.double.dirichlet.interior", "jump.single.neumann.exterior"}),
+    (_k_derivative_scaled, ["dtn", "--side", "exterior", "--curve", "disk", *_PLANAR],
+     {"weyl.dtn.mode"}),
+    (_k_derivative_scaled, ["krein", "--z", "2,1", "--mode", "1"],
+     {"coupling.krein.mode", "coupling.mixed.mode"}),
     (_unweighted_rayleigh_quotients, ["dtn", "--side", "exterior", "--curve", "kite", *_PLANAR],
      {"weyl.dtn.mode"}),
     *[(plant, ["green-identity", "--curve", curve, *_PLANAR], _GREEN)

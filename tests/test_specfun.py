@@ -13,7 +13,7 @@ from green3.errors import (
     SingularityError,
     SpectralPoleError,
 )
-from green3.potentials import _OffCurve
+from green3.potentials import _DiskMode, _OffCurve
 from green3.specfun import (
     SpectralPoint,
     as_spectral_point,
@@ -22,9 +22,7 @@ from green3.specfun import (
     fundamental_solution,
     hankel1,
     modified_i,
-    modified_i_derivative,
     modified_k,
-    modified_k_derivative,
 )
 
 
@@ -229,21 +227,35 @@ def test_modified_k_requires_right_half_plane():
 
 
 def test_modified_derivatives_match_scipy():
+    # the disk-mode family's I_m′ and K_m′ at κ = w, from z = −w²
     rng = np.random.default_rng(8086)
     w = rng.uniform(0.1, 20.0, 40) * np.exp(1j * rng.uniform(-1.3, 1.3, 40))
-    for m in (0, 1, 6):
-        relI = np.abs(modified_i_derivative(m, w) - sp.ivp(m, w)) / np.abs(sp.ivp(m, w))
-        relK = np.abs(modified_k_derivative(m, w) - sp.kvp(m, w)) / np.abs(sp.kvp(m, w))
-        assert relI.max() <= 1e-11
-        assert relK.max() <= 1e-10
+    for z in -w * w:
+        mode = _DiskMode(z, (0, 1, 6))
+        ivp, kvp = sp.ivp(mode.modes, mode.kappa), sp.kvp(mode.modes, mode.kappa)
+        assert (np.abs(mode.di_m - ivp) / np.abs(ivp)).max() <= 1e-11
+        assert (np.abs(mode.dk_m - kvp) / np.abs(kvp)).max() <= 1e-10
 
 
 def test_modified_derivatives_are_difference_formulas():
-    w = 2.3 + 0.7j
-    assert modified_i_derivative(0, w) == modified_i(1, w)
-    assert modified_i_derivative(5, w) == (modified_i(4, w) + modified_i(6, w)) / 2
-    assert modified_k_derivative(0, w) == -modified_k(1, w)
-    assert modified_k_derivative(5, w) == -(modified_k(4, w) + modified_k(6, w)) / 2
+    mode = _DiskMode(-(2.3 + 0.7j) ** 2, (5, 0, 9))
+    w = mode.kappa
+    assert mode.di_m[1] == modified_i(1, w)
+    assert mode.dk_m[1] == -modified_k(1, w)
+    for i, m in ((0, 5), (2, 9)):
+        assert mode.di_m[i] == (modified_i(m - 1, w) + modified_i(m + 1, w)) / 2
+        assert mode.dk_m[i] == -(modified_k(m - 1, w) + modified_k(m + 1, w)) / 2
+    assert mode.i_m[0] == modified_i(5, w) and mode.k_m[2] == modified_k(9, w)
+
+
+@pytest.mark.parametrize("function", [bessel_j, hankel1, modified_i, modified_k])
+def test_an_order_array_takes_only_nonnegative_integers(function):
+    orders = np.array([2, 0, 1])
+    assert np.array_equal(function(orders, 1.5 + 0.5j),
+                          [function(int(m), 1.5 + 0.5j) for m in orders])
+    for bad in (np.array([3, -1, 0]), np.array([1.0, 2.0])):
+        with pytest.raises(ArgumentRangeError, match="order must be a nonnegative integer"):
+            function(bad, 1.5 + 0.5j)
 
 
 # ---------------------------------------------------------------- SpectralPoint

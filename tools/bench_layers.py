@@ -24,6 +24,11 @@ imports TREE's green3, on one core: one BLAS thread and GREEN3_THREADS = 1.
     ``potentials._placement``, its E and its ∇E: the off-curve kernel of a
     ``green-identity`` row.
 
+* **Job rows**: each argv of ``JOBS``, a ``krein`` job of 17 modes and a
+  disk ``jumps`` job, run in process through ``green3.cli.main`` and timed
+  as the layer rows are; the argv is the same on every tree, so the rows
+  compare the disk-mode factors of two trees through no private name.
+
 * **Replay rows**: the seed-1 job list of each workload of
   ``bench/workloads.py`` (imported read-only from this checkout) at the
   benchmark's 30 s, run in process through ``green3.cli.main`` after the
@@ -59,6 +64,9 @@ CURVES = ("disk", "kite")
 NODES = (128, 256, 512)
 ZS = (-3.0, 2.0 + 1.0j)
 COLUMNS = 8  # densities per solve, as in a dtn run's mode columns
+JOBS = (["krein", "--z", "2,1", "--modes", "16", "--c", "1", "--omit-timing"],
+        ["jumps", "--curve", "disk", "--nodes", "256", "--modes", "8", "--z", "2,1",
+         "--omit-timing"])
 REPEATS = 7  # timed samples per row
 HERE = Path(__file__).resolve().parent
 
@@ -127,34 +135,41 @@ def _layer_rows() -> list:
     return rows
 
 
+def _run(argv) -> int:
+    from green3.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def _job_rows() -> list:
+    return [{"job": " ".join(argv), "exit_code": _run(argv), **_timed(lambda argv=argv: _run(argv))}
+            for argv in JOBS]
+
+
 def _replay_rows() -> list:
     import same_answers
     import workloads
-    from green3.cli import main
-
-    def run(argv):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return main(argv)
 
     rows = []
     for name in workloads.WORKLOADS:
         for argv in workloads.WARMUP[name]:
-            run(argv)
+            _run(argv)
         jobs = workloads.jobs(name, 1, same_answers.SECONDS)
-        codes = Counter(str(run(argv)) for argv in jobs)
+        codes = Counter(str(_run(argv)) for argv in jobs)
         rows.append({"workload": name, "seed": 1, "jobs": len(jobs), "exit_codes": dict(codes),
-                     **_timed(lambda: [run(argv) for argv in jobs])})
+                     **_timed(lambda: [_run(argv) for argv in jobs])})
     return rows
 
 
 def _measure() -> None:
-    """In the child: print the layer rows, the replay rows and the child's
-    library versions as one JSON object."""
+    """In the child: print the layer rows, the job rows, the replay rows and
+    the child's library versions as one JSON object."""
     import numpy
     import scipy
 
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    json.dump({"layers": _layer_rows(), "replay": _replay_rows(),
+    json.dump({"layers": _layer_rows(), "jobs": _job_rows(), "replay": _replay_rows(),
                "versions": {"python": platform.python_version(), "numpy": numpy.__version__,
                             "scipy": scipy.__version__,
                             "blas": f"{blas.get('name')} {blas.get('version')}"}},
