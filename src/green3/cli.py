@@ -138,7 +138,13 @@ class RunConfig:
             if value < 0:
                 raise ConfigurationError(f"{flag} must be >= 0, got {value}")
         if self.zgrid is not None:
+            # the parser's shape, for a grid built in code or read back from JSON
             object.__setattr__(self, "zgrid", tuple(self.zgrid))
+            count = self.zgrid[2] if len(self.zgrid) == 4 else None
+            if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
+                raise ConfigurationError(
+                    f"--zgrid must be (re0, re1, count, im) with an integer count >= 1, "
+                    f"got {self.zgrid!r}")
         # a NaN or infinite number reaches no check it could fail: reject it here
         if not (math.isfinite(self.tol_scale) and self.tol_scale > 0.0):
             raise ConfigurationError(f"--tol-scale must be finite and > 0, got {self.tol_scale!r}")
@@ -378,7 +384,7 @@ def _run(config: RunConfig) -> int:
     if not rows:
         print("green3: no checks ran", file=sys.stderr)
         return 2
-    report = ResidualReport(rows).sorted()
+    report = ResidualReport(rows)
     if config.omit_timing:
         report = report.without_timing()
     elapsed = 0.0 if config.omit_timing else time.perf_counter() - tic

@@ -147,7 +147,7 @@ def third_green_identity_residual(field: TransmissionField, z, grid: QuadratureG
     if outer is not None and len(outer):
         rows.append(timed_check("green.third.exterior", {**params, "probes": len(outer)},
                                 tolerance, lambda: side_residual(outer, field.minus)))
-    return ResidualReport(rows).sorted()
+    return ResidualReport(rows)
 
 
 # ------------------------------------------------------- resolvent formulas
@@ -232,7 +232,11 @@ class _ModeScalars(_DiskMode):
         try:
             i_r, k_r = self.i_at(_SAMPLES), self.k_at(_SAMPLES)
         except ArgumentRangeError as error:  # |κr| past the overflow guard, at every mode
-            self._guard(np.ones(self.modes.size, bool), lambda *_: error)
+            outer = _SAMPLES[-1]
+            self._guard(np.ones(self.modes.size, bool), lambda mode, _: ArgumentRangeError(
+                f"mode {self.modes.flat[mode]} leaves the double-precision range at "
+                f"κ = {self.kappa:.6g}: I_m(κr) and K_m(κr) at r = {outer:g}, "
+                f"|κr| = {abs(self.kappa) * outer:.6g}: {error}"))
             self.check()  # raises: the first mode fails here, if not before
         self.weyl = m_plus, m_minus = (-self.kappa * di_m / i_m, self.kappa * dk_m / k_m)
         pivot = lambda name, value: (_poles(value, m_plus, m_minus), lambda mode, _: (

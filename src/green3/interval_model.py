@@ -373,8 +373,7 @@ def krein_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
     decoupled = setup.apply(setup.dirichlet)
     rhs = _krein(*setup.weyl, setup.gamma, setup.pairings, decoupled)
     coupled = setup.apply((setup.coupled,) * 2)
-    return ResidualReport(setup.rows("interval.krein", tolerance, coupled, rhs,
-                                     decoupled)).sorted()
+    return ResidualReport(setup.rows("interval.krein", tolerance, coupled, rhs, decoupled))
 
 
 def mixed_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
@@ -391,7 +390,7 @@ def mixed_formula_check(z, c_plus: float = 0.0, c_minus: float = 0.0,
     difference = _difference(*setup.weyl, setup.gamma[minus], setup.pairings[1])
     return ResidualReport(setup.rows("interval.mixed", tolerance, coupled, rhs, decoupled)
                           + setup.rows("interval.res01", tolerance, direct, difference,
-                                       decoupled[minus])).sorted()
+                                       decoupled[minus]))
 
 
 # ------------------------------------------------------------------ eigenvalues
@@ -548,7 +547,7 @@ def third_green_identity_1d(field: IntervalField, c: float = 1.0,
         timed_check("interval.green3.minus", params, tolerance,
                     lambda: side_residual(minus.points(_GREEN3_POINTS), field.minus)),
     ]
-    return ResidualReport(rows).sorted()
+    return ResidualReport(rows)
 
 
 # ------------------------------------------------------------ abstract identities
@@ -598,4 +597,4 @@ def abstract_identity_suite(zs, c_plus: float = 0.0, c_minus: float = 0.0,
                 return worst(np.abs(pairing - slope))
 
             rows.append(timed_check("interval.gsgs", params, tolerance, gsgs))
-    return ResidualReport(rows).sorted()
+    return ResidualReport(rows)

@@ -741,4 +741,4 @@ def jump_relation_residuals(grid: QuadratureGrid, z, modes: int = 8,
         rows.append(timed_check(f"jump.calderon.{side}", params, tolerance,
                                 lambda side=side: _calderon_defect(ops, side)))
     rows += [_point_source_row(ops, side, tolerance) for side in ("interior", "exterior")]
-    return ResidualReport(rows).sorted()
+    return ResidualReport(rows)

@@ -3,7 +3,8 @@
 Library verification routines and the CLI both speak in terms of
 ``CheckResult`` rows aggregated into a ``ResidualReport``.  The one invariant
 everything downstream relies on: a row passes iff residual <= tolerance, and
-that comparison happens in exactly one place (``check_row``).
+that comparison happens in exactly one place (``check_row``).  A row's JSON
+form, made once by ``check_row``, and a report's row order live here alone.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
@@ -22,6 +24,8 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One row; its params and details are JSON-native, encoded once by ``check_row``."""
+
     check: str
     params: dict
     residual: float
@@ -38,12 +42,12 @@ def check_row(check: str, params: dict, residual, tolerance, wall_time_s: float 
     tolerance = float(tolerance)
     return CheckResult(
         check=check,
-        params=dict(params),
+        params=_json_safe(params),
         residual=residual,
         tolerance=tolerance,
         passed=bool(residual <= tolerance),
         wall_time_s=float(wall_time_s),
-        details=dict(details),
+        details=_json_safe(details),
     )
 
 
@@ -91,9 +95,13 @@ def _json_safe(val):
 
 @dataclass
 class ResidualReport:
-    """Ordered collection of check rows plus the aggregate verdict."""
+    """Check rows, ordered when built by check name and parameter echo, plus the verdict."""
 
     checks: list
+
+    def __post_init__(self):
+        self.checks = sorted(self.checks,
+                             key=lambda row: (row.check, json.dumps(row.params, sort_keys=True)))
 
     @property
     def all_pass(self) -> bool:
@@ -104,9 +112,8 @@ class ResidualReport:
         return worst(row.residual for row in self.checks) if self.checks else 0.0
 
     def sorted(self) -> "ResidualReport":
-        """Deterministic row order: by check name, then by the parameter echo."""
-        key = lambda row: (row.check, json.dumps(_json_safe(row.params), sort_keys=True))
-        return ResidualReport(sorted(self.checks, key=key))
+        """The report itself: its rows are ordered when it is built."""
+        return self
 
     def without_timing(self) -> "ResidualReport":
         return ResidualReport([replace(row, wall_time_s=0.0) for row in self.checks])
@@ -115,7 +122,8 @@ class ResidualReport:
                      wall_time_s: float = 0.0) -> dict:
         doc = {
             "schema": SCHEMA_VERSION,
-            "checks": [_json_safe(vars(row)) for row in self.checks],
+            "checks": [{k: v if not isinstance(v, float) or math.isfinite(v) else repr(v)
+                        for k, v in vars(row).items()} for row in self.checks],
             "all_pass": self.all_pass,
             "max_residual": _json_safe(self.max_residual),
             "wall_time_s": _json_safe(wall_time_s),
@@ -142,8 +150,8 @@ class ResidualReport:
                     repr(row.tolerance),
                     row.passed,
                     repr(row.wall_time_s),
-                    json.dumps(_json_safe(row.params), sort_keys=True),
-                    json.dumps(_json_safe(row.details), sort_keys=True),
+                    json.dumps(row.params, sort_keys=True),
+                    json.dumps(row.details, sort_keys=True),
                 ]
             )
         return buf.getvalue()

@@ -137,10 +137,8 @@ def herglotz_residuals(side: str, grid: QuadratureGrid, z, modes: int = 12,
               "z": [z.z.real, z.z.imag], "modes": modes}
 
     if z.z.imag == 0.0:
-        row = timed_check(
-            "herglotz.self_adjoint", params, 1e-8, lambda: worst(np.abs(skew))
-        )
-        return ResidualReport([row]).sorted()
+        return ResidualReport([timed_check("herglotz.self_adjoint", params, 1e-8,
+                                           lambda: worst(np.abs(skew)))])
 
     # ⟨φ_a, (M − M*)φ_b⟩_W on the resolved modes |m| ≤ ``modes``, * the W-adjoint;
     # the φ are W-orthonormal there, so this is the compression of M − M*
@@ -184,4 +182,4 @@ def herglotz_residuals(side: str, grid: QuadratureGrid, z, modes: int = 12,
             return bound, {"outer_radius": _OUTER_RADIUS, "decay_rate": alpha}
 
         rows.append(timed_check("herglotz.tail", params, tolerance, tail))
-    return ResidualReport(rows).sorted()
+    return ResidualReport(rows)

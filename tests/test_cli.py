@@ -58,6 +58,10 @@ def test_run_config_rejects_unknown_subcommand_and_format():
     (dict(subcommand="krein", modes=-1), "--modes must be >= 0, got -1"),
     (dict(subcommand="krein", mode_list=(2, -3)), "--mode must be >= 0, got -3"),
     (dict(subcommand="interval", seed=-1), "--seed must be >= 0, got -1"),
+    *[(dict(subcommand="indicator", zgrid=grid),
+       f"--zgrid must be (re0, re1, count, im) with an integer count >= 1, got {grid!r}")
+      for grid in ((-3.0, -1.0, 0, 0.0), (-3.0, -1.0, -1, 0.0), (-3.0, -1.0, 2.5, 0.0),
+                   (-3.0, -1.0, True, 0.0), (-3.0, -1.0, 3))],
 ])
 def test_run_config_checks_what_the_parser_checks(fields, message):
     # a config built in code, or read back from JSON, fails as the CLI would

@@ -91,7 +91,8 @@ def test_krein_names_the_first_failing_mode_in_list_order():
 @pytest.mark.parametrize("modes, message", [
     (["2000"], "mode 2000 leaves the double-precision range at κ = 316.228-0j: I_m(κ) = 0+0j"),
     (["3000", "20"], "mode 3000 leaves the double-precision range at κ = 316.228-0j: I_m(κ)"),
-    (["20"], "|w| must be finite and < 700 (overflow guard)"),
+    (["20"], "mode 20 leaves the double-precision range at κ = 316.228-0j: I_m(κr) and "
+             "K_m(κr) at r = 2.5, |κr| = 790.569: |w| must be finite and < 700 (overflow guard)"),
 ])
 def test_krein_at_radii_past_the_overflow_guard_names_the_first_mode(modes, message):
     # κ·2.5 >= 700 fails every mode at its radii, after the first mode's factors at κ

@@ -4,7 +4,8 @@ One table of (defect, CLI argv, check names): each defect is monkeypatched
 into the package, the argv runs in process, and the run must end in exit 1, a
 failed identity, with exactly the named checks failing.  The same argv
 without the defect must exit 0, so a catch is never a row that fails anyway.
-A second table holds the known gaps, defects that a run still passes, as
+The README's check-name table must name every check these runs emit, each
+with the plants that fail it.  A second table holds the known gaps, defects that a run still passes, as
 strict xfails named by their ROADMAP item: once a row catches one, its xfail
 fails and the entry moves to the first table with the names of the checks it
 fails.  Sizes are small, so the file adds a few seconds.
@@ -13,11 +14,14 @@ fails.  Sizes are small, so the file adds a few seconds.
 import contextlib
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import green3.coupling as coupling
+import green3.geometry as geometry
 import green3.interval_model as interval_model
 import green3.potentials as potentials
 import green3.weyl as weyl
@@ -135,6 +139,14 @@ def _k_derivative_scaled(monkeypatch):
     monkeypatch.setattr(potentials._DiskMode, "__init__", planted)
 
 
+def _normals_scaled(monkeypatch):
+    # the grid's unit normals times 1.001: the Rellich weight 2⟨x, ν⟩ and the
+    # Neumann traces of the point-source fields read them
+    normals = geometry.QuadratureGrid.normals.func
+    monkeypatch.setattr(geometry.QuadratureGrid, "normals",
+                        property(lambda self: 1.001 * normals(self)))
+
+
 def _unweighted_rayleigh_quotients(monkeypatch):
     # ⟨φ, Mφ⟩/⟨φ, φ⟩ as plain sums over the nodes, without the arc weights
     def quotients(grid, phis, images):
@@ -228,6 +240,8 @@ DEFECTS = [
      {"coupling.krein.mode", "coupling.mixed.mode"}),
     (_unweighted_rayleigh_quotients, ["dtn", "--side", "exterior", "--curve", "kite", *_PLANAR],
      {"weyl.dtn.mode"}),
+    (_normals_scaled, ["rellich", "--k", "1"], {"coupling.rellich"}),
+    (_normals_scaled, ["jumps", "--curve", "disk", *_PLANAR], _CALDERON | {"weyl.dtn.point_source"}),
     *[(plant, ["green-identity", "--curve", curve, *_PLANAR], _GREEN)
       for plant in (_brackets_swapped, _gamma1_sign_flipped) for curve in _CURVES],
     (_brackets_swapped, ["green-identity", "--curve", "disk", "--nodes", "128", "--z", "-100,0"],
@@ -303,3 +317,27 @@ def test_the_doubled_singular_values_halve_the_indicator(monkeypatch):
     plain = indicator()
     _singular_values_doubled(monkeypatch)
     assert indicator() == 0.5 * plain
+
+
+def _catalog() -> dict:
+    """The README's check-name table: each check name and its last cell."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Check names\n")[1].split("\n## ")[0]
+    return dict(re.findall(r"^\| `([\w.]+)` \|.*\| ([^|]*) \|$", section, re.MULTILINE))
+
+
+def test_the_readme_catalog_names_every_check_the_runs_emit():
+    names = set()
+    for argv in sorted({tuple(argv) for _, argv, *_ in DEFECTS + GAPS}):
+        _, stdout, _ = _run(list(argv))
+        names |= {row["check"] for row in json.loads(stdout)["checks"]}
+    assert set(_catalog()) == names
+
+
+def test_each_catalog_row_names_the_plants_that_fail_it_or_its_gap():
+    gaps = {reason.split(":")[0] for *_, reason in GAPS}
+    for name, cell in _catalog().items():
+        plants = {plant.__name__ for plant, _, names in DEFECTS if name in names}
+        assert set(re.findall(r"`(_\w+)`", cell)) == plants, name
+        gap = re.fullmatch(r"`GAPS` (item \d+)", cell)
+        assert plants or (gap and gap[1] in gaps), name

@@ -24,6 +24,11 @@ imports TREE's green3, on one core: one BLAS thread and GREEN3_THREADS = 1.
     ``potentials._placement``, its E and its ∇E: the off-curve kernel of a
     ``green-identity`` row.
 
+* **Report row** (``report``): the 26 rows of a ``krein --modes 12`` job
+  built with the public ``green3.check_row``, then one ``ResidualReport``,
+  ``sorted``, ``without_timing`` and ``to_json`` with the job's config echo,
+  timed as the layer rows are; the same public calls on every tree.
+
 * **Job rows**: each argv of ``JOBS``, a ``krein`` job of 17 modes and a
   disk ``jumps`` job, run in process through ``green3.cli.main`` and timed
   as the layer rows are; the argv is the same on every tree, so the rows
@@ -67,6 +72,7 @@ COLUMNS = 8  # densities per solve, as in a dtn run's mode columns
 JOBS = (["krein", "--z", "2,1", "--modes", "16", "--c", "1", "--omit-timing"],
         ["jumps", "--curve", "disk", "--nodes", "256", "--modes", "8", "--z", "2,1",
          "--omit-timing"])
+REPORT_MODES = 12  # the report row's krein job: two rows per mode 0..12
 REPEATS = 7  # timed samples per row
 HERE = Path(__file__).resolve().parent
 
@@ -135,6 +141,24 @@ def _layer_rows() -> list:
     return rows
 
 
+def _report_row() -> dict:
+    from green3 import ResidualReport, check_row
+    from green3.cli import RunConfig
+
+    config = RunConfig(subcommand="krein", zs=((2.0, 1.0),), modes=REPORT_MODES,
+                       omit_timing=True).to_dict()
+
+    def write():
+        rows = [check_row(name, {"z": [2.0, 1.0], "m": m, "c": 1.0}, 1e-15 * (m + 1), 1e-10,
+                          wall_time_s=1e-5)
+                for m in range(REPORT_MODES + 1)
+                for name in ("coupling.krein.mode", "coupling.mixed.mode")]
+        report = ResidualReport(rows).sorted().without_timing()
+        return report.to_json(command="krein", config=config)
+
+    return {"layer": "report", "rows": 2 * (REPORT_MODES + 1), **_timed(write)}
+
+
 def _run(argv) -> int:
     from green3.cli import main
 
@@ -163,13 +187,14 @@ def _replay_rows() -> list:
 
 
 def _measure() -> None:
-    """In the child: print the layer rows, the job rows, the replay rows and
-    the child's library versions as one JSON object."""
+    """In the child: print the layer rows and the report row, the job rows,
+    the replay rows and the child's library versions as one JSON object."""
     import numpy
     import scipy
 
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    json.dump({"layers": _layer_rows(), "jobs": _job_rows(), "replay": _replay_rows(),
+    json.dump({"layers": [*_layer_rows(), _report_row()], "jobs": _job_rows(),
+               "replay": _replay_rows(),
                "versions": {"python": platform.python_version(), "numpy": numpy.__version__,
                             "scipy": scipy.__version__,
                             "blas": f"{blas.get('name')} {blas.get('version')}"}},
