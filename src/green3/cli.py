@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import numbers
 import os
 import sys
 import time
@@ -66,6 +67,12 @@ def _work_bytes(subcommand: str, nodes: int) -> int:
     if subcommand not in _WORK_SUBCOMMANDS:
         return 0
     return _WORK_ARRAYS * 16 * nodes**2
+
+
+def _real(value) -> bool:
+    """Whether ``value`` is a real number, as the parser gives one: not a bool,
+    a string or a complex."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _parse_z(text: str):
@@ -128,7 +135,12 @@ class RunConfig:
             raise ConfigurationError(f"--side must be interior or exterior, got {self.side!r}")
         if self.check not in interval_model._TOLERANCE:
             raise ConfigurationError(f"--check must be krein|mixed|green3|suite, got {self.check!r}")
-        object.__setattr__(self, "zs", tuple(tuple(z) for z in self.zs))
+        # the parser's shapes, for a config built in code or read back from JSON
+        object.__setattr__(self, "zs", tuple(tuple(z) if np.iterable(z) else (z,)
+                                             for z in self.zs))
+        for z in self.zs:
+            if len(z) != 2 or not all(map(_real, z)):
+                raise ConfigurationError(f"--z must be (re, im), two real numbers, got {z!r}")
         object.__setattr__(self, "mode_list", tuple(int(m) for m in self.mode_list))
         object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
         # an empty mode range must not pass vacuously, and numpy's generator
@@ -138,22 +150,25 @@ class RunConfig:
             if value < 0:
                 raise ConfigurationError(f"{flag} must be >= 0, got {value}")
         if self.zgrid is not None:
-            # the parser's shape, for a grid built in code or read back from JSON
-            object.__setattr__(self, "zgrid", tuple(self.zgrid))
+            object.__setattr__(self, "zgrid", tuple(self.zgrid) if np.iterable(self.zgrid)
+                               else (self.zgrid,))
             count = self.zgrid[2] if len(self.zgrid) == 4 else None
             if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
                 raise ConfigurationError(
                     f"--zgrid must be (re0, re1, count, im) with an integer count >= 1, "
                     f"got {self.zgrid!r}")
+            if not all(map(_real, self.zgrid)):
+                raise ConfigurationError(
+                    f"--zgrid re0, re1 and im must be real numbers, got {self.zgrid!r}")
         # a NaN or infinite number reaches no check it could fail: reject it here
         if not (math.isfinite(self.tol_scale) and self.tol_scale > 0.0):
             raise ConfigurationError(f"--tol-scale must be finite and > 0, got {self.tol_scale!r}")
         for flag, value in (("--c+", self.c_plus), ("--c-", self.c_minus), ("--c", self.c_shift)):
             if value is not None and not math.isfinite(value):
                 raise ConfigurationError(f"{flag} must be finite, got {value!r}")
-        numbers = [x for z in self.zs for x in z] + list(self.zgrid or ())
-        if not all(map(math.isfinite, numbers)):
-            raise ConfigurationError(f"--z and --zgrid values must be finite, got {numbers}")
+        values = [x for z in self.zs for x in z] + list(self.zgrid or ())
+        if not all(map(math.isfinite, values)):
+            raise ConfigurationError(f"--z and --zgrid values must be finite, got {values}")
         work = _work_bytes(self.subcommand, self.nodes)
         if work > _WORK_BUDGET_BYTES:
             raise ConfigurationError(

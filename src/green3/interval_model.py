@@ -32,7 +32,7 @@ the side's own ends (16 pieces of 16 nodes), with the nodes and γ·w built once
 per side.
 
 The Krein, mixed and difference formulas, and their pole rule, are those of
-``coupling``, which the disk modes use too; its columns are the five bumps
+``formulas``, which the disk modes use too; its columns are the five bumps
 here.
 
 Unlike the planar operators, z may be any complex number away from the
@@ -77,8 +77,8 @@ from typing import Callable
 
 import numpy as np
 
-from .coupling import _difference, _krein, _mixed
 from .errors import AccuracyRegionError, BracketingError, ConfigurationError, SpectralPoleError
+from .formulas import _difference, _krein, _mixed
 from .geometry import _cached_property, _check_side, _interp_at_zero, _leggauss
 from .reports import ResidualReport, timed_check, worst
 
@@ -318,7 +318,7 @@ def _bumps(x) -> np.ndarray:
 class _ResolventFormula:
     """What the Krein and mixed checks share at (z, c₊, c₋): the region check,
     both sides with m±, the coupled and Dirichlet kernels, the params echo,
-    the rows of ``coupling``'s formulas (each side's check points, + first)
+    the rows of the ``formulas`` core (each side's check points, + first)
     with their side index and γ there, and the γ pairings γ₊*φ and γ₋*φ of
     the five bumps, its columns."""
 

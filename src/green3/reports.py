@@ -9,6 +9,7 @@ form, made once by ``check_row``, and a report's row order live here alone.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -116,7 +117,11 @@ class ResidualReport:
         return self
 
     def without_timing(self) -> "ResidualReport":
-        return ResidualReport([replace(row, wall_time_s=0.0) for row in self.checks])
+        """A copy with every wall time 0.0 and the rows in this report's order,
+        which no wall time enters, so the copy is not sorted again."""
+        report = copy.copy(self)
+        report.checks = [replace(row, wall_time_s=0.0) for row in self.checks]
+        return report
 
     def to_json_dict(self, command: str | None = None, config: dict | None = None,
                      wall_time_s: float = 0.0) -> dict:

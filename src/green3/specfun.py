@@ -20,7 +20,10 @@ loses its phase to the rounding of w; NaN fails it too), Im w >= 0 and
 w != 0 for H^(1), Re w > 0 for K, and 0 < y < 700 for the real I/K route.
 All functions accept scalars or numpy arrays in the argument, and the
 cylinder functions an integer array of orders too, which scipy broadcasts
-against the argument; all are pure (thread-safe).
+against the argument; all are pure (thread-safe).  ``_special`` imports
+``scipy.special`` on first use, so a run that calls no cylinder function (the
+1D model, a usage error) loads no scipy; Python's import lock makes a first
+call from two threads at once safe.
 """
 
 from __future__ import annotations
@@ -28,12 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import ArgumentRangeError, ConfigurationError, SingularityError, SpectralPoleError
 
 _OVERFLOW_RADIUS = 700.0  # e^{±|Im w|} of J, I and H^(1) must stay in the double range
-_MODIFIED_ROUTINES = ((sp.i0, sp.k0), (sp.i1, sp.k1))  # order -> (I_order, K_order)
+
+
+def _special():  # scipy.special, imported on first use (module docstring)
+    from scipy import special
+    return special
 
 
 @dataclass(frozen=True)
@@ -110,8 +116,8 @@ def _modified_real(order: int, y):
     its pairs and hands K to ``_kernel``; both together still cost less than
     one complex routine."""
     y = _real_argument(y)
-    i_fn, k_fn = _MODIFIED_ROUTINES[order]
-    return i_fn(y), k_fn(y)
+    sp = _special()
+    return (sp.i1(y), sp.k1(y)) if order else (sp.i0(y), sp.k0(y))
 
 
 def bessel_j(order, w):
@@ -119,7 +125,7 @@ def bessel_j(order, w):
     order = _check_order(order)
     arr, scalar = _as_complex_array(w, order)
     _check_overflow(arr)
-    out = sp.jv(order, arr)
+    out = _special().jv(order, arr)
     return complex(out[0]) if scalar else out
 
 
@@ -139,7 +145,7 @@ def hankel1(order, w):
         raise SingularityError("H^(1) is singular at w = 0")
     if np.any(arr.imag < -1e-9 * (1.0 + np.abs(arr))):
         raise ArgumentRangeError("hankel1 requires Im(w) >= 0")
-    out = sp.hankel1(order, _normalize_upper(arr))
+    out = _special().hankel1(order, _normalize_upper(arr))
     return complex(out[0]) if scalar else out
 
 
@@ -148,7 +154,7 @@ def modified_i(order, w):
     order = _check_order(order)
     arr, scalar = _as_complex_array(w, order)
     _check_overflow(arr)
-    out = sp.iv(order, arr)
+    out = _special().iv(order, arr)
     return complex(out[0]) if scalar else out
 
 
@@ -158,7 +164,7 @@ def modified_k(order, w):
     arr, scalar = _as_complex_array(w, order)
     if np.any(arr.real <= 0):
         raise ArgumentRangeError("modified_k requires Re(w) > 0")
-    out = sp.kv(order, arr)
+    out = _special().kv(order, arr)
     return complex(out[0]) if scalar else out
 
 
@@ -166,7 +172,7 @@ def bessel_j_zero(k: int) -> float:
     """k-th positive zero of J_0."""
     if not 1 <= k <= 15:
         raise ArgumentRangeError("bessel_j_zero supports 1 <= k <= 15")
-    return float(sp.jn_zeros(0, k)[-1])
+    return float(_special().jn_zeros(0, k)[-1])
 
 
 def _kernel(z: SpectralPoint, order: int, r, h=None):
@@ -182,7 +188,7 @@ def _kernel(z: SpectralPoint, order: int, r, h=None):
         return -np.log(r) / (2.0 * np.pi) if order == 0 else 1.0 / (2.0 * np.pi * r * r)
     if k.real == 0.0:  # H_order(iκr) = i^(1−order)·(−2/π)·K_order(κr)
         if h is None:
-            h = _MODIFIED_ROUTINES[order][1](_real_argument(k.imag * r))
+            h = (_special().k1 if order else _special().k0)(_real_argument(k.imag * r))
         out = (-2.0 / np.pi) * h
         out *= -0.25 if order == 0 else -0.25 * k.imag  # (i/4)·i or (i/4)·k
         if order:

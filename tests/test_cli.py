@@ -62,11 +62,19 @@ def test_run_config_rejects_unknown_subcommand_and_format():
        f"--zgrid must be (re0, re1, count, im) with an integer count >= 1, got {grid!r}")
       for grid in ((-3.0, -1.0, 0, 0.0), (-3.0, -1.0, -1, 0.0), (-3.0, -1.0, 2.5, 0.0),
                    (-3.0, -1.0, True, 0.0), (-3.0, -1.0, 3))],
+    (dict(subcommand="indicator", zgrid=5),
+     "--zgrid must be (re0, re1, count, im) with an integer count >= 1, got (5,)"),
+    *[(dict(subcommand="indicator", zgrid=grid),
+       f"--zgrid re0, re1 and im must be real numbers, got {grid!r}")
+      for grid in (("a", -1.0, 2, 0.0), (-3.0, None, 2, 0.0), (-3.0, -1.0, 2, "0"))],
+    *[(dict(subcommand=subcommand, zs=(z,)), f"--z must be (re, im), two real numbers, got {z!r}")
+      for subcommand, z in (("krein", (1.0,)), ("krein", (2.0, 1.0, 5.0)), ("jumps", ("a", 0.0)),
+                            ("jumps", (1.0, None)), ("dtn", (True, 0.0)), ("krein", ()))],
 ])
 def test_run_config_checks_what_the_parser_checks(fields, message):
     # a config built in code, or read back from JSON, fails as the CLI would
     with pytest.raises(ConfigurationError) as info:
-        RunConfig(nodes=64, zs=[(-1.0, 0.0)], **fields)
+        RunConfig(**{"nodes": 64, "zs": [(-1.0, 0.0)], **fields})
     assert str(info.value) == message
     text = json.dumps({**RunConfig(subcommand=fields["subcommand"]).to_dict(), **fields})
     with pytest.raises(ConfigurationError):
@@ -753,6 +761,22 @@ def test_indicator_scan_with_kernel_chunks_finishes(cap):
     assert len(json.loads(proc.stdout)["checks"]) == 6
 
 
+def _scipy_loaded_by(argv=None):
+    """In a fresh interpreter that imports ``green3.cli``: the exit code of
+    ``main(argv)`` (None without argv), and the scipy modules loaded then."""
+    run = "None" if argv is None else f"main({argv!r})"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import contextlib, io, json, sys\n"
+         "from green3.cli import main\n"
+         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+         f"    code = {run}\n"
+         "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    return code, loaded
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.linalg too: loading it costs about a fifth of the CLI's import time
     proc = subprocess.run(
@@ -761,6 +785,23 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False False"
+    # nor any scipy module: scipy.special is imported on first use, by specfun
+    assert _scipy_loaded_by() == (None, [])
+
+
+@pytest.mark.parametrize("argv, code", [
+    *[(["interval", "--check", check, "--omit-timing"], 0)
+      for check in ("krein", "mixed", "green3", "suite")],
+    (["jumps", "--curve", "nope"], 2),
+])
+def test_interval_runs_and_usage_errors_load_no_scipy(argv, code):
+    # the 1D model reads only the numpy-only formula core
+    assert _scipy_loaded_by(argv) == (code, [])
+
+
+def test_a_krein_run_loads_scipy_special_on_first_use():
+    code, loaded = _scipy_loaded_by(["krein", "--z", "2,1", "--mode", "1"])
+    assert code == 0 and "scipy.special" in loaded
 
 
 # ---------------------------------------------------------------- determinism

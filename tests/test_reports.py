@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 
@@ -45,3 +46,15 @@ def test_a_report_orders_its_rows_whatever_order_they_come_in():
     assert again.checks == rows
     assert again.to_json(command="interval") == report.to_json(command="interval")
     assert again.to_csv() == report.to_csv()
+
+
+def test_without_timing_zeroes_every_wall_time_and_keeps_the_rows_in_order():
+    report = abstract_identity_suite([1j, 2j], 0.5, 2.0)
+    assert any(row.wall_time_s > 0.0 for row in report.checks)
+    # an order the sort would not give: the copy keeps it, so it is not sorted again
+    report.checks = random.Random(1).sample(report.checks, len(report.checks))
+    rows = list(report.checks)
+    bare = report.without_timing()
+    assert all(row.wall_time_s == 0.0 for row in bare.checks)
+    assert [replace(row, wall_time_s=0.0) for row in rows] == bare.checks
+    assert report.checks == rows

@@ -3,8 +3,9 @@
     python3 tools/bench_layers.py TREE --tag TAG
 
 TREE is a checkout of this repository; the file goes to the root of the
-checkout this tool sits in.  Everything runs in one fresh interpreter that
-imports TREE's green3, on one core: one BLAS thread and GREEN3_THREADS = 1.
+checkout this tool sits in.  Everything but the fresh-process rows runs in one
+fresh interpreter that imports TREE's green3, on one core: one BLAS thread and
+GREEN3_THREADS = 1.
 
 * **Layer rows**, on the disk and the kite at N in ``NODES`` and z in
   ``ZS``, each timed ``REPEATS`` times after one untimed call, with the
@@ -40,6 +41,16 @@ imports TREE's green3, on one core: one BLAS thread and GREEN3_THREADS = 1.
   workload's warm-up jobs, timed as a whole ``REPEATS`` times, with the exit
   codes of the first run.
 
+* **Fresh-process rows**: the import floors of ``FLOORS`` (``python -c``)
+  and each CLI example of this checkout's README, ``--out`` included, plus
+  ``FRESH_JOBS``, each run as ``python -m green3.cli`` in its own fresh
+  interpreter, with TREE's ``src`` on the path, the thread caps above and a
+  temporary directory as its working directory, so that ``--out`` writes
+  nowhere in a checkout.  After one untimed pass, which also leaves TREE's
+  bytecode caches as a user's first run does, ``REPEATS`` passes run every
+  row once each; a row holds the exit code and the statistics of its wall
+  times, process start included.
+
 * **Provenance**: Python, numpy, scipy, the BLAS, the CPU count, the thread
   caps, TREE's git revision (null outside a git work tree), whether its
   ``src/`` differs from that revision, and a hash of its ``src/green3``
@@ -58,9 +69,11 @@ import io
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
@@ -72,6 +85,8 @@ COLUMNS = 8  # densities per solve, as in a dtn run's mode columns
 JOBS = (["krein", "--z", "2,1", "--modes", "16", "--c", "1", "--omit-timing"],
         ["jumps", "--curve", "disk", "--nodes", "256", "--modes", "8", "--z", "2,1",
          "--omit-timing"])
+FLOORS = ("pass", "import numpy", "import numpy, scipy.special", "import green3.cli")
+FRESH_JOBS = (["interval", "--check", "krein", "--z", "1,1"], ["jumps", "--curve", "nope"])
 REPORT_MODES = 12  # the report row's krein job: two rows per mode 0..12
 REPEATS = 7  # timed samples per row
 HERE = Path(__file__).resolve().parent
@@ -186,6 +201,27 @@ def _replay_rows() -> list:
     return rows
 
 
+def _fresh_rows(tree: Path) -> list:
+    """The fresh-process rows of the module docstring, one per floor and CLI run."""
+    import same_answers
+
+    runs = {f"python -c '{code}'": ["-c", code] for code in FLOORS}
+    runs.update({f"green3 {shlex.join(argv)}": ["-m", "green3.cli", *argv]
+                 for argv in [*same_answers.readme_commands(), *FRESH_JOBS]})
+    samples, codes = {run: [] for run in runs}, {}
+    with tempfile.TemporaryDirectory() as cwd:
+        for timed in [False] + [True] * REPEATS:
+            for run, args in runs.items():
+                tic = time.perf_counter()
+                codes[run] = subprocess.run([sys.executable, *args], cwd=cwd,
+                                            env=same_answers.tree_env(tree),
+                                            stdout=subprocess.DEVNULL,
+                                            stderr=subprocess.DEVNULL).returncode
+                if timed:
+                    samples[run].append(time.perf_counter() - tic)
+    return [{"run": run, "exit_code": codes[run], **_stats(samples[run])} for run in runs]
+
+
 def _measure() -> None:
     """In the child: print the layer rows and the report row, the job rows,
     the replay rows and the child's library versions as one JSON object."""
@@ -235,7 +271,7 @@ def main() -> int:
                           env=env)
     if proc.returncode:
         sys.exit(f"the measurements of {args.tree} did not run:\n{proc.stderr}")
-    result = json.loads(proc.stdout)
+    result = {**json.loads(proc.stdout), "fresh": _fresh_rows(args.tree.resolve())}
     provenance = {**result.pop("versions"), "platform": platform.platform(),
                   "nproc": len(os.sched_getaffinity(0)),
                   "threads": {var: env[var] for var in ("GREEN3_THREADS", "OPENBLAS_NUM_THREADS",

@@ -51,16 +51,20 @@ REAL_Z = [[*run, "--curve", curve, "--nodes", "128", "--z", f"{z},0", "--omit-ti
           for curve in ("disk", "kite", "ellipse:1.5,0.8") for z in (-2, 0)]
 
 
+def readme_commands() -> list:
+    """The README's ``green3 ...`` lines as argv lists, as written."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    return [shlex.split(line)[1:] for line in readme.read_text(encoding="utf-8").splitlines()
+            if line.startswith("green3 ")]
+
+
 def readme_examples() -> list:
     """The README's ``green3 ...`` lines as argv lists, each without ``--out PATH``."""
-    readme = Path(__file__).resolve().parent.parent / "README.md"
     jobs = []
-    for line in readme.read_text(encoding="utf-8").splitlines():
-        if line.startswith("green3 "):
-            argv = shlex.split(line)[1:]
-            if "--out" in argv:
-                del argv[argv.index("--out"):argv.index("--out") + 2]
-            jobs.append([*argv, "--omit-timing"])
+    for argv in readme_commands():
+        if "--out" in argv:
+            del argv[argv.index("--out"):argv.index("--out") + 2]
+        jobs.append([*argv, "--omit-timing"])
     return jobs
 
 
